@@ -1,174 +1,68 @@
-"""Numerical inner loops, jitted with numba when available.
+"""Numerical inner loops for the shortest-path machinery, in numpy.
 
-Every kernel has plain-Python semantics; without numba the same code runs
-unjitted (slow but identical), so results never depend on whether the JIT
-is present.
+Each Python loop steps one index (the Floyd-Warshall pivot, the next-hop
+target, the tree level of the backward push, the BFS depth) over O(n^2)
+array operations, so temporaries stay O(n^2).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+def shortest_paths_kernel(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs distances and next hops on a non-negative weight matrix.
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-@njit(cache=True)
-def jacobi_eigh_kernel(a: np.ndarray, off_tol: float, max_sweeps: int):
-    """Cyclic Jacobi rotations on a symmetric matrix until the off-diagonal
-    Frobenius norm drops below ``off_tol``.  Returns (diag-in-a, U)."""
-    n = a.shape[0]
-    u = np.eye(n)
-    for _ in range(max_sweeps):
-        off2 = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off2 += a[p, q] * a[p, q]
-        if np.sqrt(2.0 * off2) <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-300:
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                tau = s / (1.0 + c)
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for k in range(n):
-                    if k != p and k != q:
-                        akp = a[k, p]
-                        akq = a[k, q]
-                        a[k, p] = akp - s * (akq + tau * akp)
-                        a[p, k] = a[k, p]
-                        a[k, q] = akq + s * (akp - tau * akq)
-                        a[q, k] = a[k, q]
-                for k in range(n):
-                    ukp = u[k, p]
-                    ukq = u[k, q]
-                    u[k, p] = ukp - s * (ukq + tau * ukp)
-                    u[k, q] = ukq + s * (ukp - tau * ukq)
-    return a, u
-
-
-@njit(cache=True)
-def dijkstra_all_kernel(r: np.ndarray) -> np.ndarray:
-    """Dense Dijkstra from every source on a non-negative weight matrix.
-
-    ``r[u, v] = inf`` means no edge.  Returns the distance matrix.
+    ``r[u, v] = inf`` means no edge.  Distances come from Floyd-Warshall.
+    ``nxt[u, j]`` is the smallest-index neighbor v of u with
+    r[u, v] + dist[v, j] <= dist[u, j] + tol; -1 if unreachable, u itself
+    when u == j.  Greedily following nxt yields the lexicographically
+    smallest shortest path.
     """
     n = r.shape[0]
-    dist = np.full((n, n), np.inf)
-    for s in range(n):
-        d = dist[s]
-        d[s] = 0.0
-        done = np.zeros(n, dtype=np.bool_)
-        for _ in range(n):
-            u = -1
-            best = np.inf
-            for v in range(n):
-                if not done[v] and d[v] < best:
-                    best = d[v]
-                    u = v
-            if u < 0:
-                break
-            done[u] = True
-            du = d[u]
-            for v in range(n):
-                w = r[u, v]
-                if w != np.inf:
-                    nd = du + w
-                    if nd < d[v]:
-                        d[v] = nd
-    return dist
-
-
-@njit(cache=True)
-def next_hop_kernel(r: np.ndarray, dist: np.ndarray, tol: float) -> np.ndarray:
-    """First hop of the lexicographically smallest shortest path per pair.
-
-    nxt[u, j] is the smallest-index neighbor v of u with
-    r[u, v] + dist[v, j] == dist[u, j] (within tol); -1 if unreachable,
-    u itself when u == j.  Greedily following nxt yields the full path.
-    """
-    n = r.shape[0]
+    dist = r.copy()
+    np.fill_diagonal(dist, 0.0)
+    for k in range(n):
+        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     nxt = np.full((n, n), -1, dtype=np.int64)
     for j in range(n):
-        for u in range(n):
-            if u == j:
-                nxt[u, j] = u
-                continue
-            duj = dist[u, j]
-            if duj == np.inf:
-                continue
-            for v in range(n):
-                w = r[u, v]
-                if w != np.inf and w + dist[v, j] <= duj + tol:
-                    nxt[u, j] = v
-                    break
-    return nxt
+        col = dist[:, j]
+        on_path = r + col[None, :] <= col[:, None] + tol
+        nxt[:, j] = np.where(np.isfinite(col), np.argmax(on_path, axis=1), -1)
+        nxt[j, j] = j
+    return dist, nxt
 
 
-@njit(cache=True)
-def rspd_grad_kernel(
-    g: np.ndarray,
-    dist: np.ndarray,
-    nxt: np.ndarray,
-    atilde: np.ndarray,
-) -> np.ndarray:
+def rspd_grad_kernel(g: np.ndarray, nxt: np.ndarray, atilde: np.ndarray) -> np.ndarray:
     """Pull an upstream gradient on the rspd matrix back onto the adjacency.
 
     Uses the fact that, per target j, the chosen next hops form a tree
-    rooted at j: gradient mass accumulates from the leaves toward j, and
-    each edge (u, v) on a used path receives mass * d(1/a)/da = -mass/a^2.
+    rooted at j.  Pairs are grouped by hop depth in their tree; from the
+    deepest level up, each pair (u, j) pushes its accumulated mass onto
+    (nxt[u, j], j), and each used edge (u, v) receives
+    mass * d(1/a)/da = -mass/a^2.
     """
     n = g.shape[0]
+    cols = np.arange(n)[None, :]
+    hop = np.where(nxt >= 0, nxt, cols)
+    depth = np.where(nxt >= 0, -1, 0)
+    np.fill_diagonal(depth, 0)
+    level = 0
+    while True:
+        new = (depth < 0) & (depth[hop, cols] == level)
+        if not new.any():
+            break
+        level += 1
+        depth[new] = level
+    mass = np.array(g, dtype=np.float64)
     grad_a = np.zeros((n, n))
-    order = np.empty(n, dtype=np.int64)
-    mass = np.empty(n)
-    for j in range(n):
-        col = dist[:, j]
-        idx = np.argsort(col)  # ascending; process in reverse (far first)
-        for k in range(n):
-            order[k] = idx[k]
-        for u in range(n):
-            mass[u] = g[u, j]
-        for k in range(n - 1, -1, -1):
-            u = order[k]
-            if u == j or col[u] == np.inf:
-                continue
-            v = nxt[u, j]
-            if v < 0:
-                continue
-            m = mass[u]
-            if m != 0.0:
-                a = atilde[u, v]
-                grad_a[u, v] += -m / (a * a)
-                mass[v] += m
+    for lvl in range(level, 0, -1):
+        us, js = np.nonzero(depth == lvl)
+        vs = nxt[us, js]
+        m = mass[us, js]
+        a = atilde[us, vs]
+        np.add.at(grad_a, (us, vs), -m / (a * a))
+        np.add.at(mass, (vs, js), m)
     return grad_a
 
 

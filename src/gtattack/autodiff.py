@@ -659,13 +659,6 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     return leaf_grads
 
 
-def grad_wrt(loss: Tensor, leaf: Tensor) -> np.ndarray:
-    """Gradient array for one leaf (zeros if the leaf is unreachable)."""
-    gmap = backward(loss)
-    g = gmap.get(leaf)
-    return np.zeros(leaf.shape) if g is None else g.data
-
-
 # ---------------------------------------------------------------------------
 # finite differences (independent oracle used throughout the test suite)
 

@@ -33,7 +33,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "upper_triangle_pairs",
-    "is_discrete",
     "connected_components",
     "is_connected",
 ]
@@ -99,10 +98,6 @@ class Graph:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-
-def is_discrete(a: np.ndarray) -> bool:
-    return bool(np.all((a == 0.0) | (a == 1.0)))
 
 
 @dataclass
@@ -215,24 +210,24 @@ def upper_triangle_pairs(n: int) -> np.ndarray:
 
 
 def connected_components(a: np.ndarray, edge_eps: float = 1e-9) -> np.ndarray:
-    """Component id per node, edges being entries > edge_eps."""
+    """Component id per node, edges being entries > edge_eps.
+
+    Ids are numbered in the order of each component's smallest node.  Each
+    node carries a label, a node of its own component no larger than
+    itself.  Every sweep advances all labels one hop at once (the smallest
+    label among a node and its neighbors), then replaces each label by that
+    node's label; at the fixed point every label is its component's minimum.
+    """
     n = a.shape[0]
-    comp = np.full(n, -1, dtype=np.int64)
-    cid = 0
     adj = a > edge_eps
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = cid
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(adj[u]):
-                if comp[v] < 0:
-                    comp[v] = cid
-                    stack.append(int(v))
-        cid += 1
-    return comp
+    label = np.arange(n)
+    while True:
+        new = np.minimum(label, np.where(adj, label[None, :], n).min(axis=1, initial=n))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    return np.unique(label, return_inverse=True)[1].astype(np.int64)
 
 
 def is_connected(a: np.ndarray) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import dijkstra_all_kernel, next_hop_kernel, rspd_grad_kernel
+from ._kernels import rspd_grad_kernel, shortest_paths_kernel
 from .autodiff import Tensor
 
 __all__ = [
@@ -74,13 +74,12 @@ def reciprocal_weights(atilde: Tensor | np.ndarray) -> np.ndarray:
 
 
 def all_pairs_shortest(r: np.ndarray) -> ShortestPathResult:
-    """Dijkstra from every source with deterministic lexicographic tie-break."""
+    """Floyd-Warshall over all pairs with deterministic lexicographic tie-break."""
     r = np.asarray(r, dtype=np.float64)
     off = r[~np.eye(r.shape[0], dtype=bool)]
     if off.size and np.min(off) < 1.0 - 1e-12:
         raise ValueError("all_pairs_shortest: off-diagonal weights must be >= 1 or inf")
-    dist = dijkstra_all_kernel(r)
-    nxt = next_hop_kernel(r, dist, _TIE_TOL)
+    dist, nxt = shortest_paths_kernel(r, _TIE_TOL)
     return ShortestPathResult(rspd=dist, next_hop=nxt)
 
 
@@ -104,20 +103,18 @@ def path_sum_proxy(atilde: Tensor, result: ShortestPathResult, i: int, j: int) -
 def rspd_matrix(atilde: Tensor) -> Tensor:
     """All-pairs relaxed shortest-path distances as one differentiable op.
 
-    Forward runs Dijkstra on the reciprocal weights; backward pushes the
-    upstream gradient onto the adjacency along each pair's frozen path
-    (batched over targets via the next-hop trees, matching
-    :func:`path_sum_proxy` edge by edge).
+    Forward runs Floyd-Warshall on the reciprocal weights; backward pushes
+    the upstream gradient onto the adjacency along each pair's frozen path
+    (level by level through the next-hop trees of all targets at once,
+    matching :func:`path_sum_proxy` edge by edge).
     """
     r = reciprocal_weights(atilde.data)
-    dist = dijkstra_all_kernel(r)
-    nxt = next_hop_kernel(r, dist, _TIE_TOL)
+    dist, nxt = shortest_paths_kernel(r, _TIE_TOL)
     out = Tensor(dist)
     a_data = atilde.data
 
     def vjp(g):
-        g = np.where(np.isfinite(dist), g, 0.0)
-        return rspd_grad_kernel(np.ascontiguousarray(g), dist, nxt, a_data)
+        return rspd_grad_kernel(g, nxt, a_data)
 
     return ad._record("rspd_matrix", out, (atilde,), (vjp,))
 

@@ -1,7 +1,7 @@
 """Symmetric eigendecomposition and first-order eigen-perturbation.
 
-The decomposition uses cyclic Jacobi rotations (guaranteed orthonormal U at
-working precision); the perturbation approximations
+The decomposition is LAPACK's symmetric solver (``np.linalg.eigh``) with a
+deterministic sign per eigenvector; the perturbation approximations
 
     dLambda ~ diag(U^T dL U)
     dU      ~ -U (Pi .* U^T dL U),   Pi_ij = 1 / (lambda_i - lambda_j)
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import jacobi_eigh_kernel
 from .autodiff import Tensor
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-OFFDIAG_TOL = 1e-11
-MAX_SWEEPS = 100
 GAP_CLAMP = 1e6
 SMALL_GAP = 1e-6
 
@@ -68,20 +65,17 @@ def _apply_sign_convention(u: np.ndarray) -> np.ndarray:
 
 
 def eig_sym(lap: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi sweeps."""
+    """Eigendecomposition of a symmetric matrix via LAPACK."""
     lap = np.asarray(lap, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError(f"eig_sym: matrix must be square, got {lap.shape}")
+    if not np.all(np.isfinite(lap)):
+        raise ValueError("eig_sym: matrix has non-finite entries")
     if np.max(np.abs(lap - lap.T), initial=0.0) > 1e-9:
         raise ValueError("eig_sym: matrix is not symmetric within 1e-9")
     a = 0.5 * (lap + lap.T)
-    diag, u = jacobi_eigh_kernel(a.copy(), OFFDIAG_TOL, MAX_SWEEPS)
-    eigs = np.diag(diag).copy()
-    order = np.argsort(eigs, kind="stable")
-    return EigenDecomposition(
-        eigenvalues=eigs[order],
-        eigenvectors=_apply_sign_convention(u[:, order]),
-    )
+    eigs, u = np.linalg.eigh(a)
+    return EigenDecomposition(eigenvalues=eigs, eigenvectors=_apply_sign_convention(u))
 
 
 def degeneracy_tol(lam: float) -> float:

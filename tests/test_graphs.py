@@ -192,6 +192,17 @@ def test_sbm_no_inter_edges_keeps_clusters_separate():
         assert len(np.unique(g.node_labels[comp == cid])) == 1
 
 
+def test_connected_components_numbered_by_smallest_node():
+    # components {0, 3, 5}, {1, 4}, {2}, {6}, {7, 8}; 3 reaches 0 only via 5;
+    # the 0.5 edge counts, the 1e-12 entry between 2 and 6 does not
+    a = np.zeros((9, 9))
+    for i, j, w in [(3, 5, 1.0), (0, 5, 0.5), (4, 1, 1.0), (8, 7, 1.0), (2, 6, 1e-12)]:
+        a[i, j] = a[j, i] = w
+    comp = connected_components(a)
+    assert comp.dtype == np.int64
+    np.testing.assert_array_equal(comp, [0, 1, 2, 0, 1, 0, 3, 4, 4])
+
+
 def test_sbm_deterministic():
     g1 = generate_sbm_cluster(seed=42)
     g2 = generate_sbm_cluster(seed=42)

@@ -1,3 +1,4 @@
+import heapq
 from collections import deque
 
 import numpy as np
@@ -40,6 +41,23 @@ def bfs_hops_oracle(a):
                 if dist[s, v] == np.inf:
                     dist[s, v] = dist[s, u] + 1
                     dq.append(int(v))
+    return dist
+
+
+def dijkstra_oracle(r):
+    """Independent weighted-distance oracle (heap Dijkstra per source)."""
+    n = r.shape[0]
+    dist = np.full((n, n), np.inf)
+    for s in range(n):
+        heap = [(0.0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d >= dist[s, u]:
+                continue
+            dist[s, u] = d
+            for v in np.flatnonzero(np.isfinite(r[u])):
+                if v != u:
+                    heapq.heappush(heap, (d + r[u, v], int(v)))
     return dist
 
 
@@ -101,6 +119,19 @@ def test_matches_bfs_oracle_on_discrete_graphs():
         np.testing.assert_array_equal(res.rspd, bfs_hops_oracle(a))
 
 
+def test_matches_dijkstra_oracle_on_relaxed_graphs():
+    # Floyd-Warshall adds path segments in another order than Dijkstra, so
+    # a path of up to n edges may differ by about n roundings
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n = int(rng.integers(2, 25))
+        r = reciprocal_weights(random_adjacency(rng, n, p=0.25, weighted=True))
+        want = dijkstra_oracle(r)
+        got = all_pairs_shortest(r).rspd
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+        np.testing.assert_allclose(got, want, rtol=n * np.finfo(float).eps, atol=0.0)
+
+
 def test_monotone_in_edge_weights():
     rng = np.random.default_rng(3)
     for _ in range(30):
@@ -137,6 +168,19 @@ def test_lexicographic_tie_break():
         a[i, j] = a[j, i] = 1.0
     res = all_pairs_shortest(reciprocal_weights(a))
     assert res.path(0, 3) == [0, 1, 3]
+
+    # relaxed exact tie: the weight-0.5 edge 0-3 costs 2 like the unit hops
+    # 0-1-3, so 0 goes via 1 and 3 goes straight to 0; node 4 is isolated
+    a = np.zeros((5, 5))
+    for i, j, w in [(0, 1, 1.0), (1, 3, 1.0), (0, 3, 0.5), (2, 3, 1.0)]:
+        a[i, j] = a[j, i] = w
+    res = all_pairs_shortest(reciprocal_weights(a))
+    assert res.rspd[0, 3] == res.rspd[3, 0] == 2.0
+    assert res.path(0, 3) == [0, 1, 3]
+    assert res.path(3, 0) == [3, 0]
+    assert res.path(2, 0) == [2, 3, 0]
+    assert res.rspd[0, 4] == np.inf and res.next_hop[0, 4] == -1
+    assert res.next_hop[4, 4] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -200,26 +244,33 @@ def test_proxy_gradient_matches_finite_differences_on_frozen_path():
 
 def test_rspd_matrix_matches_all_pairs_and_proxy_gradients():
     rng = np.random.default_rng(9)
-    a = random_adjacency(rng, 7, p=0.5, weighted=True)
-    at = Tensor(a.copy(), requires_grad=True)
-    d = rspd_matrix(at)
-    res = all_pairs_shortest(reciprocal_weights(a))
-    np.testing.assert_array_equal(d.data, res.rspd)
+    # two components; in {0..4} the weight-0.5 edge 0-3 ties 0-1-3 exactly
+    tied = np.zeros((8, 8))
+    for i, j, w in [(0, 1, 1.0), (1, 3, 1.0), (0, 3, 0.5), (0, 2, 1.0), (2, 4, 0.8),
+                    (3, 4, 1.0), (5, 6, 0.6), (6, 7, 1.0), (5, 7, 0.3)]:
+        tied[i, j] = tied[j, i] = w
+    for a in (random_adjacency(rng, 7, p=0.5, weighted=True), tied):
+        n = a.shape[0]
+        at = Tensor(a.copy(), requires_grad=True)
+        d = rspd_matrix(at)
+        res = all_pairs_shortest(reciprocal_weights(a))
+        np.testing.assert_array_equal(d.data, res.rspd)
 
-    w = rng.standard_normal((7, 7))
-    w[~np.isfinite(res.rspd)] = 0.0
-    loss = ad.tsum(ad.mul(d, Tensor(w)))
-    got = backward(loss)[at].data
+        unreachable = ~np.isfinite(res.rspd)
+        w = rng.standard_normal((n, n))
+        w[unreachable] = 0.0
+        loss = ad.tsum(ad.mul(ad.masked_fill(d, unreachable, 0.0), Tensor(w)))
+        got = backward(loss)[at].data
 
-    want = np.zeros((7, 7))
-    for i in range(7):
-        for j in range(7):
-            if i == j or not np.isfinite(res.rspd[i, j]) or w[i, j] == 0.0:
-                continue
-            leaf = Tensor(a.copy(), requires_grad=True)
-            p = path_sum_proxy(leaf, res, i, j)
-            want += w[i, j] * backward(p)[leaf].data
-    np.testing.assert_allclose(got, want, atol=1e-12)
+        want = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i == j or w[i, j] == 0.0:
+                    continue
+                leaf = Tensor(a.copy(), requires_grad=True)
+                p = path_sum_proxy(leaf, res, i, j)
+                want += w[i, j] * backward(p)[leaf].data
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,37 @@ def test_nonsymmetric_rejected():
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_nonfinite_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_sym(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_repeated_eigenvalue_laplacians():
+    star = np.zeros((5, 5))
+    star[0, 1:] = star[1:, 0] = 1.0
+    triangles = np.kron(np.eye(2), np.ones((3, 3)) - np.eye(3))
+    k5 = np.ones((5, 5)) - np.eye(5)
+    cases = [
+        (star, [0.0, 1.0, 1.0, 1.0, 2.0]),
+        (triangles, [0.0, 0.0, 1.5, 1.5, 1.5, 1.5]),
+        (k5, [0.0, 1.25, 1.25, 1.25, 1.25]),
+    ]
+    for a, want in cases:
+        lap = laplacian_sym(a)
+        d = eig_sym(lap)
+        u = d.eigenvectors
+        np.testing.assert_allclose(d.eigenvalues, want, atol=1e-12)
+        assert np.all(np.diff(d.eigenvalues) >= 0.0)
+        assert np.max(np.abs(u.T @ u - np.eye(len(a)))) <= 1e-12
+        assert np.max(np.abs(u @ np.diag(d.eigenvalues) @ u.T - lap)) <= 1e-12
+        for col in u.T:
+            assert col[np.argmax(np.abs(col))] > 0
+        again = eig_sym(lap.copy())
+        np.testing.assert_array_equal(again.eigenvalues, d.eigenvalues)
+        np.testing.assert_array_equal(again.eigenvectors, u)
+
+
 # ---------------------------------------------------------------------------
 # degenerate alignment
 
@@ -89,7 +120,7 @@ def test_alignment_zero_perturbation_noop():
 
 def test_alignment_diagonalizes_degenerate_block():
     # eigenvalues (1, 1, 3); the 2-fold block sees an off-diagonal
-    # perturbation that a 2x2 Jacobi rotation must diagonalize
+    # perturbation that the 2x2 block eigendecomposition must diagonalize
     base = EigenDecomposition(np.array([1.0, 1.0, 3.0]), np.eye(3))
     dl = np.array([[0.0, 0.1, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0]])
     out = degenerate_alignment(base, dl)
