@@ -32,7 +32,6 @@ __all__ = [
     "backward",
     "finite_difference",
     "as_tensor",
-    "constant",
 ]
 
 
@@ -102,9 +101,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
@@ -172,10 +168,6 @@ def as_tensor(x, requires_grad: bool = False) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(x, requires_grad=requires_grad)
-
-
-def constant(x) -> Tensor:
-    return as_tensor(x)
 
 
 def _tracked(t: Tensor) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from .experiment import (
@@ -50,6 +51,7 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
             raise ConfigError(f"no configured model named {args.model!r}")
     if args.budget is not None:
         cfg.budgets = [args.budget]
+        cfg.ablate_budget = args.budget
     if args.toggles is not None:
         from .models import RelaxToggles
 
@@ -64,6 +66,7 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         if args.command == "report":
             results_dir = args.results
@@ -80,14 +83,14 @@ def main(argv: list[str] | None = None) -> int:
             ds = cmd_generate(cfg)
             print(f"wrote {len(ds.graphs)} graphs to {cfg.out}/dataset")
         elif args.command == "train":
-            models = cmd_train(cfg, only_model=args.model)
+            models = cmd_train(cfg)
             for arch in models:
                 print(f"trained {arch} -> {cfg.out}/checkpoints/{arch}.json")
         elif args.command == "attack":
-            table = cmd_attack(cfg, progress=True)
+            table = cmd_attack(cfg)
             print(f"wrote {len(table.rows)} result rows to {cfg.out}/results.json")
         elif args.command == "ablate":
-            table = cmd_ablate(cfg, progress=True)
+            table = cmd_ablate(cfg)
             print(f"wrote {len(table.rows)} ablation rows to {cfg.out}/ablation.json")
         return 0
     except (ConfigError, GraphParseError, GraphValidationError) as exc:

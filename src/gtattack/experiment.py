@@ -6,18 +6,21 @@ and writes into an output directory:
     out/
       dataset/            one JSON per graph + split.json
       checkpoints/        <arch>.json model checkpoints + <arch>.history.json
-      perturbations/      one JSON per (model, budget, seed, graph) attack run
-      results.json        flat list of table rows + config hash
-      report/             CSV files derived from results.json
+      perturbations/      one JSON per attack run (model, budget, seed, graph, kind[, toggles])
+      results.json        attack rows (clean, adaptive, random, transfer) + config hash
+      ablation.json       ablate rows (clean, random, adaptive per toggle set) + config hash
+      report/             CSV files derived from results.json and ablation.json
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
-import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +36,8 @@ from .generators import make_cluster_dataset, make_tree_dataset
 from .graphs import Dataset, load_dataset, save_dataset
 from .models import GraphModel, RelaxToggles, build_model, load_checkpoint, save_checkpoint
 from .train import TrainConfig, evaluate_accuracy, train_model
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ExperimentConfig",
@@ -190,19 +195,16 @@ def _load_or_generate(cfg: ExperimentConfig) -> Dataset:
     return cmd_generate(cfg)
 
 
-def cmd_train(cfg: ExperimentConfig, only_model: str | None = None) -> dict[str, GraphModel]:
+def cmd_train(cfg: ExperimentConfig) -> dict[str, GraphModel]:
     """Train every configured model; write checkpoints and histories."""
     ds = _load_or_generate(cfg)
     ckpt_dir = os.path.join(cfg.out, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
     feature_dim = ds.graphs[0].feature_dim
-    n_classes = 6 if cfg.task == "node" else 1
-    if cfg.task == "node":
-        n_classes = int(max(int(g.node_labels.max()) for g in ds.graphs) + 1)
+    n_classes = (int(max(int(g.node_labels.max()) for g in ds.graphs) + 1)
+                 if cfg.task == "node" else 1)
     models: dict[str, GraphModel] = {}
     for spec in cfg.models:
-        if only_model and spec.arch != only_model:
-            continue
         model = build_model(spec.arch, cfg.task, feature_dim, n_classes,
                             seed=spec.seed, **spec.hparams)
         train_ds = ds
@@ -248,100 +250,118 @@ def _attack_config(cfg: ExperimentConfig, budget: float, seed: int,
     return AttackConfig(budget_fraction=budget, seed=seed, toggles=toggles, **base)
 
 
-def _attack_targets(cfg: ExperimentConfig, ds: Dataset) -> list[int]:
-    return ds.split["test"][: cfg.n_attack_graphs]
+class _Cell(NamedTuple):
+    """One model attacking one target graph under one config."""
+
+    arch: str
+    gid: int
+    config: AttackConfig
+    label: str  # toggles column of the rows the results average into
+    tag: str | None = ""  # perturbation-file label; None: results are not written
+    kinds: tuple[str, ...] = ("adaptive", "random")
+
+    def name(self, kind: str) -> str:
+        """``<arch>.b<budget>.s<seed>.g<graph>.<kind>[.<tag>]``"""
+        acfg = self.config
+        tag = f".{self.tag}" if self.tag else ""
+        return f"{self.arch}.b{acfg.budget_fraction:g}.s{acfg.seed}.g{self.gid}.{kind}{tag}"
 
 
-def _perturbation_path(cfg: ExperimentConfig, model: str, budget: float, seed: int,
-                       graph_id: int, kind: str, label: str = "") -> str:
-    tag = f".{label}" if label else ""
-    name = f"{model}.b{budget:g}.s{seed}.g{graph_id}.{kind}{tag}.json"
-    return os.path.join(cfg.out, "perturbations", name)
+def _attack_cell(model: GraphModel, graph, acfg: AttackConfig, cands, gid: int,
+                 kinds: tuple[str, ...]) -> tuple[PerturbationResult, ...]:
+    """Run the attacks named in ``kinds``, in order."""
+    runners = {"adaptive": run_attack, "random": random_baseline}
+    return tuple(runners[k](model, graph, acfg, candidates=cands, graph_id=gid) for k in kinds)
 
 
-def _candidates_for(cfg: ExperimentConfig, ds: Dataset, graph_id: int):
-    if cfg.task == "node":
-        return None
-    max_c = cfg.attack.get("max_candidates", 128)
-    return build_candidate_set(ds, graph_id, exclude_roots=True,
-                               max_candidates=max_c, seed=graph_id)
+def _run_task(task: tuple) -> tuple[PerturbationResult, ...]:
+    return _attack_cell(*task)
 
 
-def _attack_cell(model: GraphModel, graph, acfg: AttackConfig, cands,
-                 gid: int) -> tuple[PerturbationResult, PerturbationResult]:
-    res = run_attack(model, graph, acfg, candidates=cands, graph_id=gid)
-    rres = random_baseline(model, graph, acfg, candidates=cands, graph_id=gid)
-    return res, rres
+class _Executor:
+    """The dataset, models, targets and candidate sets of one command, loaded
+    once.  ``run`` maps cells over a fork pool when n_workers > 1 (each run
+    owns its RNG, so results do not depend on scheduling) and writes their
+    perturbation JSONs."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.ds = _load_or_generate(cfg)
+        self.models = _load_models(cfg)
+        self.targets = self.ds.split["test"][: cfg.n_attack_graphs]
+        self.target_graphs = [self.ds.graphs[gid] for gid in self.targets]
+        cap = _attack_config(cfg, cfg.budgets[0], cfg.seeds[0]).max_candidates
+        self.cands = {
+            gid: None if cfg.task == "node" else build_candidate_set(
+                self.ds, gid, exclude_roots=True, max_candidates=cap, seed=gid)
+            for gid in self.targets
+        }
+        os.makedirs(os.path.join(cfg.out, "perturbations"), exist_ok=True)
+
+    def run(self, cells: list[_Cell]) -> list[tuple[_Cell, tuple[PerturbationResult, ...]]]:
+        tasks = [(self.models[c.arch], self.ds.graphs[c.gid], c.config, self.cands[c.gid],
+                  c.gid, c.kinds) for c in cells]
+        pool = None
+        if self.cfg.n_workers > 1:
+            import multiprocessing as mp  # here, so that only sweeps that fork load it
+
+            pool = mp.get_context("fork").Pool(self.cfg.n_workers)
+        done = []
+        with pool or nullcontext():
+            outcomes = pool.imap(_run_task, tasks) if pool else map(_run_task, tasks)
+            for i, (cell, results) in enumerate(zip(cells, outcomes), 1):
+                if cell.tag is not None:
+                    for res in results:
+                        res.save(os.path.join(self.cfg.out, "perturbations",
+                                              cell.name(res.attack_kind) + ".json"))
+                log.info("cell %d/%d: %s", i, len(cells), cell.name("+".join(cell.kinds)))
+                done.append((cell, results))
+        return done
 
 
-def cmd_attack(cfg: ExperimentConfig, progress: bool = False) -> ResultsTable:
-    """Adaptive + random + transfer sweep over (model, budget, seed).
+def _add_means(table: ResultsTable, done: list[tuple[_Cell, tuple]]) -> dict[tuple, list]:
+    """One mean-accuracy row per (arch, kind, budget, label, seed), in the
+    order the cells first produce them; returns the grouped results."""
+    groups: dict[tuple, list[PerturbationResult]] = {}
+    for cell, results in done:
+        for res in results:
+            key = (cell.arch, res.attack_kind, cell.config.budget_fraction, cell.label,
+                   cell.config.seed)
+            groups.setdefault(key, []).append(res)
+    for (arch, kind, budget, label, seed), group in groups.items():
+        table.add(arch, kind, budget, label, seed,
+                  float(np.mean([r.attacked_metric for r in group])))
+    return groups
 
-    Cells parallelize over (graph, seed) when n_workers > 1; each run owns
-    its RNG so results do not depend on scheduling.
-    """
-    ds = _load_or_generate(cfg)
-    models = _load_models(cfg)
-    targets = _attack_targets(cfg, ds)
-    os.makedirs(os.path.join(cfg.out, "perturbations"), exist_ok=True)
+
+def cmd_attack(cfg: ExperimentConfig) -> ResultsTable:
+    """Adaptive + random + transfer sweep over (model, budget, seed)."""
+    ex = _Executor(cfg)
     table = ResultsTable(config_hash=cfg.hash())
     label = toggles_label(_attack_config(cfg, cfg.budgets[0], cfg.seeds[0]).toggles)
-
-    clean_by_model: dict[str, float] = {}
-    for arch, model in models.items():
-        clean_by_model[arch] = float(np.mean([
-            _clean_metric(model, ds.graphs[gid]) for gid in targets
-        ]))
+    for arch, model in ex.models.items():
+        clean = evaluate_accuracy(model, ex.target_graphs)
         for seed in cfg.seeds:
-            table.add(arch, "clean", 0.0, label, seed, clean_by_model[arch])
+            table.add(arch, "clean", 0.0, label, seed, clean)
 
-    stored: dict[tuple, list[PerturbationResult]] = {}
-    for arch, model in models.items():
-        for budget in cfg.budgets:
-            tasks = [
-                (model, ds.graphs[gid], _attack_config(cfg, budget, seed),
-                 _candidates_for(cfg, ds, gid), gid)
-                for seed in cfg.seeds for gid in targets
-            ]
-            if cfg.n_workers > 1:
-                import multiprocessing as mp
-
-                with mp.get_context("fork").Pool(cfg.n_workers) as pool:
-                    outcomes = pool.starmap(_attack_cell, tasks)
-            else:
-                outcomes = [_attack_cell(*t) for t in tasks]
-            idx = 0
-            for seed in cfg.seeds:
-                adaptive, rand = [], []
-                for gid in targets:
-                    res, rres = outcomes[idx]
-                    idx += 1
-                    res.save(_perturbation_path(cfg, arch, budget, seed, gid, "adaptive"))
-                    rres.save(_perturbation_path(cfg, arch, budget, seed, gid, "random"))
-                    adaptive.append(res)
-                    rand.append(rres)
-                stored[(arch, budget, seed)] = adaptive
-                table.add(arch, "adaptive", budget, label, seed,
-                          float(np.mean([r.attacked_metric for r in adaptive])))
-                table.add(arch, "random", budget, label, seed,
-                          float(np.mean([r.attacked_metric for r in rand])))
-                if progress:
-                    print(f"attacked {arch} budget={budget} seed={seed}", file=sys.stderr)
+    cells = [_Cell(arch, gid, _attack_config(cfg, budget, seed), label)
+             for arch in ex.models for budget in cfg.budgets
+             for seed in cfg.seeds for gid in ex.targets]
+    groups = _add_means(table, ex.run(cells))
 
     # transfer: evaluate every other model's stored perturbations
-    for target_arch, model in models.items():
+    for target_arch, model in ex.models.items():
         for budget in cfg.budgets:
             for seed in cfg.seeds:
                 per_source = []
-                for source_arch in models:
+                for source_arch in ex.models:
                     if source_arch == target_arch:
                         continue
-                    metrics = []
-                    for res in stored[(source_arch, budget, seed)]:
-                        cands = _candidates_for(cfg, ds, res.graph_id)
-                        metrics.append(transfer_attack(res, model, ds.graphs[res.graph_id],
-                                                       candidates=cands))
-                    acc = float(np.mean(metrics))
+                    acc = float(np.mean([
+                        transfer_attack(res, model, ex.ds.graphs[res.graph_id],
+                                        candidates=ex.cands[res.graph_id])
+                        for res in groups[(source_arch, "adaptive", budget, label, seed)]
+                    ]))
                     table.add(target_arch, f"transfer:{source_arch}", budget, label, seed, acc)
                     per_source.append(acc)
                 if per_source:
@@ -350,10 +370,6 @@ def cmd_attack(cfg: ExperimentConfig, progress: bool = False) -> ResultsTable:
 
     table.save(os.path.join(cfg.out, "results.json"))
     return table
-
-
-def _clean_metric(model: GraphModel, graph) -> float:
-    return evaluate_accuracy(model, [graph])
 
 
 def ablation_grid(arch: str, mode: str) -> list[RelaxToggles]:
@@ -391,41 +407,30 @@ def ablation_grid(arch: str, mode: str) -> list[RelaxToggles]:
     ]
 
 
-def cmd_ablate(cfg: ExperimentConfig, progress: bool = False) -> ResultsTable:
+def cmd_ablate(cfg: ExperimentConfig) -> ResultsTable:
     """Fixed-budget sweep over toggle combinations plus random/clean rows."""
-    ds = _load_or_generate(cfg)
-    models = _load_models(cfg)
-    targets = _attack_targets(cfg, ds)
+    ex = _Executor(cfg)
     budget = cfg.ablate_budget if cfg.ablate_budget is not None else cfg.budgets[-1]
     mode = "structure" if cfg.task == "node" else "injection"
-    os.makedirs(os.path.join(cfg.out, "perturbations"), exist_ok=True)
     table = ResultsTable(config_hash=cfg.hash())
 
-    for arch, model in models.items():
-        clean = float(np.mean([_clean_metric(model, ds.graphs[gid]) for gid in targets]))
-        for seed in cfg.seeds:
-            table.add(arch, "clean", budget, "-", seed, clean)
-        for seed in cfg.seeds:
-            accs = []
-            for gid in targets:
-                cands = _candidates_for(cfg, ds, gid)
-                acfg = _attack_config(cfg, budget, seed, RelaxToggles())
-                accs.append(random_baseline(model, ds.graphs[gid], acfg, candidates=cands,
-                                            graph_id=gid).attacked_metric)
-            table.add(arch, "random", budget, "-", seed, float(np.mean(accs)))
+    cells = []
+    for arch in ex.models:
+        cells += [_Cell(arch, gid, _attack_config(cfg, budget, seed, RelaxToggles()), "-",
+                        tag=None, kinds=("random",))
+                  for seed in cfg.seeds for gid in ex.targets]
         for toggles in ablation_grid(arch, mode):
             label = toggles_label(toggles)
-            for seed in cfg.seeds:
-                accs = []
-                for gid in targets:
-                    cands = _candidates_for(cfg, ds, gid)
-                    acfg = _attack_config(cfg, budget, seed, toggles)
-                    res = run_attack(model, ds.graphs[gid], acfg, candidates=cands, graph_id=gid)
-                    res.save(_perturbation_path(cfg, arch, budget, seed, gid, "adaptive", label))
-                    accs.append(res.attacked_metric)
-                table.add(arch, "adaptive", budget, label, seed, float(np.mean(accs)))
-                if progress:
-                    print(f"ablated {arch} toggles={label} seed={seed}", file=sys.stderr)
+            cells += [_Cell(arch, gid, _attack_config(cfg, budget, seed, toggles), label,
+                            tag=label, kinds=("adaptive",))
+                      for seed in cfg.seeds for gid in ex.targets]
+    done = ex.run(cells)
+
+    for arch, model in ex.models.items():
+        clean = evaluate_accuracy(model, ex.target_graphs)
+        for seed in cfg.seeds:
+            table.add(arch, "clean", budget, "-", seed, clean)
+        _add_means(table, [(cell, results) for cell, results in done if cell.arch == arch])
 
     table.save(os.path.join(cfg.out, "ablation.json"))
     return table
@@ -468,8 +473,7 @@ def _write_csv(table: ResultsTable, path: str, with_toggles: bool) -> None:
 
     seeds_per_group = {len(v) for v in groups.values()}
     if len(seeds_per_group) > 1:
-        print(f"warning: uneven seed coverage across cells: {sorted(seeds_per_group)}",
-              file=sys.stderr)
+        log.warning("uneven seed coverage across cells: %s", sorted(seeds_per_group))
 
     lines = []
     header = REPORT_COLUMNS + (["toggles"] if with_toggles else [])

@@ -122,9 +122,6 @@ class EdgeFlipMatrix:
         if vals.shape != (len(self.pairs),):
             raise GraphValidationError("edge-flip values length mismatch")
 
-    def value_array(self) -> np.ndarray:
-        return self.values.data if isinstance(self.values, Tensor) else self.values
-
 
 @dataclass
 class Dataset:

@@ -29,7 +29,6 @@ class TrainConfig:
     epochs: int = 8
     lr: float = 3e-3
     seed: int = 0
-    log_every: int = 0  # epochs between log lines; 0 = silent
 
 
 def node_ce_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -123,8 +122,6 @@ def train_model(model: GraphModel, dataset: Dataset, config: TrainConfig) -> dic
             best_acc = val_acc
             best_params = {k: v.data.copy() for k, v in model.params.items()}
             history["best_epoch"] = epoch
-        if config.log_every and (epoch + 1) % config.log_every == 0:
-            print(f"epoch {epoch + 1}: loss {history['train_loss'][-1]:.4f} val {val_acc:.2f}%")
 
     for k, t in model.params.items():
         t.data = best_params[k]

@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from gtattack.experiment import (
     ExperimentConfig,
     ResultsTable,
     ablation_grid,
+    cmd_ablate,
     cmd_attack,
     cmd_generate,
     cmd_report,
@@ -199,6 +202,18 @@ def test_report_strongest_is_min_over_kinds(swept):
         assert strongest[0] == pytest.approx(min(means))
 
 
+def test_report_warns_on_uneven_seed_coverage(tmp_path, caplog):
+    table = ResultsTable(rows=[], config_hash="x")
+    table.add("gcn", "adaptive", 0.02, "-", 0, 50.0)
+    table.add("gcn", "adaptive", 0.02, "-", 1, 40.0)
+    table.add("gcn", "random", 0.02, "-", 0, 60.0)
+    table.save(str(tmp_path / "results.json"))
+    with caplog.at_level(logging.WARNING, logger="gtattack.experiment"):
+        cmd_report(str(tmp_path))
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "uneven seed coverage across cells: [1, 2]" in caplog.text
+
+
 def test_report_empty_dir_errors(tmp_path):
     with pytest.raises(ConfigError, match="no results"):
         cmd_report(str(tmp_path))
@@ -208,7 +223,7 @@ def test_attack_cells_reproducible(swept):
     cfg, table = swept
     # re-run one cell: same seed, same accuracy
     from gtattack.attack import run_attack
-    from gtattack.experiment import _attack_config, _candidates_for, _load_models
+    from gtattack.experiment import _attack_config, _load_models
 
     ds = load_dataset(os.path.join(cfg.out, "dataset"))
     models = _load_models(cfg)
@@ -249,6 +264,70 @@ def test_ablation_grid_gcn_defaults():
 
 
 # ---------------------------------------------------------------------------
+# ablate sweep, and the same files from a worker pool
+
+
+TWO_MODELS = [
+    {"arch": "gcn", "epochs": 1, "lr": 0.003, "seed": 0},
+    {"arch": "graphormer", "epochs": 1, "lr": 0.01, "seed": 0},
+]
+
+
+def _sweep_files(out):
+    names = ["results.json", "ablation.json"]
+    names += [os.path.join("perturbations", f)
+              for f in sorted(os.listdir(os.path.join(out, "perturbations")))]
+    files = {}
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+@pytest.fixture(scope="module")
+def tree_swept(tmp_path_factory):
+    """attack + ablate on a tiny tree config, with one worker and with two."""
+    tmp_path = tmp_path_factory.mktemp("tree")
+    doc = tiny_config(tmp_path, kind="tree", models=TWO_MODELS, ablate_budget=0.1)
+    cfg = ExperimentConfig.from_doc(doc)
+    cmd_train(cfg)
+    out2 = str(tmp_path / "run2")
+    shutil.copytree(cfg.out, out2)
+    cfg2 = ExperimentConfig.from_doc({**doc, "out": out2, "n_workers": 2})
+    for c in (cfg, cfg2):
+        cmd_attack(c)
+        cmd_ablate(c)
+    return cfg, cfg2
+
+
+def test_ablate_rows_and_files(tree_swept):
+    cfg, _ = tree_swept
+    table = ResultsTable.load(os.path.join(cfg.out, "ablation.json"))
+    targets = load_dataset(os.path.join(cfg.out, "dataset")).split["test"][: cfg.n_attack_graphs]
+    want_rows, want_files = [], set()
+    for arch in ("gcn", "graphormer"):
+        labels = [toggles_label(t) for t in ablation_grid(arch, "injection")]
+        want_rows += [(arch, "clean", "-", s) for s in cfg.seeds]
+        want_rows += [(arch, "random", "-", s) for s in cfg.seeds]
+        want_rows += [(arch, "adaptive", lab, s) for lab in labels for s in cfg.seeds]
+        want_files |= {f"{arch}.b0.1.s{s}.g{g}.adaptive.{lab}.json"
+                       for lab in labels for s in cfg.seeds for g in targets}
+    assert [(r["model"], r["attack"], r["toggles"], r["seed"]) for r in table.rows] == want_rows
+    assert all(r["budget"] == 0.1 for r in table.rows)
+    # attack wrote the untagged <kind>.json files into the same directory
+    written = {f for f in os.listdir(os.path.join(cfg.out, "perturbations"))
+               if not f.endswith((".adaptive.json", ".random.json"))}
+    assert written == want_files
+
+
+def test_two_workers_write_identical_files(tree_swept):
+    cfg, cfg2 = tree_swept
+    one, two = _sweep_files(cfg.out), _sweep_files(cfg2.out)
+    assert sorted(one) == sorted(two)
+    assert one == two
+
+
+# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -261,6 +340,15 @@ def test_cli_generate_and_report_roundtrip(tmp_path, capsys):
     assert cli_main(["report", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
     assert "results.csv" in out
+
+
+def test_cli_ablate_budget_overrides_config(tmp_path):
+    doc = tiny_config(tmp_path, ablate_budget=0.05, seeds=[0])
+    cfg_path = write_config(tmp_path, doc)
+    assert cli_main(["train", "--config", cfg_path]) == 0
+    assert cli_main(["ablate", "--config", cfg_path, "--budget", "0.02"]) == 0
+    table = ResultsTable.load(os.path.join(doc["out"], "ablation.json"))
+    assert table.rows and {r["budget"] for r in table.rows} == {0.02}
 
 
 def test_cli_bad_config_exits_2(tmp_path):
