@@ -67,11 +67,12 @@ def rspd_grad_kernel(g: np.ndarray, nxt: np.ndarray, atilde: np.ndarray) -> np.n
 
 
 def bfs_hops(adj: np.ndarray, edge_eps: float = 1e-9) -> np.ndarray:
-    """All-pairs hop distances on the support of ``adj`` (vectorized BFS)."""
+    """All-pairs hop distances on the support of ``adj``, or of each matrix
+    in a (..., n, n) stack (vectorized BFS)."""
     conn = adj > edge_eps
-    n = adj.shape[0]
-    dist = np.full((n, n), np.inf)
-    frontier = np.eye(n, dtype=bool)
+    n = adj.shape[-1]
+    dist = np.full(adj.shape, np.inf)
+    frontier = np.broadcast_to(np.eye(n, dtype=bool), adj.shape).copy()
     visited = frontier.copy()
     d = 0
     dist[frontier] = 0.0

@@ -111,7 +111,7 @@ def prbcd_step(objective: Callable[[Tensor], Tensor], block: BlockState, budget:
 
 
 def sample_discrete(block: BlockState, budget: int, n_samples: int,
-                    evaluate: Callable[[np.ndarray], tuple[float, float, list]],
+                    evaluate: Callable[[list[np.ndarray]], list[tuple[float, float, list]]],
                     rng: np.random.Generator,
                     max_retries: int = 50) -> tuple[np.ndarray, float, float, list]:
     """Draw discrete flip sets from the continuous block and keep the strongest.
@@ -119,9 +119,10 @@ def sample_discrete(block: BlockState, budget: int, n_samples: int,
     The deterministic top-budget rounding is always evaluated first; each
     of the ``n_samples`` draws takes independent Bernoulli(value) flips,
     retrying up to ``max_retries`` times if the budget is exceeded and
-    falling back to top-budget rounding.  ``evaluate`` returns (attack
-    loss, metric, effective flips) for the true model on the discretized
-    graph; the lowest loss wins.
+    falling back to top-budget rounding.  ``evaluate`` takes the list of
+    all drawn flip sets and returns, in the same order, (attack loss,
+    metric, effective flips) for the true model on each discretized graph;
+    the lowest loss wins, the first of equal losses.
     """
     positive = block.values > 0.0
 
@@ -148,8 +149,7 @@ def sample_discrete(block: BlockState, budget: int, n_samples: int,
         candidates.append(chosen)
 
     best = None
-    for flips in candidates:
-        loss, metric, effective = evaluate(flips)
+    for flips, (loss, metric, effective) in zip(candidates, evaluate(candidates)):
         if best is None or loss < best[1]:
             best = (flips, loss, metric, effective)
-    return best[0], best[1], best[2], best[3]
+    return best

@@ -278,39 +278,25 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes, broadcasting leading axes:
+    (..., n, k) @ (..., k, m) -> (..., n, m).  Each gradient is summed back
+    to its input's shape."""
     a, b = as_tensor(a), as_tensor(b)
     _shape_check(
         "matmul",
-        a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0],
+        a.ndim >= 2 and b.ndim >= 2 and a.shape[-1] == b.shape[-2]
+        and (a.ndim == b.ndim == 2 or _broadcastable(a.shape[:-2], b.shape[:-2])),
         a.shape,
         b.shape,
     )
     out = Tensor(a.data @ b.data)
     return _record(
         "matmul",
-        out,
-        (a, b),
-        (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
-    )
-
-
-def bmm(a, b) -> Tensor:
-    """Batched matmul over leading axis: (B,n,k) @ (B,k,m) -> (B,n,m)."""
-    a, b = as_tensor(a), as_tensor(b)
-    _shape_check(
-        "bmm",
-        a.ndim == 3 and b.ndim == 3 and a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1],
-        a.shape,
-        b.shape,
-    )
-    out = Tensor(a.data @ b.data)
-    return _record(
-        "bmm",
         out,
         (a, b),
         (
-            lambda g: g @ b.data.transpose(0, 2, 1),
-            lambda g: a.data.transpose(0, 2, 1) @ g,
+            lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape),
+            lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape),
         ),
     )
 
@@ -489,15 +475,15 @@ def softmax(a) -> Tensor:
 
 
 def gather_rows(a, idx) -> Tensor:
-    """Select rows of a 2-D tensor: out[k] = a[idx[k]]."""
+    """Select rows, the second-to-last axis: out[..., k, :] = a[..., idx[k], :]."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
-    _shape_check("gather_rows", a.ndim == 2, a.shape)
-    out = Tensor(a.data[idx])
+    _shape_check("gather_rows", a.ndim >= 2, a.shape)
+    out = Tensor(a.data[..., idx, :])
 
     def vjp(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        np.add.at(ga, (Ellipsis, idx, slice(None)), g)
         return ga
 
     return _record("gather_rows", out, (a,), (vjp,))
@@ -577,20 +563,22 @@ def stop_gradient(a) -> Tensor:
 
 
 def outer_add(a, b) -> Tensor:
-    """out[i, j, :] = a[i, :] + b[j, :] for two (n, d) / (m, d) inputs."""
+    """out[..., i, j, :] = a[..., i, :] + b[..., j, :] for (..., n, d) and
+    (..., m, d) inputs with equal leading axes."""
     a, b = as_tensor(a), as_tensor(b)
     _shape_check(
         "outer_add",
-        a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[1],
+        a.ndim >= 2 and b.ndim == a.ndim and a.shape[:-2] == b.shape[:-2]
+        and a.shape[-1] == b.shape[-1],
         a.shape,
         b.shape,
     )
-    out = Tensor(a.data[:, None, :] + b.data[None, :, :])
+    out = Tensor(a.data[..., None, :] + b.data[..., None, :, :])
     return _record(
         "outer_add",
         out,
         (a, b),
-        (lambda g: g.sum(axis=1), lambda g: g.sum(axis=0)),
+        (lambda g: g.sum(axis=-2), lambda g: g.sum(axis=-3)),
     )
 
 

@@ -53,6 +53,9 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
         cfg.budgets = [args.budget]
         cfg.ablate_budget = args.budget
     if args.toggles is not None:
+        if args.command == "ablate":
+            raise ConfigError("ablate sweeps the toggle sets of ablation_grid "
+                              "and takes no --toggles")
         from .models import RelaxToggles
 
         names = [t for t in args.toggles.split(",") if t]
@@ -66,7 +69,14 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
+    # progress goes to the stderr of this call; records still propagate to
+    # any handlers the caller installed
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    log = logging.getLogger("gtattack")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         if args.command == "report":
             results_dir = args.results
@@ -96,6 +106,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, GraphParseError, GraphValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -122,6 +122,8 @@ class ExperimentConfig:
             "attack": self.attack,
             "n_attack_graphs": self.n_attack_graphs,
         }
+        if self.ablate_budget is not None:  # absent when unset: older hashes still match
+            doc["ablate_budget"] = self.ablate_budget
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
     @property

@@ -157,16 +157,18 @@ def degrees(g: Graph | np.ndarray) -> np.ndarray:
 
 
 def laplacian_sym(a: np.ndarray) -> np.ndarray:
-    """Normalized symmetric Laplacian I - D^-1/2 A D^-1/2 (numpy path).
+    """Normalized symmetric Laplacian I - D^-1/2 A D^-1/2 (numpy path), of
+    each matrix in a (..., n, n) stack.
 
     Degree-0 rows use scaling factor 0, which leaves them as identity rows,
     so graphs with isolated nodes still have a well-defined spectrum.
     """
     a = np.asarray(a, dtype=np.float64)
-    d = a.sum(axis=1)
+    d = a.sum(axis=-1)
     s = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
-    lap = -a * np.outer(s, s)
-    np.fill_diagonal(lap, 1.0)
+    lap = -a * (s[..., :, None] * s[..., None, :])
+    diag = np.arange(a.shape[-1])
+    lap[..., diag, diag] = 1.0
     return lap
 
 

@@ -54,7 +54,12 @@ class GraphModel:
 
     Subclasses implement ``_build`` (parameter creation), ``forward``
     (relaxed path over a continuous adjacency) and ``forward_discrete``
-    (the unrelaxed target model on a discrete graph).
+    (the unrelaxed target model on discrete graphs).  ``forward_discrete``
+    takes a stack of equal-size graphs, adjacency ``(..., n, n)`` and
+    features ``(..., n, f)`` with the same leading axes, and returns logits
+    ``(..., n, c)`` (node task) or ``(..., 1, c)`` (graph task); a single
+    graph is the same call without leading axes.  Each slice of a stacked
+    result equals the single-graph result bit for bit.
     """
 
     arch = "base"
@@ -85,6 +90,7 @@ class GraphModel:
         raise NotImplementedError
 
     def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray, **kw) -> Tensor:
+        """Unrelaxed logits of (stacked) discrete graphs; see the class docstring."""
         raise NotImplementedError
 
     # -- parameters ----------------------------------------------------------
@@ -138,29 +144,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = ad.tmean(x, axis=1, keepdims=True)
+    mu = ad.tmean(x, axis=-1, keepdims=True)
     centered = ad.sub(x, mu)
-    var = ad.tmean(ad.mul(centered, centered), axis=1, keepdims=True)
+    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
     inv = ad.rsqrt_safe(ad.add(var, Tensor(np.full(var.shape, eps))))
     return ad.add(ad.mul(ad.mul(centered, inv), gamma), beta)
 
 
 def pool_weighted(node_reps: Tensor, node_probs: Tensor | None, mode: str) -> Tensor:
-    """Probability-weighted sum/mean pooling; probs of 1 reduce to plain pooling."""
+    """Probability-weighted sum/mean pooling of (..., n, d) node
+    representations over the node axis; probs of 1 reduce to plain pooling."""
     if mode not in ("sum", "mean"):
         raise ValueError(f"pool mode must be 'sum' or 'mean', got {mode!r}")
-    n = node_reps.shape[0]
+    nodes = node_reps.shape[:-1]
     if node_probs is None:
-        node_probs = Tensor(np.ones(n))
+        node_probs = Tensor(np.ones(nodes))
     pvals = node_probs.data
     if np.any(pvals < 0.0) or np.any(pvals > 1.0):
         raise ValueError("node probabilities must lie in [0, 1]")
-    weighted = ad.mul(node_reps, ad.reshape(node_probs, (n, 1)))
-    total = ad.tsum(weighted, axis=0)
+    weighted = ad.mul(node_reps, ad.reshape(node_probs, nodes + (1,)))
+    total = ad.tsum(weighted, axis=-2)
     if mode == "sum":
         return total
-    mass = ad.tsum(node_probs)
-    if mass.item() == 0.0:
+    mass = ad.tsum(node_probs, axis=-1, keepdims=True)
+    if np.any(mass.data == 0.0):
         raise ValueError("pool_weighted: mean pooling with zero total probability")
     return ad.div(total, mass)
 

@@ -32,11 +32,12 @@ class GCN(GraphModel):
 
     @staticmethod
     def _propagation(atilde: Tensor) -> Tensor:
-        n = atilde.shape[0]
+        n = atilde.shape[-1]
+        lead = atilde.shape[:-2]
         with_loops = ad.masked_fill(atilde, np.eye(n, dtype=bool), 1.0)
-        d = ad.tsum(with_loops, axis=1)
+        d = ad.tsum(with_loops, axis=-1)
         s = ad.rsqrt_safe(d)
-        scale = ad.mul(ad.reshape(s, (n, 1)), ad.reshape(s, (1, n)))
+        scale = ad.mul(ad.reshape(s, lead + (n, 1)), ad.reshape(s, lead + (1, n)))
         return ad.mul(with_loops, scale)
 
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None, **kw) -> Tensor:
@@ -49,7 +50,10 @@ class GCN(GraphModel):
         if self.task == "node":
             return linear(h, self.p("out.w"), self.p("out.b"))
         pooled = pool_weighted(h, node_probs, "mean")
-        return linear(ad.reshape(pooled, (1, h.shape[1])), self.p("out.w"), self.p("out.b"))
+        return linear(ad.reshape(pooled, h.shape[:-2] + (1, h.shape[-1])),
+                      self.p("out.w"), self.p("out.b"))
 
     def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray, **kw) -> Tensor:
+        """Adjacency (..., n, n), features (..., n, f); logits (..., n, c) or
+        (..., 1, c) by task."""
         return self.forward(Tensor(adjacency), features)

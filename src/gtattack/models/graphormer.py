@@ -27,12 +27,14 @@ def degree_pe(deg: Tensor, table: Tensor, relaxed: bool) -> Tensor:
 
     Relaxed: linear interpolation between the rows of the two nearest
     integer degrees (exact rows at integer degrees, clamping at the top).
-    Unrelaxed: rounded integer lookup with no gradient to the degree.
+    Unrelaxed: rounded integer lookup with no gradient to the degree, for
+    degrees of any shape (leading axes stack graphs).
     """
     if relaxed:
         return interp_table(table, deg)
     idx = np.clip(np.rint(deg.data), 0, table.shape[0] - 1).astype(np.int64)
-    return ad.gather_rows(table, idx)
+    rows = ad.gather_rows(table, idx.reshape(-1))
+    return ad.reshape(rows, idx.shape + (table.shape[1],))
 
 
 class Graphormer(GraphModel):
@@ -74,29 +76,31 @@ class Graphormer(GraphModel):
         self._param("out.b", (self.n_classes,), rng, "zeros")
 
     def _head_bias(self, spd: Tensor, hh: int) -> Tensor:
-        n = spd.shape[0]
+        n = spd.shape[-1]
+        lead = spd.shape[:-2]
         bias = spd_bias(spd, self.p(f"spd.h{hh}.table"), self.p(f"spd.h{hh}.unreachable"))
-        bias = ad.reshape(bias, (n, n))
+        bias = ad.reshape(bias, spd.shape)
         if self.task != "graph":
             return bias
         # append the virtual node: its incident biases are a learned scalar
         bv = self.p(f"spd.h{hh}.virtual")
-        col = ad.mul(Tensor(np.ones((n, 1))), ad.reshape(bv, (1, 1)))
-        row = ad.mul(Tensor(np.ones((1, n + 1))), ad.reshape(bv, (1, 1)))
-        return ad.concat([ad.concat([bias, col], axis=1), row], axis=0)
+        col = ad.mul(Tensor(np.ones(lead + (n, 1))), ad.reshape(bv, (1, 1)))
+        row = ad.mul(Tensor(np.ones(lead + (1, n + 1))), ad.reshape(bv, (1, 1)))
+        return ad.concat([ad.concat([bias, col], axis=-1), row], axis=-2)
 
     def _encode(self, a: Tensor, x: Tensor, spd: Tensor, relaxed_deg: bool,
                 node_probs: Tensor | None) -> Tensor:
-        n = a.shape[0]
+        lead = a.shape[:-2]
         d = self.hparams["hidden"]
         heads = self.hparams["heads"]
         dh = d // heads
-        deg = ad.tsum(a, axis=1)
+        deg = ad.tsum(a, axis=-1)
         h = ad.add(linear(x, self.p("x.w"), self.p("x.b")),
                    degree_pe(deg, self.p("deg_table"), relaxed_deg))
         if self.task == "graph":
-            h = ad.concat([h, self.p("virtual_emb")], axis=0)
-        big_n = h.shape[0]
+            virtual = ad.mul(Tensor(np.ones(lead + (1, 1))), self.p("virtual_emb"))
+            h = ad.concat([h, virtual], axis=-2)
+        big_n = h.shape[-2]
 
         lp = None
         if node_probs is not None:
@@ -117,7 +121,7 @@ class Graphormer(GraphModel):
                 if lp is not None:
                     w = ad.add(w, lp)
                 outs.append(ad.matmul(ad.softmax(w), v))
-            attn = ad.matmul(ad.concat(outs, axis=1), self.p(f"l{l}.wo"))
+            attn = ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo"))
             h = layer_norm(ad.add(h, attn), self.p(f"l{l}.ln1.g"), self.p(f"l{l}.ln1.b"))
             ffn = linear(ad.relu(linear(h, self.p(f"l{l}.ffn.w1"), self.p(f"l{l}.ffn.b1"))),
                          self.p(f"l{l}.ffn.w2"), self.p(f"l{l}.ffn.b2"))
@@ -144,5 +148,7 @@ class Graphormer(GraphModel):
         return self._encode(a, x, spd, toggles.graphormer_deg, p)
 
     def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray, **kw) -> Tensor:
+        """Adjacency (..., n, n), features (..., n, f); logits (..., n, c) or
+        (..., 1, c) by task."""
         spd = Tensor(bfs_hops(np.asarray(adjacency)))
         return self._encode(Tensor(adjacency), Tensor(features), spd, False, None)

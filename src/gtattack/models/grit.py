@@ -19,7 +19,8 @@ __all__ = ["GRIT", "rrwp"]
 
 
 def rrwp(atilde: Tensor | np.ndarray, k: int) -> Tensor:
-    """Random-walk probability stack, shape (n, n, k).
+    """Random-walk probability stack, shape (..., n, n, k) for an adjacency
+    of shape (..., n, n).
 
     Slice 0 is the identity, slice t is M^t with M = D^-1 A; rows of
     degree-0 nodes are all zero (safe division).
@@ -27,16 +28,19 @@ def rrwp(atilde: Tensor | np.ndarray, k: int) -> Tensor:
     if k < 2:
         raise ValueError("rrwp needs k >= 2")
     a = atilde if isinstance(atilde, Tensor) else Tensor(atilde)
-    n = a.shape[0]
-    d = ad.tsum(a, axis=1)
+    n = a.shape[-1]
+    lead = a.shape[:-2]
+    d = ad.tsum(a, axis=-1)
     inv = ad.mul(ad.rsqrt_safe(d), ad.rsqrt_safe(d))  # 1/d where d > 0 else 0
-    m = ad.mul(a, ad.reshape(inv, (n, 1)))
-    slices = [Tensor(np.eye(n)), m]
+    m = ad.mul(a, ad.reshape(inv, lead + (n, 1)))
+    eye = np.zeros(a.shape)
+    eye[..., np.arange(n), np.arange(n)] = 1.0
+    slices = [Tensor(eye), m]
     power = m
     for _ in range(k - 2):
         power = ad.matmul(power, m)
         slices.append(power)
-    return ad.concat([ad.reshape(s, (n, n, 1)) for s in slices], axis=2)
+    return ad.concat([ad.reshape(s, a.shape + (1,)) for s in slices], axis=-1)
 
 
 class GRIT(GraphModel):
@@ -85,7 +89,8 @@ class GRIT(GraphModel):
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None, **kw) -> Tensor:
         a = atilde if isinstance(atilde, Tensor) else Tensor(atilde)
         x = features if isinstance(features, Tensor) else Tensor(features)
-        n = a.shape[0]
+        n = a.shape[-1]
+        lead = a.shape[:-2]
         d = self.hparams["hidden"]
         heads = self.hparams["heads"]
         k = self.hparams["walk_length"]
@@ -94,16 +99,16 @@ class GRIT(GraphModel):
         p = rrwp(a, k)
         if not toggles.grit_rrwp_grad:
             p = ad.stop_gradient(p)
-        p2d = ad.reshape(p, (n * n, k))
+        p2d = ad.reshape(p, lead + (n * n, k))
         diag_idx = np.arange(n) * n + np.arange(n)
         node_pe = ad.matmul(ad.gather_rows(p2d, diag_idx), self.p("pe_node.w"))
         h = ad.add(linear(x, self.p("x.w"), self.p("x.b")), node_pe)
         e2d = linear(p2d, self.p("pe_pair.w"), self.p("pe_pair.b"))
 
-        deg = ad.tsum(a, axis=1)
+        deg = ad.tsum(a, axis=-1)
         if not toggles.grit_deg_grad:
             deg = ad.stop_gradient(deg)
-        log_deg = ad.reshape(ad.tlog(ad.add(deg, Tensor(np.ones(n)))), (n, 1))
+        log_deg = ad.reshape(ad.tlog(ad.add(deg, Tensor(np.ones(n)))), lead + (n, 1))
 
         lp = None
         if node_probs is not None and toggles.node_prob_bias:
@@ -114,24 +119,24 @@ class GRIT(GraphModel):
             q = ad.matmul(h, self.p(f"l{l}.wq"))
             kk = ad.matmul(h, self.p(f"l{l}.wk"))
             qk = ad.outer_add(q, kk)
-            ew = ad.reshape(ad.matmul(e2d, self.p(f"l{l}.ew")), (n, n, de))
-            eb = ad.reshape(ad.matmul(e2d, self.p(f"l{l}.eb")), (n, n, de))
+            ew = ad.reshape(ad.matmul(e2d, self.p(f"l{l}.ew")), lead + (n, n, de))
+            eb = ad.reshape(ad.matmul(e2d, self.p(f"l{l}.eb")), lead + (n, n, de))
             pairact = ad.relu(ad.add(ad.mul(qk, ew), eb))
-            pair2d = ad.reshape(pairact, (n * n, de))
+            pair2d = ad.reshape(pairact, lead + (n * n, de))
             outs = []
             for hh in range(heads):
-                w = ad.reshape(ad.matmul(pair2d, self.p(f"l{l}.h{hh}.score")), (n, n))
+                w = ad.reshape(ad.matmul(pair2d, self.p(f"l{l}.h{hh}.score")), lead + (n, n))
                 if lp is not None:
                     w = ad.add(w, lp)
                 alpha = ad.softmax(w)
                 v_h = ad.matmul(h, self.p(f"l{l}.h{hh}.wv"))
-                ev_h = ad.reshape(ad.matmul(pair2d, self.p(f"l{l}.h{hh}.ev")), (n, n, -1))
+                ev_h = ad.reshape(ad.matmul(pair2d, self.p(f"l{l}.h{hh}.ev")), lead + (n, n, -1))
                 agg = ad.add(
                     ad.matmul(alpha, v_h),
-                    ad.tsum(ad.mul(ad.reshape(alpha, (n, n, 1)), ev_h), axis=1),
+                    ad.tsum(ad.mul(ad.reshape(alpha, lead + (n, n, 1)), ev_h), axis=-2),
                 )
                 outs.append(agg)
-            attn = ad.matmul(ad.concat(outs, axis=1), self.p(f"l{l}.wo"))
+            attn = ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo"))
             scaled = ad.add(
                 ad.mul(attn, self.p(f"l{l}.theta1")),
                 ad.mul(log_deg, ad.mul(attn, self.p(f"l{l}.theta2"))),
@@ -145,7 +150,9 @@ class GRIT(GraphModel):
         if self.task == "node":
             return linear(h, self.p("out.w"), self.p("out.b"))
         pooled = pool_weighted(h, node_probs, "mean")
-        return linear(ad.reshape(pooled, (1, d)), self.p("out.w"), self.p("out.b"))
+        return linear(ad.reshape(pooled, lead + (1, d)), self.p("out.w"), self.p("out.b"))
 
     def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray, **kw) -> Tensor:
+        """Adjacency (..., n, n), features (..., n, f); logits (..., n, c) or
+        (..., 1, c) by task."""
         return self.forward(Tensor(adjacency), features)

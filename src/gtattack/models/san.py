@@ -99,32 +99,34 @@ class SAN(GraphModel):
 
     # -- positional encodings -------------------------------------------------
     def lpe(self, eigenvalues: Tensor, eigenvectors: Tensor) -> Tensor:
-        """Per-node PE from the k smallest eigenpairs (zero-padded if k > n)."""
-        n = eigenvectors.shape[0]
+        """Per-node PE from the k smallest eigenpairs (zero-padded if k > n);
+        eigenvalues (..., n) and eigenvectors (..., n, n) give (..., n, pe_dim)."""
+        n = eigenvectors.shape[-1]
+        lead = eigenvectors.shape[:-2]
         k = self.hparams["eigenpairs"]
         dp = self.hparams["pe_dim"]
         keep = min(k, n)
-        lam_k = ad.gather_rows(ad.reshape(eigenvalues, (n, 1)), np.arange(keep))
+        lam_k = ad.gather_rows(ad.reshape(eigenvalues, lead + (n, 1)), np.arange(keep))
         u_k = _cols(eigenvectors, np.arange(keep))
         if keep < k:
-            lam_k = ad.concat([lam_k, Tensor(np.zeros((k - keep, 1)))], axis=0)
-            u_k = ad.concat([u_k, Tensor(np.zeros((n, k - keep)))], axis=1)
-        # tokens: (n, k, 2) rows of (lambda_t, U_{i,t})
-        lam_grid = ad.add(Tensor(np.zeros((n, k))), ad.reshape(lam_k, (1, k)))
+            lam_k = ad.concat([lam_k, Tensor(np.zeros(lead + (k - keep, 1)))], axis=-2)
+            u_k = ad.concat([u_k, Tensor(np.zeros(lead + (n, k - keep)))], axis=-1)
+        # tokens: (..., n, k, 2) rows of (lambda_t, U_{i,t})
+        lam_grid = ad.add(Tensor(np.zeros(lead + (n, k))), ad.reshape(lam_k, lead + (1, k)))
         tokens = ad.concat(
-            [ad.reshape(lam_grid, (n, k, 1)), ad.reshape(u_k, (n, k, 1))], axis=2
+            [ad.reshape(lam_grid, lead + (n, k, 1)), ad.reshape(u_k, lead + (n, k, 1))], axis=-1
         )
-        t2d = linear(ad.reshape(tokens, (n * k, 2)), self.p("lpe.tok.w"), self.p("lpe.tok.b"))
-        t3d = ad.reshape(t2d, (n, k, dp))
-        q = ad.reshape(ad.matmul(t2d, self.p("lpe.wq")), (n, k, dp))
-        kk = ad.reshape(ad.matmul(t2d, self.p("lpe.wk")), (n, k, dp))
-        v = ad.reshape(ad.matmul(t2d, self.p("lpe.wv")), (n, k, dp))
-        scores = ad.mul(ad.bmm(q, ad.transpose(kk)), 1.0 / np.sqrt(dp))
-        mixed = ad.add(t3d, ad.bmm(ad.softmax(scores), v))
-        m2d = ad.reshape(mixed, (n * k, dp))
+        t2d = linear(ad.reshape(tokens, lead + (n * k, 2)), self.p("lpe.tok.w"), self.p("lpe.tok.b"))
+        t3d = ad.reshape(t2d, lead + (n, k, dp))
+        q = ad.reshape(ad.matmul(t2d, self.p("lpe.wq")), lead + (n, k, dp))
+        kk = ad.reshape(ad.matmul(t2d, self.p("lpe.wk")), lead + (n, k, dp))
+        v = ad.reshape(ad.matmul(t2d, self.p("lpe.wv")), lead + (n, k, dp))
+        scores = ad.mul(ad.matmul(q, ad.transpose(kk)), 1.0 / np.sqrt(dp))
+        mixed = ad.add(t3d, ad.matmul(ad.softmax(scores), v))
+        m2d = ad.reshape(mixed, lead + (n * k, dp))
         ffn = linear(ad.relu(linear(m2d, self.p("lpe.ffn.w1"), self.p("lpe.ffn.b1"))),
                      self.p("lpe.ffn.w2"), self.p("lpe.ffn.b2"))
-        return ad.tmean(ad.reshape(ad.add(m2d, ffn), (n, k, dp)), axis=1)
+        return ad.tmean(ad.reshape(ad.add(m2d, ffn), lead + (n, k, dp)), axis=-2)
 
     # -- attention -------------------------------------------------------------
     def _dual_attention(self, h: Tensor, a: Tensor, layer: int, hh: int,
@@ -161,14 +163,14 @@ class SAN(GraphModel):
                 prob_bias: bool = True) -> Tensor:
         d = self.hparams["hidden"]
         pe = self.lpe(eigenvalues, eigenvectors)
-        h = ad.concat([linear(x, self.p("x.w"), self.p("x.b")), pe], axis=1)
+        h = ad.concat([linear(x, self.p("x.w"), self.p("x.b")), pe], axis=-1)
         lp = log_prob_row(node_probs) if (node_probs is not None and prob_bias) else None
         for l in range(self.hparams["layers"]):
             outs = [
                 self._dual_attention(h, a, l, hh, relaxed_attention, lp)
                 for hh in range(self.hparams["heads"])
             ]
-            attn = ad.matmul(ad.concat(outs, axis=1), self.p(f"l{l}.wo"))
+            attn = ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo"))
             h = layer_norm(ad.add(h, attn), self.p(f"l{l}.ln1.g"), self.p(f"l{l}.ln1.b"))
             ffn = linear(ad.relu(linear(h, self.p(f"l{l}.ffn.w1"), self.p(f"l{l}.ffn.b1"))),
                          self.p(f"l{l}.ffn.w2"), self.p(f"l{l}.ffn.b2"))
@@ -176,7 +178,7 @@ class SAN(GraphModel):
         if self.task == "node":
             return linear(h, self.p("out.w"), self.p("out.b"))
         pooled = pool_weighted(h, node_probs, "mean")
-        return linear(ad.reshape(pooled, (1, d)), self.p("out.w"), self.p("out.b"))
+        return linear(ad.reshape(pooled, h.shape[:-2] + (1, d)), self.p("out.w"), self.p("out.b"))
 
     # -- entry points ------------------------------------------------------------
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None,
@@ -197,6 +199,9 @@ class SAN(GraphModel):
 
     def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray,
                          decomp: EigenDecomposition | None = None, **kw) -> Tensor:
+        """Adjacency (..., n, n), features (..., n, f); logits (..., n, c) or
+        (..., 1, c) by task.  ``decomp`` holds the Laplacian eigenpairs of
+        the same stack when the caller has them already."""
         if decomp is None:
             decomp = eig_sym(laplacian_sym(adjacency))
         return self._encode(

@@ -39,14 +39,15 @@ SMALL_GAP = 1e-6
 
 @dataclass
 class EigenDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
+    """Ascending eigenvalues and orthonormal eigenvector columns (with
+    leading axes for a stack of matrices)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvalues.shape[-1]
 
 
 @dataclass
@@ -59,21 +60,24 @@ class PerturbationOperator:
 
 def _apply_sign_convention(u: np.ndarray) -> np.ndarray:
     """Largest-magnitude entry of each column made positive (first index wins)."""
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[idx, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
-    return u * signs[None, :]
+    idx = np.argmax(np.abs(u), axis=-2)
+    top = np.take_along_axis(u, idx[..., None, :], axis=-2)
+    signs = np.where(top < 0.0, -1.0, 1.0)
+    return u * signs
 
 
 def eig_sym(lap: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix via LAPACK."""
+    """Eigendecomposition via LAPACK of a symmetric matrix, or of each matrix
+    in a (..., n, n) stack (eigenvalues (..., n), eigenvectors (..., n, n))."""
     lap = np.asarray(lap, dtype=np.float64)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+    if lap.ndim < 2 or lap.shape[-1] != lap.shape[-2]:
         raise ValueError(f"eig_sym: matrix must be square, got {lap.shape}")
     if not np.all(np.isfinite(lap)):
         raise ValueError("eig_sym: matrix has non-finite entries")
-    if np.max(np.abs(lap - lap.T), initial=0.0) > 1e-9:
+    lap_t = np.swapaxes(lap, -1, -2)
+    if np.max(np.abs(lap - lap_t), initial=0.0) > 1e-9:
         raise ValueError("eig_sym: matrix is not symmetric within 1e-9")
-    a = 0.5 * (lap + lap.T)
+    a = 0.5 * (lap + lap_t)
     eigs, u = np.linalg.eigh(a)
     return EigenDecomposition(eigenvalues=eigs, eigenvectors=_apply_sign_convention(u))
 

@@ -218,9 +218,10 @@ def run_sampler(values, budget, n_samples=6, seed=0):
     block = BlockState(10, pairs, np.asarray(values, dtype=float))
     calls = []
 
-    def ev(flips):
-        calls.append(np.asarray(flips))
-        return float(len(flips)), 100.0 - len(flips), [list(map(int, f)) for f in flips]
+    def ev(flip_sets):
+        calls.extend(np.asarray(flips) for flips in flip_sets)
+        return [(float(len(flips)), 100.0 - len(flips), [list(map(int, f)) for f in flips])
+                for flips in flip_sets]
 
     flips, loss, metric, eff = sample_discrete(block, budget, n_samples, ev,
                                                np.random.default_rng(seed))
@@ -614,13 +615,32 @@ def test_injection_zero_flip_pipeline_is_clean(tree_setup):
     from gtattack.attack.runner import AttackRun
 
     run = AttackRun(model, g, tree_config(), cands, gid)
-    _, metric, eff = run.evaluate_discrete(np.zeros((0, 2), dtype=np.int64))
+    [(_, metric, eff)] = run.evaluate_discrete([np.zeros((0, 2), dtype=np.int64)])
     with ad.no_grad():
         direct = model.forward_discrete(g.adjacency, g.features).data
     from gtattack.train import graph_score_correct
 
     assert metric == graph_score_correct(float(direct.reshape(-1)[0]), g.graph_label)
     assert eff == []
+
+
+@pytest.mark.parametrize("stack_entries", [8192, 150])
+def test_evaluate_discrete_batch_equals_single_calls(tree_setup, stack_entries, monkeypatch):
+    from gtattack.attack import runner
+
+    ds, g, gid, cands, model = tree_setup
+    monkeypatch.setattr(runner, "EVAL_STACK_ENTRIES", stack_entries)
+    run = runner.AttackRun(model, g, tree_config(), cands, gid)
+    rng = np.random.default_rng(3)
+    flip_sets = [np.zeros((0, 2), dtype=np.int64)] + [
+        run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
+        for k in (1, 2, 3, 3, 2, 1, 3, 3)
+    ]
+    edge_value = {tuple(map(int, p)): 0.5 for p in run.allowed}
+    together = run.evaluate_discrete(flip_sets, edge_value)
+    alone = [run.evaluate_discrete([f], edge_value)[0] for f in flip_sets]
+    assert together == alone
+    assert len({g.n + len(eff) for _, _, eff in together}) >= 3  # mixed node counts
 
 
 def test_injection_emits_valid_trees(tree_setup):

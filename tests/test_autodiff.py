@@ -35,6 +35,13 @@ def test_matmul_shape_mismatch_names_primitive():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 1))))
 
 
+def test_matmul_broadcasts_leading_axes():
+    out = ad.matmul(Tensor(np.ones((5, 2, 3))), Tensor(np.ones((3, 4))))
+    assert out.shape == (5, 2, 4)
+    with pytest.raises(ad.ShapeError, match="matmul"):
+        ad.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 3, 4))))
+
+
 def test_log_negative_rejected():
     with pytest.raises(ValueError, match="log"):
         ad.tlog(Tensor(-0.5))
@@ -161,7 +168,10 @@ PRIMITIVE_CASES = [
     ("div", lambda x, c=Tensor(_rand((3, 4))): _mix(ad.div(c, ad.add(x, Tensor(np.full((3, 4), 3.0))))), (3, 4)),
     ("neg", lambda x: _mix(ad.neg(x)), (5,)),
     ("matmul", lambda x, c=Tensor(_rand((4, 2))): _mix(ad.matmul(x, c)), (3, 4)),
-    ("bmm", lambda x, c=Tensor(_rand((2, 4, 3))): _mix(ad.bmm(x, c)), (2, 3, 4)),
+    ("matmul_3d", lambda x, c=Tensor(_rand((2, 4, 3))): _mix(ad.matmul(x, c)), (2, 3, 4)),
+    # a (k, m) weight shared by a (B, n, k) stack: its gradient sums over B
+    ("matmul_bcast_weight", lambda x, c=Tensor(_rand((2, 3, 4))): _mix(ad.matmul(c, x)), (4, 2)),
+    ("matmul_bcast_input", lambda x, c=Tensor(_rand((4, 2))): _mix(ad.matmul(x, c)), (2, 3, 4)),
     ("transpose", lambda x: _mix(ad.transpose(x)), (3, 4)),
     ("reshape", lambda x: _mix(ad.reshape(x, (4, 3))), (3, 4)),
     ("concat", lambda x, c=Tensor(_rand((2, 4))): _mix(ad.concat([x, c], axis=0)), (3, 4)),
@@ -174,12 +184,14 @@ PRIMITIVE_CASES = [
     ("rsqrt_safe", lambda x: _mix(ad.rsqrt_safe(ad.add(x, Tensor(np.full((6,), 4.0))))), (6,)),
     ("prod_lastdim", lambda x: _mix(ad.prod_lastdim(x)), (3, 4)),
     ("gather_rows", lambda x: _mix(ad.gather_rows(x, np.array([0, 2, 2]))), (3, 4)),
+    ("gather_rows_3d", lambda x: _mix(ad.gather_rows(x, np.array([0, 2, 2]))), (2, 3, 4)),
     ("take_pairs", lambda x: _mix(ad.take_pairs(x, np.array([0, 1, 2]), np.array([1, 1, 3]))), (3, 4)),
     ("scatter_pairs", lambda x: _mix(ad.scatter_pairs(x, (4, 4), np.array([0, 1, 2]), np.array([1, 2, 3]))), (3,)),
     ("submatrix", lambda x: _mix(ad.submatrix(x, np.array([0, 2]))), (4, 4)),
     ("where", lambda x, m=_rand((3, 4)) > 0: _mix(ad.where(m, x, ad.mul(x, x))), (3, 4)),
     ("masked_fill", lambda x, m=_rand((3, 4)) > 0.5: _mix(ad.masked_fill(x, m, 2.5)), (3, 4)),
     ("outer_add", lambda x, c=Tensor(_rand((5, 4))): _mix(ad.outer_add(x, c)), (3, 4)),
+    ("outer_add_3d", lambda x, c=Tensor(_rand((2, 5, 4))): _mix(ad.outer_add(c, x)), (2, 3, 4)),
 ]
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 import os
@@ -71,6 +72,17 @@ def test_seeds_must_be_nonempty(tmp_path):
     doc = tiny_config(tmp_path, seeds=[])
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig.from_doc(doc)
+
+
+def test_config_hash_unchanged_without_ablate_budget(tmp_path):
+    # value computed before ablate_budget entered the hash
+    assert ExperimentConfig.from_doc(tiny_config(tmp_path)).hash() == "57cb5d1898b1c07a"
+
+
+def test_config_hash_covers_ablate_budget(tmp_path):
+    hashes = {ExperimentConfig.from_doc(tiny_config(tmp_path, ablate_budget=b)).hash()
+              for b in (None, 0.05, 0.2)}
+    assert len(hashes) == 3
 
 
 def test_results_table_rejects_out_of_range_accuracy():
@@ -365,3 +377,32 @@ def test_cli_unknown_model_exits_2(tmp_path):
 def test_cli_unknown_toggle_exits_2(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path))
     assert cli_main(["attack", "--config", cfg_path, "--toggles", "bogus"]) == 2
+
+
+def test_cli_ablate_rejects_toggles(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path))
+    assert cli_main(["ablate", "--config", cfg_path, "--toggles", "node_prob_bias"]) == 2
+    assert "ablation_grid" in capsys.readouterr().err
+
+
+def test_cli_progress_goes_to_each_calls_stderr(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path, seeds=[0], budgets=[0.05]))
+    sinks = {}
+    for command in ("generate", "train", "attack"):
+        sinks[command] = io.StringIO()
+        monkeypatch.setattr("sys.stderr", sinks[command])
+        assert cli_main([command, "--config", cfg_path]) == 0
+    monkeypatch.undo()
+    assert "cell" not in sinks["generate"].getvalue()
+    assert "cell" not in sinks["train"].getvalue()
+    assert sinks["attack"].getvalue().count("cell ") == 2  # 1 arch x 1 budget x 1 seed x 2 graphs
+    assert not logging.getLogger("gtattack").handlers
+
+
+def test_cli_progress_reaches_caller_handlers(tmp_path, caplog):
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path, seeds=[0], budgets=[0.05]))
+    assert cli_main(["generate", "--config", cfg_path]) == 0
+    assert cli_main(["train", "--config", cfg_path]) == 0
+    with caplog.at_level(logging.INFO, logger="gtattack.experiment"):
+        assert cli_main(["attack", "--config", cfg_path]) == 0
+    assert [r.message.split(":")[0] for r in caplog.records] == ["cell 1/2", "cell 2/2"]

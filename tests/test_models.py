@@ -84,6 +84,47 @@ def test_gradient_wrt_adjacency_nonzero(arch):
 
 
 # ---------------------------------------------------------------------------
+# stacked discrete forward: one call over (B, n, n) equals B single calls
+
+
+def _stack_cases(rng):
+    """(adjacencies, features) stacks: B=1 of one node, B=1 of five nodes,
+    and B=5 of eleven nodes including an isolated node and two components."""
+    one = random_discrete(rng, 5)
+    graphs = [random_discrete(rng, 11) for _ in range(5)]
+    graphs[1][0][3, :] = graphs[1][0][:, 3] = 0.0
+    split = np.zeros((11, 11))
+    split[:6, :6] = graphs[2][0][:6, :6]
+    split[6:, 6:] = graphs[2][0][6:, 6:]
+    graphs[2] = (split, graphs[2][1])
+    return [
+        (np.zeros((1, 1, 1)), rng.standard_normal((1, 1, 5))),
+        (one[0][None], one[1][None]),
+        (np.stack([a for a, _ in graphs]), np.stack([f for _, f in graphs])),
+    ]
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_stacked_discrete_forward_equals_per_graph(arch, task):
+    from gtattack._kernels import bfs_hops
+
+    rng = np.random.default_rng(11)
+    n_classes = 3 if task == "node" else 1
+    m = build_model(arch, task, 5, n_classes, seed=0)
+    cases = _stack_cases(rng)
+    assert np.isinf(bfs_hops(cases[2][0][1:3])).any(axis=(1, 2)).all()  # unreachable pairs
+    for adjs, feats in cases:
+        b, n = adjs.shape[:2]
+        with ad.no_grad():
+            stacked = m.forward_discrete(adjs, feats).data
+            singles = [m.forward_discrete(adjs[i], feats[i]).data for i in range(b)]
+        assert stacked.shape == (b, n if task == "node" else 1, n_classes)
+        for i in range(b):
+            assert np.array_equal(stacked[i], singles[i]), (arch, task, n, i)
+
+
+# ---------------------------------------------------------------------------
 # permutation equivariance
 
 

@@ -70,6 +70,22 @@ def test_nonsymmetric_rejected():
         eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_stacked_laplacians_decompose_like_single_matrices():
+    rng = np.random.default_rng(9)
+    adjs = np.stack([random_adjacency(rng, 7) for _ in range(4)])
+    adjs[0, 2, :] = adjs[0, :, 2] = 0.0  # an isolated node
+    laps = laplacian_sym(adjs)
+    stacked = eig_sym(laps)
+    for i, a in enumerate(adjs):
+        assert np.array_equal(laps[i], laplacian_sym(a))
+        single = eig_sym(laps[i])
+        assert np.array_equal(stacked.eigenvalues[i], single.eigenvalues)
+        assert np.array_equal(stacked.eigenvectors[i], single.eigenvectors)
+    laps[3, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        eig_sym(laps)
+
+
 def test_nonfinite_rejected():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
