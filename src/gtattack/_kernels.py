@@ -69,7 +69,7 @@ def rspd_grad_kernel(g: np.ndarray, nxt: np.ndarray, atilde: np.ndarray) -> np.n
 def bfs_hops(adj: np.ndarray, edge_eps: float = 1e-9) -> np.ndarray:
     """All-pairs hop distances on the support of ``adj``, or of each matrix
     in a (..., n, n) stack (vectorized BFS)."""
-    conn = adj > edge_eps
+    conn = (adj > edge_eps).astype(np.float64)  # float matmul runs on BLAS
     n = adj.shape[-1]
     dist = np.full(adj.shape, np.inf)
     frontier = np.broadcast_to(np.eye(n, dtype=bool), adj.shape).copy()
@@ -78,7 +78,7 @@ def bfs_hops(adj: np.ndarray, edge_eps: float = 1e-9) -> np.ndarray:
     dist[frontier] = 0.0
     while frontier.any():
         d += 1
-        frontier = (frontier @ conn) & ~visited
+        frontier = ((frontier @ conn) > 0.0) & ~visited
         dist[frontier] = d
         visited |= frontier
     return dist

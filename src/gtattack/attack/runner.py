@@ -207,8 +207,10 @@ def run_attack(model: GraphModel, graph: Graph, config: AttackConfig,
             block = resample_block(block, config.keep_fraction, rng, run.allowed,
                                    fresh_value=fresh)
 
-    edge_value = {(int(i), int(j)): float(v)
-                  for (i, j), v in zip(block.pairs, block.values) if v > 0.0}
+    edge_value = None
+    if config.constraint == "tree_only":  # only the tree projection reads it
+        pos = block.values > 0.0
+        edge_value = dict(zip(map(tuple, block.pairs[pos].tolist()), block.values[pos].tolist()))
     evaluated: list = []
 
     def evaluate(flip_sets: list) -> list:

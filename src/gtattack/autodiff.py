@@ -470,6 +470,46 @@ def softmax(a) -> Tensor:
     return _record("softmax", out, (a,), (vjp,))
 
 
+def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then scale by
+    ``gamma`` and shift by ``beta``; one node for the whole chain.
+
+    Forward values and gradients repeat, operation by operation, what the
+    composed chain mean, sub, mul, mean, add, rsqrt_safe, mul, mul, add
+    computes, so they equal it bit for bit.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    d = x.shape[-1]
+    c = x.data - x.data.mean(axis=-1, keepdims=True)
+    v = (c * c).mean(axis=-1, keepdims=True) + eps
+    pos = v > 0.0
+    v_safe = np.where(pos, v, 1.0)
+    inv = np.where(pos, 1.0 / np.sqrt(v_safe), 0.0)
+    normed = c * inv
+    out = Tensor(normed * gamma.data + beta.data)
+
+    def vjp_x(g):
+        g_normed = g * gamma.data
+        g_inv = _unbroadcast(g_normed * c, inv.shape)
+        g_sq = np.broadcast_to(np.where(pos, -0.5 * g_inv * inv / v_safe, 0.0) / d, c.shape)
+        # c feeds normed, then c * c twice; accumulate in that order
+        gc = g_normed * inv
+        gc = gc + g_sq * c
+        gc += g_sq * c
+        return gc + np.broadcast_to(_unbroadcast(-gc, inv.shape) / d, x.shape)
+
+    return _record(
+        "layer_norm",
+        out,
+        (x, gamma, beta),
+        (
+            vjp_x,
+            lambda g: _unbroadcast(g * normed, gamma.shape),
+            lambda g: _unbroadcast(g, beta.shape),
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # indexing / structural ops
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .. import autodiff as ad
-from ..autodiff import Tensor
+from ..autodiff import Tensor, layer_norm
 
 __all__ = [
     "RelaxToggles",
@@ -60,6 +60,9 @@ class GraphModel:
     ``(..., n, c)`` (node task) or ``(..., 1, c)`` (graph task); a single
     graph is the same call without leading axes.  Each slice of a stacked
     result equals the single-graph result bit for bit.
+
+    Parameters are constants (``requires_grad`` off), so attack gradients
+    skip them; ``train_model`` switches them on while it trains.
     """
 
     arch = "base"
@@ -108,7 +111,7 @@ class GraphModel:
             data = rng.normal(0.0, 0.02, size=shape)
         else:
             raise ValueError(kind)
-        t = Tensor(data, requires_grad=True, name=name)
+        t = Tensor(data, name=name)
         self.params[name] = t
         return t
 
@@ -141,14 +144,6 @@ class GraphModel:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     out = ad.matmul(x, w)
     return out if b is None else ad.add(out, b)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = ad.tmean(x, axis=-1, keepdims=True)
-    centered = ad.sub(x, mu)
-    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ad.rsqrt_safe(ad.add(var, Tensor(np.full(var.shape, eps))))
-    return ad.add(ad.mul(ad.mul(centered, inv), gamma), beta)
 
 
 def pool_weighted(node_reps: Tensor, node_probs: Tensor | None, mode: str) -> Tensor:

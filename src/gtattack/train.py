@@ -84,7 +84,8 @@ def train_model(model: GraphModel, dataset: Dataset, config: TrainConfig) -> dic
     """Adam training with the best-validation-accuracy snapshot restored.
 
     Returns a history dict with per-epoch train loss and val accuracy.
-    Raises on NaN loss (divergence).
+    Raises on NaN loss (divergence).  Parameters require gradients only
+    while this runs.
     """
     rng = np.random.default_rng(config.seed)
     train_graphs = dataset.part("train")
@@ -96,32 +97,38 @@ def train_model(model: GraphModel, dataset: Dataset, config: TrainConfig) -> dic
     best_acc = -1.0
     best_params = {k: v.data.copy() for k, v in model.params.items()}
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(train_graphs))
-        losses = []
-        for gi in order:
-            g = train_graphs[gi]
-            kw = {"decomp": decomps.get(id(g))} if decomps else {}
-            with Tape():
-                logits = model.forward_discrete(g.adjacency, g.features, **kw)
-                if model.task == "node":
-                    loss = node_ce_loss(logits, g.node_labels)
-                else:
-                    loss = graph_bce_loss(logits, g.graph_label)
-                lval = loss.item()
-                if not np.isfinite(lval):
-                    raise RuntimeError(f"training diverged: loss={lval} at epoch {epoch}")
-                grads = backward(loss)
-            gmap = {name: grads[t].data for name, t in model.params.items() if t in grads}
-            adam_step(model.params, gmap, state, config.lr)
-            losses.append(lval)
-        val_acc = evaluate_accuracy(model, val_graphs, decomps)
-        history["train_loss"].append(float(np.mean(losses)))
-        history["val_acc"].append(val_acc)
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_params = {k: v.data.copy() for k, v in model.params.items()}
-            history["best_epoch"] = epoch
+    for t in model.params.values():
+        t.requires_grad = True
+    try:
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(train_graphs))
+            losses = []
+            for gi in order:
+                g = train_graphs[gi]
+                kw = {"decomp": decomps.get(id(g))} if decomps else {}
+                with Tape():
+                    logits = model.forward_discrete(g.adjacency, g.features, **kw)
+                    if model.task == "node":
+                        loss = node_ce_loss(logits, g.node_labels)
+                    else:
+                        loss = graph_bce_loss(logits, g.graph_label)
+                    lval = loss.item()
+                    if not np.isfinite(lval):
+                        raise RuntimeError(f"training diverged: loss={lval} at epoch {epoch}")
+                    grads = backward(loss)
+                gmap = {name: grads[t].data for name, t in model.params.items() if t in grads}
+                adam_step(model.params, gmap, state, config.lr)
+                losses.append(lval)
+            val_acc = evaluate_accuracy(model, val_graphs, decomps)
+            history["train_loss"].append(float(np.mean(losses)))
+            history["val_acc"].append(val_acc)
+            if val_acc > best_acc:
+                best_acc = val_acc
+                best_params = {k: v.data.copy() for k, v in model.params.items()}
+                history["best_epoch"] = epoch
+    finally:
+        for t in model.params.values():
+            t.requires_grad = False
 
     for k, t in model.params.items():
         t.data = best_params[k]

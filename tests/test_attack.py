@@ -675,6 +675,26 @@ def test_injection_random_baseline_valid(tree_setup):
         assert j >= g.n or i >= g.n  # E/F regions only
 
 
+@pytest.mark.parametrize("arch", ["gcn", "grit", "graphormer", "san"])
+def test_prbcd_step_ignores_parameter_gradients(tree_setup, arch):
+    from gtattack.attack.runner import AttackRun
+
+    ds, g, gid, cands, _ = tree_setup
+    model = build_model(arch, "graph", g.feature_dim, 1, seed=0)
+    run = AttackRun(model, g, tree_config(), cands, gid)
+    block = init_block(run.n_aug, run.allowed, run.block_size, np.random.default_rng(1),
+                       fresh_value=0.3)
+    steps = []
+    for trainable in (False, True):
+        for t in model.params.values():
+            t.requires_grad = trainable
+        steps.append(prbcd_step(run.objective(block), block, run.delta, run.lr))
+    (plain, obj_plain), (tracked, obj_tracked) = steps
+    np.testing.assert_array_equal(plain.values, tracked.values)
+    assert obj_plain == obj_tracked
+    assert not np.array_equal(plain.values, block.values)
+
+
 def test_budget_from_fraction_rounding():
     assert budget_from_fraction(0.01, 761) == 8
     assert budget_from_fraction(0.01, 40) == 0

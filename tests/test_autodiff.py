@@ -310,3 +310,33 @@ def test_adam_missing_grad_treated_as_zero():
     p = _params({"w": [1.0], "b": [2.0]})
     adam_step(p, {"w": np.array([1.0])}, AdamState(), lr=0.1)
     np.testing.assert_allclose(p["b"].data, [2.0])
+
+
+# ---------------------------------------------------------------------------
+# fused layer norm
+
+
+def composed_layer_norm(x, gamma, beta, eps=1e-5):
+    """Reference: layer norm as a chain of primitives, one node each."""
+    mu = ad.tmean(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = ad.rsqrt_safe(ad.add(var, Tensor(np.full(var.shape, eps))))
+    return ad.add(ad.mul(ad.mul(centered, inv), gamma), beta)
+
+
+@pytest.mark.parametrize("shape", [(7, 6), (3, 5, 6), (2, 2, 4, 1)])
+def test_layer_norm_equals_composed_chain_bit_for_bit(shape):
+    rng = np.random.default_rng(4)
+    x0 = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[:-1] + (1,))
+    x0[..., 0, :] = 1.5  # a constant row: zero variance
+    g0, b0 = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    upstream = Tensor(rng.normal(size=shape))
+    results = []
+    for fn in (ad.layer_norm, composed_layer_norm):
+        x, gamma, beta = (Tensor(v.copy(), requires_grad=True) for v in (x0, g0, b0))
+        out = fn(x, gamma, beta)
+        grads = backward(ad.tsum(ad.mul(out, upstream)))
+        results.append([out.data] + [grads[t].data for t in (x, gamma, beta)])
+    for fused, composed in zip(*results):
+        np.testing.assert_array_equal(fused, composed)

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,8 +110,8 @@ def test_generate_deterministic(tmp_path):
     cfg2 = ExperimentConfig.from_doc(tiny_config(tmp_path, out=str(tmp_path / "b")))
     cmd_generate(cfg1)
     cmd_generate(cfg2)
-    f1 = open(os.path.join(cfg1.out, "dataset", "graph_00000.json"), "rb").read()
-    f2 = open(os.path.join(cfg2.out, "dataset", "graph_00000.json"), "rb").read()
+    f1 = Path(cfg1.out, "dataset", "graph_00000.json").read_bytes()
+    f2 = Path(cfg2.out, "dataset", "graph_00000.json").read_bytes()
     assert f1 == f2
 
 
@@ -148,8 +149,8 @@ def test_train_checkpoint_bytes_deterministic(tmp_path):
     cfg_b = ExperimentConfig.from_doc({**doc, "out": str(tmp_path / "b")})
     cmd_train(cfg_a)
     cmd_train(cfg_b)
-    b1 = open(os.path.join(cfg_a.out, "checkpoints", "gcn.json"), "rb").read()
-    b2 = open(os.path.join(cfg_b.out, "checkpoints", "gcn.json"), "rb").read()
+    b1 = Path(cfg_a.out, "checkpoints", "gcn.json").read_bytes()
+    b2 = Path(cfg_b.out, "checkpoints", "gcn.json").read_bytes()
     assert b1 == b2
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from gtattack.models import (
     rrwp,
     save_checkpoint,
 )
+from gtattack.generators import make_cluster_dataset
 from gtattack.paths import all_pairs_shortest, reciprocal_weights, rspd_matrix
+from gtattack.train import TrainConfig, train_model
 
 ARCHS = ["gcn", "grit", "graphormer", "san"]
 
@@ -463,4 +467,33 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     save_checkpoint(build_model("gcn", "node", 4, 3, seed=5), p1)
     save_checkpoint(build_model("gcn", "node", 4, 3, seed=5), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# parameters are constants outside training
+
+
+def _trainable(m):
+    return [name for name, t in m.params.items() if t.requires_grad]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_parameters_require_grad_only_inside_training(arch, tmp_path):
+    ds = make_cluster_dataset(3, n_train=2, n_val=1, n_test=0, nodes_per_cluster_range=(3, 4))
+    m = build_model(arch, "node", ds.graphs[0].feature_dim, 6, seed=0, **SMALL[arch])
+    assert _trainable(m) == []
+    path = str(tmp_path / "ckpt.json")
+    save_checkpoint(m, path)
+    assert _trainable(load_checkpoint(path)) == []
+
+    before = {k: t.data.copy() for k, t in m.params.items()}
+    history = train_model(m, ds, TrainConfig(epochs=2, lr=1e-2))
+    assert _trainable(m) == []
+    assert history["best_epoch"] >= 0
+    assert any(not np.array_equal(before[k], t.data) for k, t in m.params.items())
+
+    m.params["out.b"].data[:] = np.nan
+    with pytest.raises(RuntimeError, match="diverged"):
+        train_model(m, ds, TrainConfig(epochs=1))
+    assert _trainable(m) == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gtattack import autodiff as ad
+from gtattack._kernels import bfs_hops
 from gtattack.autodiff import Tensor, backward, finite_difference
 from gtattack.paths import (
     all_pairs_shortest,
@@ -117,6 +118,19 @@ def test_matches_bfs_oracle_on_discrete_graphs():
         a = random_adjacency(rng, n, p=0.2)
         res = all_pairs_shortest(reciprocal_weights(a))
         np.testing.assert_array_equal(res.rspd, bfs_hops_oracle(a))
+
+
+def test_bfs_hops_matches_oracle_on_stacks():
+    rng = np.random.default_rng(13)
+    for n, weighted in [(1, False), (6, False), (9, True), (17, True)]:
+        stack = np.stack([random_adjacency(rng, n, p=0.15, weighted=weighted)
+                          for _ in range(6)]).reshape(2, 3, n, n)
+        got = bfs_hops(stack)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(got[idx], bfs_hops_oracle(stack[idx]))
+        if n > 1:
+            assert np.isinf(got).any()  # unreachable pairs
+        np.testing.assert_array_equal(bfs_hops(stack[1, 2]), got[1, 2])
 
 
 def test_matches_dijkstra_oracle_on_relaxed_graphs():
