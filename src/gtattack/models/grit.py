@@ -43,6 +43,15 @@ def rrwp(atilde: Tensor | np.ndarray, k: int) -> Tensor:
     return ad.concat([ad.reshape(s, a.shape + (1,)) for s in slices], axis=-1)
 
 
+def _pair_aggregate(alpha: Tensor, ev: Tensor) -> Tensor:
+    """out[..., i, :] = sum_j alpha[..., i, j] * ev[..., i, j, :] for
+    attention (..., n, n) and pair values (..., n, n, d): one batched
+    (1, n) @ (n, d) matmul per row."""
+    rows = alpha.shape[:-1]
+    out = ad.matmul(ad.reshape(alpha, rows + (1, alpha.shape[-1])), ev)
+    return ad.reshape(out, rows + (ev.shape[-1],))
+
+
 class GRIT(GraphModel):
     arch = "grit"
 
@@ -131,11 +140,7 @@ class GRIT(GraphModel):
                 alpha = ad.softmax(w)
                 v_h = ad.matmul(h, self.p(f"l{l}.h{hh}.wv"))
                 ev_h = ad.reshape(ad.matmul(pair2d, self.p(f"l{l}.h{hh}.ev")), lead + (n, n, -1))
-                agg = ad.add(
-                    ad.matmul(alpha, v_h),
-                    ad.tsum(ad.mul(ad.reshape(alpha, lead + (n, n, 1)), ev_h), axis=-2),
-                )
-                outs.append(agg)
+                outs.append(ad.add(ad.matmul(alpha, v_h), _pair_aggregate(alpha, ev_h)))
             attn = ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo"))
             scaled = ad.add(
                 ad.mul(attn, self.p(f"l{l}.theta1")),

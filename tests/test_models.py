@@ -419,6 +419,35 @@ def test_grit_toggles_cut_gradients_but_not_values():
     assert not np.allclose(grads["on"], grads["no_deg"])
 
 
+def test_grit_pair_aggregation_matches_elementwise_formula(monkeypatch):
+    from gtattack.models import grit
+
+    def elementwise(alpha, ev):  # sum_j alpha_ij * ev_ij as mul + sum
+        return ad.tsum(ad.mul(ad.reshape(alpha, alpha.shape + (1,)), ev), axis=-2)
+
+    rng = np.random.default_rng(21)
+    a = interior_adjacency(rng, 9)
+    feats = rng.standard_normal((9, 5))
+    probs = rng.uniform(0.2, 1.0, size=9)
+    stack = np.stack([random_discrete(rng, 9)[0] for _ in range(3)])
+    m = build_model("grit", "node", 5, 3, seed=0)
+    for t in m.params.values():
+        t.requires_grad = True
+    results = []
+    for aggregate in (grit._pair_aggregate, elementwise):
+        monkeypatch.setattr(grit, "_pair_aggregate", aggregate)
+        at = Tensor(a, requires_grad=True)
+        out = m.forward(at, feats, RelaxToggles(), node_probs=Tensor(probs))
+        grads = backward(ad.tsum(ad.mul(out, out)))
+        with ad.no_grad():
+            discrete = m.forward_discrete(stack, np.stack([feats] * 3)).data
+        results.append([out.data, discrete, grads[at].data]
+                       + [grads[t].data for t in m.params.values() if t in grads])
+    assert len(results[0]) == len(results[1])
+    for new, old in zip(*results):
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Graphormer structure
 
