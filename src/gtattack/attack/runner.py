@@ -30,7 +30,9 @@ BLOCK_KEEP_EPS = 1e-7
 # cap on B * n * n for one stacked true-model forward of B graphs of n nodes.
 # On a 61-node cluster graph (147 random evaluations, 2-core x86_64) a GRIT
 # cell peaks at 42 MB RSS with 8192 and at 47 MB with 16384 (one graph at a
-# time: 39 MB), at equal time; GRIT holds ~80 floats per adjacency entry.
+# time: 39 MB), at equal time.  A no-grad GRIT forward peaks at about 81
+# floats (0.65 KB) per adjacency entry under tracemalloc: 2.2 MB for one
+# 60-node graph, 17.8 MB for a stack of 8.
 EVAL_STACK_ENTRIES = 8192
 
 NO_FLIPS = np.zeros((0, 2), dtype=np.int64)
