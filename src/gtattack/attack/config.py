@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class AttackConfig:
     mode: str = "structure"  # structure | injection
     base_lr: float = 500.0
     resample_every: int = 10
-    keep_fraction: float = 0.5
-    node_prob_iters: int = 3
-    sample_f_region: bool = False
     max_candidates: int | None = 128
     seed: int = 0
 
@@ -56,24 +53,18 @@ class AttackConfig:
         if self.mode not in ("structure", "injection"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["toggles"] = self.toggles.to_dict()
-        return d
-
 
 def budget_from_fraction(fraction: float, num_edges: int) -> int:
     """Delta = round(fraction * clean edge count)."""
     return int(round(fraction * num_edges))
 
 
-def constraint_mask(graph: Graph, kind: str, n_aug: int | None = None,
-                    sample_f: bool = False):
+def constraint_mask(graph: Graph, kind: str, n_aug: int | None = None):
     """Vectorized predicate over index pairs (i < j) for one constraint kind.
 
     ``protect_labeled`` forbids any pair touching a labeled node.
-    ``tree_only`` (injection) forbids pairs inside the original block B,
-    keeping tree-to-candidate pairs E (and optionally candidate pairs F).
+    ``tree_only`` (injection) forbids pairs inside the original block B and
+    candidate pairs F, keeping tree-to-candidate pairs E.
     """
     n = graph.n
     if kind == "none":
@@ -96,28 +87,21 @@ def constraint_mask(graph: Graph, kind: str, n_aug: int | None = None,
             pairs = np.asarray(pairs).reshape(-1, 2)
             in_b = (pairs[:, 0] < n) & (pairs[:, 1] < n)
             in_f = (pairs[:, 0] >= n) & (pairs[:, 1] >= n)
-            ok = ~in_b
-            if not sample_f:
-                ok &= ~in_f
-            return ok
+            return ~in_b & ~in_f
 
         return pred
     raise ValueError(f"unknown constraint {kind!r}")
 
 
 def allowed_pairs(graph: Graph, config: AttackConfig, n_aug: int | None = None) -> np.ndarray:
-    """All samplable index pairs under the run's mode and constraint."""
+    """All samplable index pairs under the run's mode and constraint;
+    injection never samples pairs of two candidates (the F block)."""
     size = n_aug if config.mode == "injection" else graph.n
     pairs = upper_triangle_pairs(size)
-    pred = constraint_mask(graph, config.constraint, n_aug=n_aug, sample_f=config.sample_f_region)
-    if config.mode == "injection" and config.constraint != "tree_only":
-        # default injection sampling stays out of the F block unless asked
-        keep = pred(pairs)
-        if not config.sample_f_region:
-            in_f = (pairs[:, 0] >= graph.n) & (pairs[:, 1] >= graph.n)
-            keep &= ~in_f
-        return pairs[keep]
-    return pairs[pred(pairs)]
+    keep = constraint_mask(graph, config.constraint, n_aug=n_aug)(pairs)
+    if config.mode == "injection":
+        keep &= pairs[:, 0] < graph.n  # i < j, so this is "not both in F"
+    return pairs[keep]
 
 
 @dataclass

@@ -83,7 +83,7 @@ class AttackRun:
                 logits = self.model.forward(atilde, self.base_feats, toggles, **kw)
                 return attack_loss(logits, self.labels, self.config.loss_kind, self.model.task)
             sub, kept = prune_disconnected(atilde, self.n_orig)
-            probs = node_probability(sub, self.config.node_prob_iters)
+            probs = node_probability(sub)
             kw = {}
             if self.model.arch == "san":
                 base_sub = self.base_adj[np.ix_(kept, kept)]
@@ -206,8 +206,7 @@ def run_attack(model: GraphModel, graph: Graph, config: AttackConfig,
             np.maximum(block.values, fresh, out=block.values)
         trace.append(objective_value)
         if (step + 1) % config.resample_every == 0 and step < config.steps - 1:
-            block = resample_block(block, config.keep_fraction, rng, run.allowed,
-                                   fresh_value=fresh)
+            block = resample_block(block, 0.5, rng, run.allowed, fresh_value=fresh)
 
     edge_value = None
     if config.constraint == "tree_only":  # only the tree projection reads it

@@ -80,12 +80,16 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+        if not self.seeds or not self.budgets:
+            raise ConfigError("seeds and budgets must be non-empty")
         if list(self.budgets) != sorted(self.budgets):
             raise ConfigError("budgets must be ascending")
         if self.dataset.get("kind") not in ("cluster", "tree"):
             raise ConfigError("dataset.kind must be 'cluster' or 'tree'")
+        try:  # fail before any stage runs, not at the first attack cell
+            _attack_config(self, self.budgets[0], self.seeds[0])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad attack config: {exc}") from exc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
@@ -374,39 +378,26 @@ def cmd_attack(cfg: ExperimentConfig) -> ResultsTable:
     return table
 
 
-def ablation_grid(arch: str, mode: str) -> list[RelaxToggles]:
-    """Toggle combinations mirroring the per-model ablation tables."""
-    def t(**kw):
-        base = {f: False for f in RelaxToggles().to_dict()}
-        base.update(kw)
-        return RelaxToggles.from_dict(base)
+# the two relaxations each transformer's ablation table switches
+ABLATION_AXES = {
+    "graphormer": ("graphormer_deg", "graphormer_spd"),
+    "san": ("san_attention", "san_lap_pert"),
+    "grit": ("grit_rrwp_grad", "grit_deg_grad"),
+}
 
-    if mode == "structure":
-        axes = {
-            "graphormer": [("graphormer_deg", "graphormer_spd")],
-            "san": [("san_attention", "san_lap_pert")],
-            "grit": [("grit_rrwp_grad", "grit_deg_grad")],
-        }
-        if arch not in axes:
-            return [RelaxToggles()]
-        a, b = axes[arch][0]
-        return [t(**{a: True, b: True}), t(**{a: True}), t(**{b: True})]
-    # injection: model axes x node probability bias
-    axes = {
-        "graphormer": ("graphormer_deg", "graphormer_spd"),
-        "san": ("san_attention", "san_lap_pert"),
-        "grit": ("grit_rrwp_grad", "grit_deg_grad"),
-    }
-    if arch not in axes:
+
+def ablation_grid(arch: str, mode: str) -> list[RelaxToggles]:
+    """Toggle combinations mirroring the per-model ablation tables: both
+    axes, each alone; injection adds ``node_prob_bias`` to each of these and
+    appends it alone and both axes without it."""
+    if arch not in ABLATION_AXES:
         return [RelaxToggles()]
-    a, b = axes[arch]
-    return [
-        t(**{a: True, b: True, "node_prob_bias": True}),
-        t(**{a: True, "node_prob_bias": True}),
-        t(**{b: True, "node_prob_bias": True}),
-        t(node_prob_bias=True),
-        t(**{a: True, b: True}),
-    ]
+    a, b = ABLATION_AXES[arch]
+    sets = [(a, b), (a,), (b,)]
+    if mode == "injection":
+        sets = [s + ("node_prob_bias",) for s in sets] + [("node_prob_bias",), (a, b)]
+    return [RelaxToggles(**{name: name in on for name in RelaxToggles().to_dict()})
+            for on in sets]
 
 
 def cmd_ablate(cfg: ExperimentConfig) -> ResultsTable:

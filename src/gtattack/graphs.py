@@ -191,7 +191,7 @@ def apply_flips(g: Graph | np.ndarray, b: EdgeFlipMatrix) -> Tensor:
     """
     a = g.adjacency if isinstance(g, Graph) else np.asarray(g, dtype=np.float64)
     n = a.shape[0]
-    values = b.values if isinstance(b.values, Tensor) else Tensor(b.values)
+    values = ad.as_tensor(b.values)
     if len(b.pairs) == 0:
         return Tensor(a.copy())
     rows = np.concatenate([b.pairs[:, 0], b.pairs[:, 1]])

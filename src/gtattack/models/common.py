@@ -11,6 +11,7 @@ from ..autodiff import Tensor, layer_norm
 
 __all__ = [
     "RelaxToggles",
+    "UNRELAXED",
     "GraphModel",
     "linear",
     "layer_norm",
@@ -49,17 +50,21 @@ class RelaxToggles:
         return cls(**{f.name: bool(d.get(f.name, True)) for f in fields(cls)})
 
 
+UNRELAXED = RelaxToggles.none()
+
+
 class GraphModel:
     """Base class: a named parameter dict plus checkpoint (de)serialization.
 
-    Subclasses implement ``_build`` (parameter creation), ``forward``
-    (relaxed path over a continuous adjacency) and ``forward_discrete``
-    (the unrelaxed target model on discrete graphs).  ``forward_discrete``
-    takes a stack of equal-size graphs, adjacency ``(..., n, n)`` and
-    features ``(..., n, f)`` with the same leading axes, and returns logits
-    ``(..., n, c)`` (node task) or ``(..., 1, c)`` (graph task); a single
-    graph is the same call without leading axes.  Each slice of a stacked
-    result equals the single-graph result bit for bit.
+    Subclasses implement ``_build`` (parameter creation) and ``forward``
+    (the relaxed path over a continuous adjacency).  The true model on
+    discrete graphs is ``forward`` with every relaxation off, which
+    ``forward_discrete`` names.  ``forward`` takes a stack of equal-size
+    graphs, adjacency ``(..., n, n)`` and features ``(..., n, f)`` with the
+    same leading axes, and returns logits ``(..., n, c)`` (node task) or
+    ``(..., 1, c)`` (graph task); a single graph is the same call without
+    leading axes.  Each slice of a stacked result equals the single-graph
+    result bit for bit.
 
     Parameters are constants (``requires_grad`` off), so attack gradients
     skip them; ``train_model`` switches them on while it trains.
@@ -94,7 +99,34 @@ class GraphModel:
 
     def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray, **kw) -> Tensor:
         """Unrelaxed logits of (stacked) discrete graphs; see the class docstring."""
-        raise NotImplementedError
+        return self.forward(Tensor(adjacency), features, UNRELAXED, **kw)
+
+    # -- shared layer tail and readout ----------------------------------------
+    def _build_block(self, l: int, d: int, rng) -> None:
+        """Parameters of layer ``l``'s residual LayerNorms and feed-forward net."""
+        self._param(f"l{l}.ln1.g", (d,), rng, "ones")
+        self._param(f"l{l}.ln1.b", (d,), rng, "zeros")
+        self._param(f"l{l}.ln2.g", (d,), rng, "ones")
+        self._param(f"l{l}.ln2.b", (d,), rng, "zeros")
+        self._param(f"l{l}.ffn.w1", (d, 2 * d), rng)
+        self._param(f"l{l}.ffn.b1", (2 * d,), rng, "zeros")
+        self._param(f"l{l}.ffn.w2", (2 * d, d), rng)
+        self._param(f"l{l}.ffn.b2", (d,), rng, "zeros")
+
+    def _block(self, h: Tensor, update: Tensor, l: int) -> Tensor:
+        """Post-norm tail of layer ``l``: h = LN(h + update), then LN(h + FFN(h))."""
+        h = layer_norm(ad.add(h, update), self.p(f"l{l}.ln1.g"), self.p(f"l{l}.ln1.b"))
+        ffn = linear(ad.relu(linear(h, self.p(f"l{l}.ffn.w1"), self.p(f"l{l}.ffn.b1"))),
+                     self.p(f"l{l}.ffn.w2"), self.p(f"l{l}.ffn.b2"))
+        return layer_norm(ad.add(h, ffn), self.p(f"l{l}.ln2.g"), self.p(f"l{l}.ln2.b"))
+
+    def _readout(self, h: Tensor, node_probs: Tensor | None) -> Tensor:
+        """Output head over (..., n, d) node states: per-node logits, or the
+        probability-weighted mean over nodes as one (..., 1, c) row."""
+        if self.task == "graph":
+            pooled = pool_weighted(h, node_probs, "mean")
+            h = ad.reshape(pooled, h.shape[:-2] + (1, h.shape[-1]))
+        return linear(h, self.p("out.w"), self.p("out.b"))
 
     # -- parameters ----------------------------------------------------------
     def _param(self, name: str, shape: tuple[int, ...], rng, kind: str = "glorot") -> Tensor:
@@ -169,18 +201,19 @@ def pool_weighted(node_reps: Tensor, node_probs: Tensor | None, mode: str) -> Te
 
 def log_prob_row(node_probs: Tensor) -> Tensor:
     """log p as a (1, n) row for biasing attention scores columnwise."""
-    n = node_probs.shape[0]
-    return ad.reshape(ad.tlog(node_probs), (1, n))
-
-
-def attention_nodeprob_bias(w: Tensor, node_probs: Tensor) -> Tensor:
-    """softmax(w + log p) == p_j e^{w_ij} / sum_k p_k e^{w_ik}, rowwise.
-
-    Nodes with probability 0 are excluded exactly.
-    """
     pvals = node_probs.data
     if np.any(pvals < 0.0) or np.any(pvals > 1.0):
         raise ValueError("node probabilities must lie in [0, 1]")
     if not np.any(pvals > 0.0):
-        raise ValueError("attention_nodeprob_bias: all node probabilities are zero")
-    return ad.softmax(ad.add(w, log_prob_row(node_probs)))
+        raise ValueError("log_prob_row: all node probabilities are zero")
+    n = node_probs.shape[0]
+    return ad.reshape(ad.tlog(node_probs), (1, n))
+
+
+def attention_nodeprob_bias(w: Tensor, lp: Tensor | None) -> Tensor:
+    """softmax(w + log p) == p_j e^{w_ij} / sum_k p_k e^{w_ik}, rowwise, for
+    ``lp = log_prob_row(p)``; plain softmax(w) when ``lp`` is None.
+
+    Nodes with probability 0 are excluded exactly.
+    """
+    return ad.softmax(w if lp is None else ad.add(w, lp))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from .common import GraphModel, RelaxToggles, linear, pool_weighted
+from .common import GraphModel, RelaxToggles, linear
 
 __all__ = ["GCN"]
 
@@ -41,19 +41,8 @@ class GCN(GraphModel):
         return ad.mul(with_loops, scale)
 
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None, **kw) -> Tensor:
-        a = atilde if isinstance(atilde, Tensor) else Tensor(atilde)
-        x = features if isinstance(features, Tensor) else Tensor(features)
-        prop = self._propagation(a)
-        h = x
+        prop = self._propagation(ad.as_tensor(atilde))
+        h = ad.as_tensor(features)
         for i in range(self.hparams["layers"]):
             h = ad.relu(linear(ad.matmul(prop, h), self.p(f"conv{i}.w"), self.p(f"conv{i}.b")))
-        if self.task == "node":
-            return linear(h, self.p("out.w"), self.p("out.b"))
-        pooled = pool_weighted(h, node_probs, "mean")
-        return linear(ad.reshape(pooled, h.shape[:-2] + (1, h.shape[-1])),
-                      self.p("out.w"), self.p("out.b"))
-
-    def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray, **kw) -> Tensor:
-        """Adjacency (..., n, n), features (..., n, f); logits (..., n, c) or
-        (..., 1, c) by task."""
-        return self.forward(Tensor(adjacency), features)
+        return self._readout(h, node_probs)

@@ -17,7 +17,7 @@ from .. import autodiff as ad
 from .._kernels import bfs_hops
 from ..autodiff import Tensor
 from ..paths import interp_table, rspd_matrix, spd_bias
-from .common import GraphModel, RelaxToggles, layer_norm, linear, log_prob_row
+from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, linear, log_prob_row
 
 __all__ = ["Graphormer", "degree_pe"]
 
@@ -64,14 +64,7 @@ class Graphormer(GraphModel):
                 self._param(f"l{l}.h{hh}.wk", (d, dh), rng)
                 self._param(f"l{l}.h{hh}.wv", (d, dh), rng)
             self._param(f"l{l}.wo", (d, d), rng)
-            self._param(f"l{l}.ln1.g", (d,), rng, "ones")
-            self._param(f"l{l}.ln1.b", (d,), rng, "zeros")
-            self._param(f"l{l}.ln2.g", (d,), rng, "ones")
-            self._param(f"l{l}.ln2.b", (d,), rng, "zeros")
-            self._param(f"l{l}.ffn.w1", (d, 2 * d), rng)
-            self._param(f"l{l}.ffn.b1", (2 * d,), rng, "zeros")
-            self._param(f"l{l}.ffn.w2", (2 * d, d), rng)
-            self._param(f"l{l}.ffn.b2", (d,), rng, "zeros")
+            self._build_block(l, d, rng)
         self._param("out.w", (d, self.n_classes), rng)
         self._param("out.b", (self.n_classes,), rng, "zeros")
 
@@ -88,29 +81,35 @@ class Graphormer(GraphModel):
         row = ad.mul(Tensor(np.ones(lead + (1, n + 1))), ad.reshape(bv, (1, 1)))
         return ad.concat([ad.concat([bias, col], axis=-1), row], axis=-2)
 
-    def _encode(self, a: Tensor, x: Tensor, spd: Tensor, relaxed_deg: bool,
-                node_probs: Tensor | None) -> Tensor:
+    def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None,
+                spd_override: Tensor | None = None, **kw) -> Tensor:
+        """Relaxed forward; ``spd_override`` substitutes the distance matrix
+        (used by gradient checks that must hold the shortest paths fixed)."""
+        a = ad.as_tensor(atilde)
+        if spd_override is not None:
+            spd = spd_override
+        elif toggles.graphormer_spd:
+            spd = rspd_matrix(a)
+        else:
+            spd = Tensor(bfs_hops(np.rint(a.data)))
         lead = a.shape[:-2]
-        d = self.hparams["hidden"]
         heads = self.hparams["heads"]
-        dh = d // heads
         deg = ad.tsum(a, axis=-1)
-        h = ad.add(linear(x, self.p("x.w"), self.p("x.b")),
-                   degree_pe(deg, self.p("deg_table"), relaxed_deg))
+        h = ad.add(linear(ad.as_tensor(features), self.p("x.w"), self.p("x.b")),
+                   degree_pe(deg, self.p("deg_table"), toggles.graphormer_deg))
         if self.task == "graph":
             virtual = ad.mul(Tensor(np.ones(lead + (1, 1))), self.p("virtual_emb"))
             h = ad.concat([h, virtual], axis=-2)
-        big_n = h.shape[-2]
 
         lp = None
-        if node_probs is not None:
+        if node_probs is not None and toggles.node_prob_bias:
             p_full = node_probs
             if self.task == "graph":
                 p_full = ad.concat([node_probs, Tensor(np.ones(1))], axis=0)
             lp = log_prob_row(p_full)
 
         biases = [self._head_bias(spd, hh) for hh in range(heads)]
-        scale = 1.0 / np.sqrt(dh)
+        scale = 1.0 / np.sqrt(self.hparams["hidden"] // heads)
         for l in range(self.hparams["layers"]):
             outs = []
             for hh in range(heads):
@@ -118,37 +117,9 @@ class Graphormer(GraphModel):
                 k = ad.matmul(h, self.p(f"l{l}.h{hh}.wk"))
                 v = ad.matmul(h, self.p(f"l{l}.h{hh}.wv"))
                 w = ad.add(ad.mul(ad.matmul(q, ad.transpose(k)), scale), biases[hh])
-                if lp is not None:
-                    w = ad.add(w, lp)
-                outs.append(ad.matmul(ad.softmax(w), v))
-            attn = ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo"))
-            h = layer_norm(ad.add(h, attn), self.p(f"l{l}.ln1.g"), self.p(f"l{l}.ln1.b"))
-            ffn = linear(ad.relu(linear(h, self.p(f"l{l}.ffn.w1"), self.p(f"l{l}.ffn.b1"))),
-                         self.p(f"l{l}.ffn.w2"), self.p(f"l{l}.ffn.b2"))
-            h = layer_norm(ad.add(h, ffn), self.p(f"l{l}.ln2.g"), self.p(f"l{l}.ln2.b"))
+                outs.append(ad.matmul(attention_nodeprob_bias(w, lp), v))
+            h = self._block(h, ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo")), l)
 
-        if self.task == "node":
-            return linear(h, self.p("out.w"), self.p("out.b"))
-        virtual = ad.gather_rows(h, np.array([big_n - 1]))
-        return linear(virtual, self.p("out.w"), self.p("out.b"))
-
-    def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None,
-                spd_override: Tensor | None = None, **kw) -> Tensor:
-        """Relaxed forward; ``spd_override`` substitutes the distance matrix
-        (used by gradient checks that must hold the shortest paths fixed)."""
-        a = atilde if isinstance(atilde, Tensor) else Tensor(atilde)
-        x = features if isinstance(features, Tensor) else Tensor(features)
-        if spd_override is not None:
-            spd = spd_override
-        elif toggles.graphormer_spd:
-            spd = rspd_matrix(a)
-        else:
-            spd = Tensor(bfs_hops(np.rint(a.data)))
-        p = node_probs if toggles.node_prob_bias else None
-        return self._encode(a, x, spd, toggles.graphormer_deg, p)
-
-    def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray, **kw) -> Tensor:
-        """Adjacency (..., n, n), features (..., n, f); logits (..., n, c) or
-        (..., 1, c) by task."""
-        spd = Tensor(bfs_hops(np.asarray(adjacency)))
-        return self._encode(Tensor(adjacency), Tensor(features), spd, False, None)
+        if self.task == "graph":  # the virtual node reads out the graph
+            h = ad.gather_rows(h, np.array([h.shape[-2] - 1]))
+        return linear(h, self.p("out.w"), self.p("out.b"))

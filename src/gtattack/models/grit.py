@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from .common import GraphModel, RelaxToggles, layer_norm, linear, log_prob_row, pool_weighted
+from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, linear, log_prob_row
 
 __all__ = ["GRIT", "rrwp"]
 
@@ -27,7 +27,7 @@ def rrwp(atilde: Tensor | np.ndarray, k: int) -> Tensor:
     """
     if k < 2:
         raise ValueError("rrwp needs k >= 2")
-    a = atilde if isinstance(atilde, Tensor) else Tensor(atilde)
+    a = ad.as_tensor(atilde)
     n = a.shape[-1]
     lead = a.shape[:-2]
     d = ad.tsum(a, axis=-1)
@@ -84,23 +84,15 @@ class GRIT(GraphModel):
             self._param(f"l{l}.wo", (d, d), rng)
             self._param(f"l{l}.theta1", (d,), rng, "ones")
             self._param(f"l{l}.theta2", (d,), rng, "small")
-            self._param(f"l{l}.ln1.g", (d,), rng, "ones")
-            self._param(f"l{l}.ln1.b", (d,), rng, "zeros")
-            self._param(f"l{l}.ln2.g", (d,), rng, "ones")
-            self._param(f"l{l}.ln2.b", (d,), rng, "zeros")
-            self._param(f"l{l}.ffn.w1", (d, 2 * d), rng)
-            self._param(f"l{l}.ffn.b1", (2 * d,), rng, "zeros")
-            self._param(f"l{l}.ffn.w2", (2 * d, d), rng)
-            self._param(f"l{l}.ffn.b2", (d,), rng, "zeros")
+            self._build_block(l, d, rng)
         self._param("out.w", (d, self.n_classes), rng)
         self._param("out.b", (self.n_classes,), rng, "zeros")
 
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None, **kw) -> Tensor:
-        a = atilde if isinstance(atilde, Tensor) else Tensor(atilde)
-        x = features if isinstance(features, Tensor) else Tensor(features)
+        a = ad.as_tensor(atilde)
         n = a.shape[-1]
         lead = a.shape[:-2]
-        d = self.hparams["hidden"]
+        layers = self.hparams["layers"]
         heads = self.hparams["heads"]
         k = self.hparams["walk_length"]
         de = self.hparams["pair_dim"]
@@ -111,7 +103,7 @@ class GRIT(GraphModel):
         p2d = ad.reshape(p, lead + (n * n, k))
         diag_idx = np.arange(n) * n + np.arange(n)
         node_pe = ad.matmul(ad.gather_rows(p2d, diag_idx), self.p("pe_node.w"))
-        h = ad.add(linear(x, self.p("x.w"), self.p("x.b")), node_pe)
+        h = ad.add(linear(ad.as_tensor(features), self.p("x.w"), self.p("x.b")), node_pe)
         e2d = linear(p2d, self.p("pe_pair.w"), self.p("pe_pair.b"))
 
         deg = ad.tsum(a, axis=-1)
@@ -123,7 +115,7 @@ class GRIT(GraphModel):
         if node_probs is not None and toggles.node_prob_bias:
             lp = log_prob_row(node_probs)
 
-        for l in range(self.hparams["layers"]):
+        for l in range(layers):
             # pair-conditioned activation: relu((q_i + k_j) * (W e_ij) + W' e_ij)
             q = ad.matmul(h, self.p(f"l{l}.wq"))
             kk = ad.matmul(h, self.p(f"l{l}.wk"))
@@ -135,9 +127,7 @@ class GRIT(GraphModel):
             outs = []
             for hh in range(heads):
                 w = ad.reshape(ad.matmul(pair2d, self.p(f"l{l}.h{hh}.score")), lead + (n, n))
-                if lp is not None:
-                    w = ad.add(w, lp)
-                alpha = ad.softmax(w)
+                alpha = attention_nodeprob_bias(w, lp)
                 v_h = ad.matmul(h, self.p(f"l{l}.h{hh}.wv"))
                 ev_h = ad.reshape(ad.matmul(pair2d, self.p(f"l{l}.h{hh}.ev")), lead + (n, n, -1))
                 outs.append(ad.add(ad.matmul(alpha, v_h), _pair_aggregate(alpha, ev_h)))
@@ -146,18 +136,7 @@ class GRIT(GraphModel):
                 ad.mul(attn, self.p(f"l{l}.theta1")),
                 ad.mul(log_deg, ad.mul(attn, self.p(f"l{l}.theta2"))),
             )
-            h = layer_norm(ad.add(h, scaled), self.p(f"l{l}.ln1.g"), self.p(f"l{l}.ln1.b"))
-            ffn = linear(ad.relu(linear(h, self.p(f"l{l}.ffn.w1"), self.p(f"l{l}.ffn.b1"))),
-                         self.p(f"l{l}.ffn.w2"), self.p(f"l{l}.ffn.b2"))
-            h = layer_norm(ad.add(h, ffn), self.p(f"l{l}.ln2.g"), self.p(f"l{l}.ln2.b"))
-            e2d = ad.add(e2d, ad.matmul(pair2d, self.p(f"l{l}.eback")))
-
-        if self.task == "node":
-            return linear(h, self.p("out.w"), self.p("out.b"))
-        pooled = pool_weighted(h, node_probs, "mean")
-        return linear(ad.reshape(pooled, lead + (1, d)), self.p("out.w"), self.p("out.b"))
-
-    def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray, **kw) -> Tensor:
-        """Adjacency (..., n, n), features (..., n, f); logits (..., n, c) or
-        (..., 1, c) by task."""
-        return self.forward(Tensor(adjacency), features)
+            h = self._block(h, scaled, l)
+            if l < layers - 1:  # the last layer's pair update has no reader
+                e2d = ad.add(e2d, ad.matmul(pair2d, self.p(f"l{l}.eback")))
+        return self._readout(h, node_probs)

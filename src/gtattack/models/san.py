@@ -26,7 +26,7 @@ from ..spectral import (
     perturb_eigenvectors,
     perturbation_operator,
 )
-from .common import GraphModel, RelaxToggles, layer_norm, linear, log_prob_row, pool_weighted
+from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, linear, log_prob_row
 
 __all__ = ["SAN", "SpectralReference"]
 
@@ -86,14 +86,7 @@ class SAN(GraphModel):
                 for name in ("wq_real", "wk_real", "wq_fake", "wk_fake", "wv"):
                     self._param(f"l{l}.h{hh}.{name}", (d, dh), rng)
             self._param(f"l{l}.wo", (d, d), rng)
-            self._param(f"l{l}.ln1.g", (d,), rng, "ones")
-            self._param(f"l{l}.ln1.b", (d,), rng, "zeros")
-            self._param(f"l{l}.ln2.g", (d,), rng, "ones")
-            self._param(f"l{l}.ln2.b", (d,), rng, "zeros")
-            self._param(f"l{l}.ffn.w1", (d, 2 * d), rng)
-            self._param(f"l{l}.ffn.b1", (2 * d,), rng, "zeros")
-            self._param(f"l{l}.ffn.w2", (2 * d, d), rng)
-            self._param(f"l{l}.ffn.b2", (d,), rng, "zeros")
+            self._build_block(l, d, rng)
         self._param("out.w", (d, self.n_classes), rng)
         self._param("out.b", (self.n_classes,), rng, "zeros")
 
@@ -149,42 +142,21 @@ class SAN(GraphModel):
             real_support = a.data > 0.5
             w_real = ad.masked_fill(w_real, ~real_support, -np.inf)
             w_fake = ad.masked_fill(w_fake, real_support, -np.inf)
-        if lp is not None:
-            w_real = ad.add(w_real, lp)
-            w_fake = ad.add(w_fake, lp)
         alpha = ad.add(
-            ad.mul(ad.softmax(w_real), 1.0 / (1.0 + gamma)),
-            ad.mul(ad.softmax(w_fake), gamma / (1.0 + gamma)),
+            ad.mul(attention_nodeprob_bias(w_real, lp), 1.0 / (1.0 + gamma)),
+            ad.mul(attention_nodeprob_bias(w_fake, lp), gamma / (1.0 + gamma)),
         )
         return ad.matmul(alpha, v)
 
-    def _encode(self, a: Tensor, x: Tensor, eigenvalues: Tensor, eigenvectors: Tensor,
-                relaxed_attention: bool, node_probs: Tensor | None,
-                prob_bias: bool = True) -> Tensor:
-        d = self.hparams["hidden"]
-        pe = self.lpe(eigenvalues, eigenvectors)
-        h = ad.concat([linear(x, self.p("x.w"), self.p("x.b")), pe], axis=-1)
-        lp = log_prob_row(node_probs) if (node_probs is not None and prob_bias) else None
-        for l in range(self.hparams["layers"]):
-            outs = [
-                self._dual_attention(h, a, l, hh, relaxed_attention, lp)
-                for hh in range(self.hparams["heads"])
-            ]
-            attn = ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo"))
-            h = layer_norm(ad.add(h, attn), self.p(f"l{l}.ln1.g"), self.p(f"l{l}.ln1.b"))
-            ffn = linear(ad.relu(linear(h, self.p(f"l{l}.ffn.w1"), self.p(f"l{l}.ffn.b1"))),
-                         self.p(f"l{l}.ffn.w2"), self.p(f"l{l}.ffn.b2"))
-            h = layer_norm(ad.add(h, ffn), self.p(f"l{l}.ln2.g"), self.p(f"l{l}.ln2.b"))
-        if self.task == "node":
-            return linear(h, self.p("out.w"), self.p("out.b"))
-        pooled = pool_weighted(h, node_probs, "mean")
-        return linear(ad.reshape(pooled, h.shape[:-2] + (1, d)), self.p("out.w"), self.p("out.b"))
-
-    # -- entry points ------------------------------------------------------------
+    # -- entry point ---------------------------------------------------------------
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None,
-                spectral_ref: SpectralReference | None = None, **kw) -> Tensor:
-        a = atilde if isinstance(atilde, Tensor) else Tensor(atilde)
-        x = features if isinstance(features, Tensor) else Tensor(features)
+                spectral_ref: SpectralReference | None = None,
+                decomp: EigenDecomposition | None = None, **kw) -> Tensor:
+        """``spectral_ref`` is the base point of the perturbed eigenpairs
+        (``san_lap_pert``); without it, or with the toggle off, ``decomp``
+        holds the Laplacian eigenpairs of the same stack when the caller has
+        them already."""
+        a = ad.as_tensor(atilde)
         if toggles.san_lap_pert and spectral_ref is not None:
             delta = ad.sub(laplacian_sym_tensor(a), Tensor(spectral_ref.lap))
             base = degenerate_alignment(spectral_ref.decomp, delta.data)
@@ -192,20 +164,18 @@ class SAN(GraphModel):
             lam = perturb_eigenvalues(base, delta)
             u = perturb_eigenvectors(base, delta, op)
         else:
-            decomp = eig_sym(laplacian_sym(a.data))
+            if decomp is None:
+                decomp = eig_sym(laplacian_sym(a.data))
             lam, u = Tensor(decomp.eigenvalues), Tensor(decomp.eigenvectors)
-        return self._encode(a, x, lam, u, toggles.san_attention, node_probs,
-                            prob_bias=toggles.node_prob_bias)
-
-    def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray,
-                         decomp: EigenDecomposition | None = None, **kw) -> Tensor:
-        """Adjacency (..., n, n), features (..., n, f); logits (..., n, c) or
-        (..., 1, c) by task.  ``decomp`` holds the Laplacian eigenpairs of
-        the same stack when the caller has them already."""
-        if decomp is None:
-            decomp = eig_sym(laplacian_sym(adjacency))
-        return self._encode(
-            Tensor(adjacency), Tensor(features),
-            Tensor(decomp.eigenvalues), Tensor(decomp.eigenvectors),
-            relaxed_attention=False, node_probs=None,
-        )
+        pe = self.lpe(lam, u)
+        h = ad.concat([linear(ad.as_tensor(features), self.p("x.w"), self.p("x.b")), pe], axis=-1)
+        lp = None
+        if node_probs is not None and toggles.node_prob_bias:
+            lp = log_prob_row(node_probs)
+        for l in range(self.hparams["layers"]):
+            outs = [
+                self._dual_attention(h, a, l, hh, toggles.san_attention, lp)
+                for hh in range(self.hparams["heads"])
+            ]
+            h = self._block(h, ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo")), l)
+        return self._readout(h, node_probs)

@@ -145,13 +145,9 @@ def perturbation_operator(base: EigenDecomposition, tol: float | None = None) ->
     return PerturbationOperator(pi=pi, groups=groups)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _projected(base: EigenDecomposition, delta_l) -> Tensor:
     u = Tensor(base.eigenvectors)
-    return ad.matmul(ad.matmul(ad.transpose(u), _as_tensor(delta_l)), u)
+    return ad.matmul(ad.matmul(ad.transpose(u), ad.as_tensor(delta_l)), u)
 
 
 def perturb_eigenvalues(base: EigenDecomposition, delta_l) -> Tensor:

@@ -13,6 +13,7 @@ from gtattack.experiment import (
     ConfigError,
     ExperimentConfig,
     ResultsTable,
+    _attack_config,
     ablation_grid,
     cmd_ablate,
     cmd_attack,
@@ -73,6 +74,17 @@ def test_seeds_must_be_nonempty(tmp_path):
     doc = tiny_config(tmp_path, seeds=[])
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig.from_doc(doc)
+
+
+@pytest.mark.parametrize("name", ["cluster_config.json", "tree_config.json"])
+def test_shipped_configs_build_every_attack_config(name):
+    cfg = ExperimentConfig.load(str(Path(__file__).parent.parent / "scripts" / name))
+    mode = "structure" if cfg.task == "node" else "injection"
+    toggle_sets = [None] + [t for m in cfg.models for t in ablation_grid(m.arch, mode)]
+    for budget in cfg.budgets + [cfg.ablate_budget]:
+        for seed in cfg.seeds:
+            for toggles in toggle_sets:
+                assert _attack_config(cfg, budget, seed, toggles).mode == mode
 
 
 def test_config_hash_unchanged_without_ablate_budget(tmp_path):
@@ -368,6 +380,13 @@ def test_cli_bad_config_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert cli_main(["generate", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("attack", [{"bogus": 1}, {"steps": 0}])
+def test_cli_bad_attack_block_exits_2(tmp_path, capsys, attack):
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path, attack=attack))
+    assert cli_main(["attack", "--config", cfg_path]) == 2
+    assert "bad attack config" in capsys.readouterr().err
 
 
 def test_cli_unknown_model_exits_2(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gtattack import autodiff as ad
-from gtattack.autodiff import Tensor, backward, finite_difference
+from gtattack.autodiff import Tape, Tensor, backward, finite_difference
 from gtattack.attack.losses import attack_loss
 from gtattack.models import (
     RelaxToggles,
@@ -17,6 +17,7 @@ from gtattack.models import (
     rrwp,
     save_checkpoint,
 )
+from gtattack.models.common import log_prob_row
 from gtattack.generators import make_cluster_dataset
 from gtattack.paths import all_pairs_shortest, reciprocal_weights, rspd_matrix
 from gtattack.train import TrainConfig, train_model
@@ -344,26 +345,29 @@ def test_san_lpe_pads_when_k_exceeds_n():
 
 def test_nodeprob_bias_all_ones_is_plain_softmax():
     w = Tensor(np.array([[0.3, -0.7, 1.1]]))
-    out = attention_nodeprob_bias(w, Tensor(np.ones(3)))
+    out = attention_nodeprob_bias(w, log_prob_row(Tensor(np.ones(3))))
     np.testing.assert_allclose(out.data, ad.softmax(w).data, atol=1e-15)
+    np.testing.assert_array_equal(attention_nodeprob_bias(w, None).data, ad.softmax(w).data)
 
 
 def test_nodeprob_bias_zero_prob_excludes_node():
     w = Tensor(np.zeros((1, 3)))
-    out = attention_nodeprob_bias(w, Tensor(np.array([1.0, 0.0, 1.0])))
+    out = attention_nodeprob_bias(w, log_prob_row(Tensor(np.array([1.0, 0.0, 1.0]))))
     assert out.data[0, 1] == 0.0
     np.testing.assert_allclose(out.data.sum(), 1.0)
 
 
 def test_nodeprob_bias_exact_rewrite():
     w = Tensor(np.zeros((1, 2)))
-    out = attention_nodeprob_bias(w, Tensor(np.array([1.0, 0.5])))
+    out = attention_nodeprob_bias(w, log_prob_row(Tensor(np.array([1.0, 0.5]))))
     np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]])
 
 
 def test_nodeprob_bias_rejects_all_zero():
     with pytest.raises(ValueError, match="zero"):
-        attention_nodeprob_bias(Tensor(np.zeros((1, 2))), Tensor(np.zeros(2)))
+        log_prob_row(Tensor(np.zeros(2)))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        log_prob_row(Tensor(np.array([1.0, 1.5])))
 
 
 def test_pool_weighted_ones_is_plain():
@@ -446,6 +450,18 @@ def test_grit_pair_aggregation_matches_elementwise_formula(monkeypatch):
     assert len(results[0]) == len(results[1])
     for new, old in zip(*results):
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+
+
+def test_grit_last_layer_skips_pair_update():
+    rng = np.random.default_rng(22)
+    a = interior_adjacency(rng, 7)
+    m = build_model("grit", "node", 5, 3, seed=0, **SMALL["grit"])
+    eback = m.p(f"l{m.hparams['layers'] - 1}.eback")
+    with Tape() as tape:
+        m.forward(Tensor(a, requires_grad=True), rng.standard_normal((7, 5)), RelaxToggles())
+        assert tape.nodes
+        readers = [node.op for node in tape.nodes if any(t is eback for t in node.inputs)]
+    assert readers == []
 
 
 # ---------------------------------------------------------------------------
