@@ -12,7 +12,6 @@ from ..train import graph_score_correct, node_accuracy
 from .config import AttackConfig, PerturbationResult, allowed_pairs, budget_from_fraction
 from .injection import (
     CandidateSet,
-    is_tree,
     mst_projection,
     nia_augment,
     node_probability,
@@ -117,7 +116,9 @@ class AttackRun:
         sub = adj[np.ix_(comp_kept, comp_kept)]
         kept = set(comp_kept.tolist())
         kept_flips = [(i, j) for i, j in flips if i in kept and j in kept]
-        if self.config.constraint == "tree_only" and not is_tree(sub):
+        # the component of node 0 is connected, so it is a tree iff it has n - 1 edges
+        if (self.config.constraint == "tree_only"
+                and np.count_nonzero(np.triu(sub, k=1)) != len(comp_kept) - 1):
             weights = sub.copy()
             pos = {(int(i), int(j)): (edge_value or {}).get((int(i), int(j)), 1.0)
                    for i, j in kept_flips}

@@ -7,6 +7,11 @@ creation counter, so creation order is a topological order of the graph and
 ``backward`` can replay it in reverse deterministically (bit-identical
 gradients for identical inputs).
 
+A node is recorded only when grad is on (outside :class:`no_grad`) and an
+input is tracked (requires a gradient or was recorded); ``backward`` visits
+tracked tensors only.  Binary primitives leave shapes to numpy's broadcast
+rule and re-raise its error as :class:`ShapeError`.
+
 Conventions baked in here and relied on elsewhere:
 
 * ``-inf`` is representable and ``exp(-inf) == 0``; ``log(0)`` is the only
@@ -21,6 +26,7 @@ Conventions baked in here and relied on elsewhere:
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -80,8 +86,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "node", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.node: _Node | None = None
         self.name = name
@@ -104,35 +109,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-    # Operator sugar; everything routes through the module-level primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -164,29 +140,37 @@ class Tape:
         self.nodes.clear()
 
 
-def as_tensor(x, requires_grad: bool = False) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x, requires_grad=requires_grad)
-
-
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or t.node is not None
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _record(op: str, out: Tensor, inputs: tuple[Tensor, ...], vjps: tuple) -> Tensor:
-    if _GRAD_ENABLED and any(_tracked(t) for t in inputs):
-        node = _Node(op, inputs, vjps)
-        out.node = node
-        out.requires_grad = True
-        if _ACTIVE_TAPES:
-            _ACTIVE_TAPES[-1].nodes.append(node)
+    if _GRAD_ENABLED:
+        for t in inputs:
+            if t.requires_grad or t.node is not None:
+                out.node = node = _Node(op, inputs, vjps)
+                out.requires_grad = True
+                if _ACTIVE_TAPES:
+                    _ACTIVE_TAPES[-1].nodes.append(node)
+                break
     return out
+
+
+def _shape_error(op: str, *shapes) -> ShapeError:
+    return ShapeError(f"{op}: incompatible shapes {' and '.join(str(s) for s in shapes)}")
 
 
 def _shape_check(op: str, ok: bool, *shapes):
     if not ok:
-        raise ShapeError(f"{op}: incompatible shapes {' and '.join(str(s) for s in shapes)}")
+        raise _shape_error(op, *shapes)
+
+
+def _apply(op: str, fn: Callable, a: Tensor, b: Tensor) -> Tensor:
+    """``fn(a.data, b.data)``; numpy's broadcast error is re-raised as ShapeError."""
+    try:
+        return Tensor(fn(a.data, b.data))
+    except ValueError:
+        raise _shape_error(op, a.shape, b.shape) from None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -202,21 +186,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcastable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y and x != 1 and y != 1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _shape_check("add", _broadcastable(a.shape, b.shape), a.shape, b.shape)
-    out = Tensor(a.data + b.data)
+    out = _apply("add", np.add, a, b)
     return _record(
         "add",
         out,
@@ -227,8 +203,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _shape_check("sub", _broadcastable(a.shape, b.shape), a.shape, b.shape)
-    out = Tensor(a.data - b.data)
+    out = _apply("sub", np.subtract, a, b)
     return _record(
         "sub",
         out,
@@ -239,8 +214,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _shape_check("mul", _broadcastable(a.shape, b.shape), a.shape, b.shape)
-    out = Tensor(a.data * b.data)
+    out = _apply("mul", np.multiply, a, b)
     return _record(
         "mul",
         out,
@@ -254,8 +228,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _shape_check("div", _broadcastable(a.shape, b.shape), a.shape, b.shape)
-    out = Tensor(a.data / b.data)
+    out = _apply("div", np.divide, a, b)
     return _record(
         "div",
         out,
@@ -282,14 +255,8 @@ def matmul(a, b) -> Tensor:
     (..., n, k) @ (..., k, m) -> (..., n, m).  Each gradient is summed back
     to its input's shape."""
     a, b = as_tensor(a), as_tensor(b)
-    _shape_check(
-        "matmul",
-        a.ndim >= 2 and b.ndim >= 2 and a.shape[-1] == b.shape[-2]
-        and (a.ndim == b.ndim == 2 or _broadcastable(a.shape[:-2], b.shape[:-2])),
-        a.shape,
-        b.shape,
-    )
-    out = Tensor(a.data @ b.data)
+    _shape_check("matmul", a.data.ndim >= 2 and b.data.ndim >= 2, a.shape, b.shape)
+    out = _apply("matmul", np.matmul, a, b)
     return _record(
         "matmul",
         out,
@@ -455,12 +422,14 @@ def softmax(a) -> Tensor:
     """Softmax along the last axis; rows of all ``-inf`` give all zeros."""
     a = as_tensor(a)
     x = a.data
-    hi = np.max(x, axis=-1, keepdims=True)
+    hi = x.max(axis=-1, keepdims=True)
     # a finite shift keeps exp(-inf - shift) = 0 without producing NaN
     shift = np.where(np.isfinite(hi), hi, 0.0)
     e = np.exp(x - shift)
     s = e.sum(axis=-1, keepdims=True)
-    y = np.divide(e, s, out=np.zeros_like(e), where=s > 0.0)
+    # rows whose sum is not positive (all -inf, or NaN) give zeros
+    pos = s > 0.0
+    y = np.where(pos, e, 0.0) / np.where(pos, s, 1.0)
     out = Tensor(y)
 
     def vjp(g):
@@ -480,8 +449,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
-    c = x.data - x.data.mean(axis=-1, keepdims=True)
-    v = (c * c).mean(axis=-1, keepdims=True) + eps
+    # sum / d is the arithmetic of ndarray.mean, without its Python wrapper
+    c = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    v = (c * c).sum(axis=-1, keepdims=True) / d + eps
     pos = v > 0.0
     v_safe = np.where(pos, v, 1.0)
     inv = np.where(pos, 1.0 / np.sqrt(v_safe), 0.0)
@@ -636,47 +606,50 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
 
-    # Collect the reachable subgraph; creation order is topological.
-    seen: set[int] = set()
-    tensors: list[Tensor] = []
+    # Collect the tracked tensors reachable from the loss (constants carry
+    # no gradient and are never visited); creation order is topological.
+    seen: set[Tensor] = set()
+    nodes: list[Tensor] = []
+    leaves: list[Tensor] = []
     stack = [loss]
     while stack:
         t = stack.pop()
-        if id(t) in seen:
+        if t in seen:
             continue
-        seen.add(id(t))
-        tensors.append(t)
-        if t.node is not None:
-            if t.node.cleared:
-                raise RuntimeError("backward: tape was cleared; gradients are invalid")
-            stack.extend(t.node.inputs)
+        seen.add(t)
+        node = t.node
+        if node is None:
+            leaves.append(t)
+            continue
+        if node.cleared:
+            raise RuntimeError("backward: tape was cleared; gradients are invalid")
+        nodes.append(t)
+        for inp in node.inputs:
+            if inp.requires_grad or inp.node is not None:
+                stack.append(inp)
+    nodes.sort(key=attrgetter("node.order"))
 
-    tensors.sort(key=lambda t: -1 if t.node is None else t.node.order)
-
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    owned: set[int] = set()  # accumulators we allocated and may write in place
-    leaf_grads: dict[Tensor, Tensor] = {}
-    for t in reversed(tensors):
-        g = grads.pop(id(t), None)
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
+    owned: set[Tensor] = set()  # accumulators we allocated and may write in place
+    for t in reversed(nodes):
+        g = grads.pop(t, None)
         if g is None:
             continue
-        if t.node is None:
-            if t.requires_grad:
-                leaf_grads[t] = Tensor(np.array(g, dtype=np.float64).reshape(t.shape))
-            continue
-        for inp, vjp in zip(t.node.inputs, t.node.vjps):
-            if not _tracked(inp):
+        node = t.node
+        for inp, vjp in zip(node.inputs, node.vjps):
+            if not (inp.requires_grad or inp.node is not None):
                 continue
             gi = vjp(g)
-            acc = grads.get(id(inp))
+            acc = grads.get(inp)
             if acc is None:
-                grads[id(inp)] = np.asarray(gi, dtype=np.float64)
-            elif id(inp) in owned:
+                grads[inp] = np.asarray(gi, dtype=np.float64)
+            elif inp in owned:
                 np.add(acc, gi, out=acc)
             else:
-                grads[id(inp)] = acc + gi
-                owned.add(id(inp))
-    return leaf_grads
+                grads[inp] = acc + gi
+                owned.add(inp)
+    return {t: Tensor(np.array(grads[t], dtype=np.float64).reshape(t.shape))
+            for t in reversed(leaves) if t.requires_grad and t in grads}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -16,6 +17,7 @@ from .experiment import (
     cmd_train,
 )
 from .graphs import GraphParseError, GraphValidationError
+from .models import RelaxToggles
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -41,30 +43,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    """The config with the command-line overrides applied, validated again."""
+    changes: dict = {}
     if args.out:
-        cfg.out = args.out
+        changes["out"] = args.out
     if args.seed is not None:
-        cfg.seeds = [args.seed]
+        changes["seeds"] = [args.seed]
     if args.model:
-        cfg.models = [m for m in cfg.models if m.arch == args.model]
-        if not cfg.models:
+        changes["models"] = [m for m in cfg.models if m.arch == args.model]
+        if not changes["models"]:
             raise ConfigError(f"no configured model named {args.model!r}")
     if args.budget is not None:
-        cfg.budgets = [args.budget]
-        cfg.ablate_budget = args.budget
+        changes["budgets"] = [args.budget]
+        changes["ablate_budget"] = args.budget
     if args.toggles is not None:
         if args.command == "ablate":
             raise ConfigError("ablate sweeps the toggle sets of ablation_grid "
                               "and takes no --toggles")
-        from .models import RelaxToggles
-
-        names = [t for t in args.toggles.split(",") if t]
-        valid = set(RelaxToggles().to_dict())
-        bad = set(names) - valid
-        if bad:
-            raise ConfigError(f"unknown toggles {sorted(bad)}; valid: {sorted(valid)}")
-        cfg.attack["toggles"] = {k: (k in names) for k in valid}
-    return cfg
+        # unknown names are rejected when the new config is validated
+        toggles = dict.fromkeys(RelaxToggles().to_dict(), False)
+        toggles.update(dict.fromkeys((t for t in args.toggles.split(",") if t), True))
+        changes["attack"] = {**cfg.attack, "toggles": toggles}
+    return dataclasses.replace(cfg, **changes)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -245,7 +245,7 @@ def _attack_config(cfg: ExperimentConfig, budget: float, seed: int,
     base.pop("budget_fraction", None)
     toggle_doc = base.pop("toggles", None)
     if toggles is None:
-        toggles = RelaxToggles.from_dict(toggle_doc) if toggle_doc else RelaxToggles()
+        toggles = RelaxToggles() if toggle_doc is None else RelaxToggles.from_dict(toggle_doc)
     if cfg.task == "node":
         base.setdefault("loss_kind", "tanh_margin")
         base.setdefault("mode", "structure")

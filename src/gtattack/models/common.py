@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,7 +48,13 @@ class RelaxToggles:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RelaxToggles":
-        return cls(**{f.name: bool(d.get(f.name, True)) for f in fields(cls)})
+        """Toggles from a name -> bool mapping; names left out stay on."""
+        if not isinstance(d, Mapping):
+            raise TypeError(f"toggles must be an object of name: bool, got {type(d).__name__}")
+        names = [f.name for f in fields(cls)]
+        if set(d) - set(names):
+            raise ValueError(f"unknown toggles {sorted(set(d) - set(names))}; valid: {names}")
+        return cls(**{name: bool(d.get(name, True)) for name in names})
 
 
 UNRELAXED = RelaxToggles.none()

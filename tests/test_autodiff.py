@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from gtattack import autodiff as ad
 from gtattack.autodiff import Tensor, backward, finite_difference
+from gtattack.models import RelaxToggles, SpectralReference, build_model
 from gtattack.optim import AdamState, adam_step
 
 
@@ -33,6 +36,18 @@ def test_matmul_shape():
 def test_matmul_shape_mismatch_names_primitive():
     with pytest.raises(ad.ShapeError, match=r"matmul.*\(2, 3\).*\(2, 1\)"):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 1))))
+
+
+@pytest.mark.parametrize("sa,sb", [((2, 2, 3), (3, 3, 4)), ((3,), (3, 2)), ((2, 3), (3,))])
+def test_matmul_batch_mismatch_and_vector_operands_name_primitive(sa, sb):
+    with pytest.raises(ad.ShapeError, match=re.escape(f"matmul: incompatible shapes {sa} and {sb}")):
+        ad.matmul(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_elementwise_shape_mismatch_names_primitive(op):
+    with pytest.raises(ad.ShapeError, match=re.escape(f"{op}: incompatible shapes (2, 3) and (2, 2)")):
+        getattr(ad, op)(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
 
 
 def test_matmul_broadcasts_leading_axes():
@@ -312,6 +327,53 @@ def test_adam_missing_grad_treated_as_zero():
     np.testing.assert_allclose(p["b"].data, [2.0])
 
 
+def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference: the per-tensor Adam update, moments keyed by name."""
+    state["t"] += 1
+    bc1 = 1.0 - beta1 ** state["t"]
+    bc2 = 1.0 - beta2 ** state["t"]
+    for name, p in params.items():
+        g = grads.get(name)
+        garr = np.zeros_like(p.data) if g is None else np.asarray(g, dtype=np.float64)
+        m = state["m"].setdefault(name, np.zeros_like(p.data))
+        v = state["v"].setdefault(name, np.zeros_like(p.data))
+        m *= beta1
+        m += (1.0 - beta1) * garr
+        v *= beta2
+        v += (1.0 - beta2) * garr * garr
+        mhat = m / bc1
+        vhat = v / bc2
+        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def test_flat_adam_equals_per_tensor_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    init = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3), "s": rng.normal(size=()),
+            "u": rng.normal(size=(2, 2, 2))}
+    flat, ref = _params(init), _params(init)
+    flat_state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+    for step in range(5):
+        grads = {k: rng.normal(size=v.shape) * 10.0 ** (step - 2) for k, v in init.items()}
+        del grads[list(init)[step % len(init)]]  # a missing gradient counts as zero
+        adam_step(flat, grads, flat_state, lr=0.01)
+        reference_adam_step(ref, grads, ref_state, lr=0.01)
+        for k in init:
+            np.testing.assert_array_equal(flat[k].data, ref[k].data)
+        for moment in ("m", "v"):
+            np.testing.assert_array_equal(
+                getattr(flat_state, moment),
+                np.concatenate([ref_state[moment][k].ravel() for k in init]))
+
+
+def test_adam_rejects_parameters_unlike_state():
+    state = AdamState()
+    adam_step(_params({"w": [1.0, 2.0]}), {}, state, lr=0.1)
+    with pytest.raises(ValueError, match="sizes"):
+        adam_step(_params({"w": [1.0, 2.0, 3.0]}), {}, state, lr=0.1)
+    with pytest.raises(ValueError, match="gradient shape"):
+        adam_step(_params({"w": [1.0, 2.0]}), {"w": np.ones(3)}, state, lr=0.1)
+
+
 # ---------------------------------------------------------------------------
 # fused layer norm
 
@@ -340,3 +402,94 @@ def test_layer_norm_equals_composed_chain_bit_for_bit(shape):
         results.append([out.data] + [grads[t].data for t in (x, gamma, beta)])
     for fused, composed in zip(*results):
         np.testing.assert_array_equal(fused, composed)
+
+
+# ---------------------------------------------------------------------------
+# softmax edge rows and backward against the engine's earlier sweep
+
+
+def reference_softmax(x):
+    """Reference: softmax forward through np.max and a masked np.divide."""
+    hi = np.max(x, axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(hi), hi, 0.0)
+    e = np.exp(x - shift)
+    s = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, s, out=np.zeros_like(e), where=s > 0.0)
+
+
+def test_softmax_edge_rows_equal_reference_bit_for_bit():
+    x = np.random.default_rng(2).normal(size=(2, 6, 5)) * 30.0
+    x[0, 0] = -np.inf  # all -inf: zeros
+    x[0, 1, :3] = -np.inf
+    x[0, 2] = np.nan  # all NaN: zeros
+    x[0, 3, 2] = np.nan  # one NaN: zeros
+    x[1, 4, [1, 3]] = [-np.inf, np.nan]
+    y = ad.softmax(Tensor(x)).data
+    np.testing.assert_array_equal(y, reference_softmax(x))
+    assert not y[0, [0, 2, 3]].any() and not y[1, 4].any()
+
+
+def reference_backward(loss):
+    """Reference: the sweep that visits constants too and sorts every
+    reachable tensor by creation order."""
+    def tracked(t):
+        return t.requires_grad or t.node is not None
+
+    seen, tensors, stack = set(), [], [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        tensors.append(t)
+        if t.node is not None:
+            stack.extend(t.node.inputs)
+    tensors.sort(key=lambda t: -1 if t.node is None else t.node.order)
+    grads = {id(loss): np.ones((), dtype=np.float64)}
+    owned, leaf_grads = set(), {}
+    for t in reversed(tensors):
+        g = grads.pop(id(t), None)
+        if g is None:
+            continue
+        if t.node is None:
+            if t.requires_grad:
+                leaf_grads[t] = Tensor(np.array(g, dtype=np.float64).reshape(t.shape))
+            continue
+        for inp, vjp in zip(t.node.inputs, t.node.vjps):
+            if not tracked(inp):
+                continue
+            gi = vjp(g)
+            acc = grads.get(id(inp))
+            if acc is None:
+                grads[id(inp)] = np.asarray(gi, dtype=np.float64)
+            elif id(inp) in owned:
+                np.add(acc, gi, out=acc)
+            else:
+                grads[id(inp)] = acc + gi
+                owned.add(id(inp))
+    return leaf_grads
+
+
+@pytest.mark.parametrize("track_params", [False, True])
+@pytest.mark.parametrize("task", ["node", "graph"])
+@pytest.mark.parametrize("arch", ["gcn", "grit", "graphormer", "san"])
+def test_backward_equals_reference_through_relaxed_models(arch, task, track_params):
+    rng = np.random.default_rng(3)
+    n = 8
+    a = np.triu(rng.uniform(0.1, 0.9, size=(n, n)), k=1)
+    a = a + a.T
+    feats = rng.normal(size=(n, 5))
+    model = build_model(arch, task, 5, 3 if task == "node" else 1, seed=1)
+    for p in model.params.values():
+        p.requires_grad = track_params
+    atilde = Tensor(a, requires_grad=True)
+    probs = Tensor(rng.uniform(0.5, 1.0, size=n), requires_grad=True)
+    kw = {"spectral_ref": SpectralReference.of(a)} if arch == "san" else {}
+    out = model.forward(atilde, feats, RelaxToggles(), node_probs=probs, **kw)
+    loss = ad.tsum(ad.mul(out, Tensor(rng.normal(size=out.shape))))
+    got, want = backward(loss), reference_backward(loss)
+    assert list(got) == list(want)
+    assert atilde in got
+    assert any(p in got for p in model.params.values()) == track_params
+    for t in want:
+        np.testing.assert_array_equal(got[t].data, want[t].data)

@@ -382,11 +382,20 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert cli_main(["generate", "--config", str(path)]) == 2
 
 
-@pytest.mark.parametrize("attack", [{"bogus": 1}, {"steps": 0}])
+@pytest.mark.parametrize("attack", [{"bogus": 1}, {"steps": 0}, {"toggles": ["x"]},
+                                    {"toggles": {"node_prob_bias": False, "bogus": True}}])
 def test_cli_bad_attack_block_exits_2(tmp_path, capsys, attack):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path, attack=attack))
     assert cli_main(["attack", "--config", cfg_path]) == 2
     assert "bad attack config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-0.05"])
+def test_cli_nonpositive_budget_exits_2(tmp_path, capsys, budget):
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path, seeds=[0]))
+    assert cli_main(["train", "--config", cfg_path]) == 0
+    assert cli_main(["attack", "--config", cfg_path, "--budget", budget]) == 2
+    assert "budget_fraction must be > 0" in capsys.readouterr().err
 
 
 def test_cli_unknown_model_exits_2(tmp_path):
