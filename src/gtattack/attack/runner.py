@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..graphs import EdgeFlipMatrix, Graph, apply_flips, connected_components, is_connected
+from ..graphs import Graph, apply_flips, connected_components, is_connected
 from ..models import GraphModel, SpectralReference
-from ..train import graph_score_correct, node_accuracy
+from ..train import discrete_logits, score
 from .config import AttackConfig, PerturbationResult, allowed_pairs, budget_from_fraction
 from .injection import (
     CandidateSet,
@@ -25,14 +27,6 @@ __all__ = ["AttackRun", "run_attack", "random_baseline", "transfer_attack"]
 # injection-mode floor for block values: above the pruning epsilon, so every
 # sampled candidate edge stays in the pruned graph and keeps its gradient
 BLOCK_KEEP_EPS = 1e-7
-
-# cap on B * n * n for one stacked true-model forward of B graphs of n nodes.
-# On a 61-node cluster graph (147 random evaluations, 2-core x86_64) a GRIT
-# cell peaks at 42 MB RSS with 8192 and at 47 MB with 16384 (one graph at a
-# time: 39 MB), at equal time.  A no-grad GRIT forward peaks at about 81
-# floats (0.65 KB) per adjacency entry under tracemalloc: 2.2 MB for one
-# 60-node graph, 17.8 MB for a stack of 8.
-EVAL_STACK_ENTRIES = 8192
 
 NO_FLIPS = np.zeros((0, 2), dtype=np.int64)
 
@@ -64,30 +58,31 @@ class AttackRun:
         if self.delta > self.block_size:
             raise ValueError(f"budget {self.delta} exceeds block size {self.block_size}")
         self.labels = graph.node_labels if model.task == "node" else graph.graph_label
-        self.spectral_ref = None
-        if model.arch == "san" and config.mode == "structure" and config.toggles.san_lap_pert:
-            self.spectral_ref = SpectralReference.of(graph.adjacency)
         self.lr = config.base_lr * max(self.delta, 1) / max(self.block_size, 1)
+
+    @cached_property
+    def spectral_ref(self) -> SpectralReference:
+        """SAN's clean base point for perturbed eigenpairs (structure mode),
+        built on the relaxed objective's first use only."""
+        return SpectralReference.of(self.graph.adjacency)
 
     # -- relaxed objective ----------------------------------------------------
     def objective(self, block: BlockState):
         """Closure mapping block values (leaf tensor) to the attack loss."""
+        toggles = self.config.toggles
+        lap_pert = self.model.arch == "san" and toggles.san_lap_pert
 
         def fn(values: Tensor) -> Tensor:
-            flips = EdgeFlipMatrix(self.n_aug, block.pairs, values)
-            atilde = apply_flips(self.base_adj, flips)
-            toggles = self.config.toggles
+            atilde = apply_flips(self.base_adj, block.pairs, values)
             if self.config.mode == "structure":
-                kw = {"spectral_ref": self.spectral_ref} if self.model.arch == "san" else {}
+                kw = {"spectral_ref": self.spectral_ref} if lap_pert else {}
                 logits = self.model.forward(atilde, self.base_feats, toggles, **kw)
                 return attack_loss(logits, self.labels, self.config.loss_kind, self.model.task)
             sub, kept = prune_disconnected(atilde, self.n_orig)
             probs = node_probability(sub)
             kw = {}
-            if self.model.arch == "san":
-                base_sub = self.base_adj[np.ix_(kept, kept)]
-                if toggles.san_lap_pert:
-                    kw["spectral_ref"] = SpectralReference.of(base_sub)
+            if lap_pert:
+                kw["spectral_ref"] = SpectralReference.of(self.base_adj[np.ix_(kept, kept)])
             logits = self.model.forward(sub, self.base_feats[kept], toggles,
                                         node_probs=probs, **kw)
             if self.model.task == "node":
@@ -97,87 +92,83 @@ class AttackRun:
         return fn
 
     # -- discrete evaluation ----------------------------------------------------
-    def _flip_discrete(self, flips: np.ndarray) -> np.ndarray:
-        adj = self.base_adj.copy()
-        for i, j in flips:
-            adj[i, j] = 1.0 - adj[i, j]
-            adj[j, i] = adj[i, j]
-        return adj
-
     def _discrete_graph(self, flips: np.ndarray,
-                        edge_value: dict | None) -> tuple[np.ndarray, np.ndarray, list]:
+                        block: BlockState | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Adjacency, features and effective flips of the graph a flip set gives."""
-        adj = self._flip_discrete(flips)
+        adj = self.base_adj.copy()
+        i, j = flips.T
+        adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
         if self.config.mode == "structure":
-            return adj, self.base_feats, [list(map(int, f)) for f in flips]
+            return adj, self.base_feats, flips
 
         comp = connected_components(adj)
         comp_kept = np.flatnonzero(comp == comp[0])
         sub = adj[np.ix_(comp_kept, comp_kept)]
-        kept = set(comp_kept.tolist())
-        kept_flips = [(i, j) for i, j in flips if i in kept and j in kept]
+        kept_flips = flips[(comp[flips] == comp[0]).all(axis=1)]
         # the component of node 0 is connected, so it is a tree iff it has n - 1 edges
         if (self.config.constraint == "tree_only"
                 and np.count_nonzero(np.triu(sub, k=1)) != len(comp_kept) - 1):
             weights = sub.copy()
-            pos = {(int(i), int(j)): (edge_value or {}).get((int(i), int(j)), 1.0)
-                   for i, j in kept_flips}
-            back = {v: k for k, v in enumerate(comp_kept)}
-            for (i, j), val in pos.items():
-                ki, kj = back[i], back[j]
-                weights[ki, kj] = weights[kj, ki] = val
+            ki, kj = np.searchsorted(comp_kept, kept_flips).T
+            weights[ki, kj] = weights[kj, ki] = (np.ones(len(kept_flips)) if block is None
+                                                 else block.value_of(kept_flips))
             sub = mst_projection(weights)
-            kept_flips = [
-                (int(comp_kept[a]), int(comp_kept[b]))
-                for a, b in zip(*np.nonzero(np.triu(sub, k=1)))
-                if self.base_adj[comp_kept[a], comp_kept[b]] == 0.0
-            ]
-        return sub, self.base_feats[comp_kept], [list(map(int, f)) for f in kept_flips]
+            a, b = comp_kept[np.array(np.nonzero(np.triu(sub, k=1)))]
+            added = self.base_adj[a, b] == 0.0
+            kept_flips = np.stack([a[added], b[added]], axis=1)
+        return sub, self.base_feats[comp_kept], kept_flips
 
     def evaluate_discrete(self, flip_sets: list,
-                          edge_value: dict | None = None) -> list[tuple[float, float, list]]:
+                          block: BlockState | None = None) -> list[tuple[float, float, list]]:
         """True-model evaluation of discrete flip sets.
 
         Returns one (attack loss, metric, effective flips) per flip set, in
         input order.  In injection mode each graph keeps the component of
         the original nodes; in tree-only mode non-tree samples are projected
-        to the maximum-probability spanning tree first, using ``edge_value``
-        as the probability of flipped edges (1.0 when absent, e.g. for the
-        random baseline).  Graphs with equal node counts are stacked in
-        input order, at most ``EVAL_STACK_ENTRIES`` adjacency entries per
-        stack, and each stack is one no-grad forward; a stack is evaluated
-        as soon as it is full, so at most one partial stack per node count
-        is held.
+        to the maximum-probability spanning tree first, weighting flipped
+        edges by their ``block`` value (1.0 without a block, e.g. for the
+        random baseline).  The graphs are built one at a time as
+        :func:`~gtattack.train.discrete_logits` stacks and scores them.
         """
-        results: list = [None] * len(flip_sets)
-        pending: dict[int, list] = {}
-        with ad.no_grad():
-            for i, flips in enumerate(flip_sets):
+        effective: list = []
+
+        def graphs():
+            for flips in flip_sets:
                 flips = np.asarray(flips, dtype=np.int64).reshape(-1, 2)
-                adj, feats, effective = self._discrete_graph(flips, edge_value)
-                n = adj.shape[0]
-                stack = pending.setdefault(n, [])
-                stack.append((i, adj, feats, effective))
-                if len(stack) >= max(1, EVAL_STACK_ENTRIES // (n * n)):
-                    self._evaluate_stack(pending.pop(n), results)
-            for stack in pending.values():
-                self._evaluate_stack(stack, results)
+                adj, feats, eff = self._discrete_graph(flips, block)
+                effective.append(eff.tolist())
+                yield adj, feats
+
+        task = self.model.task
+        results = []
+        for out, eff in zip(discrete_logits(self.model, graphs()), effective):
+            out = out[: self.n_orig]
+            loss = attack_loss(Tensor(out), self.labels, self.config.loss_kind, task).item()
+            results.append((loss, score(out, self.labels, task), eff))
         return results
 
-    def _evaluate_stack(self, stack: list, results: list) -> None:
-        logits = self.model.forward_discrete(np.stack([g[1] for g in stack]),
-                                             np.stack([g[2] for g in stack])).data
-        for (i, _, _, effective), out in zip(stack, logits):
-            results[i] = (*self._score(out[: self.n_orig]), effective)
+    def strongest(self, flip_sets: list,
+                  block: BlockState | None = None) -> tuple[float, float, list]:
+        """Score ``[clean graph, *flip_sets]`` together and keep the strongest.
 
-    def _score(self, logits: np.ndarray) -> tuple[float, float]:
-        loss = attack_loss(Tensor(logits), self.labels, self.config.loss_kind,
-                           self.model.task).item()
-        if self.model.task == "node":
-            metric = node_accuracy(logits, self.labels)
-        else:
-            metric = graph_score_correct(float(logits.reshape(-1)[0]), self.labels)
-        return loss, metric
+        Returns (clean metric, metric, effective flips) of the first flip
+        set of lowest attack loss; with no flip sets, the clean metric twice
+        and no flips.
+        """
+        (_, clean_metric, _), *results = self.evaluate_discrete([NO_FLIPS, *flip_sets], block)
+        _, metric, flips = min(results, key=lambda r: r[0], default=(np.inf, clean_metric, []))
+        return clean_metric, metric, flips
+
+    def result(self, attack_kind: str, clean_metric: float, attacked_metric: float,
+               flips: list, loss_trace: list[float]) -> PerturbationResult:
+        """The record of one attack of ``attack_kind`` in this run."""
+        config = self.config
+        return PerturbationResult(
+            graph_id=self.graph_id, budget=self.delta, budget_fraction=config.budget_fraction,
+            flips=flips, clean_metric=clean_metric, attacked_metric=attacked_metric,
+            loss_trace=loss_trace, seed=config.seed, toggles=config.toggles.to_dict(),
+            mode=config.mode, constraint=config.constraint, attack_kind=attack_kind,
+        )
 
 
 def run_attack(model: GraphModel, graph: Graph, config: AttackConfig,
@@ -188,46 +179,19 @@ def run_attack(model: GraphModel, graph: Graph, config: AttackConfig,
     """
     run = AttackRun(model, graph, config, candidates, graph_id)
     rng = np.random.default_rng(config.seed)
-
-    if run.delta == 0 or len(run.allowed) == 0:
-        [(_, clean_metric, _)] = run.evaluate_discrete([NO_FLIPS])
-        return PerturbationResult(
-            graph_id=graph_id, budget=0, budget_fraction=config.budget_fraction,
-            flips=[], clean_metric=clean_metric, attacked_metric=clean_metric,
-            loss_trace=[], seed=config.seed, toggles=config.toggles.to_dict(),
-            mode=config.mode, constraint=config.constraint, attack_kind="adaptive",
-        )
-
-    fresh = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
-    block = init_block(run.n_aug, run.allowed, run.block_size, rng, fresh_value=fresh)
-    trace: list[float] = []
-    for step in range(config.steps):
-        block, objective_value = prbcd_step(run.objective(block), block, run.delta, run.lr)
-        if fresh:
-            np.maximum(block.values, fresh, out=block.values)
-        trace.append(objective_value)
-        if (step + 1) % config.resample_every == 0 and step < config.steps - 1:
-            block = resample_block(block, 0.5, rng, run.allowed, fresh_value=fresh)
-
-    edge_value = None
-    if config.constraint == "tree_only":  # only the tree projection reads it
-        pos = block.values > 0.0
-        edge_value = dict(zip(map(tuple, block.pairs[pos].tolist()), block.values[pos].tolist()))
-    evaluated: list = []
-
-    def evaluate(flip_sets: list) -> list:
-        # the clean graph rides along in the same stacked evaluation
-        evaluated.extend(run.evaluate_discrete([NO_FLIPS, *flip_sets], edge_value))
-        return evaluated[1:]
-
-    _, _, metric, effective = sample_discrete(block, run.delta, config.n_discrete_samples,
-                                              evaluate, rng)
-    return PerturbationResult(
-        graph_id=graph_id, budget=run.delta, budget_fraction=config.budget_fraction,
-        flips=effective, clean_metric=evaluated[0][1], attacked_metric=metric,
-        loss_trace=trace, seed=config.seed, toggles=config.toggles.to_dict(),
-        mode=config.mode, constraint=config.constraint, attack_kind="adaptive",
-    )
+    block, flip_sets, trace = None, [], []
+    if run.delta:
+        fresh = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
+        block = init_block(run.n_aug, run.allowed, run.block_size, rng, fresh_value=fresh)
+        for step in range(config.steps):
+            block, objective_value = prbcd_step(run.objective(block), block, run.delta, run.lr)
+            if fresh:
+                np.maximum(block.values, fresh, out=block.values)
+            trace.append(objective_value)
+            if (step + 1) % config.resample_every == 0 and step < config.steps - 1:
+                block = resample_block(block, 0.5, rng, run.allowed, fresh_value=fresh)
+        flip_sets = sample_discrete(block, run.delta, config.n_discrete_samples, rng)
+    return run.result("adaptive", *run.strongest(flip_sets, block), trace)
 
 
 def random_baseline(model: GraphModel, graph: Graph, config: AttackConfig,
@@ -241,23 +205,11 @@ def random_baseline(model: GraphModel, graph: Graph, config: AttackConfig,
     run = AttackRun(model, graph, config, candidates, graph_id)
     rng = np.random.default_rng(config.seed)
     n_evals = config.steps + 1 + config.n_discrete_samples
-    k = min(run.delta, len(run.allowed))
-    picks = [] if k == 0 else [
-        run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
+    picks = [] if run.delta == 0 else [
+        run.allowed[np.sort(rng.choice(len(run.allowed), size=run.delta, replace=False))]
         for _ in range(n_evals)
     ]
-    (_, clean_metric, _), *results = run.evaluate_discrete([NO_FLIPS, *picks])
-    best = None
-    for res in results:
-        if best is None or res[0] < best[0]:
-            best = res
-    _, metric, flips = best or (np.inf, clean_metric, [])
-    return PerturbationResult(
-        graph_id=graph_id, budget=run.delta, budget_fraction=config.budget_fraction,
-        flips=flips, clean_metric=clean_metric, attacked_metric=metric,
-        loss_trace=[], seed=config.seed, toggles=config.toggles.to_dict(),
-        mode=config.mode, constraint=config.constraint, attack_kind="random",
-    )
+    return run.result("random", *run.strongest(picks), [])
 
 
 def transfer_attack(source: PerturbationResult, model: GraphModel, graph: Graph,
@@ -267,7 +219,7 @@ def transfer_attack(source: PerturbationResult, model: GraphModel, graph: Graph,
     Returns the attacked metric for ``model`` on the same graph identity.
     """
     config = AttackConfig(
-        budget_fraction=source.budget_fraction or 1e-9,
+        budget_fraction=source.budget_fraction,
         loss_kind="tanh_margin" if model.task == "node" else "raw_score",
         mode=source.mode, constraint=source.constraint, seed=source.seed,
     )

@@ -33,6 +33,11 @@ class BlockState:
             if len(np.unique(keys)) != len(keys):
                 raise ValueError("block pairs must be unique")
 
+    def value_of(self, pairs: np.ndarray) -> np.ndarray:
+        """Value of each (i, j) pair in the block, 1.0 for pairs outside it."""
+        hit = _pair_keys(pairs, self.n)[:, None] == _pair_keys(self.pairs, self.n)
+        return np.where(hit.any(axis=1), self.values[hit.argmax(axis=1)], 1.0)
+
 
 def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     return pairs[:, 0] * n + pairs[:, 1]
@@ -111,18 +116,15 @@ def prbcd_step(objective: Callable[[Tensor], Tensor], block: BlockState, budget:
 
 
 def sample_discrete(block: BlockState, budget: int, n_samples: int,
-                    evaluate: Callable[[list[np.ndarray]], list[tuple[float, float, list]]],
-                    rng: np.random.Generator,
-                    max_retries: int = 50) -> tuple[np.ndarray, float, float, list]:
-    """Draw discrete flip sets from the continuous block and keep the strongest.
+                    rng: np.random.Generator, max_retries: int = 50) -> list[np.ndarray]:
+    """Draw discrete flip sets (k, 2) from the continuous block.
 
-    The deterministic top-budget rounding is always evaluated first; each
-    of the ``n_samples`` draws takes independent Bernoulli(value) flips,
+    The first set is the deterministic top-budget rounding; each of the
+    ``n_samples`` draws after it takes independent Bernoulli(value) flips,
     retrying up to ``max_retries`` times if the budget is exceeded and
-    falling back to top-budget rounding.  ``evaluate`` takes the list of
-    all drawn flip sets and returns, in the same order, (attack loss,
-    metric, effective flips) for the true model on each discretized graph;
-    the lowest loss wins, the first of equal losses.
+    falling back to top-budget rounding.  Scoring the sets on the true model
+    and keeping the strongest is left to the caller
+    (:meth:`~gtattack.attack.runner.AttackRun.strongest`).
     """
     positive = block.values > 0.0
 
@@ -147,9 +149,4 @@ def sample_discrete(block: BlockState, budget: int, n_samples: int,
         if chosen is None:
             chosen = top_budget()
         candidates.append(chosen)
-
-    best = None
-    for flips, (loss, metric, effective) in zip(candidates, evaluate(candidates)):
-        if best is None or loss < best[1]:
-            best = (flips, loss, metric, effective)
-    return best
+    return candidates

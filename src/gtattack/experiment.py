@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ConfigError("dataset.kind must be 'cluster' or 'tree'")
         try:  # fail before any stage runs, not at the first attack cell
             _attack_config(self, self.budgets[0], self.seeds[0])
+            if self.ablate_budget is not None:
+                _attack_config(self, self.ablate_budget, self.seeds[0])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad attack config: {exc}") from exc
 

@@ -1,4 +1,4 @@
-"""Graph data model, Laplacian/degree derivations, edge-flip application, I/O.
+"""Graph data model, normalized Laplacian, edge-flip application, I/O.
 
 Adjacency matrices are dense, symmetric, zero-diagonal, with entries in
 [0, 1].  A graph is *discrete* when every entry is exactly 0 or 1; the
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,11 +20,9 @@ from .autodiff import Tensor
 
 __all__ = [
     "Graph",
-    "EdgeFlipMatrix",
     "Dataset",
     "GraphValidationError",
     "GraphParseError",
-    "degrees",
     "laplacian_sym",
     "laplacian_sym_tensor",
     "apply_flips",
@@ -101,29 +99,6 @@ class Graph:
 
 
 @dataclass
-class EdgeFlipMatrix:
-    """Sparse symmetric [0,1] edge-flip matrix: index pairs (i < j) + values.
-
-    ``values`` may be a plain array or a Tensor; when it is a Tensor,
-    :func:`apply_flips` keeps the result differentiable w.r.t. the values.
-    """
-
-    n: int
-    pairs: np.ndarray  # (k, 2) int64, i < j, unique
-    values: np.ndarray | Tensor
-
-    def __post_init__(self):
-        self.pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-        if len(self.pairs) and not np.all(self.pairs[:, 0] < self.pairs[:, 1]):
-            raise GraphValidationError("edge-flip pairs must satisfy i < j")
-        if len(np.unique(self.pairs[:, 0] * self.n + self.pairs[:, 1])) != len(self.pairs):
-            raise GraphValidationError("edge-flip pairs must be unique")
-        vals = self.values.data if isinstance(self.values, Tensor) else np.asarray(self.values)
-        if vals.shape != (len(self.pairs),):
-            raise GraphValidationError("edge-flip values length mismatch")
-
-
-@dataclass
 class Dataset:
     graphs: list[Graph]
     split: dict[str, list[int]]
@@ -150,52 +125,39 @@ class Dataset:
 # derivations
 
 
-def degrees(g: Graph | np.ndarray) -> np.ndarray:
-    """Row sums of the adjacency; continuous adjacency gives continuous degrees."""
-    a = g.adjacency if isinstance(g, Graph) else np.asarray(g)
-    return a.sum(axis=1)
-
-
 def laplacian_sym(a: np.ndarray) -> np.ndarray:
-    """Normalized symmetric Laplacian I - D^-1/2 A D^-1/2 (numpy path), of
-    each matrix in a (..., n, n) stack.
+    """:func:`laplacian_sym_tensor` of a plain array (or (..., n, n) stack)."""
+    return laplacian_sym_tensor(Tensor(a)).data
+
+
+def laplacian_sym_tensor(a: Tensor) -> Tensor:
+    """Normalized symmetric Laplacian I - D^-1/2 A D^-1/2 of each matrix in a
+    (..., n, n) stack, differentiable in a continuous adjacency.
 
     Degree-0 rows use scaling factor 0, which leaves them as identity rows,
     so graphs with isolated nodes still have a well-defined spectrum.
     """
-    a = np.asarray(a, dtype=np.float64)
-    d = a.sum(axis=-1)
-    s = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
-    lap = -a * (s[..., :, None] * s[..., None, :])
-    diag = np.arange(a.shape[-1])
-    lap[..., diag, diag] = 1.0
-    return lap
+    n = a.shape[-1]
+    s = ad.rsqrt_safe(ad.tsum(a, axis=-1))
+    scale = ad.mul(ad.reshape(s, (*s.shape, 1)), ad.reshape(s, (*s.shape[:-1], 1, n)))
+    return ad.masked_fill(ad.neg(ad.mul(a, scale)), np.eye(n, dtype=bool), 1.0)
 
 
-def laplacian_sym_tensor(a: Tensor) -> Tensor:
-    """Differentiable normalized Laplacian of a continuous adjacency."""
-    n = a.shape[0]
-    d = ad.tsum(a, axis=1)
-    s = ad.rsqrt_safe(d)
-    scale = ad.mul(ad.reshape(s, (n, 1)), ad.reshape(s, (1, n)))
-    off = ad.neg(ad.mul(a, scale))
-    eye = np.eye(n, dtype=bool)
-    return ad.masked_fill(off, eye, 1.0)
-
-
-def apply_flips(g: Graph | np.ndarray, b: EdgeFlipMatrix) -> Tensor:
+def apply_flips(adjacency: np.ndarray, pairs: np.ndarray, values: np.ndarray | Tensor) -> Tensor:
     """Continuous adjacency from flipping: A + (1 - 2A) * B, symmetric.
 
-    B entries of 0 leave A untouched; 1 flips the edge; fractional values
-    interpolate.  Gradients flow from the result back to ``b.values``.
+    B holds ``values`` at the unique index pairs ``pairs`` (k, 2), i < j,
+    and at their mirrors.  B entries of 0 leave A untouched; 1 flips the
+    edge; fractional values interpolate.  When ``values`` is a Tensor,
+    gradients flow from the result back to it.
     """
-    a = g.adjacency if isinstance(g, Graph) else np.asarray(g, dtype=np.float64)
-    n = a.shape[0]
-    values = ad.as_tensor(b.values)
-    if len(b.pairs) == 0:
+    a = np.asarray(adjacency, dtype=np.float64)
+    if len(pairs) == 0:
         return Tensor(a.copy())
-    rows = np.concatenate([b.pairs[:, 0], b.pairs[:, 1]])
-    cols = np.concatenate([b.pairs[:, 1], b.pairs[:, 0]])
+    values = ad.as_tensor(values)
+    n = a.shape[0]
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
     both = ad.concat([values, values], axis=0)
     dense_b = ad.scatter_pairs(both, (n, n), rows, cols)
     delta = ad.mul(Tensor(1.0 - 2.0 * a), dense_b)

@@ -29,7 +29,7 @@ from gtattack.attack import (
 from gtattack.attack.structure import BlockState, prbcd_step
 from gtattack.autodiff import Tensor, backward
 from gtattack.generators import generate_retweet_tree, make_cluster_dataset, make_tree_dataset
-from gtattack.graphs import Graph, upper_triangle_pairs
+from gtattack.graphs import Graph, connected_components, upper_triangle_pairs
 from gtattack.models import build_model
 
 
@@ -212,40 +212,36 @@ def test_prbcd_nonfinite_gradient_reported():
 # discretization
 
 
-def run_sampler(values, budget, n_samples=6, seed=0):
-    k = len(values)
-    pairs = upper_triangle_pairs(10)[:k]
-    block = BlockState(10, pairs, np.asarray(values, dtype=float))
-    calls = []
+def draw(values, budget, n_samples=6, seed=0):
+    block = BlockState(10, upper_triangle_pairs(10)[:len(values)], np.asarray(values, dtype=float))
+    return block, sample_discrete(block, budget, n_samples, np.random.default_rng(seed))
 
-    def ev(flip_sets):
-        calls.extend(np.asarray(flips) for flips in flip_sets)
-        return [(float(len(flips)), 100.0 - len(flips), [list(map(int, f)) for f in flips])
-                for flips in flip_sets]
 
-    flips, loss, metric, eff = sample_discrete(block, budget, n_samples, ev,
-                                               np.random.default_rng(seed))
-    return flips, calls
+def test_sample_discrete_first_set_is_top_budget_rounding():
+    block, sets = draw([0.2, 0.9, 0.0, 0.6, 0.9], budget=2)
+    assert len(sets) == 7
+    np.testing.assert_array_equal(sets[0], block.pairs[[1, 4]])
 
 
 def test_sample_discrete_binary_values_deterministic():
-    values = [1.0, 0.0, 1.0, 0.0]
-    flips, _ = run_sampler(values, budget=2)
-    assert len(flips) == 2  # exactly the two value-1 pairs
+    block, sets = draw([1.0, 0.0, 1.0, 0.0], budget=2)
+    for flips in sets:  # exactly the two value-1 pairs
+        np.testing.assert_array_equal(flips, block.pairs[[0, 2]])
 
 
 def test_sample_discrete_all_zero_gives_empty():
-    flips, _ = run_sampler([0.0, 0.0, 0.0], budget=2)
-    assert len(flips) == 0
+    _, sets = draw([0.0, 0.0, 0.0], budget=2)
+    assert all(flips.shape == (0, 2) for flips in sets)
 
 
 def test_sample_discrete_never_exceeds_budget():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        vals = rng.random(8) * 0.9
-        flips, calls = run_sampler(vals.tolist(), budget=3, seed=int(rng.integers(1e6)))
-        for c in calls:
-            assert len(c) <= 3
+        block, sets = draw(rng.random(8) * 0.9, budget=3, seed=int(rng.integers(1e6)))
+        for flips in sets:
+            assert len(flips) <= 3
+            assert np.isin(flips[:, 0] * 10 + flips[:, 1],
+                           block.pairs[:, 0] * 10 + block.pairs[:, 1]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +569,35 @@ def test_random_baseline_respects_protect_labeled(cluster_setup):
         assert i not in labeled and j not in labeled
 
 
+def test_strongest_keeps_first_of_equal_lowest_losses(cluster_setup):
+    from gtattack.attack.runner import NO_FLIPS, AttackRun
+
+    _, g, model = cluster_setup
+    run = AttackRun(model, g, quick_config())
+    scripted = [(0.5, 90.0, []), (0.3, 70.0, [[0, 1]]), (0.1, 60.0, [[0, 2]]),
+                (0.1, 50.0, [[0, 3]]), (0.2, 40.0, [[0, 4]])]
+    run.evaluate_discrete = lambda flip_sets, block=None: scripted[: len(flip_sets)]
+    assert run.strongest([NO_FLIPS] * 4) == (90.0, 60.0, [[0, 2]])
+    assert run.strongest([]) == (90.0, 90.0, [])
+
+
+def test_san_spectral_reference_built_only_for_relaxed_objective(cluster_setup, monkeypatch):
+    from gtattack.models import SpectralReference
+
+    _, g, _ = cluster_setup
+    model = build_model("san", "node", g.feature_dim, 6, seed=0)
+    calls = []
+    of = SpectralReference.of.__func__
+    monkeypatch.setattr(SpectralReference, "of",
+                        classmethod(lambda cls, a: calls.append(a.shape) or of(cls, a)))
+    cfg = quick_config(steps=2)
+    res = random_baseline(model, g, cfg)
+    transfer_attack(res, model, g)
+    assert calls == []
+    run_attack(model, g, cfg)
+    assert calls == [g.adjacency.shape]
+
+
 def test_transfer_empty_perturbation_is_clean(cluster_setup):
     _, g, model = cluster_setup
     res = PerturbationResult(graph_id=0, budget=0, budget_fraction=0.01, flips=[],
@@ -626,21 +651,85 @@ def test_injection_zero_flip_pipeline_is_clean(tree_setup):
 
 @pytest.mark.parametrize("stack_entries", [8192, 150])
 def test_evaluate_discrete_batch_equals_single_calls(tree_setup, stack_entries, monkeypatch):
-    from gtattack.attack import runner
+    from gtattack import train
+    from gtattack.attack.runner import AttackRun
 
     ds, g, gid, cands, model = tree_setup
-    monkeypatch.setattr(runner, "EVAL_STACK_ENTRIES", stack_entries)
-    run = runner.AttackRun(model, g, tree_config(), cands, gid)
+    monkeypatch.setattr(train, "EVAL_STACK_ENTRIES", stack_entries)
+    run = AttackRun(model, g, tree_config(), cands, gid)
     rng = np.random.default_rng(3)
     flip_sets = [np.zeros((0, 2), dtype=np.int64)] + [
         run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
         for k in (1, 2, 3, 3, 2, 1, 3, 3)
     ]
-    edge_value = {tuple(map(int, p)): 0.5 for p in run.allowed}
-    together = run.evaluate_discrete(flip_sets, edge_value)
-    alone = [run.evaluate_discrete([f], edge_value)[0] for f in flip_sets]
+    block = BlockState(run.n_aug, run.allowed, np.full(len(run.allowed), 0.5))
+    together = run.evaluate_discrete(flip_sets, block)
+    alone = [run.evaluate_discrete([f], block)[0] for f in flip_sets]
     assert together == alone
     assert len({g.n + len(eff) for _, _, eff in together}) >= 3  # mixed node counts
+
+
+def reference_discrete_graph(run, flips, value):
+    """Per-flip loop form of ``AttackRun._discrete_graph`` in injection mode;
+    ``value`` maps a flipped pair to its tree-projection weight."""
+    adj = run.base_adj.copy()
+    for i, j in flips:
+        adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
+    comp = connected_components(adj)
+    kept = np.flatnonzero(comp == comp[0])
+    sub = adj[np.ix_(kept, kept)]
+    local = {int(v): k for k, v in enumerate(kept)}
+    kept_flips = [(int(i), int(j)) for i, j in flips if i in local and j in local]
+    if run.config.constraint != "tree_only" or is_tree(sub):
+        return sub, kept_flips, False
+    weights = sub.copy()
+    for i, j in kept_flips:
+        weights[local[i], local[j]] = weights[local[j], local[i]] = value(i, j)
+    sub = mst_projection(weights)
+    return sub, [(int(kept[a]), int(kept[b])) for a, b in zip(*np.nonzero(np.triu(sub, k=1)))
+                 if run.base_adj[kept[a], kept[b]] == 0.0], True
+
+
+@pytest.mark.parametrize("constraint", ["tree_only", "none"])
+def test_discrete_graph_equals_loop_reference(tree_setup, constraint):
+    from gtattack.attack.runner import AttackRun
+
+    ds, g, gid, cands, model = tree_setup
+    run = AttackRun(model, g, tree_config(constraint=constraint), cands, gid)
+    rng = np.random.default_rng(5)
+    block = BlockState(run.n_aug, run.allowed, rng.random(len(run.allowed)))
+    lookup = {tuple(p): v for p, v in zip(block.pairs.tolist(), block.values)}
+    projected = dropped = 0
+    for k in (0, 1, 2, 3, 4, 6, 6, 8) * 4:
+        flips = run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
+        for blk, value in ((block, lambda i, j: lookup[(i, j)]), (None, lambda i, j: 1.0)):
+            adj, _, eff = run._discrete_graph(flips, blk)
+            want_adj, want_eff, was_projected = reference_discrete_graph(run, flips, value)
+            assert np.array_equal(adj, want_adj)
+            assert eff.tolist() == [list(f) for f in want_eff]
+            projected += was_projected
+            dropped += not was_projected and len(eff) < len(flips)
+    # tree-only samples that are not trees go through the projection; with
+    # no constraint, removing an original edge drops the flips cut off with it
+    assert projected if constraint == "tree_only" else dropped
+
+
+@pytest.mark.parametrize("stack_entries", [8192, 150])
+def test_evaluate_accuracy_stacked_equals_per_graph_forward(tree_setup, stack_entries,
+                                                            monkeypatch):
+    from gtattack import train
+
+    ds, _, _, _, model = tree_setup
+    monkeypatch.setattr(train, "EVAL_STACK_ENTRIES", stack_entries)
+    assert len({g.n for g in ds.graphs}) >= 3  # mixed node counts
+    with ad.no_grad():
+        alone = [model.forward_discrete(g.adjacency, g.features).data for g in ds.graphs]
+    together = train.discrete_logits(model, ((g.adjacency, g.features) for g in ds.graphs))
+    for a, b in zip(together, alone, strict=True):
+        assert np.array_equal(a, b)
+    scores = [train.graph_score_correct(float(out.reshape(-1)[0]), g.graph_label)
+              for out, g in zip(alone, ds.graphs)]
+    assert train.evaluate_accuracy(model, ds.graphs) == np.mean(scores)
 
 
 def test_injection_emits_valid_trees(tree_setup):
@@ -652,8 +741,6 @@ def test_injection_emits_valid_trees(tree_setup):
     for i, j in res.flips:
         adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
         assert not (i < n0 and j < n0), "tree_only must not touch original edges"
-    from gtattack.graphs import connected_components
-
     comp = connected_components(adj)
     kept = np.flatnonzero(comp == comp[0])
     sub = adj[np.ix_(kept, kept)]

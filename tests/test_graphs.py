@@ -13,13 +13,11 @@ from gtattack.generators import (
 )
 from gtattack.graphs import (
     Dataset,
-    EdgeFlipMatrix,
     Graph,
     GraphParseError,
     GraphValidationError,
     apply_flips,
     connected_components,
-    degrees,
     is_connected,
     laplacian_sym,
     load_graph,
@@ -38,19 +36,7 @@ TRIANGLE = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
 
 
 # ---------------------------------------------------------------------------
-# degrees / laplacian
-
-
-def test_degrees_triangle():
-    np.testing.assert_allclose(degrees(make_graph(TRIANGLE)), [2, 2, 2])
-
-
-def test_degrees_weighted_edge():
-    np.testing.assert_allclose(degrees(make_graph([[0, 0.5], [0.5, 0]])), [0.5, 0.5])
-
-
-def test_degrees_empty():
-    np.testing.assert_allclose(degrees(make_graph(np.zeros((3, 3)))), np.zeros(3))
+# laplacian
 
 
 def test_laplacian_single_edge():
@@ -86,7 +72,7 @@ def test_laplacian_eigenvalues_in_0_2():
 
 def flip(a, pairs, values):
     a = np.asarray(a, dtype=float)
-    return apply_flips(make_graph(a), EdgeFlipMatrix(a.shape[0], np.array(pairs), np.array(values)))
+    return apply_flips(a, np.array(pairs), np.array(values))
 
 
 def test_flip_removes_edge():
@@ -106,9 +92,7 @@ def test_flip_partial_remove():
 
 def test_flip_gradient_reaches_values():
     vals = Tensor(np.array([0.3, 0.2]), requires_grad=True)
-    g = make_graph(TRIANGLE)
-    b = EdgeFlipMatrix(3, np.array([[0, 1], [1, 2]]), vals)
-    out = apply_flips(g, b)
+    out = apply_flips(TRIANGLE, np.array([[0, 1], [1, 2]]), vals)
     grads = backward(ad.tsum(out))
     # each pair appears at (i, j) and (j, i); flipping an existing edge has slope -1
     np.testing.assert_allclose(grads[vals].data, [-2.0, -2.0])
@@ -122,9 +106,8 @@ def test_flip_involution_on_discrete(n, seed):
     a = a + a.T
     pairs = upper_triangle_pairs(n)
     vals = (rng.random(len(pairs)) < 0.3).astype(float)
-    b = EdgeFlipMatrix(n, pairs, vals)
-    once = apply_flips(make_graph(a), b).data
-    twice = apply_flips(Graph(adjacency=once, features=np.zeros((n, 1))), b).data
+    once = apply_flips(a, pairs, vals).data
+    twice = apply_flips(once, pairs, vals).data
     np.testing.assert_array_equal(twice, a)
 
 
@@ -136,7 +119,7 @@ def test_flip_output_in_unit_interval(n, seed):
     a = a + a.T
     pairs = upper_triangle_pairs(n)
     vals = rng.random(len(pairs))
-    out = apply_flips(make_graph(a), EdgeFlipMatrix(n, pairs, vals)).data
+    out = apply_flips(a, pairs, vals).data
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -220,7 +203,7 @@ def test_tree_is_tree():
     assert g.n == 5
     assert g.num_edges == 4
     assert is_connected(g.adjacency)
-    assert np.all(degrees(g) >= 1)
+    assert np.all(g.adjacency.sum(axis=1) >= 1)
 
 
 def test_tree_label_changes_features_not_topology():

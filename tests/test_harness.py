@@ -398,6 +398,13 @@ def test_cli_nonpositive_budget_exits_2(tmp_path, capsys, budget):
     assert "budget_fraction must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ablate_budget", [0, -0.05])
+def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path, ablate_budget=ablate_budget))
+    assert cli_main(["ablate", "--config", cfg_path]) == 2
+    assert "bad attack config: budget_fraction must be > 0" in capsys.readouterr().err
+
+
 def test_cli_unknown_model_exits_2(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path))
     assert cli_main(["train", "--config", cfg_path, "--model", "nope"]) == 2
