@@ -18,7 +18,7 @@ from .injection import (
 )
 from .losses import attack_loss
 from .projection import project_budget
-from .runner import AttackRun, random_baseline, run_attack, transfer_attack
+from .runner import AttackRun, random_baseline, run_attack, run_cell, transfer_attack
 from .structure import BlockState, init_block, prbcd_step, resample_block, sample_discrete
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "random_baseline",
     "resample_block",
     "run_attack",
+    "run_cell",
     "sample_discrete",
     "transfer_attack",
 ]

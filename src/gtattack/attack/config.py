@@ -143,7 +143,7 @@ class PerturbationResult:
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_doc(), fh, sort_keys=True)
+            fh.write(json.dumps(self.to_doc(), sort_keys=True))
 
     @classmethod
     def load(cls, path: str) -> "PerturbationResult":

@@ -85,10 +85,9 @@ def prune_disconnected(atilde: Tensor, n_orig: int) -> tuple[Tensor, np.ndarray]
     reach the surviving entries.
     """
     comp = connected_components(atilde.data, EDGE_EPS)
-    orig_comps = np.unique(comp[:n_orig])
-    if len(orig_comps) > 1:
+    if comp[:n_orig].any():  # node 0's component has id 0
         raise ValueError("prune_disconnected: original graph is disconnected")
-    kept = np.flatnonzero(comp == orig_comps[0])
+    kept = np.flatnonzero(comp == 0)
     if len(kept) == atilde.shape[0]:
         return atilde, kept
     return ad.submatrix(atilde, kept), kept

@@ -22,25 +22,21 @@ from .injection import (
 from .losses import attack_loss
 from .structure import BlockState, init_block, prbcd_step, resample_block, sample_discrete
 
-__all__ = ["AttackRun", "run_attack", "random_baseline", "transfer_attack"]
+__all__ = ["AttackRun", "run_cell", "run_attack", "random_baseline", "transfer_attack"]
 
 # injection-mode floor for block values: above the pruning epsilon, so every
 # sampled candidate edge stays in the pruned graph and keeps its gradient
 BLOCK_KEEP_EPS = 1e-7
-
-NO_FLIPS = np.zeros((0, 2), dtype=np.int64)
-
 
 class AttackRun:
     """Shared state for one (model, graph, config) attack: budgets, masks,
     the relaxed objective, and true-model evaluation of discrete flips."""
 
     def __init__(self, model: GraphModel, graph: Graph, config: AttackConfig,
-                 candidates: CandidateSet | None = None, graph_id: int = 0):
+                 candidates: CandidateSet | None = None):
         self.model = model
         self.graph = graph
         self.config = config
-        self.graph_id = graph_id
         if config.mode == "injection":
             if candidates is None:
                 raise ValueError("injection mode needs a candidate set")
@@ -119,56 +115,104 @@ class AttackRun:
         return sub, self.base_feats[comp_kept], kept_flips
 
     def evaluate_discrete(self, flip_sets: list,
-                          block: BlockState | None = None) -> list[tuple[float, float, list]]:
+                          blocks: list | None = None) -> list[tuple[float, float, list]]:
         """True-model evaluation of discrete flip sets.
 
         Returns one (attack loss, metric, effective flips) per flip set, in
         input order.  In injection mode each graph keeps the component of
         the original nodes; in tree-only mode non-tree samples are projected
         to the maximum-probability spanning tree first, weighting flipped
-        edges by their ``block`` value (1.0 without a block, e.g. for the
-        random baseline).  The graphs are built one at a time as
-        :func:`~gtattack.train.discrete_logits` stacks and scores them.
+        edges by the value in that flip set's entry of ``blocks`` (1.0 for
+        an entry of None, e.g. a random pick; without ``blocks``, for every
+        set).  All sets are scored in one
+        :func:`~gtattack.train.discrete_logits` call.
         """
-        effective: list = []
+        blocks = [None] * len(flip_sets) if blocks is None else blocks
+        return _score(self.model, [(self, flips, block)
+                                   for flips, block in zip(flip_sets, blocks, strict=True)])
 
-        def graphs():
-            for flips in flip_sets:
-                flips = np.asarray(flips, dtype=np.int64).reshape(-1, 2)
-                adj, feats, eff = self._discrete_graph(flips, block)
-                effective.append(eff.tolist())
-                yield adj, feats
 
-        task = self.model.task
-        results = []
-        for out, eff in zip(discrete_logits(self.model, graphs()), effective):
-            out = out[: self.n_orig]
-            loss = attack_loss(Tensor(out), self.labels, self.config.loss_kind, task).item()
-            results.append((loss, score(out, self.labels, task), eff))
-        return results
+def _score(model: GraphModel, items: list) -> list[tuple[float, float, list]]:
+    """:meth:`AttackRun.evaluate_discrete` of (run, flips, block) items that
+    may come from several runs on ``model``; the graphs are built one at a
+    time as the stacks fill."""
+    effective: list = []
 
-    def strongest(self, flip_sets: list,
-                  block: BlockState | None = None) -> tuple[float, float, list]:
-        """Score ``[clean graph, *flip_sets]`` together and keep the strongest.
+    def graphs():
+        for run, flips, block in items:
+            flips = np.asarray(flips, dtype=np.int64).reshape(-1, 2)
+            adj, feats, eff = run._discrete_graph(flips, block)
+            effective.append(eff.tolist())
+            yield adj, feats
 
-        Returns (clean metric, metric, effective flips) of the first flip
-        set of lowest attack loss; with no flip sets, the clean metric twice
-        and no flips.
-        """
-        (_, clean_metric, _), *results = self.evaluate_discrete([NO_FLIPS, *flip_sets], block)
-        _, metric, flips = min(results, key=lambda r: r[0], default=(np.inf, clean_metric, []))
-        return clean_metric, metric, flips
+    task = model.task
+    results = []
+    for (run, _, _), out, eff in zip(items, discrete_logits(model, graphs()), effective):
+        out = out[: run.n_orig]
+        loss = attack_loss(Tensor(out), run.labels, run.config.loss_kind, task).item()
+        results.append((loss, score(out, run.labels, task), eff))
+    return results
 
-    def result(self, attack_kind: str, clean_metric: float, attacked_metric: float,
-               flips: list, loss_trace: list[float]) -> PerturbationResult:
-        """The record of one attack of ``attack_kind`` in this run."""
-        config = self.config
-        return PerturbationResult(
-            graph_id=self.graph_id, budget=self.delta, budget_fraction=config.budget_fraction,
-            flips=flips, clean_metric=clean_metric, attacked_metric=attacked_metric,
-            loss_trace=loss_trace, seed=config.seed, toggles=config.toggles.to_dict(),
-            mode=config.mode, constraint=config.constraint, attack_kind=attack_kind,
-        )
+
+def _adaptive_draws(run: AttackRun) -> tuple[list, BlockState, list[float]]:
+    """PRBCD over a sampled block, then discrete samples of the final block;
+    returns (flip sets, block, loss trace)."""
+    config = run.config
+    rng = np.random.default_rng(config.seed)
+    fresh = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
+    block = init_block(run.n_aug, run.allowed, run.block_size, rng, fresh_value=fresh)
+    trace = []
+    for step in range(config.steps):
+        block, objective_value = prbcd_step(run.objective(block), block, run.delta, run.lr)
+        if fresh:
+            np.maximum(block.values, fresh, out=block.values)
+        trace.append(objective_value)
+        if (step + 1) % config.resample_every == 0 and step < config.steps - 1:
+            block = resample_block(block, 0.5, rng, run.allowed, fresh_value=fresh)
+    return sample_discrete(block, run.delta, config.n_discrete_samples, rng), block, trace
+
+
+def _random_draws(run: AttackRun) -> tuple[list, None, list[float]]:
+    """The adaptive run's evaluation count, steps + 1 + n_discrete_samples,
+    of random budget-sized flip sets from the allowed pairs."""
+    config = run.config
+    rng = np.random.default_rng(config.seed)
+    n_evals = config.steps + 1 + config.n_discrete_samples
+    return [run.allowed[np.sort(rng.choice(len(run.allowed), size=run.delta, replace=False))]
+            for _ in range(n_evals)], None, []
+
+
+_DRAWS = {"adaptive": _adaptive_draws, "random": _random_draws}
+
+
+def run_cell(model: GraphModel, graph: Graph, config: AttackConfig,
+             candidates: CandidateSet | None = None, graph_id: int = 0,
+             kinds: tuple[str, ...] = ("adaptive", "random")) -> tuple[PerturbationResult, ...]:
+    """The attacks named in ``kinds`` on one graph, one result each, in order.
+
+    Each kind draws its flip sets from its own
+    ``np.random.default_rng(config.seed)``, so a kind's result does not
+    depend on the other kinds in the cell.  The clean graph and every
+    kind's flip sets are scored in one :meth:`AttackRun.evaluate_discrete`
+    call, and each kind keeps the first of its flip sets of lowest attack
+    loss (no flip sets: the clean metric and no flips).
+    """
+    run = AttackRun(model, graph, config, candidates)
+    draws = [_DRAWS[kind](run) if run.delta else ([], None, []) for kind in kinds]
+    flip_sets = [flips for sets, _, _ in draws for flips in sets]
+    blocks = [block for sets, block, _ in draws for _ in sets]
+    (_, clean_metric, _), *scored = run.evaluate_discrete([[], *flip_sets], [None, *blocks])
+    results = []
+    for kind, (sets, _, trace) in zip(kinds, draws):
+        mine, scored = scored[: len(sets)], scored[len(sets):]
+        _, metric, flips = min(mine, key=lambda r: r[0], default=(np.inf, clean_metric, []))
+        results.append(PerturbationResult(
+            graph_id=graph_id, budget=run.delta, budget_fraction=config.budget_fraction,
+            flips=flips, clean_metric=clean_metric, attacked_metric=metric, loss_trace=trace,
+            seed=config.seed, toggles=config.toggles.to_dict(), mode=config.mode,
+            constraint=config.constraint, attack_kind=kind,
+        ))
+    return tuple(results)
 
 
 def run_attack(model: GraphModel, graph: Graph, config: AttackConfig,
@@ -177,21 +221,7 @@ def run_attack(model: GraphModel, graph: Graph, config: AttackConfig,
 
     Deterministic given ``config.seed``.
     """
-    run = AttackRun(model, graph, config, candidates, graph_id)
-    rng = np.random.default_rng(config.seed)
-    block, flip_sets, trace = None, [], []
-    if run.delta:
-        fresh = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
-        block = init_block(run.n_aug, run.allowed, run.block_size, rng, fresh_value=fresh)
-        for step in range(config.steps):
-            block, objective_value = prbcd_step(run.objective(block), block, run.delta, run.lr)
-            if fresh:
-                np.maximum(block.values, fresh, out=block.values)
-            trace.append(objective_value)
-            if (step + 1) % config.resample_every == 0 and step < config.steps - 1:
-                block = resample_block(block, 0.5, rng, run.allowed, fresh_value=fresh)
-        flip_sets = sample_discrete(block, run.delta, config.n_discrete_samples, rng)
-    return run.result("adaptive", *run.strongest(flip_sets, block), trace)
+    return run_cell(model, graph, config, candidates, graph_id, ("adaptive",))[0]
 
 
 def random_baseline(model: GraphModel, graph: Graph, config: AttackConfig,
@@ -202,27 +232,29 @@ def random_baseline(model: GraphModel, graph: Graph, config: AttackConfig,
     on the true model, together with the clean graph, and keeps the
     strongest (the first of equal losses).
     """
-    run = AttackRun(model, graph, config, candidates, graph_id)
-    rng = np.random.default_rng(config.seed)
-    n_evals = config.steps + 1 + config.n_discrete_samples
-    picks = [] if run.delta == 0 else [
-        run.allowed[np.sort(rng.choice(len(run.allowed), size=run.delta, replace=False))]
-        for _ in range(n_evals)
-    ]
-    return run.result("random", *run.strongest(picks), [])
+    return run_cell(model, graph, config, candidates, graph_id, ("random",))[0]
 
 
-def transfer_attack(source: PerturbationResult, model: GraphModel, graph: Graph,
-                    candidates: CandidateSet | None = None) -> float:
-    """Evaluate a stored perturbation against a different (true) model.
+def transfer_attack(sources: list[PerturbationResult], model: GraphModel, graphs,
+                    candidates=None) -> list[float]:
+    """Evaluate stored perturbations against a different (true) model.
 
-    Returns the attacked metric for ``model`` on the same graph identity.
+    ``graphs`` and, in injection mode, ``candidates`` are indexed by each
+    source's ``graph_id``.  Returns the attacked metric of each source for
+    ``model``, in input order.  Sources on one graph share one
+    :class:`AttackRun`, and all sources are scored in one stacked call.
     """
-    config = AttackConfig(
-        budget_fraction=source.budget_fraction,
-        loss_kind="tanh_margin" if model.task == "node" else "raw_score",
-        mode=source.mode, constraint=source.constraint, seed=source.seed,
-    )
-    run = AttackRun(model, graph, config, candidates, source.graph_id)
-    [(_, metric, _)] = run.evaluate_discrete([source.flips])
-    return metric
+    runs: dict[tuple, AttackRun] = {}
+    items = []
+    for src in sources:
+        key = (src.graph_id, src.mode, src.constraint)
+        if key not in runs:
+            config = AttackConfig(
+                budget_fraction=src.budget_fraction,
+                loss_kind="tanh_margin" if model.task == "node" else "raw_score",
+                mode=src.mode, constraint=src.constraint, seed=src.seed,
+            )
+            cands = None if candidates is None else candidates[src.graph_id]
+            runs[key] = AttackRun(model, graphs[src.graph_id], config, cands)
+        items.append((runs[key], src.flips, None))
+    return [metric for _, metric, _ in _score(model, items)]

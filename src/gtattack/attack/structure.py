@@ -124,7 +124,7 @@ def sample_discrete(block: BlockState, budget: int, n_samples: int,
     retrying up to ``max_retries`` times if the budget is exceeded and
     falling back to top-budget rounding.  Scoring the sets on the true model
     and keeping the strongest is left to the caller
-    (:meth:`~gtattack.attack.runner.AttackRun.strongest`).
+    (:func:`~gtattack.attack.runner.run_cell`).
     """
     positive = block.values > 0.0
 

@@ -15,11 +15,12 @@ and writes into an output directory:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import logging
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -28,11 +29,15 @@ from .attack import (
     AttackConfig,
     PerturbationResult,
     build_candidate_set,
-    random_baseline,
-    run_attack,
+    run_cell,
     transfer_attack,
 )
-from .generators import make_cluster_dataset, make_tree_dataset
+from .generators import (
+    generate_retweet_tree,
+    generate_sbm_cluster,
+    make_cluster_dataset,
+    make_tree_dataset,
+)
 from .graphs import Dataset, load_dataset, save_dataset
 from .models import GraphModel, RelaxToggles, build_model, load_checkpoint, save_checkpoint
 from .train import TrainConfig, evaluate_accuracy, train_model
@@ -55,6 +60,22 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exits with code 2)."""
+
+
+# dataset kind -> (dataset maker, the per-graph generator it passes extra keys to)
+DATASETS = {
+    "cluster": (make_cluster_dataset, generate_sbm_cluster),
+    "tree": (make_tree_dataset, generate_retweet_tree),
+}
+
+
+def _bind_dataset(spec: dict) -> None:
+    """Raise TypeError unless the dataset maker of ``spec["kind"]``, and the
+    generator it passes its extra keys to, take every other key of ``spec``."""
+    spec = dict(spec)
+    make, generate = DATASETS[spec.pop("kind")]
+    extra = inspect.signature(make).bind(**spec).arguments.get("gen_kwargs", {})
+    inspect.signature(generate).bind(0, **extra)
 
 
 @dataclass
@@ -84,8 +105,14 @@ class ExperimentConfig:
             raise ConfigError("seeds and budgets must be non-empty")
         if list(self.budgets) != sorted(self.budgets):
             raise ConfigError("budgets must be ascending")
-        if self.dataset.get("kind") not in ("cluster", "tree"):
+        if self.dataset.get("kind") not in DATASETS:
             raise ConfigError("dataset.kind must be 'cluster' or 'tree'")
+        try:  # fail before generate, not inside it
+            _bind_dataset(self.dataset)
+        except TypeError as exc:
+            raise ConfigError(f"bad dataset config: {exc}") from exc
+        if self.n_attack_graphs < 1:
+            raise ConfigError("n_attack_graphs must be >= 1")
         try:  # fail before any stage runs, not at the first attack cell
             _attack_config(self, self.budgets[0], self.seeds[0])
             if self.ablate_budget is not None:
@@ -96,6 +123,9 @@ class ExperimentConfig:
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
         try:
+            unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
             models = [ModelSpec(**m) for m in doc["models"]]
             return cls(
                 dataset=doc["dataset"],
@@ -161,8 +191,9 @@ class ResultsTable:
         return [r["accuracy"] for r in self.rows if all(r[k] == v for k, v in kw.items())]
 
     def save(self, path: str) -> None:
+        doc = {"config_hash": self.config_hash, "rows": self.rows}
         with open(path, "w") as fh:
-            json.dump({"config_hash": self.config_hash, "rows": self.rows}, fh, sort_keys=True)
+            fh.write(json.dumps(doc, sort_keys=True))
 
     @classmethod
     def load(cls, path: str) -> "ResultsTable":
@@ -187,11 +218,8 @@ def _dataset_dir(cfg: ExperimentConfig) -> str:
 def cmd_generate(cfg: ExperimentConfig) -> Dataset:
     """Generate the synthetic dataset and write it to out/dataset."""
     spec = dict(cfg.dataset)
-    kind = spec.pop("kind")
-    if kind == "cluster":
-        ds = make_cluster_dataset(**spec)
-    else:
-        ds = make_tree_dataset(**spec)
+    make, _ = DATASETS[spec.pop("kind")]
+    ds = make(**spec)
     save_dataset(ds, _dataset_dir(cfg))
     return ds
 
@@ -225,7 +253,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict[str, GraphModel]:
         history["test_acc"] = evaluate_accuracy(model, ds.part("test"))
         save_checkpoint(model, os.path.join(ckpt_dir, f"{spec.arch}.json"))
         with open(os.path.join(ckpt_dir, f"{spec.arch}.history.json"), "w") as fh:
-            json.dump(history, fh, sort_keys=True)
+            fh.write(json.dumps(history, sort_keys=True))
         models[spec.arch] = model
     return models
 
@@ -277,9 +305,8 @@ class _Cell(NamedTuple):
 
 def _attack_cell(model: GraphModel, graph, acfg: AttackConfig, cands, gid: int,
                  kinds: tuple[str, ...]) -> tuple[PerturbationResult, ...]:
-    """Run the attacks named in ``kinds``, in order."""
-    runners = {"adaptive": run_attack, "random": random_baseline}
-    return tuple(runners[k](model, graph, acfg, candidates=cands, graph_id=gid) for k in kinds)
+    """Run the attacks named in ``kinds`` as one cell, in order."""
+    return run_cell(model, graph, acfg, cands, gid, kinds)
 
 
 def _run_task(task: tuple) -> tuple[PerturbationResult, ...]:
@@ -357,24 +384,22 @@ def cmd_attack(cfg: ExperimentConfig) -> ResultsTable:
              for seed in cfg.seeds for gid in ex.targets]
     groups = _add_means(table, ex.run(cells))
 
-    # transfer: evaluate every other model's stored perturbations
+    # transfer: every other model's stored perturbations, all scored on one
+    # target model in one call
+    budget_seeds = [(budget, seed) for budget in cfg.budgets for seed in cfg.seeds]
     for target_arch, model in ex.models.items():
-        for budget in cfg.budgets:
-            for seed in cfg.seeds:
-                per_source = []
-                for source_arch in ex.models:
-                    if source_arch == target_arch:
-                        continue
-                    acc = float(np.mean([
-                        transfer_attack(res, model, ex.ds.graphs[res.graph_id],
-                                        candidates=ex.cands[res.graph_id])
-                        for res in groups[(source_arch, "adaptive", budget, label, seed)]
-                    ]))
-                    table.add(target_arch, f"transfer:{source_arch}", budget, label, seed, acc)
-                    per_source.append(acc)
-                if per_source:
-                    table.add(target_arch, "transfer", budget, label, seed,
-                              float(min(per_source)))
+        sources = [arch for arch in ex.models if arch != target_arch]
+        stored = [res for budget, seed in budget_seeds for arch in sources
+                  for res in groups[(arch, "adaptive", budget, label, seed)]]
+        metrics = iter(transfer_attack(stored, model, ex.ds.graphs, ex.cands))
+        for budget, seed in budget_seeds:
+            accs = [float(np.mean([next(metrics) for _ in
+                                   groups[(arch, "adaptive", budget, label, seed)]]))
+                    for arch in sources]
+            for arch, acc in zip(sources, accs):
+                table.add(target_arch, f"transfer:{arch}", budget, label, seed, acc)
+            if accs:
+                table.add(target_arch, "transfer", budget, label, seed, min(accs))
 
     table.save(os.path.join(cfg.out, "results.json"))
     return table

@@ -188,7 +188,8 @@ def connected_components(a: np.ndarray, edge_eps: float = 1e-9) -> np.ndarray:
         if np.array_equal(new, label):
             break
         label = new
-    return np.unique(label, return_inverse=True)[1].astype(np.int64)
+    # each component's minimum is labelled by itself; its id is its rank among the minima
+    return (np.cumsum(label == np.arange(n), dtype=np.int64) - 1)[label]
 
 
 def is_connected(a: np.ndarray) -> bool:
@@ -248,7 +249,7 @@ def _graph_from_doc(doc: dict, context: str) -> Graph:
 
 def save_graph(g: Graph, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(_graph_to_doc(g), fh, sort_keys=True)
+        fh.write(json.dumps(_graph_to_doc(g), sort_keys=True))
 
 
 def load_graph(path: str) -> Graph:
@@ -268,7 +269,7 @@ def save_dataset(ds: Dataset, directory: str) -> None:
     for i, g in enumerate(ds.graphs):
         save_graph(g, os.path.join(directory, f"graph_{i:05d}.json"))
     with open(os.path.join(directory, "split.json"), "w") as fh:
-        json.dump({"task": ds.task, **ds.split}, fh, sort_keys=True)
+        fh.write(json.dumps({"task": ds.task, **ds.split}, sort_keys=True))
 
 
 def load_dataset(directory: str) -> Dataset:

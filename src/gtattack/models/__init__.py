@@ -51,7 +51,7 @@ def build_model(arch: str, task: str, feature_dim: int, n_classes: int,
 
 def save_checkpoint(model: GraphModel, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(model.to_doc(), fh, sort_keys=True)
+        fh.write(json.dumps(model.to_doc(), sort_keys=True))
 
 
 def load_checkpoint(path: str) -> GraphModel:

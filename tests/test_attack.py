@@ -23,6 +23,7 @@ from gtattack.attack import (
     random_baseline,
     resample_block,
     run_attack,
+    run_cell,
     sample_discrete,
     transfer_attack,
 )
@@ -569,16 +570,33 @@ def test_random_baseline_respects_protect_labeled(cluster_setup):
         assert i not in labeled and j not in labeled
 
 
-def test_strongest_keeps_first_of_equal_lowest_losses(cluster_setup):
-    from gtattack.attack.runner import NO_FLIPS, AttackRun
+def test_strongest_keeps_first_of_equal_lowest_losses(cluster_setup, monkeypatch):
+    from gtattack.attack.runner import AttackRun
 
     _, g, model = cluster_setup
-    run = AttackRun(model, g, quick_config())
-    scripted = [(0.5, 90.0, []), (0.3, 70.0, [[0, 1]]), (0.1, 60.0, [[0, 2]]),
-                (0.1, 50.0, [[0, 3]]), (0.2, 40.0, [[0, 4]])]
-    run.evaluate_discrete = lambda flip_sets, block=None: scripted[: len(flip_sets)]
-    assert run.strongest([NO_FLIPS] * 4) == (90.0, 60.0, [[0, 2]])
-    assert run.strongest([]) == (90.0, 90.0, [])
+    # clean graph, 1 + 2 adaptive samples, steps + 1 + 2 = 4 random picks
+    scripted = [(0.5, 90.0, []),
+                (0.3, 70.0, [[0, 1]]), (0.1, 60.0, [[0, 2]]), (0.1, 50.0, [[0, 3]]),
+                (0.2, 40.0, [[0, 4]]), (0.0, 30.0, [[0, 5]]), (0.0, 20.0, [[0, 6]]),
+                (0.4, 10.0, [[0, 7]])]
+    seen = []
+
+    def scripted_evaluate(run, flip_sets, blocks=None):
+        seen.append(blocks)
+        return scripted[: len(flip_sets)]
+
+    monkeypatch.setattr(AttackRun, "evaluate_discrete", scripted_evaluate)
+    adaptive, rand = run_cell(model, g, quick_config(steps=1, n_discrete_samples=2))
+    # each kind keeps the first of its own lowest losses; the clean metric is shared
+    assert (adaptive.clean_metric, adaptive.attacked_metric, adaptive.flips) == (90.0, 60.0,
+                                                                                 [[0, 2]])
+    assert (rand.clean_metric, rand.attacked_metric, rand.flips) == (90.0, 30.0, [[0, 5]])
+    [blocks] = seen
+    assert isinstance(blocks[1], BlockState) and blocks[1] is blocks[2] is blocks[3]
+    assert blocks[:1] + blocks[4:] == [None] * 5  # clean graph and random picks
+    # no flip sets: the clean metric twice and no flips
+    for res in run_cell(model, g, quick_config(budget_fraction=1e-6)):
+        assert (res.clean_metric, res.attacked_metric, res.flips) == (90.0, 90.0, [])
 
 
 def test_san_spectral_reference_built_only_for_relaxed_objective(cluster_setup, monkeypatch):
@@ -592,7 +610,7 @@ def test_san_spectral_reference_built_only_for_relaxed_objective(cluster_setup, 
                         classmethod(lambda cls, a: calls.append(a.shape) or of(cls, a)))
     cfg = quick_config(steps=2)
     res = random_baseline(model, g, cfg)
-    transfer_attack(res, model, g)
+    transfer_attack([res], model, [g])
     assert calls == []
     run_attack(model, g, cfg)
     assert calls == [g.adjacency.shape]
@@ -607,13 +625,13 @@ def test_transfer_empty_perturbation_is_clean(cluster_setup):
                         hidden=8, max_spd=10)
     from gtattack.train import evaluate_accuracy
 
-    assert transfer_attack(res, other, g) == pytest.approx(evaluate_accuracy(other, [g]))
+    assert transfer_attack([res], other, [g]) == [pytest.approx(evaluate_accuracy(other, [g]))]
 
 
 def test_self_transfer_equals_adaptive(cluster_setup):
     _, g, model = cluster_setup
     res = run_attack(model, g, quick_config(seed=2))
-    assert transfer_attack(res, model, g) == pytest.approx(res.attacked_metric)
+    assert transfer_attack([res], model, [g]) == [pytest.approx(res.attacked_metric)]
 
 
 @pytest.fixture(scope="module")
@@ -639,7 +657,7 @@ def test_injection_zero_flip_pipeline_is_clean(tree_setup):
     ds, g, gid, cands, model = tree_setup
     from gtattack.attack.runner import AttackRun
 
-    run = AttackRun(model, g, tree_config(), cands, gid)
+    run = AttackRun(model, g, tree_config(), cands)
     [(_, metric, eff)] = run.evaluate_discrete([np.zeros((0, 2), dtype=np.int64)])
     with ad.no_grad():
         direct = model.forward_discrete(g.adjacency, g.features).data
@@ -656,15 +674,15 @@ def test_evaluate_discrete_batch_equals_single_calls(tree_setup, stack_entries, 
 
     ds, g, gid, cands, model = tree_setup
     monkeypatch.setattr(train, "EVAL_STACK_ENTRIES", stack_entries)
-    run = AttackRun(model, g, tree_config(), cands, gid)
+    run = AttackRun(model, g, tree_config(), cands)
     rng = np.random.default_rng(3)
     flip_sets = [np.zeros((0, 2), dtype=np.int64)] + [
         run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
         for k in (1, 2, 3, 3, 2, 1, 3, 3)
     ]
     block = BlockState(run.n_aug, run.allowed, np.full(len(run.allowed), 0.5))
-    together = run.evaluate_discrete(flip_sets, block)
-    alone = [run.evaluate_discrete([f], block)[0] for f in flip_sets]
+    together = run.evaluate_discrete(flip_sets, [block] * len(flip_sets))
+    alone = [run.evaluate_discrete([f], [block])[0] for f in flip_sets]
     assert together == alone
     assert len({g.n + len(eff) for _, _, eff in together}) >= 3  # mixed node counts
 
@@ -695,7 +713,7 @@ def test_discrete_graph_equals_loop_reference(tree_setup, constraint):
     from gtattack.attack.runner import AttackRun
 
     ds, g, gid, cands, model = tree_setup
-    run = AttackRun(model, g, tree_config(constraint=constraint), cands, gid)
+    run = AttackRun(model, g, tree_config(constraint=constraint), cands)
     rng = np.random.default_rng(5)
     block = BlockState(run.n_aug, run.allowed, rng.random(len(run.allowed)))
     lookup = {tuple(p): v for p, v in zip(block.pairs.tolist(), block.values)}
@@ -762,13 +780,90 @@ def test_injection_random_baseline_valid(tree_setup):
         assert j >= g.n or i >= g.n  # E/F regions only
 
 
+@pytest.mark.parametrize("mode", ["structure", "injection"])
+@pytest.mark.parametrize("arch", ["gcn", "grit", "graphormer", "san"])
+def test_run_cell_equals_single_kind_calls(cluster_setup, tree_setup, arch, mode):
+    if mode == "structure":
+        _, g, _ = cluster_setup
+        gid, cands, cfg = 0, None, quick_config(steps=3, seed=1)
+        model = build_model(arch, "node", g.feature_dim, 6, seed=0)
+    else:
+        _, g, gid, cands, _ = tree_setup
+        cfg = tree_config(steps=3, seed=1)
+        model = build_model(arch, "graph", g.feature_dim, 1, seed=0)
+    alone = [run_attack(model, g, cfg, cands, gid), random_baseline(model, g, cfg, cands, gid)]
+    together = run_cell(model, g, cfg, cands, gid, ("adaptive", "random"))
+    assert [r.to_doc() for r in together] == [r.to_doc() for r in alone]
+    reversed_kinds = run_cell(model, g, cfg, cands, gid, ("random", "adaptive"))
+    assert [r.to_doc() for r in reversed_kinds] == [r.to_doc() for r in alone[::-1]]
+
+
+def test_run_cell_scores_in_one_call(tree_setup, monkeypatch):
+    from gtattack.attack import runner
+
+    ds, g, gid, cands, model = tree_setup
+    calls, runs = [], []
+    discrete_logits, init = runner.discrete_logits, runner.AttackRun.__init__
+
+    def counted_logits(model, graphs):
+        graphs = list(graphs)
+        calls.append(len(graphs))
+        return discrete_logits(model, graphs)
+
+    def counted_init(self, *args, **kwargs):
+        runs.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "discrete_logits", counted_logits)
+    monkeypatch.setattr(runner.AttackRun, "__init__", counted_init)
+    cfg = tree_config(steps=3, n_discrete_samples=2)
+    run_cell(model, g, cfg, cands, gid)
+    # the clean graph, 1 + 2 adaptive samples and steps + 1 + 2 random picks
+    assert calls == [1 + 3 + 6]
+    assert len(runs) == 1
+
+
+# the small caps split stacks: two graphs of the cluster sizes, one or two trees
+@pytest.mark.parametrize("mode,stack_entries", [("structure", 8192), ("structure", 2600),
+                                                ("injection", 8192), ("injection", 150)])
+def test_transfer_attack_batch_equals_per_source(cluster_setup, tree_setup, mode,
+                                                 stack_entries, monkeypatch):
+    from gtattack import train
+    from gtattack.attack.runner import AttackRun
+
+    if mode == "structure":
+        ds, _, source = cluster_setup
+        task, n_classes, budgets, make_config = "node", 6, (0.05, 0.2), quick_config
+    else:
+        ds, _, _, _, source = tree_setup
+        task, n_classes, budgets, make_config = "graph", 1, (0.2, 0.4), tree_config
+    gids = ds.split["val"] + ds.split["test"]
+    cands = {gid: None if mode == "structure" else
+             build_candidate_set(ds, gid, max_candidates=24, seed=gid) for gid in gids}
+    sources = [attack(source, ds.graphs[gid], make_config(budget_fraction=b, steps=2),
+                      cands[gid], gid)
+               for b in budgets for attack in (run_attack, random_baseline) for gid in gids]
+    target = build_model("grit", task, ds.graphs[0].feature_dim, n_classes, seed=3)
+    monkeypatch.setattr(train, "EVAL_STACK_ENTRIES", stack_entries)
+    batched = transfer_attack(sources, target, ds.graphs, cands)
+    alone = []
+    for src in sources:
+        run = AttackRun(target, ds.graphs[src.graph_id],
+                        make_config(budget_fraction=src.budget_fraction), cands[src.graph_id])
+        [(_, metric, _)] = run.evaluate_discrete([src.flips])
+        alone.append(metric)
+    assert batched == alone
+    assert len({ds.graphs[gid].n for gid in gids}) >= 2  # mixed node counts
+    assert len({len(src.flips) for src in sources}) >= 3
+
+
 @pytest.mark.parametrize("arch", ["gcn", "grit", "graphormer", "san"])
 def test_prbcd_step_ignores_parameter_gradients(tree_setup, arch):
     from gtattack.attack.runner import AttackRun
 
     ds, g, gid, cands, _ = tree_setup
     model = build_model(arch, "graph", g.feature_dim, 1, seed=0)
-    run = AttackRun(model, g, tree_config(), cands, gid)
+    run = AttackRun(model, g, tree_config(), cands)
     block = init_block(run.n_aug, run.allowed, run.block_size, np.random.default_rng(1),
                        fresh_value=0.3)
     steps = []

@@ -345,6 +345,26 @@ def test_ablate_rows_and_files(tree_swept):
     assert written == want_files
 
 
+def test_json_writers_match_json_dump(tree_swept):
+    # dataset graphs and split, checkpoints and histories, perturbations,
+    # results.json and ablation.json: each file holds json.dump's bytes
+    cfg, _ = tree_swept
+    paths = [os.path.join(d, f) for d, _, fs in os.walk(cfg.out) for f in fs
+             if f.endswith(".json")]
+    written = {os.path.relpath(p, cfg.out) for p in paths}
+    assert {os.path.join("dataset", "split.json"), os.path.join("dataset", "graph_00000.json"),
+            os.path.join("checkpoints", "gcn.json"),
+            os.path.join("checkpoints", "gcn.history.json"),
+            "results.json", "ablation.json"} <= written
+    assert any(p.startswith("perturbations") for p in written)
+    for path in paths:
+        with open(path) as fh:
+            text = fh.read()
+        want = io.StringIO()
+        json.dump(json.loads(text), want, sort_keys=True)
+        assert text == want.getvalue(), path
+
+
 def test_two_workers_write_identical_files(tree_swept):
     cfg, cfg2 = tree_swept
     one, two = _sweep_files(cfg.out), _sweep_files(cfg2.out)
@@ -403,6 +423,20 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path, ablate_budget=ablate_budget))
     assert cli_main(["ablate", "--config", cfg_path]) == 2
     assert "bad attack config: budget_fraction must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda doc: {**doc, "n_worker": 3}, "unknown config keys: n_worker"),
+    (lambda doc: {**doc, "n_attack_graphs": -1}, "n_attack_graphs must be >= 1"),
+    (lambda doc: {**doc, "n_attack_graphs": 0}, "n_attack_graphs must be >= 1"),
+    (lambda doc: {**doc, "dataset": {**doc["dataset"], "sed": 5}}, "bad dataset config"),
+], ids=["unknown_top_level_key", "negative_n_attack_graphs", "zero_n_attack_graphs",
+        "unknown_dataset_key"])
+def test_cli_rejects_config_at_load(tmp_path, capsys, change, message):
+    cfg_path = write_config(tmp_path, change(tiny_config(tmp_path, kind="tree")))
+    assert cli_main(["generate", "--config", cfg_path]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_cli_unknown_model_exits_2(tmp_path):
