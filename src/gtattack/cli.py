@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """The config with the command-line overrides applied, validated again."""
+    """The config with the command-line overrides applied and validated again
+    (the config itself when there are none)."""
     changes: dict = {}
     if args.out:
         changes["out"] = args.out
@@ -64,7 +65,7 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
         toggles = dict.fromkeys(RelaxToggles().to_dict(), False)
         toggles.update(dict.fromkeys((t for t in args.toggles.split(",") if t), True))
         changes["attack"] = {**cfg.attack, "toggles": toggles}
-    return dataclasses.replace(cfg, **changes)
+    return dataclasses.replace(cfg, **changes) if changes else cfg
 
 
 def main(argv: list[str] | None = None) -> int:

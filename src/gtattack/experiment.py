@@ -62,20 +62,22 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exits with code 2)."""
 
 
-# dataset kind -> (dataset maker, the per-graph generator it passes extra keys to)
+# dataset kind -> (dataset maker, the per-graph generator it passes extra
+# keys to, the keywords the maker passes that generator itself)
 DATASETS = {
-    "cluster": (make_cluster_dataset, generate_sbm_cluster),
-    "tree": (make_tree_dataset, generate_retweet_tree),
+    "cluster": (make_cluster_dataset, generate_sbm_cluster, {}),
+    "tree": (make_tree_dataset, generate_retweet_tree, {"label": 0}),
 }
 
 
-def _bind_dataset(spec: dict) -> None:
-    """Raise TypeError unless the dataset maker of ``spec["kind"]``, and the
-    generator it passes its extra keys to, take every other key of ``spec``."""
+def _check_dataset(spec: dict) -> None:
+    """Raise TypeError or ValueError unless the dataset maker of
+    ``spec["kind"]`` takes every other key of ``spec`` and its generator
+    makes a graph of seed 0 from them."""
     spec = dict(spec)
-    make, generate = DATASETS[spec.pop("kind")]
+    make, generate, own = DATASETS[spec.pop("kind")]
     extra = inspect.signature(make).bind(**spec).arguments.get("gen_kwargs", {})
-    inspect.signature(generate).bind(0, **extra)
+    generate(0, **own, **extra)
 
 
 @dataclass
@@ -108,11 +110,21 @@ class ExperimentConfig:
         if self.dataset.get("kind") not in DATASETS:
             raise ConfigError("dataset.kind must be 'cluster' or 'tree'")
         try:  # fail before generate, not inside it
-            _bind_dataset(self.dataset)
-        except TypeError as exc:
+            _check_dataset(self.dataset)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad dataset config: {exc}") from exc
+        archs = [spec.arch for spec in self.models]
+        if len(set(archs)) < len(archs):  # each writes checkpoints/<arch>.json
+            raise ConfigError(f"each model arch may appear once, got {archs}")
+        for spec in self.models:  # fail before train, not inside it
+            try:
+                build_model(spec.arch, self.task, 1, 1, spec.seed, **spec.hparams)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad model config: {exc}") from exc
         if self.n_attack_graphs < 1:
             raise ConfigError("n_attack_graphs must be >= 1")
+        if type(self.n_workers) is not int or self.n_workers < 1:
+            raise ConfigError(f"n_workers must be an integer >= 1, got {self.n_workers!r}")
         try:  # fail before any stage runs, not at the first attack cell
             _attack_config(self, self.budgets[0], self.seeds[0])
             if self.ablate_budget is not None:
@@ -126,18 +138,7 @@ class ExperimentConfig:
             unknown = sorted(set(doc) - {f.name for f in fields(cls)})
             if unknown:
                 raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-            models = [ModelSpec(**m) for m in doc["models"]]
-            return cls(
-                dataset=doc["dataset"],
-                models=models,
-                budgets=list(doc["budgets"]),
-                seeds=list(doc["seeds"]),
-                out=doc["out"],
-                attack=doc.get("attack", {}),
-                n_attack_graphs=doc.get("n_attack_graphs", 20),
-                ablate_budget=doc.get("ablate_budget"),
-                n_workers=doc.get("n_workers", 1),
-            )
+            return cls(**{**doc, "models": [ModelSpec(**m) for m in doc["models"]]})
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
@@ -218,7 +219,7 @@ def _dataset_dir(cfg: ExperimentConfig) -> str:
 def cmd_generate(cfg: ExperimentConfig) -> Dataset:
     """Generate the synthetic dataset and write it to out/dataset."""
     spec = dict(cfg.dataset)
-    make, _ = DATASETS[spec.pop("kind")]
+    make = DATASETS[spec.pop("kind")][0]
     ds = make(**spec)
     save_dataset(ds, _dataset_dir(cfg))
     return ds

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 
+from ..spectral import SpectralReference
 from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, pool_weighted
 from .gcn import GCN
 from .graphormer import Graphormer, degree_pe
 from .grit import GRIT, rrwp
-from .san import SAN, SpectralReference
+from .san import SAN
 
 __all__ = [
     "ARCHS",

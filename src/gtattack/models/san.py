@@ -2,46 +2,24 @@
 
 Node positional encodings come from the k smallest Laplacian eigenpairs,
 processed by a small transformer encoder.  During attacks the
-eigendecomposition is approximated to first order around a clean base
-(see :mod:`gtattack.spectral`); the dual attention relaxes the binary
-real/fake edge decision by pushing log(A) / log(1-A) biases into the two
-branch softmaxes, which reproduces the hard branches exactly on discrete
-inputs.
+eigendecomposition is approximated to first order around a clean
+``SpectralReference`` (see :mod:`gtattack.spectral`); the dual attention
+relaxes the binary real/fake edge decision by pushing log(A) / log(1-A)
+biases into the two branch softmaxes, which reproduces the hard branches
+exactly on discrete inputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..graphs import laplacian_sym, laplacian_sym_tensor
-from ..spectral import (
-    EigenDecomposition,
-    degenerate_alignment,
-    eig_sym,
-    perturb_eigenvalues,
-    perturb_eigenvectors,
-    perturbation_operator,
-)
+from ..spectral import EigenDecomposition, SpectralReference, eig_sym, perturbed_eigenpairs
 from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, linear, log_prob_row
 
-__all__ = ["SAN", "SpectralReference"]
-
-
-@dataclass
-class SpectralReference:
-    """Clean Laplacian and its decomposition, the base point for perturbation."""
-
-    lap: np.ndarray
-    decomp: EigenDecomposition
-
-    @classmethod
-    def of(cls, adjacency: np.ndarray) -> "SpectralReference":
-        lap = laplacian_sym(adjacency)
-        return cls(lap=lap, decomp=eig_sym(lap))
+__all__ = ["SAN"]
 
 
 def _cols(t: Tensor, idx: np.ndarray) -> Tensor:
@@ -158,11 +136,8 @@ class SAN(GraphModel):
         them already."""
         a = ad.as_tensor(atilde)
         if toggles.san_lap_pert and spectral_ref is not None:
-            delta = ad.sub(laplacian_sym_tensor(a), Tensor(spectral_ref.lap))
-            base = degenerate_alignment(spectral_ref.decomp, delta.data)
-            op = perturbation_operator(base)
-            lam = perturb_eigenvalues(base, delta)
-            u = perturb_eigenvectors(base, delta, op)
+            lam, u = perturbed_eigenpairs(
+                spectral_ref, ad.sub(laplacian_sym_tensor(a), Tensor(spectral_ref.lap)))
         else:
             if decomp is None:
                 decomp = eig_sym(laplacian_sym(a.data))

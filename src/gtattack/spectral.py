@@ -1,14 +1,18 @@
 """Symmetric eigendecomposition and first-order eigen-perturbation.
 
 The decomposition is LAPACK's symmetric solver (``np.linalg.eigh``) with a
-deterministic sign per eigenvector; the perturbation approximations
+deterministic sign per eigenvector.  SAN's attacks perturb the eigenpairs of
+a clean Laplacian to first order,
 
     dLambda ~ diag(U^T dL U)
-    dU      ~ -U (Pi .* U^T dL U),   Pi_ij = 1 / (lambda_i - lambda_j)
+    dU      ~ -U (Pi .* U^T dL U),   Pi_ij = 1 / (lambda_i - lambda_j),
 
-are implemented as differentiable tensor expressions so attack gradients
-can flow through dL.  Repeated eigenvalues need an aligned basis first (see
-``degenerate_alignment``), inside which Pi is zero.
+around a ``SpectralReference``, which owns everything that depends on the
+clean graph alone: the Laplacian, its eigenpairs, the index ranges of
+repeated eigenvalues and Pi.  ``perturbed_eigenpairs`` is a differentiable
+tensor expression in dL, so attack gradients can flow through it.  Inside a
+repeated-eigenvalue group Pi is zero, and the basis is first aligned to dL
+(``degenerate_alignment``).
 """
 
 from __future__ import annotations
@@ -20,15 +24,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .graphs import laplacian_sym
 
 __all__ = [
     "EigenDecomposition",
-    "PerturbationOperator",
+    "SpectralReference",
     "eig_sym",
     "degenerate_alignment",
-    "perturbation_operator",
-    "perturb_eigenvalues",
-    "perturb_eigenvectors",
+    "perturbed_eigenpairs",
 ]
 
 log = logging.getLogger(__name__)
@@ -44,18 +47,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[-1]
-
-
-@dataclass
-class PerturbationOperator:
-    """Pi matrix plus the index ranges of numerically repeated eigenvalues."""
-
-    pi: np.ndarray
-    groups: list[tuple[int, int]] = field(default_factory=list)  # [start, stop) ranges
 
 
 def _apply_sign_convention(u: np.ndarray) -> np.ndarray:
@@ -82,88 +73,80 @@ def eig_sym(lap: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigs, eigenvectors=_apply_sign_convention(u))
 
 
-def degeneracy_tol(lam: float) -> float:
-    return 1e-8 * max(1.0, abs(lam))
+def _degenerate_groups(eigs: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) ranges of two or more ascending eigenvalues whose
+    neighbours differ by at most 1e-8 * max(1, |lambda|)."""
+    cuts = np.flatnonzero(np.diff(eigs) > 1e-8 * np.maximum(1.0, np.abs(eigs[1:]))) + 1
+    bounds = [0, *cuts.tolist(), len(eigs)]
+    return [(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop - start > 1]
 
 
-def _degenerate_groups(eigs: np.ndarray, tol: float | None = None) -> list[tuple[int, int]]:
-    groups = []
-    n = len(eigs)
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or (eigs[i] - eigs[i - 1]) > (tol if tol is not None else degeneracy_tol(eigs[i])):
-            if i - start > 1:
-                groups.append((start, i))
-            start = i
-    return groups
+@dataclass
+class SpectralReference:
+    """Clean Laplacian, the base point of SAN's perturbed eigenpairs, with
+    what the perturbation needs of it alone, built once: its eigenpairs, the
+    ``groups`` of repeated eigenvalues and ``pi``.
+
+    Pi_ij = 1/(lambda_i - lambda_j), zero on the diagonal and inside groups,
+    and clamped to +-GAP_CLAMP; the gaps below SMALL_GAP that the clamp
+    catches are logged once per reference, their count first.
+    """
+
+    lap: np.ndarray
+    decomp: EigenDecomposition
+    groups: list[tuple[int, int]] = field(init=False)
+    pi: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        eigs = self.decomp.eigenvalues
+        self.groups = _degenerate_groups(eigs)
+        in_group = np.eye(len(eigs), dtype=bool)
+        for start, stop in self.groups:
+            in_group[start:stop, start:stop] = True
+        gap = eigs[:, None] - eigs[None, :]
+        tiny = ~in_group & (np.abs(gap) < SMALL_GAP)
+        if tiny.any():
+            log.warning(
+                "SpectralReference: %d near-degenerate eigen-gaps < %.0e clamped to +-%.0e",
+                int(tiny.sum()) // 2,
+                SMALL_GAP,
+                GAP_CLAMP,
+            )
+        pi = np.where(in_group, 0.0, 1.0 / np.where(in_group, 1.0, gap))
+        self.pi = np.clip(pi, -GAP_CLAMP, GAP_CLAMP)
+
+    @classmethod
+    def of(cls, adjacency: np.ndarray) -> "SpectralReference":
+        lap = laplacian_sym(adjacency)
+        return cls(lap=lap, decomp=eig_sym(lap))
 
 
-def degenerate_alignment(
-    base: EigenDecomposition, delta_l: np.ndarray, tol: float | None = None
-) -> EigenDecomposition:
-    """Rotate eigenvectors inside each repeated-eigenvalue group so that the
-    group block of U^T dL U is diagonal; everything else is untouched."""
-    delta_l = np.asarray(delta_l, dtype=np.float64)
-    groups = _degenerate_groups(base.eigenvalues, tol)
-    if not groups:
-        return base
-    u = base.eigenvectors.copy()
-    for start, stop in groups:
+def degenerate_alignment(ref: SpectralReference, delta_l: np.ndarray) -> np.ndarray:
+    """The reference eigenvectors, rotated inside each repeated-eigenvalue
+    group so that the group block of U^T dL U is diagonal; everything else
+    is untouched."""
+    if not ref.groups:
+        return ref.decomp.eigenvectors
+    u = ref.decomp.eigenvectors.copy()
+    for start, stop in ref.groups:
         ug = u[:, start:stop]
-        block = ug.T @ delta_l @ ug
-        block = 0.5 * (block + block.T)
-        sub = eig_sym(block)
+        sub = eig_sym(ug.T @ delta_l @ ug)  # symmetrizes the block
         u[:, start:stop] = _apply_sign_convention(ug @ sub.eigenvectors)
-    return EigenDecomposition(eigenvalues=base.eigenvalues.copy(), eigenvectors=u)
+    return u
 
 
-def perturbation_operator(base: EigenDecomposition, tol: float | None = None) -> PerturbationOperator:
-    """Pi_ij = 1/(lambda_i - lambda_j); zero on the diagonal and inside
-    degenerate groups; clamped to +-1e6 for near-degenerate gaps."""
-    eigs = base.eigenvalues
-    n = len(eigs)
-    gap = eigs[:, None] - eigs[None, :]
-    with np.errstate(divide="ignore"):
-        pi = np.where(gap != 0.0, 1.0 / np.where(gap != 0.0, gap, 1.0), 0.0)
-    groups = _degenerate_groups(eigs, tol)
-    for start, stop in groups:
-        pi[start:stop, start:stop] = 0.0
-    np.fill_diagonal(pi, 0.0)
-    in_group = np.zeros((n, n), dtype=bool)
-    for start, stop in groups:
-        in_group[start:stop, start:stop] = True
-    tiny = (np.abs(gap) < SMALL_GAP) & ~in_group & ~np.eye(n, dtype=bool) & (gap != 0.0)
-    if tiny.any():
-        log.warning(
-            "perturbation_operator: %d near-degenerate eigen-gaps < %.0e clamped to +-%.0e",
-            int(tiny.sum()) // 2,
-            SMALL_GAP,
-            GAP_CLAMP,
-        )
-        pi = np.where(tiny, np.sign(gap) * GAP_CLAMP, pi)
-    pi = np.clip(pi, -GAP_CLAMP, GAP_CLAMP)
-    return PerturbationOperator(pi=pi, groups=groups)
-
-
-def _projected(base: EigenDecomposition, delta_l) -> Tensor:
-    u = Tensor(base.eigenvectors)
-    return ad.matmul(ad.matmul(ad.transpose(u), ad.as_tensor(delta_l)), u)
-
-
-def perturb_eigenvalues(base: EigenDecomposition, delta_l) -> Tensor:
-    """First-order perturbed eigenvalues; differentiable in delta_l."""
-    m = _projected(base, delta_l)
-    idx = np.arange(base.n)
-    return ad.add(Tensor(base.eigenvalues), ad.take_pairs(m, idx, idx))
-
-
-def perturb_eigenvectors(
-    base: EigenDecomposition, delta_l, op: PerturbationOperator | None = None
-) -> Tensor:
-    """First-order perturbed eigenvectors; differentiable in delta_l."""
-    if op is None:
-        op = perturbation_operator(base)
-    m = _projected(base, delta_l)
-    u = Tensor(base.eigenvectors)
-    delta_u = ad.neg(ad.matmul(u, ad.mul(Tensor(op.pi), m)))
-    return ad.add(u, delta_u)
+def perturbed_eigenpairs(ref: SpectralReference, delta_l) -> tuple[Tensor, Tensor]:
+    """First-order eigenvalues (n,) and eigenvectors (n, n) of
+    ``ref.lap + delta_l``; differentiable in delta_l (the alignment inside
+    groups is not)."""
+    delta_l = ad.as_tensor(delta_l)
+    u = Tensor(degenerate_alignment(ref, delta_l.data))
+    ut = ad.transpose(u)
+    idx = np.arange(len(ref.decomp.eigenvalues))
+    lam = ad.add(Tensor(ref.decomp.eigenvalues),
+                 ad.take_pairs(ad.matmul(ad.matmul(ut, delta_l), u), idx, idx))
+    # U^T dL U again rather than shared: one shared product reorders the
+    # delta_l gradient sums, and an attack's steps amplify that ulp-level
+    # change into different loss traces and flips
+    m = ad.matmul(ad.matmul(ut, delta_l), u)
+    return lam, ad.add(u, ad.neg(ad.matmul(u, ad.mul(Tensor(ref.pi), m))))

@@ -430,8 +430,26 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
     (lambda doc: {**doc, "n_attack_graphs": -1}, "n_attack_graphs must be >= 1"),
     (lambda doc: {**doc, "n_attack_graphs": 0}, "n_attack_graphs must be >= 1"),
     (lambda doc: {**doc, "dataset": {**doc["dataset"], "sed": 5}}, "bad dataset config"),
+    (lambda doc: {**doc, "dataset": {**doc["dataset"], "label": 1}},
+     "multiple values for keyword argument 'label'"),
+    (lambda doc: {**doc, "dataset": {**doc["dataset"], "n_nodes_range": [1, 3]}},
+     "bad dataset config: trees need at least 2 nodes"),
+    (lambda doc: {**doc, "dataset": {"kind": "cluster", "seed": 5, "p_inter": 0.5,
+                                     "p_intra": 0.4}},
+     "bad dataset config: require 0 <= p_inter < p_intra <= 1"),
+    (lambda doc: {**doc, "models": [{"arch": "gat"}]},
+     "bad model config: unknown architecture 'gat'"),
+    (lambda doc: {**doc, "models": [{"arch": "gcn", "hparams": {"hiden": 3}}]},
+     "bad model config: gcn: unknown hparams ['hiden']"),
+    (lambda doc: {**doc, "models": [{"arch": "graphormer", "hparams": {"hidden": 5}}]},
+     "bad model config: hidden must be divisible by heads"),
+    (lambda doc: {**doc, "models": [{"arch": "gcn"}, {"arch": "gcn", "seed": 1}]},
+     "each model arch may appear once"),
+    (lambda doc: {**doc, "n_workers": "2"}, "n_workers must be an integer >= 1, got '2'"),
 ], ids=["unknown_top_level_key", "negative_n_attack_graphs", "zero_n_attack_graphs",
-        "unknown_dataset_key"])
+        "unknown_dataset_key", "tree_label_key", "tree_too_small", "sbm_p_inter_above_p_intra",
+        "unknown_arch", "unknown_hparam", "hidden_not_divisible_by_heads", "duplicate_arch",
+        "n_workers_string"])
 def test_cli_rejects_config_at_load(tmp_path, capsys, change, message):
     cfg_path = write_config(tmp_path, change(tiny_config(tmp_path, kind="tree")))
     assert cli_main(["generate", "--config", cfg_path]) == 2
