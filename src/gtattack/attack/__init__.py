@@ -5,7 +5,6 @@ from .config import (
     PerturbationResult,
     allowed_pairs,
     budget_from_fraction,
-    constraint_mask,
 )
 from .injection import (
     CandidateSet,
@@ -31,7 +30,6 @@ __all__ = [
     "attack_loss",
     "budget_from_fraction",
     "build_candidate_set",
-    "constraint_mask",
     "init_block",
     "is_tree",
     "mst_projection",

@@ -1,4 +1,4 @@
-"""Attack configuration, constraint masks, and result records."""
+"""Attack configuration, the allowed pair space, and result records."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from ..models import RelaxToggles
 __all__ = [
     "AttackConfig",
     "PerturbationResult",
-    "constraint_mask",
     "allowed_pairs",
     "budget_from_fraction",
 ]
@@ -59,48 +58,24 @@ def budget_from_fraction(fraction: float, num_edges: int) -> int:
     return int(round(fraction * num_edges))
 
 
-def constraint_mask(graph: Graph, kind: str, n_aug: int | None = None):
-    """Vectorized predicate over index pairs (i < j) for one constraint kind.
-
-    ``protect_labeled`` forbids any pair touching a labeled node.
-    ``tree_only`` (injection) forbids pairs inside the original block B and
-    candidate pairs F, keeping tree-to-candidate pairs E.
-    """
-    n = graph.n
-    if kind == "none":
-        return lambda pairs: np.ones(len(pairs), dtype=bool)
+def allowed_pairs(graph: Graph, config: AttackConfig, n_aug: int | None = None) -> np.ndarray:
+    """All samplable index pairs (i < j) under the run's mode and constraint.
+    Injection never samples two candidates (block F); ``protect_labeled``
+    forbids pairs touching a labeled node; ``tree_only`` (injection) also
+    forbids the original block B, keeping tree-to-candidate pairs E."""
+    n, kind = graph.n, config.constraint
+    if kind == "tree_only" and n_aug is None:
+        raise ValueError("tree_only requires the augmented size n_aug")
+    pairs = upper_triangle_pairs(n_aug if config.mode == "injection" else n)
+    keep = pairs[:, 0] < n  # i < j, so this is "not both in F"
     if kind == "protect_labeled":
         if graph.labeled_mask is None:
             raise ValueError("protect_labeled requires a labeled_mask on the graph")
-        labeled = graph.labeled_mask
-
-        def pred(pairs):
-            pairs = np.asarray(pairs).reshape(-1, 2)
-            return ~(labeled[pairs[:, 0]] | labeled[pairs[:, 1]])
-
-        return pred
-    if kind == "tree_only":
-        if n_aug is None:
-            raise ValueError("tree_only requires the augmented size n_aug")
-
-        def pred(pairs):
-            pairs = np.asarray(pairs).reshape(-1, 2)
-            in_b = (pairs[:, 0] < n) & (pairs[:, 1] < n)
-            in_f = (pairs[:, 0] >= n) & (pairs[:, 1] >= n)
-            return ~in_b & ~in_f
-
-        return pred
-    raise ValueError(f"unknown constraint {kind!r}")
-
-
-def allowed_pairs(graph: Graph, config: AttackConfig, n_aug: int | None = None) -> np.ndarray:
-    """All samplable index pairs under the run's mode and constraint;
-    injection never samples pairs of two candidates (the F block)."""
-    size = n_aug if config.mode == "injection" else graph.n
-    pairs = upper_triangle_pairs(size)
-    keep = constraint_mask(graph, config.constraint, n_aug=n_aug)(pairs)
-    if config.mode == "injection":
-        keep &= pairs[:, 0] < graph.n  # i < j, so this is "not both in F"
+        keep &= ~graph.labeled_mask[pairs].any(axis=1)
+    elif kind == "tree_only":
+        keep &= pairs[:, 1] >= n  # not both in B
+    elif kind != "none":
+        raise ValueError(f"unknown constraint {kind!r}")
     return pairs[keep]
 
 
@@ -122,20 +97,7 @@ class PerturbationResult:
     attack_kind: str = "adaptive"  # adaptive | random | transfer
 
     def to_doc(self) -> dict:
-        return {
-            "graph_id": self.graph_id,
-            "budget": self.budget,
-            "budget_fraction": self.budget_fraction,
-            "flips": [[int(i), int(j)] for i, j in self.flips],
-            "clean_metric": self.clean_metric,
-            "attacked_metric": self.attacked_metric,
-            "loss_trace": self.loss_trace,
-            "seed": self.seed,
-            "toggles": self.toggles,
-            "mode": self.mode,
-            "constraint": self.constraint,
-            "attack_kind": self.attack_kind,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PerturbationResult":

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .. import autodiff as ad
@@ -28,6 +26,7 @@ __all__ = ["AttackRun", "run_cell", "run_attack", "random_baseline", "transfer_a
 # sampled candidate edge stays in the pruned graph and keeps its gradient
 BLOCK_KEEP_EPS = 1e-7
 
+
 class AttackRun:
     """Shared state for one (model, graph, config) attack: budgets, masks,
     the relaxed objective, and true-model evaluation of discrete flips."""
@@ -35,7 +34,6 @@ class AttackRun:
     def __init__(self, model: GraphModel, graph: Graph, config: AttackConfig,
                  candidates: CandidateSet | None = None):
         self.model = model
-        self.graph = graph
         self.config = config
         if config.mode == "injection":
             if candidates is None:
@@ -55,35 +53,38 @@ class AttackRun:
             raise ValueError(f"budget {self.delta} exceeds block size {self.block_size}")
         self.labels = graph.node_labels if model.task == "node" else graph.graph_label
         self.lr = config.base_lr * max(self.delta, 1) / max(self.block_size, 1)
+        self._ref_kept = self._ref = None
 
-    @cached_property
-    def spectral_ref(self) -> SpectralReference:
-        """SAN's clean base point for perturbed eigenpairs (structure mode),
-        built on the relaxed objective's first use only."""
-        return SpectralReference.of(self.graph.adjacency)
+    def spectral_ref(self, kept: np.ndarray) -> SpectralReference:
+        """SAN's clean base point on the ``kept`` nodes, rebuilt only when
+        they differ from the last call's (once per run in structure mode)."""
+        if not np.array_equal(self._ref_kept, kept):
+            self._ref_kept = kept
+            self._ref = SpectralReference.of(self.base_adj[np.ix_(kept, kept)])
+        return self._ref
 
     # -- relaxed objective ----------------------------------------------------
     def objective(self, block: BlockState):
-        """Closure mapping block values (leaf tensor) to the attack loss."""
-        toggles = self.config.toggles
+        """Closure mapping the values of ``block`` (leaf tensor) to the attack
+        loss: structure mode keeps every node, injection mode keeps the
+        original nodes' component and adds node probabilities."""
+        toggles, task = self.config.toggles, self.model.task
         lap_pert = self.model.arch == "san" and toggles.san_lap_pert
+        injection = self.config.mode == "injection"
+        every_node = np.arange(self.n_aug)
 
         def fn(values: Tensor) -> Tensor:
             atilde = apply_flips(self.base_adj, block.pairs, values)
-            if self.config.mode == "structure":
-                kw = {"spectral_ref": self.spectral_ref} if lap_pert else {}
-                logits = self.model.forward(atilde, self.base_feats, toggles, **kw)
-                return attack_loss(logits, self.labels, self.config.loss_kind, self.model.task)
-            sub, kept = prune_disconnected(atilde, self.n_orig)
-            probs = node_probability(sub)
-            kw = {}
+            feats, kept, kw = self.base_feats, every_node, {}
+            if injection:
+                atilde, kept = prune_disconnected(atilde, self.n_orig)
+                feats, kw = feats[kept], {"node_probs": node_probability(atilde)}
             if lap_pert:
-                kw["spectral_ref"] = SpectralReference.of(self.base_adj[np.ix_(kept, kept)])
-            logits = self.model.forward(sub, self.base_feats[kept], toggles,
-                                        node_probs=probs, **kw)
-            if self.model.task == "node":
+                kw["spectral_ref"] = self.spectral_ref(kept)
+            logits = self.model.forward(atilde, feats, toggles, **kw)
+            if injection and task == "node":
                 logits = ad.gather_rows(logits, np.arange(self.n_orig))
-            return attack_loss(logits, self.labels, self.config.loss_kind, self.model.task)
+            return attack_loss(logits, self.labels, self.config.loss_kind, task)
 
         return fn
 
@@ -155,20 +156,21 @@ def _score(model: GraphModel, items: list) -> list[tuple[float, float, list]]:
 
 
 def _adaptive_draws(run: AttackRun) -> tuple[list, BlockState, list[float]]:
-    """PRBCD over a sampled block, then discrete samples of the final block;
-    returns (flip sets, block, loss trace)."""
+    """PRBCD over a sampled block, one relaxed objective per block, then
+    discrete samples of the final block; returns (flip sets, block, trace)."""
     config = run.config
     rng = np.random.default_rng(config.seed)
     fresh = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
     block = init_block(run.n_aug, run.allowed, run.block_size, rng, fresh_value=fresh)
+    objective = run.objective(block)
     trace = []
     for step in range(config.steps):
-        block, objective_value = prbcd_step(run.objective(block), block, run.delta, run.lr)
+        trace.append(prbcd_step(objective, block, run.delta, run.lr))
         if fresh:
             np.maximum(block.values, fresh, out=block.values)
-        trace.append(objective_value)
         if (step + 1) % config.resample_every == 0 and step < config.steps - 1:
             block = resample_block(block, 0.5, rng, run.allowed, fresh_value=fresh)
+            objective = run.objective(block)
     return sample_discrete(block, run.delta, config.n_discrete_samples, rng), block, trace
 
 

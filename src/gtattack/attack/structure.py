@@ -1,4 +1,5 @@
-"""Block-coordinate attack state: sampling, gradient steps, discretization."""
+"""Block-coordinate attack state: sampling, gradient steps that move only a
+block's values (its pairs change only at a resample), discretization."""
 
 from __future__ import annotations
 
@@ -89,16 +90,16 @@ def resample_block(block: BlockState, keep_fraction: float, rng: np.random.Gener
 
 
 def prbcd_step(objective: Callable[[Tensor], Tensor], block: BlockState, budget: int,
-               lr: float) -> tuple[BlockState, float]:
+               lr: float) -> float:
     """One projected gradient-ascent step on the attacker objective.
 
     ``objective`` maps the block-value tensor to the scalar attack loss
     (minimized), built through the relaxed model; the step descends it and
-    projects back onto the budget polytope.  Returns the new block and the
-    attacker objective value (negated loss, so it rises as the attack
-    strengthens).
+    projects ``block.values``, in place, back onto the budget polytope.
+    Returns the attacker objective value (negated loss, so it rises as the
+    attack strengthens).
     """
-    values = Tensor(block.values.copy(), requires_grad=True, name="block_values")
+    values = Tensor(block.values, requires_grad=True, name="block_values")
     with Tape():
         loss = objective(values)
         loss_val = loss.item()
@@ -110,9 +111,8 @@ def prbcd_step(objective: Callable[[Tensor], Tensor], block: BlockState, budget:
         raise RuntimeError(f"prbcd_step: non-finite gradient in block_values at {bad.tolist()}")
     if not np.isfinite(loss_val):
         raise RuntimeError("prbcd_step: non-finite attack loss")
-    stepped = block.values - lr * garr
-    projected = project_budget(stepped, budget)
-    return BlockState(n=block.n, pairs=block.pairs, values=projected), -loss_val
+    block.values = project_budget(block.values - lr * garr, budget)
+    return -loss_val
 
 
 def sample_discrete(block: BlockState, budget: int, n_samples: int,

@@ -19,9 +19,10 @@ import inspect
 import json
 import logging
 import os
+import types
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -80,6 +81,26 @@ def _check_dataset(spec: dict) -> None:
     generate(0, **own, **extra)
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a config value has the declared type ``hint``: a bool is not
+    an int, an int is a float."""
+    if get_origin(hint) is types.UnionType:
+        return any(_conforms(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_conforms(v, get_args(hint)[0]) for v in value)
+    kinds = (int, float) if hint is float else hint
+    return not isinstance(value, bool) and isinstance(value, kinds)
+
+
+def _check_fields(obj, prefix: str = "") -> None:
+    """ConfigError naming the first field of dataclass ``obj`` not of its type."""
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not _conforms(value, hints[f.name]):
+            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+
+
 @dataclass
 class ModelSpec:
     arch: str
@@ -103,8 +124,11 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        if not self.seeds or not self.budgets:
-            raise ConfigError("seeds and budgets must be non-empty")
+        _check_fields(self)
+        for i, spec in enumerate(self.models):
+            _check_fields(spec, f"models[{i}].")
+        if not self.models or not self.seeds or not self.budgets:
+            raise ConfigError("models, seeds and budgets must be non-empty")
         if list(self.budgets) != sorted(self.budgets):
             raise ConfigError("budgets must be ascending")
         if self.dataset.get("kind") not in DATASETS:
@@ -121,10 +145,9 @@ class ExperimentConfig:
                 build_model(spec.arch, self.task, 1, 1, spec.seed, **spec.hparams)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad model config: {exc}") from exc
-        if self.n_attack_graphs < 1:
-            raise ConfigError("n_attack_graphs must be >= 1")
-        if type(self.n_workers) is not int or self.n_workers < 1:
-            raise ConfigError(f"n_workers must be an integer >= 1, got {self.n_workers!r}")
+        for name in ("n_attack_graphs", "n_workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         try:  # fail before any stage runs, not at the first attack cell
             _attack_config(self, self.budgets[0], self.seeds[0])
             if self.ablate_budget is not None:
@@ -272,19 +295,29 @@ def _load_models(cfg: ExperimentConfig) -> dict[str, GraphModel]:
 
 def _attack_config(cfg: ExperimentConfig, budget: float, seed: int,
                    toggles: RelaxToggles | None = None) -> AttackConfig:
+    """One cell's AttackConfig; ValueError for settings the cell cannot use."""
     base = dict(cfg.attack)
-    base.pop("budget_fraction", None)
+    for key, source in (("budget_fraction", "budgets"), ("seed", "seeds")):
+        if key in base:
+            raise ValueError(f"attack.{key} is not read; each cell takes it from {source}")
     toggle_doc = base.pop("toggles", None)
     if toggles is None:
         toggles = RelaxToggles() if toggle_doc is None else RelaxToggles.from_dict(toggle_doc)
-    if cfg.task == "node":
-        base.setdefault("loss_kind", "tanh_margin")
-        base.setdefault("mode", "structure")
-    else:
-        base.setdefault("loss_kind", "raw_score")
-        base.setdefault("mode", "injection")
-        base.setdefault("constraint", "tree_only")
-    return AttackConfig(budget_fraction=budget, seed=seed, toggles=toggles, **base)
+    defaults = ({"loss_kind": "tanh_margin", "mode": "structure"} if cfg.task == "node" else
+                {"loss_kind": "raw_score", "mode": "injection", "constraint": "tree_only"})
+    acfg = AttackConfig(budget_fraction=budget, seed=seed, toggles=toggles,
+                        **{**defaults, **base})
+    kind = cfg.dataset["kind"]
+    loss = "tanh_margin" if kind == "cluster" else "raw_score"
+    if acfg.loss_kind != loss:
+        raise ValueError(f"{kind} datasets take loss_kind {loss!r}, got {acfg.loss_kind!r}")
+    if kind == "tree" and acfg.constraint == "protect_labeled":
+        raise ValueError("protect_labeled needs labeled nodes; tree graphs have none")
+    if kind == "cluster" and acfg.mode == "injection":
+        raise ValueError("injection needs a candidate set; cluster datasets build none")
+    if acfg.constraint == "tree_only" and acfg.mode != "injection":
+        raise ValueError("tree_only constrains injection attacks only")
+    return acfg
 
 
 class _Cell(NamedTuple):

@@ -12,7 +12,6 @@ from gtattack.attack import (
     attack_loss,
     budget_from_fraction,
     build_candidate_set,
-    constraint_mask,
     init_block,
     is_tree,
     mst_projection,
@@ -172,8 +171,10 @@ def test_resample_respects_mask_fuzz():
 
 def test_prbcd_step_zero_gradient_keeps_values():
     block = BlockState(4, np.array([[0, 1], [1, 2]]), np.array([0.2, 0.1]))
-    new, obj = prbcd_step(lambda v: ad.tsum(ad.mul(v, 0.0)), block, budget=2, lr=0.5)
-    np.testing.assert_allclose(new.values, block.values)
+    pairs = block.pairs
+    obj = prbcd_step(lambda v: ad.tsum(ad.mul(v, 0.0)), block, budget=2, lr=0.5)
+    np.testing.assert_allclose(block.values, [0.2, 0.1])
+    assert block.pairs is pairs
     assert obj == 0.0
 
 
@@ -182,7 +183,7 @@ def test_prbcd_step_ascends_until_budget_binds():
     # attack loss = -value: descending it raises the value
     obj = lambda v: ad.neg(ad.tsum(v))
     for _ in range(5):
-        block, val = prbcd_step(obj, block, budget=1, lr=0.3)
+        prbcd_step(obj, block, budget=1, lr=0.3)
     assert block.values[0] == pytest.approx(1.0)
 
 
@@ -191,10 +192,7 @@ def test_prbcd_trace_trend_monotone_for_smooth_objective():
     block = BlockState(6, upper_triangle_pairs(6)[:8], np.zeros(8))
     w = rng.uniform(0.5, 1.5, size=8)
     obj = lambda v: ad.neg(ad.tsum(ad.mul(v, Tensor(w))))  # loss falls as values rise
-    trace = []
-    for _ in range(12):
-        block, val = prbcd_step(obj, block, budget=3, lr=0.1)
-        trace.append(val)
+    trace = [prbcd_step(obj, block, budget=3, lr=0.1) for _ in range(12)]
     assert trace[-1] >= trace[0]
     assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
 
@@ -207,6 +205,7 @@ def test_prbcd_nonfinite_gradient_reported():
 
     with pytest.raises(RuntimeError, match="block_values"):
         prbcd_step(bad, block, budget=1, lr=0.1)
+    assert block.values.tolist() == [0.0]  # the failed step moved nothing
 
 
 # ---------------------------------------------------------------------------
@@ -475,39 +474,42 @@ def test_protect_labeled_excludes_incident_pairs():
     ds = make_cluster_dataset(seed=1, n_train=1, n_val=0, n_test=0,
                               nodes_per_cluster_range=(4, 5))
     g = ds.graphs[0]
-    pred = constraint_mask(g, "protect_labeled")
-    pairs = upper_triangle_pairs(g.n)
-    keep = pred(pairs)
+    allowed = {tuple(p) for p in allowed_pairs(g, AttackConfig(constraint="protect_labeled"))
+               .tolist()}
+    pairs = upper_triangle_pairs(g.n).tolist()
     labeled = set(np.flatnonzero(g.labeled_mask))
-    for (i, j), ok in zip(pairs, keep):
-        assert ok == (i not in labeled and j not in labeled)
+    for i, j in pairs:
+        assert ((i, j) in allowed) == (i not in labeled and j not in labeled)
     # count: every pair touching one of the 6 labeled nodes is excluded
     n, L = g.n, len(labeled)
     expected_excluded = L * (n - 1) - L * (L - 1) // 2
-    assert int((~keep).sum()) == expected_excluded
+    assert len(pairs) - len(allowed) == expected_excluded
 
 
 def test_protect_labeled_requires_mask():
     g = make_graph(np.zeros((3, 3)))
     with pytest.raises(ValueError, match="labeled_mask"):
-        constraint_mask(g, "protect_labeled")
+        allowed_pairs(g, AttackConfig(constraint="protect_labeled"))
 
 
 def test_tree_only_forbids_original_block():
     g = make_graph([[0, 1], [1, 0]])
-    pred = constraint_mask(g, "tree_only", n_aug=5)
-    pairs = upper_triangle_pairs(5)
-    keep = pred(pairs)
-    for (i, j), ok in zip(pairs, keep):
+    cfg = AttackConfig(mode="injection", constraint="tree_only")
+    allowed = {tuple(p) for p in allowed_pairs(g, cfg, n_aug=5).tolist()}
+    for i, j in upper_triangle_pairs(5).tolist():
         in_b = i < 2 and j < 2
         in_f = i >= 2 and j >= 2
-        assert ok == (not in_b and not in_f)
+        assert ((i, j) in allowed) == (not in_b and not in_f)
+    with pytest.raises(ValueError, match="n_aug"):
+        allowed_pairs(g, cfg)
 
 
 def test_constraint_none_allows_everything():
     g = make_graph(np.zeros((4, 4)))
-    pred = constraint_mask(g, "none")
-    assert pred(upper_triangle_pairs(4)).all()
+    np.testing.assert_array_equal(allowed_pairs(g, AttackConfig()), upper_triangle_pairs(4))
+    # injection never samples two candidates (the F block)
+    injection = allowed_pairs(g, AttackConfig(mode="injection"), n_aug=6)
+    np.testing.assert_array_equal(injection, upper_triangle_pairs(6)[:14])
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +601,8 @@ def test_strongest_keeps_first_of_equal_lowest_losses(cluster_setup, monkeypatch
         assert (res.clean_metric, res.attacked_metric, res.flips) == (90.0, 90.0, [])
 
 
-def test_san_spectral_reference_built_only_for_relaxed_objective(cluster_setup, monkeypatch):
+def test_san_spectral_reference_built_only_for_relaxed_objective(cluster_setup, tree_setup,
+                                                                 monkeypatch):
     from gtattack.models import SpectralReference
 
     _, g, _ = cluster_setup
@@ -613,7 +616,15 @@ def test_san_spectral_reference_built_only_for_relaxed_objective(cluster_setup, 
     transfer_attack([res], model, [g])
     assert calls == []
     run_attack(model, g, cfg)
-    assert calls == [g.adjacency.shape]
+    assert calls == [g.adjacency.shape]  # structure mode: once per run
+    # tree-only injection: once per kept node set, i.e. once per block (a
+    # block small enough that each resample brings in other candidates)
+    _, tree, gid, cands, _ = tree_setup
+    model = build_model("san", "graph", tree.feature_dim, 1, seed=0)
+    calls.clear()
+    run_attack(model, tree, tree_config(steps=5, resample_every=2, block_size=12), cands, gid)
+    assert len(calls) == 3
+    assert all(tree.n < n < tree.n + cands.size for n, _ in calls)
 
 
 def test_transfer_empty_perturbation_is_clean(cluster_setup):
@@ -798,6 +809,79 @@ def test_run_cell_equals_single_kind_calls(cluster_setup, tree_setup, arch, mode
     assert [r.to_doc() for r in reversed_kinds] == [r.to_doc() for r in alone[::-1]]
 
 
+def per_step_adaptive_draws(run):
+    """Reference PRBCD loop: a new objective closure, a new BlockState and,
+    in injection mode, a new SAN SpectralReference on every step."""
+    from gtattack.attack.runner import BLOCK_KEEP_EPS
+    from gtattack.graphs import apply_flips
+    from gtattack.models import SpectralReference
+
+    config, model, toggles = run.config, run.model, run.config.toggles
+    lap_pert = model.arch == "san" and toggles.san_lap_pert
+    structure_ref = SpectralReference.of(run.base_adj) if lap_pert else None
+
+    def objective(block):
+        def fn(values):
+            atilde = apply_flips(run.base_adj, block.pairs, values)
+            if config.mode == "structure":
+                kw = {"spectral_ref": structure_ref} if lap_pert else {}
+                logits = model.forward(atilde, run.base_feats, toggles, **kw)
+                return attack_loss(logits, run.labels, config.loss_kind, model.task)
+            sub, kept = prune_disconnected(atilde, run.n_orig)
+            kw = {"node_probs": node_probability(sub)}
+            if lap_pert:
+                kw["spectral_ref"] = SpectralReference.of(run.base_adj[np.ix_(kept, kept)])
+            logits = model.forward(sub, run.base_feats[kept], toggles, **kw)
+            return attack_loss(logits, run.labels, config.loss_kind, model.task)
+
+        return fn
+
+    def step(objective, block):
+        values = Tensor(block.values.copy(), requires_grad=True)
+        with ad.Tape():
+            loss = objective(values)
+            g = backward(loss).get(values)
+        grad = np.zeros_like(block.values) if g is None else g.data
+        values = project_budget(block.values - run.lr * grad, run.delta)
+        return BlockState(block.n, block.pairs, values), -loss.item()
+
+    rng = np.random.default_rng(config.seed)
+    fresh = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
+    block = init_block(run.n_aug, run.allowed, run.block_size, rng, fresh_value=fresh)
+    trace = []
+    for k in range(config.steps):
+        block, value = step(objective(block), block)
+        block.values = np.maximum(block.values, fresh)
+        trace.append(value)
+        if (k + 1) % config.resample_every == 0 and k < config.steps - 1:
+            block = resample_block(block, 0.5, rng, run.allowed, fresh_value=fresh)
+    return sample_discrete(block, run.delta, config.n_discrete_samples, rng), block, trace
+
+
+@pytest.mark.parametrize("mode", ["structure", "injection", "injection_none"])
+@pytest.mark.parametrize("arch", ["gcn", "grit", "graphormer", "san"])
+def test_adaptive_run_equals_per_step_reference(cluster_setup, tree_setup, arch, mode,
+                                                monkeypatch):
+    from gtattack.attack import runner
+
+    # 6 steps, resampled after steps 2 and 4
+    if mode == "structure":
+        _, g, _ = cluster_setup
+        gid, cands, cfg = 0, None, quick_config(steps=6, resample_every=2, seed=1)
+        model = build_model(arch, "node", g.feature_dim, 6, seed=0)
+    else:
+        _, g, gid, cands, _ = tree_setup
+        constraint = "tree_only" if mode == "injection" else "none"
+        cfg = tree_config(steps=6, resample_every=2, block_size=12, constraint=constraint,
+                          seed=1)
+        model = build_model(arch, "graph", g.feature_dim, 1, seed=0)
+    got = run_attack(model, g, cfg, cands, gid)
+    monkeypatch.setitem(runner._DRAWS, "adaptive", per_step_adaptive_draws)
+    want = run_attack(model, g, cfg, cands, gid)
+    assert got.to_doc() == want.to_doc()
+    assert len(set(got.loss_trace)) > 1
+
+
 def test_run_cell_scores_in_one_call(tree_setup, monkeypatch):
     from gtattack.attack import runner
 
@@ -870,7 +954,8 @@ def test_prbcd_step_ignores_parameter_gradients(tree_setup, arch):
     for trainable in (False, True):
         for t in model.params.values():
             t.requires_grad = trainable
-        steps.append(prbcd_step(run.objective(block), block, run.delta, run.lr))
+        stepped = BlockState(block.n, block.pairs, block.values.copy())
+        steps.append((stepped, prbcd_step(run.objective(stepped), stepped, run.delta, run.lr)))
     (plain, obj_plain), (tracked, obj_tracked) = steps
     np.testing.assert_array_equal(plain.values, tracked.values)
     assert obj_plain == obj_tracked

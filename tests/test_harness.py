@@ -445,16 +445,71 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
      "bad model config: hidden must be divisible by heads"),
     (lambda doc: {**doc, "models": [{"arch": "gcn"}, {"arch": "gcn", "seed": 1}]},
      "each model arch may appear once"),
-    (lambda doc: {**doc, "n_workers": "2"}, "n_workers must be an integer >= 1, got '2'"),
+    (lambda doc: {**doc, "n_workers": "2"}, "n_workers must be int, got '2'"),
+    (lambda doc: {**doc, "n_workers": 0}, "n_workers must be >= 1, got 0"),
+    (lambda doc: {**doc, "models": [{"arch": "gcn", "epochs": "2"}]},
+     "models[0].epochs must be int, got '2'"),
+    (lambda doc: {**doc, "models": [{"arch": "gcn", "train_subset": 0.5}]},
+     "models[0].train_subset must be int | None, got 0.5"),
+    (lambda doc: {**doc, "models": [{"arch": "gcn", "lr": "x"}]},
+     "models[0].lr must be float, got 'x'"),
+    (lambda doc: {**doc, "n_attack_graphs": 2.5}, "n_attack_graphs must be int, got 2.5"),
+    (lambda doc: {**doc, "n_attack_graphs": True}, "n_attack_graphs must be int, got True"),
+    (lambda doc: {**doc, "seeds": ["a"]}, "seeds must be list[int], got ['a']"),
+    (lambda doc: {**doc, "models": []}, "models, seeds and budgets must be non-empty"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "budget_fraction": 0.9}},
+     "attack.budget_fraction is not read; each cell takes it from budgets"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "seed": 3}},
+     "attack.seed is not read; each cell takes it from seeds"),
 ], ids=["unknown_top_level_key", "negative_n_attack_graphs", "zero_n_attack_graphs",
         "unknown_dataset_key", "tree_label_key", "tree_too_small", "sbm_p_inter_above_p_intra",
         "unknown_arch", "unknown_hparam", "hidden_not_divisible_by_heads", "duplicate_arch",
-        "n_workers_string"])
+        "n_workers_string", "zero_n_workers", "string_epochs", "float_train_subset",
+        "string_lr", "float_n_attack_graphs", "bool_n_attack_graphs", "string_seed",
+        "no_models", "attack_budget_fraction", "attack_seed"])
 def test_cli_rejects_config_at_load(tmp_path, capsys, change, message):
     cfg_path = write_config(tmp_path, change(tiny_config(tmp_path, kind="tree")))
     assert cli_main(["generate", "--config", cfg_path]) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("kind,attack,message", [
+    ("tree", {"constraint": "protect_labeled"}, "protect_labeled needs labeled nodes"),
+    ("tree", {"mode": "structure"}, "tree_only constrains injection attacks only"),
+    ("tree", {"loss_kind": "tanh_margin"}, "tree datasets take loss_kind 'raw_score'"),
+    ("cluster", {"mode": "injection"}, "injection needs a candidate set"),
+    ("cluster", {"constraint": "tree_only"}, "tree_only constrains injection attacks only"),
+    ("cluster", {"loss_kind": "raw_score"}, "cluster datasets take loss_kind 'tanh_margin'"),
+])
+def test_cli_rejects_attack_the_dataset_cannot_run(tmp_path, capsys, kind, attack, message):
+    doc = tiny_config(tmp_path, kind=kind)
+    cfg_path = write_config(tmp_path, {**doc, "attack": {**doc["attack"], **attack}})
+    assert cli_main(["generate", "--config", cfg_path]) == 2
+    assert f"bad attack config: {message}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("kind,attack", [
+    ("tree", {"mode": "structure", "constraint": "none"}),
+    ("tree", {"constraint": "none"}),
+    ("cluster", {"constraint": "protect_labeled"}),
+])
+def test_attack_settings_the_dataset_can_run_load(tmp_path, kind, attack):
+    doc = tiny_config(tmp_path, kind=kind)
+    cfg = ExperimentConfig.from_doc({**doc, "attack": {**doc["attack"], **attack}})
+    acfg = _attack_config(cfg, cfg.budgets[0], cfg.seeds[0])
+    assert {key: getattr(acfg, key) for key in attack} == attack
+
+
+def test_tree_structure_attack_runs(tmp_path):
+    doc = tiny_config(tmp_path, kind="tree", seeds=[0], budgets=[0.2])
+    doc["attack"].update(mode="structure", constraint="none")
+    cfg_path = write_config(tmp_path, doc)
+    for command in ("generate", "train", "attack"):
+        assert cli_main([command, "--config", cfg_path]) == 0
+    results = ResultsTable.load(str(tmp_path / "run" / "results.json"))
+    assert results.cell(model="gcn", attack="adaptive")
 
 
 def test_cli_unknown_model_exits_2(tmp_path):
