@@ -51,6 +51,15 @@ class AttackConfig:
             raise ValueError(f"unknown constraint {self.constraint!r}")
         if self.mode not in ("structure", "injection"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("block_size", "resample_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_discrete_samples < 0:
+            raise ValueError(f"n_discrete_samples must be >= 0, got {self.n_discrete_samples}")
+        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if self.max_candidates is not None and self.max_candidates < 1:
+            raise ValueError(f"max_candidates must be None or >= 1, got {self.max_candidates}")
 
 
 def budget_from_fraction(fraction: float, num_edges: int) -> int:

@@ -92,13 +92,13 @@ def _conforms(value, hint) -> bool:
     return not isinstance(value, bool) and isinstance(value, kinds)
 
 
-def _check_fields(obj, prefix: str = "") -> None:
-    """ConfigError naming the first field of dataclass ``obj`` not of its type."""
-    hints = get_type_hints(type(obj))
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not _conforms(value, hints[f.name]):
-            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+def _check_fields(cls, values: dict, prefix: str = "") -> None:
+    """ConfigError naming the first field of dataclass ``cls`` whose entry
+    in ``values`` is not of its type; fields absent from ``values`` pass."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in values and not _conforms(values[f.name], hints[f.name]):
+            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {values[f.name]!r}")
 
 
 @dataclass
@@ -124,9 +124,9 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        _check_fields(self)
+        _check_fields(type(self), vars(self))
         for i, spec in enumerate(self.models):
-            _check_fields(spec, f"models[{i}].")
+            _check_fields(ModelSpec, vars(spec), f"models[{i}].")
         if not self.models or not self.seeds or not self.budgets:
             raise ConfigError("models, seeds and budgets must be non-empty")
         if list(self.budgets) != sorted(self.budgets):
@@ -303,6 +303,7 @@ def _attack_config(cfg: ExperimentConfig, budget: float, seed: int,
     toggle_doc = base.pop("toggles", None)
     if toggles is None:
         toggles = RelaxToggles() if toggle_doc is None else RelaxToggles.from_dict(toggle_doc)
+    _check_fields(AttackConfig, base, "attack.")  # types first, then AttackConfig's ranges
     defaults = ({"loss_kind": "tanh_margin", "mode": "structure"} if cfg.task == "node" else
                 {"loss_kind": "raw_score", "mode": "injection", "constraint": "tree_only"})
     acfg = AttackConfig(budget_fraction=budget, seed=seed, toggles=toggles,

@@ -1,10 +1,16 @@
+import os
+import platform
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import gtattack
 from gtattack import autodiff as ad
 from gtattack.autodiff import Tensor, backward, finite_difference
 from gtattack.models import RelaxToggles, SpectralReference, build_model
@@ -492,3 +498,66 @@ def test_backward_equals_reference_through_relaxed_models(arch, task, track_para
     assert any(p in got for p in model.params.values()) == track_params
     for t in want:
         np.testing.assert_array_equal(got[t].data, want[t].data)
+
+
+# ---------------------------------------------------------------------------
+# matmul gradients whose contraction has length 1
+
+SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([(), (3,), (2, 2)]), st.integers(1, 4), st.integers(1, 4),
+       st.booleans())
+def test_matmul_unit_contraction_gradients_equal_matmul_bit_for_bit(data, lead, k, other, left):
+    # the gradient of a contracts over m and b's over n: one of them is 1
+    n, m = (1, other) if left else (other, 1)
+    a, b, g = (data.draw(arrays(np.float64, lead + shape, elements=SIGNED))
+               for shape in ((n, k), (k, m), (n, m)))
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    grads = backward(ad.tsum(ad.mul(ad.matmul(ta, tb), Tensor(g))))
+    assert grads[ta].data.tobytes() == (g @ b.swapaxes(-1, -2)).tobytes()
+    assert grads[tb].data.tobytes() == (a.swapaxes(-1, -2) @ g).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# allocator policy: a warm relaxed step reuses the heap the last one freed
+
+FAULT_PROBE = """
+import resource
+
+from gtattack import autodiff as ad
+from gtattack.autodiff import Tape, Tensor, backward
+from gtattack.generators import generate_sbm_cluster
+from gtattack.models import RelaxToggles, build_model
+
+g = generate_sbm_cluster(0, nodes_per_cluster_range=(10, 10))
+assert g.n == 60
+model = build_model("grit", "node", g.features.shape[1], 6, seed=0)
+
+
+def relaxed_step():
+    a = Tensor(g.adjacency, requires_grad=True)
+    with Tape():
+        backward(ad.tsum(model.forward(a, g.features, RelaxToggles())))
+
+
+for _ in range(2):
+    relaxed_step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    relaxed_step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set on glibc only")
+def test_warm_relaxed_grit_steps_take_no_page_faults():
+    # a fresh interpreter: earlier tests' large frees raise glibc's dynamic
+    # mmap threshold in this one, which would hide a policy that is not set
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gtattack.__file__)))
+    path = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert int(run.stdout) < 50

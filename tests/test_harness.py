@@ -461,12 +461,35 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
      "attack.budget_fraction is not read; each cell takes it from budgets"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "seed": 3}},
      "attack.seed is not read; each cell takes it from seeds"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "resample_every": 0}},
+     "bad attack config: resample_every must be >= 1, got 0"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "block_size": 0}},
+     "bad attack config: block_size must be >= 1, got 0"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "block_size": "x"}},
+     "attack.block_size must be int, got 'x'"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "steps": 2.5}},
+     "attack.steps must be int, got 2.5"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "loss_kind": 3}},
+     "attack.loss_kind must be str, got 3"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "n_discrete_samples": -1}},
+     "bad attack config: n_discrete_samples must be >= 0, got -1"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "base_lr": 0}},
+     "bad attack config: base_lr must be finite and > 0, got 0"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "base_lr": float("inf")}},
+     "bad attack config: base_lr must be finite and > 0, got inf"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "max_candidates": 0}},
+     "bad attack config: max_candidates must be None or >= 1, got 0"),
+    (lambda doc: {**doc, "attack": {**doc["attack"], "max_candidates": 2.5}},
+     "attack.max_candidates must be int | None, got 2.5"),
 ], ids=["unknown_top_level_key", "negative_n_attack_graphs", "zero_n_attack_graphs",
         "unknown_dataset_key", "tree_label_key", "tree_too_small", "sbm_p_inter_above_p_intra",
         "unknown_arch", "unknown_hparam", "hidden_not_divisible_by_heads", "duplicate_arch",
         "n_workers_string", "zero_n_workers", "string_epochs", "float_train_subset",
         "string_lr", "float_n_attack_graphs", "bool_n_attack_graphs", "string_seed",
-        "no_models", "attack_budget_fraction", "attack_seed"])
+        "no_models", "attack_budget_fraction", "attack_seed", "zero_resample_every",
+        "zero_block_size", "string_block_size", "float_steps", "int_loss_kind",
+        "negative_n_discrete_samples", "zero_base_lr", "infinite_base_lr",
+        "zero_max_candidates", "float_max_candidates"])
 def test_cli_rejects_config_at_load(tmp_path, capsys, change, message):
     cfg_path = write_config(tmp_path, change(tiny_config(tmp_path, kind="tree")))
     assert cli_main(["generate", "--config", cfg_path]) == 2
