@@ -23,15 +23,9 @@ def project_budget(values: np.ndarray, budget: float, tol: float = 1e-8,
         return clamped
     lo = float(values.min()) - 1.0
     hi = float(values.max())
-    # the sum of np.clip(values - mu, 0.0, 1.0), through ufuncs into one
-    # buffer: the same values, without np.clip's and .sum's Python wrappers
-    buf = np.empty_like(values)
     for _ in range(max_iter):
         mu = 0.5 * (lo + hi)
-        np.subtract(values, mu, out=buf)
-        np.maximum(buf, 0.0, out=buf)
-        np.minimum(buf, 1.0, out=buf)
-        s = np.add.reduce(buf)
+        s = np.clip(values - mu, 0.0, 1.0).sum()
         if abs(s - budget) <= tol:
             break
         if s > budget:

@@ -25,13 +25,15 @@ Conventions baked in here and relied on elsewhere:
 Importing this module sets the C allocator's policy for the process, where
 the C library exports ``mallopt`` (glibc; elsewhere nothing happens): heap
 blocks up to 32 MiB are never given their own mapping, and the heap top is
-returned to the kernel only past 512 MiB.  Each relaxed step frees all its
+returned to the kernel only past 64 MiB.  Each relaxed step frees all its
 activations at once when its :class:`Tape` closes; under glibc's default
 policy that heap went back to the kernel and the next step page-faulted it
 in again: about 7700 minor faults in one relaxed GRIT forward+backward at
 119 nodes, which then took 30-40 ms against 20-25 ms.  With the policy a
-warmed-up step takes no faults, and peak RSS moves by less than 1%.
-It acts on this process only.
+warmed-up step takes no faults, and peak RSS moves by less than 1%; the
+price is that up to 64 MiB of freed heap stays resident between steps.
+It acts on this whole process (any program that imports the package) and
+cannot be switched off.
 """
 
 from __future__ import annotations
@@ -56,12 +58,14 @@ __all__ = [
 # The allocator policy set at import (see the module docstring): glibc's
 # mallopt parameter numbers and their values.  32 MiB is glibc's largest
 # mmap threshold on 64-bit; setting it also stops glibc from adjusting the
-# threshold itself, which it does only after a large block is freed.  A
-# 512 MiB trim threshold keeps a freed step's heap (a 30 MB peak for GRIT
-# at 119 nodes) mapped for the next step.
+# threshold itself, which it does only after a large block is freed.  The
+# trim threshold is the heap a freed step may keep: a relaxed GRIT step on
+# the largest target graphs of scripts/*_config.json frees between 32 and
+# 48 MiB at once (warm steps still fault at 32 MiB, none do at 48 MiB), so
+# 64 MiB keeps those steps' heap with some margin.
 _MALLOPT_POLICY = (
     (-3, 32 << 20),  # M_MMAP_THRESHOLD
-    (-1, 512 << 20),  # M_TRIM_THRESHOLD
+    (-1, 64 << 20),  # M_TRIM_THRESHOLD
 )
 
 
@@ -286,19 +290,6 @@ def neg(a) -> Tensor:
 # linear algebra
 
 
-def _contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y``.  A contraction of length 1 (the gradients of GRIT's score
-    heads and pair aggregation) is the broadcast product instead, with no
-    matrix product per batch slice; adding ``0.0`` turns its ``-0.0`` into
-    the ``+0.0`` of matmul's zero-initialised accumulator, so the result
-    equals ``x @ y`` bit for bit."""
-    if x.shape[-1] != 1:
-        return x @ y
-    out = x * y
-    out += 0.0
-    return out
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes, broadcasting leading axes:
     (..., n, k) @ (..., k, m) -> (..., n, m).  Each gradient is summed back
@@ -311,8 +302,8 @@ def matmul(a, b) -> Tensor:
         out,
         (a, b),
         (
-            lambda g: _unbroadcast(_contract(g, b.data.swapaxes(-1, -2)), a.shape),
-            lambda g: _unbroadcast(_contract(a.data.swapaxes(-1, -2), g), b.shape),
+            lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape),
+            lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape),
         ),
     )
 

@@ -119,34 +119,6 @@ def test_projection_matches_sort_oracle():
         assert np.max(np.abs(got - want)) <= 1e-8
 
 
-def clip_form_projection(values, budget, tol=1e-8, max_iter=200):
-    """project_budget's bisection written with np.clip and ndarray.sum."""
-    clamped = np.clip(values, 0.0, 1.0)
-    if clamped.sum() <= budget + tol:
-        return clamped
-    lo, hi = float(values.min()) - 1.0, float(values.max())
-    for _ in range(max_iter):
-        mu = 0.5 * (lo + hi)
-        s = np.clip(values - mu, 0.0, 1.0).sum()
-        if abs(s - budget) <= tol:
-            break
-        if s > budget:
-            lo = mu
-        else:
-            hi = mu
-    return np.clip(values - mu, 0.0, 1.0)
-
-
-def test_projection_equals_clip_form_bit_for_bit():
-    rng = np.random.default_rng(11)
-    for _ in range(500):
-        k = int(rng.integers(1, 161))
-        scale = 10.0 ** rng.uniform(-3, 3)
-        values = scale * rng.standard_normal(k)
-        budget = float(rng.integers(1, 10))
-        assert np.array_equal(project_budget(values, budget), clip_form_projection(values, budget))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-2, 3), min_size=1, max_size=12), st.floats(0, 6))
 def test_projection_feasible_output(vals, budget):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import gtattack
 from gtattack import autodiff as ad
@@ -498,26 +497,6 @@ def test_backward_equals_reference_through_relaxed_models(arch, task, track_para
     assert any(p in got for p in model.params.values()) == track_params
     for t in want:
         np.testing.assert_array_equal(got[t].data, want[t].data)
-
-
-# ---------------------------------------------------------------------------
-# matmul gradients whose contraction has length 1
-
-SIGNED = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-4.0, 4.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data(), st.sampled_from([(), (3,), (2, 2)]), st.integers(1, 4), st.integers(1, 4),
-       st.booleans())
-def test_matmul_unit_contraction_gradients_equal_matmul_bit_for_bit(data, lead, k, other, left):
-    # the gradient of a contracts over m and b's over n: one of them is 1
-    n, m = (1, other) if left else (other, 1)
-    a, b, g = (data.draw(arrays(np.float64, lead + shape, elements=SIGNED))
-               for shape in ((n, k), (k, m), (n, m)))
-    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-    grads = backward(ad.tsum(ad.mul(ad.matmul(ta, tb), Tensor(g))))
-    assert grads[ta].data.tobytes() == (g @ b.swapaxes(-1, -2)).tobytes()
-    assert grads[tb].data.tobytes() == (a.swapaxes(-1, -2) @ g).tobytes()
 
 
 # ---------------------------------------------------------------------------
