@@ -116,40 +116,20 @@ def is_tree(adjacency: np.ndarray) -> bool:
     return m == n - 1 and is_connected(adjacency)
 
 
-def mst_projection(weights: np.ndarray) -> np.ndarray:
-    """Maximum-probability spanning tree of a weighted graph (Kruskal).
+def mst_projection(flips: np.ndarray, weights: np.ndarray, n_orig: int) -> np.ndarray:
+    """The flips of the maximum spanning tree of a tree plus weighted flips.
 
-    Ties break on the index pair, so the result is deterministic.  Raises
-    if the positive-weight support is disconnected.  The output adjacency
-    is discrete (entries 0/1), acyclic, and connected.
+    Every flip (i, j) joins an original node i < ``n_orig`` to an injected
+    node j, and the original nodes form a tree whose edges weigh 1.0, at
+    least as much as any flip.  The maximum spanning tree is then the
+    original tree plus each flipped injected node's heaviest flip, the one
+    of lowest original endpoint among equal weights (Kruskal's own tie
+    order).  Returns the kept flips in input order.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    n = w.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    mask = w[iu, ju] > EDGE_EPS
-    ei, ej, ew = iu[mask], ju[mask], w[iu, ju][mask]
-    order = np.lexsort((ej, ei, -ew))  # weight desc, then (i, j) asc
-
-    parent = np.arange(n)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    out = np.zeros((n, n))
-    added = 0
-    for idx in order:
-        a, b = int(ei[idx]), int(ej[idx])
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[ra] = rb
-        out[a, b] = out[b, a] = 1.0
-        added += 1
-        if added == n - 1:
-            break
-    if added != n - 1:
-        raise ValueError("mst_projection: support graph is disconnected")
-    return out
+    flips = np.asarray(flips, dtype=np.int64).reshape(-1, 2)
+    i, j = flips.T
+    if not np.all((i < n_orig) & (j >= n_orig)):
+        raise ValueError("mst_projection: each flip must join an original node to an injected one")
+    order = np.lexsort((i, -np.asarray(weights, dtype=np.float64), j))
+    _, first = np.unique(j[order], return_index=True)
+    return flips[np.sort(order[first])]

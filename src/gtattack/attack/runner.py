@@ -12,6 +12,7 @@ from ..train import discrete_logits, score
 from .config import AttackConfig, PerturbationResult, allowed_pairs, budget_from_fraction
 from .injection import (
     CandidateSet,
+    is_tree,
     mst_projection,
     nia_augment,
     node_probability,
@@ -40,6 +41,8 @@ class AttackRun:
                 raise ValueError("injection mode needs a candidate set")
             if not is_connected(graph.adjacency):
                 raise ValueError("injection attacks require a connected original graph")
+            if config.constraint == "tree_only" and not is_tree(graph.adjacency):
+                raise ValueError("tree_only injection requires a tree as the original graph")
             self.base_adj, self.base_feats, self.n_orig = nia_augment(graph, candidates)
         else:
             self.base_adj = graph.adjacency
@@ -92,6 +95,9 @@ class AttackRun:
     def _discrete_graph(self, flips: np.ndarray,
                         block: BlockState | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Adjacency, features and effective flips of the graph a flip set gives."""
+        if self.config.constraint == "tree_only":
+            weights = np.ones(len(flips)) if block is None else block.value_of(flips)
+            flips = mst_projection(flips, weights, self.n_orig)
         adj = self.base_adj.copy()
         i, j = flips.T
         adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
@@ -99,33 +105,22 @@ class AttackRun:
             return adj, self.base_feats, flips
 
         comp = connected_components(adj)
-        comp_kept = np.flatnonzero(comp == comp[0])
-        sub = adj[np.ix_(comp_kept, comp_kept)]
+        kept = np.flatnonzero(comp == comp[0])
         kept_flips = flips[(comp[flips] == comp[0]).all(axis=1)]
-        # the component of node 0 is connected, so it is a tree iff it has n - 1 edges
-        if (self.config.constraint == "tree_only"
-                and np.count_nonzero(np.triu(sub, k=1)) != len(comp_kept) - 1):
-            weights = sub.copy()
-            ki, kj = np.searchsorted(comp_kept, kept_flips).T
-            weights[ki, kj] = weights[kj, ki] = (np.ones(len(kept_flips)) if block is None
-                                                 else block.value_of(kept_flips))
-            sub = mst_projection(weights)
-            a, b = comp_kept[np.array(np.nonzero(np.triu(sub, k=1)))]
-            added = self.base_adj[a, b] == 0.0
-            kept_flips = np.stack([a[added], b[added]], axis=1)
-        return sub, self.base_feats[comp_kept], kept_flips
+        return adj[np.ix_(kept, kept)], self.base_feats[kept], kept_flips
 
     def evaluate_discrete(self, flip_sets: list,
                           blocks: list | None = None) -> list[tuple[float, float, list]]:
         """True-model evaluation of discrete flip sets.
 
         Returns one (attack loss, metric, effective flips) per flip set, in
-        input order.  In injection mode each graph keeps the component of
-        the original nodes; in tree-only mode non-tree samples are projected
-        to the maximum-probability spanning tree first, weighting flipped
-        edges by the value in that flip set's entry of ``blocks`` (1.0 for
+        input order.  In tree-only mode each flip set is first projected to
+        the flips of the maximum-probability spanning tree
+        (:func:`~gtattack.attack.injection.mst_projection`), weighting each
+        flip by its value in that flip set's entry of ``blocks`` (1.0 for
         an entry of None, e.g. a random pick; without ``blocks``, for every
-        set).  All sets are scored in one
+        set).  In injection mode each graph then keeps the component of the
+        original nodes.  All sets are scored in one
         :func:`~gtattack.train.discrete_logits` call.
         """
         blocks = [None] * len(flip_sets) if blocks is None else blocks

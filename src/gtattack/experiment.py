@@ -4,8 +4,8 @@ Everything is driven by one JSON config document (see ``ExperimentConfig``)
 and writes into an output directory:
 
     out/
-      dataset/            one JSON per graph + split.json
-      checkpoints/        <arch>.json model checkpoints + <arch>.history.json
+      dataset/            one JSON per graph + split.json (with the dataset's stamp)
+      checkpoints/        <arch>.json model checkpoints (with stamps) + <arch>.history.json
       perturbations/      one JSON per attack run (model, budget, seed, graph, kind[, toggles])
       results.json        attack rows (clean, adaptive, random, transfer) + config hash
       ablation.json       ablate rows (clean, random, adaptive per toggle set) + config hash
@@ -40,7 +40,7 @@ from .generators import (
     make_tree_dataset,
 )
 from .graphs import Dataset, load_dataset, save_dataset
-from .models import GraphModel, RelaxToggles, build_model, load_checkpoint, save_checkpoint
+from .models import GraphModel, RelaxToggles, build_model, model_from_doc, save_checkpoint
 from .train import TrainConfig, evaluate_accuracy, train_model
 
 log = logging.getLogger(__name__)
@@ -239,24 +239,42 @@ def _dataset_dir(cfg: ExperimentConfig) -> str:
     return os.path.join(cfg.out, "dataset")
 
 
+def _stamp(*specs) -> str:
+    """Hash of the config entries an output is made from."""
+    return hashlib.sha256(json.dumps(specs, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _check_stamp(doc: dict, stamp: str, path: str, stage: str) -> None:
+    """ConfigError unless ``doc``, read from ``path``, records ``stamp``."""
+    if doc.get("stamp") != stamp:
+        raise ConfigError(f"{path} was made from another config (stamp {doc.get('stamp')}, "
+                          f"config {stamp}); rerun {stage}")
+
+
 def cmd_generate(cfg: ExperimentConfig) -> Dataset:
-    """Generate the synthetic dataset and write it to out/dataset."""
+    """Generate the synthetic dataset and write it to out/dataset, stamped
+    with the hash of the ``dataset`` entry."""
     spec = dict(cfg.dataset)
     make = DATASETS[spec.pop("kind")][0]
     ds = make(**spec)
-    save_dataset(ds, _dataset_dir(cfg))
+    save_dataset(ds, _dataset_dir(cfg), stamp=_stamp(cfg.dataset))
     return ds
 
 
 def _load_or_generate(cfg: ExperimentConfig) -> Dataset:
     path = _dataset_dir(cfg)
-    if os.path.exists(os.path.join(path, "split.json")):
-        return load_dataset(path)
-    return cmd_generate(cfg)
+    split = os.path.join(path, "split.json")
+    if not os.path.exists(split):
+        return cmd_generate(cfg)
+    ds = load_dataset(path)
+    with open(split) as fh:
+        _check_stamp(json.load(fh), _stamp(cfg.dataset), split, "generate")
+    return ds
 
 
 def cmd_train(cfg: ExperimentConfig) -> dict[str, GraphModel]:
-    """Train every configured model; write checkpoints and histories."""
+    """Train every configured model; write checkpoints, each stamped with the
+    hash of the ``dataset`` entry and the model's own, and histories."""
     ds = _load_or_generate(cfg)
     ckpt_dir = os.path.join(cfg.out, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
@@ -275,7 +293,8 @@ def cmd_train(cfg: ExperimentConfig) -> dict[str, GraphModel]:
         history = train_model(model, train_ds, TrainConfig(epochs=spec.epochs, lr=spec.lr,
                                                            seed=spec.seed))
         history["test_acc"] = evaluate_accuracy(model, ds.part("test"))
-        save_checkpoint(model, os.path.join(ckpt_dir, f"{spec.arch}.json"))
+        save_checkpoint(model, os.path.join(ckpt_dir, f"{spec.arch}.json"),
+                        stamp=_stamp(cfg.dataset, vars(spec)))
         with open(os.path.join(ckpt_dir, f"{spec.arch}.history.json"), "w") as fh:
             fh.write(json.dumps(history, sort_keys=True))
         models[spec.arch] = model
@@ -289,7 +308,10 @@ def _load_models(cfg: ExperimentConfig) -> dict[str, GraphModel]:
         path = os.path.join(ckpt_dir, f"{spec.arch}.json")
         if not os.path.exists(path):
             raise ConfigError(f"missing checkpoint {path}; run train first")
-        models[spec.arch] = load_checkpoint(path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        _check_stamp(doc, _stamp(cfg.dataset, vars(spec)), path, "train")
+        models[spec.arch] = model_from_doc(doc)
     return models
 
 
@@ -360,10 +382,10 @@ class _Executor:
         self.models = _load_models(cfg)
         self.targets = self.ds.split["test"][: cfg.n_attack_graphs]
         self.target_graphs = [self.ds.graphs[gid] for gid in self.targets]
-        cap = _attack_config(cfg, cfg.budgets[0], cfg.seeds[0]).max_candidates
+        acfg = _attack_config(cfg, cfg.budgets[0], cfg.seeds[0])
         self.cands = {
-            gid: None if cfg.task == "node" else build_candidate_set(
-                self.ds, gid, exclude_roots=True, max_candidates=cap, seed=gid)
+            gid: None if acfg.mode != "injection" else build_candidate_set(
+                self.ds, gid, exclude_roots=True, max_candidates=acfg.max_candidates, seed=gid)
             for gid in self.targets
         }
         os.makedirs(os.path.join(cfg.out, "perturbations"), exist_ok=True)
@@ -466,7 +488,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> ResultsTable:
     """Fixed-budget sweep over toggle combinations plus random/clean rows."""
     ex = _Executor(cfg)
     budget = cfg.ablate_budget if cfg.ablate_budget is not None else cfg.budgets[-1]
-    mode = "structure" if cfg.task == "node" else "injection"
+    mode = _attack_config(cfg, budget, cfg.seeds[0]).mode
     table = ResultsTable(config_hash=cfg.hash())
 
     cells = []

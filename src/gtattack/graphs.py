@@ -74,6 +74,8 @@ class Graph:
             raise GraphValidationError("adjacency is not symmetric")
         if np.any(np.diag(a) != 0.0):
             raise GraphValidationError("adjacency diagonal must be exactly zero")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(self.features))):
+            raise GraphValidationError("adjacency and features must be finite")
         if np.any(a < 0.0) or np.any(a > 1.0):
             raise GraphValidationError("adjacency entries must lie in [0, 1]")
         if self.node_labels is not None:
@@ -214,25 +216,39 @@ def _graph_to_doc(g: Graph) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer (a bool is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _graph_from_doc(doc: dict, context: str) -> Graph:
     for key in ("n", "edges", "features"):
         if key not in doc:
             raise GraphParseError(f"{context}: missing field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise GraphParseError(f"{context}: field 'n' must be a non-negative int")
+    if not isinstance(doc["edges"], list):
+        raise GraphParseError(f"{context}: field 'edges' must be a list")
     a = np.zeros((n, n), dtype=np.float64)
     for k, e in enumerate(doc["edges"]):
         if not (isinstance(e, list) and len(e) == 3):
             raise GraphParseError(f"{context}: edges[{k}] must be [i, j, weight]")
         i, j, w = e
+        if not (_is_int(i) and _is_int(j)):
+            raise GraphParseError(f"{context}: edges[{k}] indices must be ints")
+        if not (_is_int(w) or isinstance(w, float)):
+            raise GraphParseError(f"{context}: edges[{k}] weight must be a number")
         if not (0 <= i < n and 0 <= j < n):
             raise GraphParseError(f"{context}: edges[{k}] index out of range")
         if i >= j:
             raise GraphParseError(f"{context}: edges[{k}] must have i < j (upper triangle)")
         a[i, j] = w
         a[j, i] = w
-    feats = np.asarray(doc["features"], dtype=np.float64)
+    try:
+        feats = np.asarray(doc["features"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise GraphParseError(f"{context}: features must be numbers: {exc}") from exc
     if feats.ndim != 2 or feats.shape[0] != n:
         raise GraphParseError(f"{context}: features must be an n x d matrix")
     try:
@@ -263,13 +279,25 @@ def load_graph(path: str) -> Graph:
     return _graph_from_doc(doc, path)
 
 
-def save_dataset(ds: Dataset, directory: str) -> None:
-    """One JSON file per graph plus split.json."""
+def _graph_files(directory: str) -> list[str]:
+    return sorted(f for f in os.listdir(directory)
+                  if f.startswith("graph_") and f.endswith(".json"))
+
+
+def save_dataset(ds: Dataset, directory: str, stamp: str | None = None) -> None:
+    """One JSON file per graph plus split.json, which records ``stamp`` when
+    given; graph files of an earlier, larger dataset there are removed."""
     os.makedirs(directory, exist_ok=True)
-    for i, g in enumerate(ds.graphs):
-        save_graph(g, os.path.join(directory, f"graph_{i:05d}.json"))
+    names = [f"graph_{i:05d}.json" for i in range(len(ds.graphs))]
+    for name in set(_graph_files(directory)) - set(names):
+        os.remove(os.path.join(directory, name))
+    for name, g in zip(names, ds.graphs):
+        save_graph(g, os.path.join(directory, name))
+    doc = {"task": ds.task, **ds.split}
+    if stamp is not None:
+        doc["stamp"] = stamp
     with open(os.path.join(directory, "split.json"), "w") as fh:
-        fh.write(json.dumps({"task": ds.task, **ds.split}, sort_keys=True))
+        fh.write(json.dumps(doc, sort_keys=True))
 
 
 def load_dataset(directory: str) -> Dataset:
@@ -281,7 +309,6 @@ def load_dataset(directory: str) -> Dataset:
         raise GraphParseError(f"{split_path}: missing split file")
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"{split_path}: line {exc.lineno}: {exc.msg}") from exc
-    names = sorted(f for f in os.listdir(directory) if f.startswith("graph_") and f.endswith(".json"))
-    graphs = [load_graph(os.path.join(directory, f)) for f in names]
+    graphs = [load_graph(os.path.join(directory, f)) for f in _graph_files(directory)]
     split = {k: split_doc[k] for k in ("train", "val", "test")}
     return Dataset(graphs=graphs, split=split, task=split_doc["task"])

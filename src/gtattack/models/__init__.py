@@ -2,7 +2,8 @@
 
 Checkpoint format (JSON, sorted keys): ``{"arch", "task", "feature_dim",
 "n_classes", "seed", "hparams", "params": {name: flat values},
-"shapes": {name: shape}}``.
+"shapes": {name: shape}}``, plus the ``"stamp"`` that ``gtattack train``
+writes (see ``experiment``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "build_model",
     "save_checkpoint",
     "load_checkpoint",
+    "model_from_doc",
 ]
 
 ARCHS: dict[str, type[GraphModel]] = {
@@ -50,14 +52,20 @@ def build_model(arch: str, task: str, feature_dim: int, n_classes: int,
                        seed=seed, **hparams)
 
 
-def save_checkpoint(model: GraphModel, path: str) -> None:
+def save_checkpoint(model: GraphModel, path: str, stamp: str | None = None) -> None:
+    """The model's document, plus ``stamp`` when given."""
+    doc = model.to_doc() if stamp is None else {**model.to_doc(), "stamp": stamp}
     with open(path, "w") as fh:
-        fh.write(json.dumps(model.to_doc(), sort_keys=True))
+        fh.write(json.dumps(doc, sort_keys=True))
 
 
 def load_checkpoint(path: str) -> GraphModel:
     with open(path) as fh:
-        doc = json.load(fh)
+        return model_from_doc(json.load(fh))
+
+
+def model_from_doc(doc: dict) -> GraphModel:
+    """The model a checkpoint document describes."""
     model = build_model(doc["arch"], doc["task"], doc["feature_dim"], doc["n_classes"],
                         seed=doc["seed"], **doc["hparams"])
     model.load_doc(doc)

@@ -101,11 +101,12 @@ class GraphModel:
     def _build(self, rng: np.random.Generator) -> None:
         raise NotImplementedError
 
-    def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None, **kw) -> Tensor:
+    def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None) -> Tensor:
         raise NotImplementedError
 
     def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray, **kw) -> Tensor:
-        """Unrelaxed logits of (stacked) discrete graphs; see the class docstring."""
+        """Unrelaxed logits of (stacked) discrete graphs; see the class
+        docstring.  Keywords go to ``forward``, which names every one it takes."""
         return self.forward(Tensor(adjacency), features, UNRELAXED, **kw)
 
     # -- shared layer tail and readout ----------------------------------------

@@ -40,7 +40,7 @@ class GCN(GraphModel):
         scale = ad.mul(ad.reshape(s, lead + (n, 1)), ad.reshape(s, lead + (1, n)))
         return ad.mul(with_loops, scale)
 
-    def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None, **kw) -> Tensor:
+    def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None) -> Tensor:
         prop = self._propagation(ad.as_tensor(atilde))
         h = ad.as_tensor(features)
         for i in range(self.hparams["layers"]):

@@ -81,14 +81,9 @@ class Graphormer(GraphModel):
         row = ad.mul(Tensor(np.ones(lead + (1, n + 1))), ad.reshape(bv, (1, 1)))
         return ad.concat([ad.concat([bias, col], axis=-1), row], axis=-2)
 
-    def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None,
-                spd_override: Tensor | None = None, **kw) -> Tensor:
-        """Relaxed forward; ``spd_override`` substitutes the distance matrix
-        (used by gradient checks that must hold the shortest paths fixed)."""
+    def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None) -> Tensor:
         a = ad.as_tensor(atilde)
-        if spd_override is not None:
-            spd = spd_override
-        elif toggles.graphormer_spd:
+        if toggles.graphormer_spd:
             spd = rspd_matrix(a)
         else:
             spd = Tensor(bfs_hops(np.rint(a.data)))

@@ -88,7 +88,7 @@ class GRIT(GraphModel):
         self._param("out.w", (d, self.n_classes), rng)
         self._param("out.b", (self.n_classes,), rng, "zeros")
 
-    def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None, **kw) -> Tensor:
+    def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None) -> Tensor:
         a = ad.as_tensor(atilde)
         n = a.shape[-1]
         lead = a.shape[:-2]

@@ -129,7 +129,7 @@ class SAN(GraphModel):
     # -- entry point ---------------------------------------------------------------
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None,
                 spectral_ref: SpectralReference | None = None,
-                decomp: EigenDecomposition | None = None, **kw) -> Tensor:
+                decomp: EigenDecomposition | None = None) -> Tensor:
         """``spectral_ref`` is the base point of the perturbed eigenpairs
         (``san_lap_pert``); without it, or with the toggle off, ``decomp``
         holds the Laplacian eigenpairs of the same stack when the caller has

@@ -417,53 +417,94 @@ def spanning_tree_oracle(w):
     return best, best_w
 
 
+def random_tree(rng, n):
+    """A random tree whose node numbers are shuffled, so that a parent need
+    not precede its child."""
+    a = np.zeros((n, n))
+    perm = rng.permutation(n)
+    for k in range(1, n):
+        parent, child = perm[rng.integers(0, k)], perm[k]
+        a[parent, child] = a[child, parent] = 1.0
+    return a
+
+
 def test_mst_returns_discrete_tree_unchanged():
-    g = generate_retweet_tree(seed=1, n_nodes_range=(6, 6))
-    out = mst_projection(g.adjacency)
-    np.testing.assert_array_equal(out, g.adjacency)
+    # one flip per candidate already gives a tree
+    flips = np.array([[0, 6], [2, 7], [5, 8]])
+    np.testing.assert_array_equal(mst_projection(flips, np.array([0.2, 1.0, 0.7]), 6), flips)
+    assert mst_projection(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 6).shape == (0, 2)
 
 
 def test_mst_triangle_drops_weakest():
-    w = np.zeros((3, 3))
-    w[0, 1] = w[1, 0] = 0.9
-    w[1, 2] = w[2, 1] = 0.8
-    w[0, 2] = w[2, 0] = 0.1
-    out = mst_projection(w)
-    assert out[0, 1] == 1.0 and out[1, 2] == 1.0 and out[0, 2] == 0.0
-
-
-def test_mst_edge_count():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        n = int(rng.integers(3, 8))
-        w = np.triu(rng.uniform(0.1, 1.0, (n, n)), k=1)
-        w = w + w.T
-        out = mst_projection(w)
-        assert np.count_nonzero(np.triu(out, 1)) == n - 1
-        assert is_tree(out)
+    # candidate 2 flipped to both ends of the edge (0, 1): the cycle loses its
+    # weakest edge, and ties go to the lowest original endpoint
+    flips = np.array([[0, 2], [1, 2]])
+    np.testing.assert_array_equal(mst_projection(flips, np.array([0.1, 0.8]), 2), [[1, 2]])
+    np.testing.assert_array_equal(mst_projection(flips, np.array([1.0, 1.0]), 2), [[0, 2]])
 
 
 def test_mst_matches_bruteforce_weight():
+    # trees of any node numbering, random candidate flips, ties at 1.0
     rng = np.random.default_rng(9)
-    for _ in range(15):
-        n = int(rng.integers(3, 7))
-        w = np.triu(rng.uniform(0.05, 1.0, (n, n)) * (rng.random((n, n)) < 0.8), k=1)
-        w = w + w.T
-        from gtattack.graphs import is_connected
-
-        if not is_connected(w):
-            continue
-        got = mst_projection(w)
+    for _ in range(60):
+        n_orig, n_inj = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+        n = n_orig + n_inj
+        tree = random_tree(rng, n_orig)
+        pairs = np.array([(i, j) for i in range(n_orig) for j in range(n_orig, n)])
+        flips = pairs[np.sort(rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)),
+                                         replace=False))]
+        weights = np.where(rng.random(len(flips)) < 0.5, 1.0, rng.uniform(0.05, 1.0, len(flips)))
+        kept = mst_projection(flips, weights, n_orig)
+        # each flipped candidate keeps one flip, and with every original edge
+        # they form a tree of maximum weight
+        assert sorted(kept[:, 1].tolist()) == sorted(set(flips[:, 1].tolist()))
+        w = np.zeros((n, n))
+        w[:n_orig, :n_orig] = tree
+        w[flips[:, 0], flips[:, 1]] = w[flips[:, 1], flips[:, 0]] = weights
+        present = np.r_[np.arange(n_orig), np.unique(flips[:, 1])]
+        w = w[np.ix_(present, present)]
+        projected = np.zeros((n, n))
+        projected[:n_orig, :n_orig] = tree
+        projected[kept[:, 0], kept[:, 1]] = projected[kept[:, 1], kept[:, 0]] = 1.0
+        assert is_tree(projected[np.ix_(present, present)])
         _, best_w = spanning_tree_oracle(w)
-        got_w = sum(w[i, j] for i, j in zip(*np.nonzero(np.triu(got, 1))))
+        key = {tuple(f): v for f, v in zip(flips.tolist(), weights)}
+        got_w = n_orig - 1 + sum(key[tuple(f)] for f in kept.tolist())
         assert got_w == pytest.approx(best_w, abs=1e-12)
 
 
-def test_mst_disconnected_support_rejected():
-    w = np.zeros((4, 4))
-    w[0, 1] = w[1, 0] = 0.5
-    with pytest.raises(ValueError, match="disconnected"):
-        mst_projection(w)
+def test_mst_keeps_original_edges_of_any_numbering(tree_setup):
+    # on the path 0-2-3-1, a candidate flipped to both ends at value 1.0 ties
+    # with the original edges; the projection keeps (2, 3) and the first flip
+    from gtattack.attack.runner import AttackRun
+
+    path = np.zeros((4, 4))
+    for i, j in ((0, 2), (2, 3), (3, 1)):
+        path[i, j] = path[j, i] = 1.0
+    g = make_graph(path, d_feat=tree_setup[1].feature_dim)
+    cands = CandidateSet(features=np.zeros((1, g.feature_dim)), provenance=[(1, 1)])
+    run = AttackRun(tree_setup[4], g, tree_config(budget_fraction=0.5), cands)
+    adj, _, eff = run._discrete_graph(np.array([[0, 4], [1, 4]]), None)
+    assert eff.tolist() == [[0, 4]]
+    want = np.zeros((5, 5))
+    want[:4, :4] = path
+    want[0, 4] = want[4, 0] = 1.0
+    np.testing.assert_array_equal(adj, want)
+
+
+def test_mst_rejects_flips_off_tree_to_candidate():
+    for flip in ([0, 1], [4, 5], [4, 1]):  # inside the tree, between candidates, reversed
+        with pytest.raises(ValueError, match="original node to an injected one"):
+            mst_projection(np.array([[0, 4], flip]), np.ones(2), 4)
+
+
+def test_tree_only_needs_a_tree(tree_setup):
+    from gtattack.attack.runner import AttackRun
+
+    cycle = np.ones((3, 3)) - np.eye(3)
+    g = make_graph(cycle, d_feat=tree_setup[1].feature_dim)
+    with pytest.raises(ValueError, match="requires a tree"):
+        AttackRun(tree_setup[4], g, tree_config(), tree_setup[3])
 
 
 # ---------------------------------------------------------------------------
@@ -700,23 +741,25 @@ def test_evaluate_discrete_batch_equals_single_calls(tree_setup, stack_entries, 
 
 def reference_discrete_graph(run, flips, value):
     """Per-flip loop form of ``AttackRun._discrete_graph`` in injection mode;
-    ``value`` maps a flipped pair to its tree-projection weight."""
+    ``value`` maps a flipped pair to its tree-projection weight.  Under
+    ``tree_only`` each candidate keeps its first flip of highest value;
+    flips come sorted, so that is the one of lowest original endpoint."""
+    flips = [(int(i), int(j)) for i, j in flips]
+    projected = False
+    if run.config.constraint == "tree_only":
+        best = {}
+        for i, j in flips:
+            if j not in best or value(i, j) > value(*best[j]):
+                best[j] = (i, j)
+        projected = len(best) < len(flips)
+        flips = [f for f in flips if best[f[1]] == f]
     adj = run.base_adj.copy()
     for i, j in flips:
         adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
     comp = connected_components(adj)
     kept = np.flatnonzero(comp == comp[0])
-    sub = adj[np.ix_(kept, kept)]
-    local = {int(v): k for k, v in enumerate(kept)}
-    kept_flips = [(int(i), int(j)) for i, j in flips if i in local and j in local]
-    if run.config.constraint != "tree_only" or is_tree(sub):
-        return sub, kept_flips, False
-    weights = sub.copy()
-    for i, j in kept_flips:
-        weights[local[i], local[j]] = weights[local[j], local[i]] = value(i, j)
-    sub = mst_projection(weights)
-    return sub, [(int(kept[a]), int(kept[b])) for a, b in zip(*np.nonzero(np.triu(sub, k=1)))
-                 if run.base_adj[kept[a], kept[b]] == 0.0], True
+    kept_flips = [(i, j) for i, j in flips if comp[i] == comp[j] == comp[0]]
+    return adj[np.ix_(kept, kept)], kept_flips, projected
 
 
 @pytest.mark.parametrize("constraint", ["tree_only", "none"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,3 +256,21 @@ def test_out_of_range_weight_rejected(tmp_path):
     path.write_text('{"n": 2, "edges": [[0, 1, 3.0]], "features": [[0.0], [0.0]]}')
     with pytest.raises(GraphParseError, match=r"\[0, 1\]"):
         load_graph(str(path))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("edges", [[0.0, 1, 1.0]], r"edges\[0\] indices must be ints"),
+    ("edges", [["0", 1, 1.0]], r"edges\[0\] indices must be ints"),
+    ("edges", [[0, 1, "1.0"]], r"edges\[0\] weight must be a number"),
+    ("n", True, "'n' must be a non-negative int"),
+    ("edges", 5, "'edges' must be a list"),
+    ("features", [[0.0], ["x"]], "features must be numbers"),
+    ("edges", [[0, 1, float("nan")]], "must be finite"),
+])
+def test_malformed_graph_field_is_parse_error(tmp_path, field, value, message):
+    doc = {"n": 2, "edges": [[0, 1, 1.0]], "features": [[0.0], [0.0]], field: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphParseError, match=message) as exc:
+        load_graph(str(path))
+    assert str(exc.value).startswith(f"{path}: ")

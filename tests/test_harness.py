@@ -23,8 +23,8 @@ from gtattack.experiment import (
     load_report_csv,
     toggles_label,
 )
-from gtattack.graphs import load_dataset
-from gtattack.models import RelaxToggles, load_checkpoint
+from gtattack.graphs import load_dataset, save_dataset
+from gtattack.models import RelaxToggles, load_checkpoint, save_checkpoint
 
 
 def tiny_config(tmp_path, kind="cluster", **over):
@@ -535,6 +535,19 @@ def test_tree_structure_attack_runs(tmp_path):
     assert results.cell(model="gcn", attack="adaptive")
 
 
+def test_tree_structure_ablate_sweeps_the_structure_grid(tmp_path):
+    doc = tiny_config(tmp_path, kind="tree", models=TWO_MODELS, seeds=[0], budgets=[0.2],
+                      ablate_budget=0.2)
+    doc["attack"].update(mode="structure", constraint="none")
+    cfg = ExperimentConfig.from_doc(doc)
+    cmd_train(cfg)
+    table = cmd_ablate(cfg)
+    labels = [r["toggles"] for r in table.rows
+              if r["model"] == "graphormer" and r["attack"] == "adaptive"]
+    assert labels == [toggles_label(t) for t in ablation_grid("graphormer", "structure")]
+    assert len(labels) == 3
+
+
 def test_cli_unknown_model_exits_2(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path))
     assert cli_main(["train", "--config", cfg_path, "--model", "nope"]) == 2
@@ -572,3 +585,56 @@ def test_cli_progress_reaches_caller_handlers(tmp_path, caplog):
     with caplog.at_level(logging.INFO, logger="gtattack.experiment"):
         assert cli_main(["attack", "--config", cfg_path]) == 0
     assert [r.message.split(":")[0] for r in caplog.records] == ["cell 1/2", "cell 2/2"]
+
+
+# ---------------------------------------------------------------------------
+# stale inputs: dataset and checkpoints carry the stamp of the config they
+# were made from
+
+
+def test_cli_attack_rejects_dataset_of_another_config(tmp_path, capsys):
+    doc = tiny_config(tmp_path, seeds=[0], budgets=[0.05])
+    assert cli_main(["train", "--config", write_config(tmp_path, doc)]) == 0
+    doc["dataset"]["seed"] = 6
+    assert cli_main(["attack", "--config", write_config(tmp_path, doc)]) == 2
+    assert "split.json was made from another config" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(doc["out"], "results.json"))
+
+
+def test_cli_attack_rejects_checkpoint_of_another_config(tmp_path, capsys):
+    doc = tiny_config(tmp_path, seeds=[0], budgets=[0.05])
+    assert cli_main(["train", "--config", write_config(tmp_path, doc)]) == 0
+    doc["models"][0]["hparams"] = {"hidden": 16}
+    assert cli_main(["attack", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "gcn.json was made from another config" in err and "rerun train" in err
+
+
+def test_unstamped_dataset_is_rejected(tmp_path):
+    cfg = ExperimentConfig.from_doc(tiny_config(tmp_path))
+    cmd_train(cfg)
+    path = os.path.join(cfg.out, "dataset")
+    save_dataset(load_dataset(path), path)
+    with pytest.raises(ConfigError, match="stamp None.*rerun generate"):
+        cmd_attack(cfg)
+
+
+def test_unstamped_checkpoint_is_rejected(tmp_path):
+    cfg = ExperimentConfig.from_doc(tiny_config(tmp_path))
+    models = cmd_train(cfg)
+    save_checkpoint(models["gcn"], os.path.join(cfg.out, "checkpoints", "gcn.json"))
+    with pytest.raises(ConfigError, match="stamp None.*rerun train"):
+        cmd_attack(cfg)
+
+
+def test_generate_removes_graphs_of_a_larger_dataset(tmp_path):
+    doc = tiny_config(tmp_path)
+    doc["dataset"]["n_test"] = 6
+    cmd_generate(ExperimentConfig.from_doc(doc))
+    doc["dataset"]["n_test"] = 3
+    ds = cmd_generate(ExperimentConfig.from_doc(doc))
+    assert len(ds.graphs) == 9
+    reloaded = load_dataset(os.path.join(doc["out"], "dataset"))
+    assert len(reloaded.graphs) == 9
+    for a, b in zip(reloaded.graphs, ds.graphs):
+        np.testing.assert_array_equal(a.adjacency, b.adjacency)

@@ -176,7 +176,9 @@ def test_continuity_along_single_edge_segment(arch):
 
 
 @pytest.mark.parametrize("arch", ARCHS)
-def test_model_gradients_match_finite_differences(arch):
+def test_model_gradients_match_finite_differences(arch, monkeypatch):
+    from gtattack.models import graphormer
+
     rng = np.random.default_rng(5)
     n = 8
     a = interior_adjacency(rng, n)
@@ -185,9 +187,16 @@ def test_model_gradients_match_finite_differences(arch):
     m = build_model(arch, "node", 5, 4, seed=0, **SMALL[arch])
     kw = model_kwargs(arch, a)
 
-    frozen = all_pairs_shortest(reciprocal_weights(a)) if arch == "graphormer" else None
+    at = Tensor(a.copy(), requires_grad=True)
+    logits = m.forward(at, feats, RelaxToggles(), **kw)
+    got = backward(attack_loss(logits, labels, "tanh_margin", "node"))[at].data
 
-    def frozen_spd(arr):
+    # finite differences hold Graphormer's shortest paths fixed, as its
+    # gradient does: each distance is re-summed along the clean shortest path
+    frozen = all_pairs_shortest(reciprocal_weights(a))
+
+    def frozen_spd(at):
+        arr = at.data
         d = np.zeros((n, n))
         for i in range(n):
             for j in range(n):
@@ -196,22 +205,13 @@ def test_model_gradients_match_finite_differences(arch):
                     continue
                 nodes = frozen.path(i, j)
                 d[i, j] = sum(1.0 / arr[u, v] for u, v in zip(nodes[:-1], nodes[1:]))
-        return d
+        return Tensor(d)
+
+    monkeypatch.setattr(graphormer, "rspd_matrix", frozen_spd)
 
     def loss_at(arr):
-        at = Tensor(arr)
-        fkw = dict(kw)
-        if arch == "graphormer":
-            fkw["spd_override"] = Tensor(frozen_spd(arr))
-        logits = m.forward(at, feats, RelaxToggles(), **fkw)
+        logits = m.forward(Tensor(arr), feats, RelaxToggles(), **kw)
         return attack_loss(logits, labels, "tanh_margin", "node").item()
-
-    at = Tensor(a.copy(), requires_grad=True)
-    fkw = dict(kw)
-    if arch == "graphormer":
-        fkw["spd_override"] = rspd_matrix(at)
-    logits = m.forward(at, feats, RelaxToggles(), **fkw)
-    got = backward(attack_loss(logits, labels, "tanh_margin", "node"))[at].data
 
     coords = [(int(i), int(j)) for i, j in
               zip(rng.integers(0, n, 6), rng.integers(0, n, 6)) if i != j][:4]
@@ -225,6 +225,18 @@ def test_model_gradients_match_finite_differences(arch):
         fd = (hi - lo) / (2 * eps)
         rel = abs(got[i, j] - fd) / max(abs(fd), 1e-3)
         assert rel <= 1e-3, (arch, i, j, got[i, j], fd)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_unknown_forward_keyword_raises(arch):
+    rng = np.random.default_rng(6)
+    a, feats = random_discrete(rng, 6)
+    m = build_model(arch, "graph", feats.shape[1], 1, seed=0, **SMALL[arch])
+    probs = Tensor(np.ones(6))
+    with pytest.raises(TypeError, match="node_prob"):
+        m.forward(Tensor(a), feats, RelaxToggles(), node_prob=probs)
+    with pytest.raises(TypeError, match="node_prob"):
+        m.forward_discrete(a, feats, node_prob=probs)
 
 
 # ---------------------------------------------------------------------------
