@@ -443,6 +443,22 @@ def test_mst_triangle_drops_weakest():
     np.testing.assert_array_equal(mst_projection(flips, np.array([1.0, 1.0]), 2), [[0, 2]])
 
 
+def test_mst_edge_count():
+    # every original node flipped to every candidate: the projection keeps one
+    # flip per candidate, so with the original edges the tree has n - 1 edges
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        n_orig, n_inj = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        n = n_orig + n_inj
+        flips = np.array([(i, j) for i in range(n_orig) for j in range(n_orig, n)])
+        kept = mst_projection(flips, rng.uniform(0.1, 1.0, len(flips)), n_orig)
+        out = np.zeros((n, n))
+        out[:n_orig, :n_orig] = random_tree(rng, n_orig)
+        out[kept[:, 0], kept[:, 1]] = out[kept[:, 1], kept[:, 0]] = 1.0
+        assert np.count_nonzero(np.triu(out, 1)) == n - 1
+        assert is_tree(out)
+
+
 def test_mst_matches_bruteforce_weight():
     # trees of any node numbering, random candidate flips, ties at 1.0
     rng = np.random.default_rng(9)
