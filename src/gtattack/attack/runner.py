@@ -131,7 +131,8 @@ class AttackRun:
 def _score(model: GraphModel, items: list) -> list[tuple[float, float, list]]:
     """:meth:`AttackRun.evaluate_discrete` of (run, flips, block) items that
     may come from several runs on ``model``; the graphs are built one at a
-    time as the stacks fill."""
+    time as the stacks fill, and the outputs of one run and size are scored
+    in one :func:`attack_loss` and one :func:`~gtattack.train.score` call."""
     effective: list = []
 
     def graphs():
@@ -141,12 +142,17 @@ def _score(model: GraphModel, items: list) -> list[tuple[float, float, list]]:
             effective.append(eff.tolist())
             yield adj, feats
 
-    task = model.task
-    results = []
-    for (run, _, _), out, eff in zip(items, discrete_logits(model, graphs()), effective):
+    groups: dict = {}
+    for i, ((run, _, _), out) in enumerate(zip(items, discrete_logits(model, graphs()))):
         out = out[: run.n_orig]
-        loss = attack_loss(Tensor(out), run.labels, run.config.loss_kind, task).item()
-        results.append((loss, score(out, run.labels, task), eff))
+        groups.setdefault((run, out.shape), []).append((i, out))
+    results: list = [None] * len(items)
+    with ad.no_grad():
+        for (run, _), group in groups.items():
+            stack = np.stack([out for _, out in group])
+            losses = attack_loss(Tensor(stack), run.labels, run.config.loss_kind, model.task).data
+            for (i, _), loss, metric in zip(group, losses, score(stack, run.labels, model.task)):
+                results[i] = (float(loss), float(metric), effective[i])
     return results
 
 

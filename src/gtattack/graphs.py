@@ -251,6 +251,14 @@ def _graph_from_doc(doc: dict, context: str) -> Graph:
         raise GraphParseError(f"{context}: features must be numbers: {exc}") from exc
     if feats.ndim != 2 or feats.shape[0] != n:
         raise GraphParseError(f"{context}: features must be an n x d matrix")
+    for key, ok, what in (("node_labels", lambda v: _is_int(v) and v >= 0, "non-negative ints"),
+                          ("labeled_mask", lambda v: isinstance(v, int) and v in (0, 1),
+                           "booleans or 0/1")):
+        if doc.get(key) is not None and not (isinstance(doc[key], list) and all(map(ok, doc[key]))):
+            raise GraphParseError(f"{context}: {key} must be a list of {what}")
+    label = doc.get("graph_label")
+    if label is not None and not (_is_int(label) and label in (0, 1)):
+        raise GraphParseError(f"{context}: graph_label must be 0 or 1")
     try:
         return Graph(
             adjacency=a,

@@ -26,8 +26,6 @@ __all__ = [
     "TrainConfig",
     "node_ce_loss",
     "graph_bce_loss",
-    "node_accuracy",
-    "graph_score_correct",
     "score",
     "discrete_logits",
     "evaluate_accuracy",
@@ -64,20 +62,13 @@ def graph_bce_loss(logit: Tensor, label: int) -> Tensor:
     return ad.tsum(soft)
 
 
-def node_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(np.argmax(logits, axis=1) == labels) * 100.0)
-
-
-def graph_score_correct(score: float, label: int) -> float:
-    return 100.0 if (score > 0.0) == bool(label) else 0.0
-
-
-def score(logits: np.ndarray, labels, task: str) -> float:
-    """Accuracy (%) of one graph's true-model logits: the share of correct
-    nodes for node tasks, 100 or 0 for the sign of the score otherwise."""
+def score(logits: np.ndarray, labels, task: str) -> np.ndarray:
+    """Accuracy (%) of true-model logits (..., n, c) of graphs that share
+    ``labels``, one value per leading index: the share of correct nodes for
+    node tasks, 100 or 0 for the sign of the (n = c = 1) score otherwise."""
     if task == "node":
-        return node_accuracy(logits, labels)
-    return graph_score_correct(float(logits.reshape(-1)[0]), labels)
+        return np.mean(np.argmax(logits, axis=-1) == labels, axis=-1) * 100.0
+    return np.where((logits[..., 0, 0] > 0.0) == bool(labels), 100.0, 0.0)
 
 
 def discrete_logits(model: GraphModel,

@@ -116,7 +116,40 @@ def test_projection_matches_sort_oracle():
         budget = float(rng.uniform(0.0, k * 0.7))
         got = project_budget(values, budget)
         want = sort_projection_oracle(values, budget)
-        assert np.max(np.abs(got - want)) <= 1e-8
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("values, budget", [
+    ([0.3, 0.9, 1.4], 0.0),  # budget 0
+    ([1.7], 0.4),  # a single value
+    ([1.2, 3.0, 1.5], 2.0),  # all values above 1
+    ([1.2, 3.0, 1.5], 0.5),
+    ([0.5, 1.5, 2.5, -0.5], 1.0),  # values exactly 1 apart: coinciding breakpoints
+    ([0.8, 0.8, 0.8, 0.2], 1.0),  # repeated values
+    ([0.7, 0.7, 0.7], 2.0),
+])
+def test_projection_edge_cases_match_sort_oracle(values, budget):
+    got = project_budget(np.array(values), budget)
+    assert np.max(np.abs(got - sort_projection_oracle(values, budget))) <= 1e-12
+    assert abs(got.sum() - budget) <= 1e-12
+
+
+def test_projection_clamped_sum_just_above_budget_is_projected():
+    # the clamped sum exceeds the budget by 5e-9: projected to the budget,
+    # each value lowered by half the excess
+    values = np.array([0.6, 0.4 + 5e-9, 1.5, -0.2])
+    got = project_budget(values, 2.0)
+    assert abs(got.sum() - 2.0) <= 1e-15
+    np.testing.assert_allclose(got[:2], [0.6 - 2.5e-9, 0.4 + 2.5e-9], rtol=0, atol=1e-15)
+    assert got[2] == 1.0 and got[3] == 0.0
+    assert np.max(np.abs(got - sort_projection_oracle(values, 2.0))) <= 1e-12
+
+
+def test_projection_rejects_negative_budget_and_non_finite_values():
+    with pytest.raises(ValueError):
+        project_budget(np.array([0.5]), -0.1)
+    with pytest.raises(ValueError):
+        project_budget(np.array([0.5, np.nan]), 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -729,9 +762,9 @@ def test_injection_zero_flip_pipeline_is_clean(tree_setup):
     [(_, metric, eff)] = run.evaluate_discrete([np.zeros((0, 2), dtype=np.int64)])
     with ad.no_grad():
         direct = model.forward_discrete(g.adjacency, g.features).data
-    from gtattack.train import graph_score_correct
+    from gtattack.train import score
 
-    assert metric == graph_score_correct(float(direct.reshape(-1)[0]), g.graph_label)
+    assert metric == score(direct, g.graph_label, "graph")
     assert eff == []
 
 
@@ -753,6 +786,53 @@ def test_evaluate_discrete_batch_equals_single_calls(tree_setup, stack_entries, 
     alone = [run.evaluate_discrete([f], [block])[0] for f in flip_sets]
     assert together == alone
     assert len({g.n + len(eff) for _, _, eff in together}) >= 3  # mixed node counts
+
+
+def assert_scores_equal_per_graph_calls(model, items, scored):
+    """Each (loss, metric, flips) of ``scored`` equals ``attack_loss`` and
+    ``train.score`` of its (run, flips, block) item's graph alone, bit for bit."""
+    from gtattack import train
+
+    for (run, flips, block), (loss, metric, eff) in zip(items, scored, strict=True):
+        adj, feats, want_eff = run._discrete_graph(np.asarray(flips).reshape(-1, 2), block)
+        with ad.no_grad():
+            logits = model.forward_discrete(adj, feats).data[: run.n_orig]
+        want = attack_loss(Tensor(logits), run.labels, run.config.loss_kind, model.task).item()
+        assert loss == want and type(loss) is float
+        assert metric == float(train.score(logits, run.labels, model.task))
+        assert eff == want_eff.tolist()
+
+
+def test_scoring_equals_per_graph_calls_tree_raw_score(tree_setup):
+    from gtattack.attack.runner import AttackRun
+
+    ds, g, gid, cands, model = tree_setup
+    run = AttackRun(model, g, tree_config(), cands)
+    rng = np.random.default_rng(4)
+    block = BlockState(run.n_aug, run.allowed, rng.random(len(run.allowed)))
+    flip_sets = [np.zeros((0, 2), dtype=np.int64)] + [
+        run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
+        for k in (1, 3, 2, 3, 1, 3)
+    ]
+    scored = run.evaluate_discrete(flip_sets, [block] * len(flip_sets))
+    assert len({g.n + len(eff) for _, _, eff in scored}) >= 3  # mixed node counts
+    assert_scores_equal_per_graph_calls(model, [(run, f, block) for f in flip_sets], scored)
+
+
+def test_scoring_equals_per_graph_calls_cluster_tanh_margin(cluster_setup):
+    # items of three runs, interleaved as in transfer_attack: two on graphs
+    # of one size but other labels, one on a smaller graph
+    from gtattack.attack.runner import AttackRun, _score
+
+    ds, _, model = cluster_setup
+    graphs = [ds.graphs[i] for i in (1, 4, 2)]
+    assert graphs[0].n == graphs[1].n > graphs[2].n
+    assert not np.array_equal(graphs[0].node_labels, graphs[1].node_labels)
+    runs = [AttackRun(model, gr, quick_config(budget_fraction=0.1)) for gr in graphs]
+    rng = np.random.default_rng(6)
+    items = [(run, run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))],
+              None) for k in (0, 1, 2, 3) for run in runs]
+    assert_scores_equal_per_graph_calls(model, items, _score(model, items))
 
 
 def reference_discrete_graph(run, flips, value):
@@ -815,7 +895,7 @@ def test_evaluate_accuracy_stacked_equals_per_graph_forward(tree_setup, stack_en
     together = train.discrete_logits(model, ((g.adjacency, g.features) for g in ds.graphs))
     for a, b in zip(together, alone, strict=True):
         assert np.array_equal(a, b)
-    scores = [train.graph_score_correct(float(out.reshape(-1)[0]), g.graph_label)
+    scores = [train.score(out, g.graph_label, "graph")
               for out, g in zip(alone, ds.graphs)]
     assert train.evaluate_accuracy(model, ds.graphs) == np.mean(scores)
 

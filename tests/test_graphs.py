@@ -266,6 +266,17 @@ def test_out_of_range_weight_rejected(tmp_path):
     ("edges", 5, "'edges' must be a list"),
     ("features", [[0.0], ["x"]], "features must be numbers"),
     ("edges", [[0, 1, float("nan")]], "must be finite"),
+    ("node_labels", ["a", "b"], "node_labels must be a list of non-negative ints"),
+    ("node_labels", [0.5, 1], "node_labels must be a list of non-negative ints"),
+    ("node_labels", [-1, 0], "node_labels must be a list of non-negative ints"),
+    ("node_labels", 1, "node_labels must be a list of non-negative ints"),
+    ("graph_label", "x", "graph_label must be 0 or 1"),
+    ("graph_label", 2.7, "graph_label must be 0 or 1"),
+    ("graph_label", True, "graph_label must be 0 or 1"),
+    ("graph_label", 2, "graph_label must be 0 or 1"),
+    ("labeled_mask", [2, 0], "labeled_mask must be a list of booleans or 0/1"),
+    ("labeled_mask", ["x", "y"], "labeled_mask must be a list of booleans or 0/1"),
+    ("labeled_mask", [1.0, 0.0], "labeled_mask must be a list of booleans or 0/1"),
 ])
 def test_malformed_graph_field_is_parse_error(tmp_path, field, value, message):
     doc = {"n": 2, "edges": [[0, 1, 1.0]], "features": [[0.0], [0.0]], field: value}
@@ -274,3 +285,16 @@ def test_malformed_graph_field_is_parse_error(tmp_path, field, value, message):
     with pytest.raises(GraphParseError, match=message) as exc:
         load_graph(str(path))
     assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_label_fields_of_every_allowed_form_load(tmp_path):
+    doc = {"n": 2, "edges": [[0, 1, 1.0]], "features": [[0.0], [0.0]],
+           "node_labels": [0, 3], "graph_label": 1, "labeled_mask": [True, 0]}
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(doc))
+    g = load_graph(str(path))
+    assert g.node_labels.tolist() == [0, 3] and g.graph_label == 1
+    assert g.labeled_mask.tolist() == [True, False]
+    for label in (0, None):
+        path.write_text(json.dumps({**doc, "graph_label": label}))
+        assert load_graph(str(path)).graph_label == label
