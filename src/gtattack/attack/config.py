@@ -70,22 +70,21 @@ def budget_from_fraction(fraction: float, num_edges: int) -> int:
 def allowed_pairs(graph: Graph, config: AttackConfig, n_aug: int | None = None) -> np.ndarray:
     """All samplable index pairs (i < j) under the run's mode and constraint.
     Injection never samples two candidates (block F); ``protect_labeled``
-    forbids pairs touching a labeled node; ``tree_only`` (injection) also
+    forbids pairs touching a labeled original node; ``tree_only`` (injection) also
     forbids the original block B, keeping tree-to-candidate pairs E."""
     n, kind = graph.n, config.constraint
     if kind == "tree_only" and n_aug is None:
         raise ValueError("tree_only requires the augmented size n_aug")
-    pairs = upper_triangle_pairs(n_aug if config.mode == "injection" else n)
-    keep = pairs[:, 0] < n  # i < j, so this is "not both in F"
+    pairs = upper_triangle_pairs(n, n_aug if config.mode == "injection" else n)  # rows i < n
     if kind == "protect_labeled":
         if graph.labeled_mask is None:
             raise ValueError("protect_labeled requires a labeled_mask on the graph")
-        keep &= ~graph.labeled_mask[pairs].any(axis=1)
+        pairs = pairs[~np.isin(pairs, np.flatnonzero(graph.labeled_mask)).any(axis=1)]
     elif kind == "tree_only":
-        keep &= pairs[:, 1] >= n  # not both in B
+        pairs = pairs[pairs[:, 1] >= n]  # not both in B
     elif kind != "none":
         raise ValueError(f"unknown constraint {kind!r}")
-    return pairs[keep]
+    return pairs
 
 
 @dataclass

@@ -39,9 +39,11 @@ class AttackRun:
         if config.mode == "injection":
             if candidates is None:
                 raise ValueError("injection mode needs a candidate set")
-            if not is_connected(graph.adjacency):
+            # a tree is connected, so a tree_only set-up searches components once
+            tree = config.constraint == "tree_only" and is_tree(graph.adjacency)
+            if not (tree or is_connected(graph.adjacency)):
                 raise ValueError("injection attacks require a connected original graph")
-            if config.constraint == "tree_only" and not is_tree(graph.adjacency):
+            if config.constraint == "tree_only" and not tree:
                 raise ValueError("tree_only injection requires a tree as the original graph")
             self.base_adj, self.base_feats, self.n_orig = nia_augment(graph, candidates)
         else:
@@ -94,20 +96,34 @@ class AttackRun:
     # -- discrete evaluation ----------------------------------------------------
     def _discrete_graph(self, flips: np.ndarray,
                         block: BlockState | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Adjacency, features and effective flips of the graph a flip set gives."""
+        """Adjacency, features and effective flips of the graph a flip set gives.
+        Injection graphs hold the original nodes plus the touched candidates;
+        they are connected when every flip joins an original node to a candidate,
+        else they keep node 0's component and the flips with an end in it."""
         if self.config.constraint == "tree_only":
             weights = np.ones(len(flips)) if block is None else block.value_of(flips)
             flips = mst_projection(flips, weights, self.n_orig)
-        adj = self.base_adj.copy()
-        i, j = flips.T
-        adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
         if self.config.mode == "structure":
+            adj = self.base_adj.copy()
+            i, j = flips.T
+            adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
             return adj, self.base_feats, flips
 
+        n = self.n_orig
+        touched = np.arange(self.n_aug) < n
+        touched[flips] = True
+        nodes = np.flatnonzero(touched)
+        adj = np.zeros((len(nodes), len(nodes)))
+        adj[:n, :n] = self.base_adj[:n, :n]
+        i, j = np.searchsorted(nodes, flips).T
+        adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
+        if ((flips[:, 0] < n) != (flips[:, 1] < n)).all():
+            return adj, self.base_feats[nodes], flips
+
         comp = connected_components(adj)
-        kept = np.flatnonzero(comp == comp[0])
-        kept_flips = flips[(comp[flips] == comp[0]).all(axis=1)]
-        return adj[np.ix_(kept, kept)], self.base_feats[kept], kept_flips
+        kept = np.flatnonzero(comp == 0)
+        kept_flips = flips[(comp[i] == 0) | (comp[j] == 0)]
+        return adj[np.ix_(kept, kept)], self.base_feats[nodes[kept]], kept_flips
 
     def evaluate_discrete(self, flip_sets: list,
                           blocks: list | None = None) -> list[tuple[float, float, list]]:

@@ -166,9 +166,9 @@ def apply_flips(adjacency: np.ndarray, pairs: np.ndarray, values: np.ndarray | T
     return ad.add(Tensor(a), delta)
 
 
-def upper_triangle_pairs(n: int) -> np.ndarray:
-    """All index pairs (i, j) with i < j, ordered row-major."""
-    iu = np.triu_indices(n, k=1)
+def upper_triangle_pairs(n: int, m: int | None = None) -> np.ndarray:
+    """All index pairs (i, j), i < j, of an n × m grid (m defaults to n), row-major."""
+    iu = np.triu_indices(n, k=1, m=m)
     return np.stack(iu, axis=1).astype(np.int64)
 
 

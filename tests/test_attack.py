@@ -549,11 +549,32 @@ def test_mst_rejects_flips_off_tree_to_candidate():
 
 def test_tree_only_needs_a_tree(tree_setup):
     from gtattack.attack.runner import AttackRun
+    from gtattack.paths import EDGE_EPS
 
+    d, model, cands = tree_setup[1].feature_dim, tree_setup[4], tree_setup[3]
     cycle = np.ones((3, 3)) - np.eye(3)
-    g = make_graph(cycle, d_feat=tree_setup[1].feature_dim)
     with pytest.raises(ValueError, match="requires a tree"):
-        AttackRun(tree_setup[4], g, tree_config(), tree_setup[3])
+        AttackRun(model, make_graph(cycle, d_feat=d), tree_config(), cands)
+    # disconnected graphs, with n - 2 edges or (triangle plus a lone node) n - 1
+    split = np.zeros((4, 4))
+    split[0, 1] = split[1, 0] = split[2, 3] = split[3, 2] = 1.0
+    lone = np.zeros((4, 4))
+    lone[:3, :3] = cycle
+    for adj in (split, lone):
+        for constraint in ("tree_only", "none"):
+            with pytest.raises(ValueError, match="require a connected original graph"):
+                AttackRun(model, make_graph(adj, d_feat=d), tree_config(constraint=constraint),
+                          cands)
+    # an extra entry in (0, EDGE_EPS] is no edge, so a tree with one is still a tree
+    path = np.zeros((4, 4))
+    for i in range(3):
+        path[i, i + 1] = path[i + 1, i] = 1.0
+    for tiny in (EDGE_EPS / 10, EDGE_EPS):
+        adj = path.copy()
+        adj[0, 3] = adj[3, 0] = tiny
+        assert is_tree(adj)
+        run = AttackRun(model, make_graph(adj, d_feat=d), tree_config(), cands)
+        assert run.n_orig == 4
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +595,16 @@ def test_protect_labeled_excludes_incident_pairs():
     n, L = g.n, len(labeled)
     expected_excluded = L * (n - 1) - L * (L - 1) // 2
     assert len(pairs) - len(allowed) == expected_excluded
+
+
+def test_protect_labeled_injection_masks_original_endpoints():
+    # only original nodes carry labels: candidates stay samplable next to
+    # unlabeled original nodes, and pairs touching a labeled one are excluded
+    g = make_graph(np.zeros((4, 4)), labeled_mask=[True, False, False, True])
+    cfg = AttackConfig(mode="injection", constraint="protect_labeled")
+    want = [(i, j) for i, j in upper_triangle_pairs(7).tolist()
+            if i < 4 and i not in (0, 3) and j not in (0, 3)]
+    assert [tuple(p) for p in allowed_pairs(g, cfg, n_aug=7).tolist()] == want
 
 
 def test_protect_labeled_requires_mask():
@@ -854,7 +885,7 @@ def reference_discrete_graph(run, flips, value):
         adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
     comp = connected_components(adj)
     kept = np.flatnonzero(comp == comp[0])
-    kept_flips = [(i, j) for i, j in flips if comp[i] == comp[j] == comp[0]]
+    kept_flips = [(i, j) for i, j in flips if comp[0] in (comp[i], comp[j])]
     return adj[np.ix_(kept, kept)], kept_flips, projected
 
 
@@ -880,6 +911,106 @@ def test_discrete_graph_equals_loop_reference(tree_setup, constraint):
     # tree-only samples that are not trees go through the projection; with
     # no constraint, removing an original edge drops the flips cut off with it
     assert projected if constraint == "tree_only" else dropped
+
+
+def augmented_discrete_graph(run, flips, block):
+    """``AttackRun._discrete_graph`` in injection mode built on a copy of
+    the whole augmented matrix: project, flip, keep node 0's component and
+    the flips with an end in it."""
+    if run.config.constraint == "tree_only":
+        weights = np.ones(len(flips)) if block is None else block.value_of(flips)
+        flips = mst_projection(flips, weights, run.n_orig)
+    adj = run.base_adj.copy()
+    i, j = flips.T
+    adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
+    comp = connected_components(adj)
+    kept = np.flatnonzero(comp == comp[0])
+    kept_flips = flips[(comp[flips] == comp[0]).any(axis=1)]
+    return adj[np.ix_(kept, kept)], run.base_feats[kept], kept_flips
+
+
+def cut_edge(adj):
+    """A tree edge (a, b), a < b, whose removal cuts off at least two nodes
+    from node 0, and the nodes it cuts off."""
+    for a, b in zip(*np.nonzero(np.triu(adj, 1))):
+        cut = adj.copy()
+        cut[a, b] = cut[b, a] = 0.0
+        comp = connected_components(cut)
+        off = np.flatnonzero(comp != 0)
+        if len(off) >= 2:
+            return (int(a), int(b)), off
+    raise AssertionError("no edge cuts off two nodes")
+
+
+@pytest.mark.parametrize("constraint", ["tree_only", "none"])
+def test_discrete_graph_equals_augmented_copy(tree_setup, constraint):
+    from gtattack.attack.runner import AttackRun
+
+    ds, g, gid, cands, model = tree_setup
+    run = AttackRun(model, g, tree_config(constraint=constraint), cands)
+    n, c = run.n_orig, run.n_orig + np.arange(3)
+    rng = np.random.default_rng(7)
+    block = BlockState(run.n_aug, run.allowed, rng.random(len(run.allowed)))
+    many_to_one = [[0, c[0]], [1, c[0]], [n - 1, c[0]], [2, c[1]]]
+    cases = [np.zeros((0, 2), dtype=np.int64), np.array(many_to_one)] + [
+        run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
+        for k in (1, 2, 3, 5, 8) * 6
+    ]
+    if constraint == "none":
+        (a, b), off = cut_edge(g.adjacency)
+        cases += [np.array(flips) for flips in (
+            [[a, b]],  # detaches a subtree
+            [[a, b], [off[0], c[0]]],  # ... and a candidate joined only to it
+            [[a, b], [a, c[0]], [b, c[0]]],  # a candidate bridging the cut
+            [[a, b], [a, c[0]], [off[0], c[1]], [b, c[2]]],
+        )]
+    for flips in cases:
+        for blk in (block, None):
+            got = run._discrete_graph(flips, blk)
+            want = augmented_discrete_graph(run, flips, blk)
+            for x, y in zip(got, want, strict=True):
+                assert x.shape == y.shape and np.array_equal(x, y)
+    if constraint == "none":
+        # the cut-off subtree and the candidate joined only to it are dropped;
+        # the removal that cut them off is kept, so replaying rebuilds the graph
+        adj, _, eff = run._discrete_graph(cases[-3], None)
+        assert len(adj) == n - len(off) and eff.tolist() == [[a, b]]
+        adj, _, eff = run._discrete_graph(cases[-2], None)
+        assert len(adj) == n + 1 and len(eff) == 3
+
+
+@pytest.mark.parametrize("constraint", ["tree_only", "none"])
+def test_stored_flips_rebuild_scored_graph(tree_setup, constraint):
+    # the effective flips of every scored set, and of every result of a cell,
+    # rebuild the graph that was scored: same adjacency, features and metric
+    from gtattack.attack.runner import AttackRun
+
+    ds, _, _, _, model = tree_setup
+    cut_off = 0
+    for gid in ds.split["val"] + ds.split["test"]:
+        g = ds.graphs[gid]
+        cands = build_candidate_set(ds, gid, max_candidates=24, seed=gid)
+        cfg = tree_config(constraint=constraint, budget_fraction=0.5, steps=3)
+        run = AttackRun(model, g, cfg, cands)
+        rng = np.random.default_rng(gid)
+        block = BlockState(run.n_aug, run.allowed, rng.random(len(run.allowed)))
+        flip_sets = [run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
+                     for k in (1, 2, 3, 4) * 5]
+        scored = run.evaluate_discrete(flip_sets, [block] * len(flip_sets))
+        replayed = run.evaluate_discrete([eff for _, _, eff in scored])
+        assert replayed == scored
+        for flips, (_, _, eff) in zip(flip_sets, scored):
+            adj, feats, _ = run._discrete_graph(flips, block)
+            again, feats_again, eff_again = run._discrete_graph(np.array(eff).reshape(-1, 2),
+                                                                None)
+            assert np.array_equal(adj, again) and np.array_equal(feats, feats_again)
+            assert eff_again.tolist() == eff
+            cut_off += len(adj) < g.n
+        results = run_cell(model, g, cfg, cands, gid)
+        assert transfer_attack(results, model, ds.graphs, {gid: cands}) == [
+            res.attacked_metric for res in results]
+    # with no constraint some sets cut original nodes off; tree_only never does
+    assert cut_off if constraint == "none" else not cut_off
 
 
 @pytest.mark.parametrize("stack_entries", [8192, 150])
