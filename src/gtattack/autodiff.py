@@ -8,9 +8,12 @@ creation counter, so creation order is a topological order of the graph and
 gradients for identical inputs).
 
 A node is recorded only when grad is on (outside :class:`no_grad`) and an
-input is tracked (requires a gradient or was recorded); ``backward`` visits
-tracked tensors only.  Binary primitives leave shapes to numpy's broadcast
-rule and re-raise its error as :class:`ShapeError`.
+input is tracked (requires a gradient or was recorded); otherwise an op
+builds no closures, and ``backward`` visits tracked tensors only.  Op
+results are float64 arrays wrapped without ``Tensor()``'s conversion, and
+each VJP is chosen by shape when its node is recorded.  Binary primitives
+leave shapes to numpy's broadcast rule and re-raise its error as
+:class:`ShapeError`.
 
 Conventions baked in here and relied on elsewhere:
 
@@ -184,15 +187,30 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(op: str, out: Tensor, inputs: tuple[Tensor, ...], vjps: tuple) -> Tensor:
+def _wrap(data) -> Tensor:
+    """An untracked Tensor around an op's float64 result, trusted as is; a
+    numpy scalar (what arithmetic on 0-d arrays returns) becomes a 0-d array."""
+    t = object.__new__(Tensor)
+    t.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    t.requires_grad = False
+    t.node = t.name = None
+    return t
+
+
+def _live(*inputs: Tensor) -> bool:
+    """Whether an op is recorded: grad is on and an input is tracked."""
     if _GRAD_ENABLED:
         for t in inputs:
             if t.requires_grad or t.node is not None:
-                out.node = node = _Node(op, inputs, vjps)
-                out.requires_grad = True
-                if _ACTIVE_TAPES:
-                    _ACTIVE_TAPES[-1].nodes.append(node)
-                break
+                return True
+    return False
+
+
+def _record(op: str, out: Tensor, inputs: tuple[Tensor, ...], vjps: tuple) -> Tensor:
+    out.node = node = _Node(op, inputs, vjps)
+    out.requires_grad = True
+    if _ACTIVE_TAPES:
+        _ACTIVE_TAPES[-1].nodes.append(node)
     return out
 
 
@@ -208,7 +226,7 @@ def _shape_check(op: str, ok: bool, *shapes):
 def _apply(op: str, fn: Callable, a: Tensor, b: Tensor) -> Tensor:
     """``fn(a.data, b.data)``; numpy's broadcast error is re-raised as ShapeError."""
     try:
-        return Tensor(fn(a.data, b.data))
+        return _wrap(fn(a.data, b.data))
     except ValueError:
         raise _shape_error(op, a.shape, b.shape) from None
 
@@ -226,64 +244,59 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _identity(g):
+    return g
+
+
+def _fit(vjp: Callable, shape: tuple[int, ...], full: tuple[int, ...]) -> Callable:
+    """``vjp``, whose gradients have shape ``full``, for an input of ``shape``:
+    itself when the two agree, else followed by ``_unbroadcast``."""
+    return vjp if shape == full else lambda g: _unbroadcast(vjp(g), shape)
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
+
+
+def _binary(op: str, out: Tensor, a: Tensor, b: Tensor, vjp_a: Callable, vjp_b: Callable):
+    """Record a broadcasting binary op whose VJPs return the output's shape."""
+    s = out.shape
+    return _record(op, out, (a, b), (_fit(vjp_a, a.shape, s), _fit(vjp_b, b.shape, s)))
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = _apply("add", np.add, a, b)
-    return _record(
-        "add",
-        out,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)),
-    )
+    return _binary("add", out, a, b, _identity, _identity) if _live(a, b) else out
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = _apply("sub", np.subtract, a, b)
-    return _record(
-        "sub",
-        out,
-        (a, b),
-        (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)),
-    )
+    return _binary("sub", out, a, b, _identity, np.negative) if _live(a, b) else out
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = _apply("mul", np.multiply, a, b)
-    return _record(
-        "mul",
-        out,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g * b.data, a.shape),
-            lambda g: _unbroadcast(g * a.data, b.shape),
-        ),
-    )
+    if not _live(a, b):
+        return out
+    return _binary("mul", out, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = _apply("div", np.divide, a, b)
-    return _record(
-        "div",
-        out,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g / b.data, a.shape),
-            lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
+    if not _live(a, b):
+        return out
+    return _binary("div", out, a, b, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(-a.data)
-    return _record("neg", out, (a,), (lambda g: -g,))
+    out = _wrap(-a.data)
+    return _record("neg", out, (a,), (np.negative,)) if _live(a) else out
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +308,15 @@ def matmul(a, b) -> Tensor:
     (..., n, k) @ (..., k, m) -> (..., n, m).  Each gradient is summed back
     to its input's shape."""
     a, b = as_tensor(a), as_tensor(b)
-    _shape_check("matmul", a.data.ndim >= 2 and b.data.ndim >= 2, a.shape, b.shape)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise _shape_error("matmul", a.shape, b.shape)
     out = _apply("matmul", np.matmul, a, b)
-    return _record(
-        "matmul",
-        out,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape),
-            lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape),
-        ),
-    )
+    if not _live(a, b):
+        return out
+    lead = out.shape[:-2]
+    return _record("matmul", out, (a, b), (
+        _fit(lambda g: g @ b.data.swapaxes(-1, -2), a.shape, lead + a.shape[-2:]),
+        _fit(lambda g: a.data.swapaxes(-1, -2) @ g, b.shape, lead + b.shape[-2:])))
 
 
 def transpose(a) -> Tensor:
@@ -313,23 +324,23 @@ def transpose(a) -> Tensor:
     a = as_tensor(a)
     _shape_check("transpose", a.ndim >= 2, a.shape)
     axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    out = Tensor(a.data.transpose(axes))
-    return _record("transpose", out, (a,), (lambda g: g.transpose(axes),))
+    out = _wrap(a.data.transpose(axes))
+    return _record("transpose", out, (a,), (lambda g: g.transpose(axes),)) if _live(a) else out
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = as_tensor(a)
-    shape = tuple(shape)
-    out = Tensor(a.data.reshape(shape))
-    return _record("reshape", out, (a,), (lambda g: g.reshape(a.shape),))
+    out = _wrap(a.data.reshape(tuple(shape)))
+    return _record("reshape", out, (a,), (lambda g: g.reshape(a.shape),)) if _live(a) else out
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     _shape_check("concat", len(ts) > 0)
-    out = Tensor(np.concatenate([t.data for t in ts], axis=axis))
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    out = _wrap(np.concatenate([t.data for t in ts], axis=axis))
+    if not _live(*ts):
+        return out
+    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
 
     def make_vjp(i):
         def vjp(g):
@@ -346,31 +357,33 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 # reductions
 
 
-def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+def _spread(shape: tuple[int, ...], axis: int | None, denom=None) -> Callable:
+    """VJP of a sum over ``axis`` of an input of ``shape`` (of a mean when
+    ``denom`` is given): the output gradient, divided by ``denom``, copied
+    back along the reduced axes into a fresh array."""
+    kept = (1,) * len(shape) if axis is None else shape[:axis] + (1,) + shape[axis:][1:]
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.shape)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.shape)
+        res = np.empty(shape)
+        res[...] = g.reshape(kept) if denom is None else g.reshape(kept) / denom
+        return res
 
-    return _record("sum", out, (a,), (vjp,))
+    return vjp
+
+
+def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    a = as_tensor(a)
+    out = _wrap(a.data.sum(axis=axis, keepdims=keepdims))
+    return _record("sum", out, (a,), (_spread(a.shape, axis),)) if _live(a) else out
 
 
 def tmean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
+    out = _wrap(a.data.mean(axis=axis, keepdims=keepdims))
+    if not _live(a):
+        return out
     denom = a.size if axis is None else a.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g / denom, a.shape)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg / denom, a.shape)
-
-    return _record("mean", out, (a,), (vjp,))
+    return _record("mean", out, (a,), (_spread(a.shape, axis, denom),))
 
 
 def prod_lastdim(a) -> Tensor:
@@ -381,7 +394,9 @@ def prod_lastdim(a) -> Tensor:
     """
     a = as_tensor(a)
     x = a.data
-    out = Tensor(x.prod(axis=-1))
+    out = _wrap(x.prod(axis=-1))
+    if not _live(a):
+        return out
 
     def vjp(g):
         zeros = x == 0.0
@@ -406,16 +421,18 @@ def prod_lastdim(a) -> Tensor:
 def texp(a) -> Tensor:
     a = as_tensor(a)
     y = np.exp(a.data)
-    out = Tensor(y)
-    return _record("exp", out, (a,), (lambda g: g * y,))
+    out = _wrap(y)
+    return _record("exp", out, (a,), (lambda g: g * y,)) if _live(a) else out
 
 
 def tlog(a) -> Tensor:
     a = as_tensor(a)
-    if np.any(a.data < 0.0):
+    if (a.data < 0.0).any():
         raise ValueError("log: negative input")
     with np.errstate(divide="ignore"):
-        out = Tensor(np.log(a.data))
+        out = _wrap(np.log(a.data))
+    if not _live(a):
+        return out
 
     def vjp(g):
         # skip coordinates with zero upstream gradient so log(0) = -inf does
@@ -433,29 +450,32 @@ def tlog(a) -> Tensor:
 def ttanh(a) -> Tensor:
     a = as_tensor(a)
     y = np.tanh(a.data)
-    out = Tensor(y)
-    return _record("tanh", out, (a,), (lambda g: g * (1.0 - y * y),))
+    out = _wrap(y)
+    return _record("tanh", out, (a,), (lambda g: g * (1.0 - y * y),)) if _live(a) else out
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0))
-    return _record("relu", out, (a,), (lambda g: g * (a.data > 0.0),))
+    out = _wrap(np.maximum(a.data, 0.0))
+    return _record("relu", out, (a,), (lambda g: g * (a.data > 0.0),)) if _live(a) else out
 
 
 def rsqrt_safe(a) -> Tensor:
     """x -> x**-0.5 where x > 0, else 0 (degree-0 Laplacian convention)."""
     a = as_tensor(a)
     pos = a.data > 0.0
-    x = np.where(pos, a.data, 1.0)
-    y = np.where(pos, 1.0 / np.sqrt(x), 0.0)
-    out = Tensor(y)
-    return _record(
-        "rsqrt_safe",
-        out,
-        (a,),
-        (lambda g: np.where(pos, -0.5 * g * y / x, 0.0),),
-    )
+    plain = pos.all()  # every x > 0, where the masked form gives the same bits
+    x = a.data if plain else np.where(pos, a.data, 1.0)
+    y = 1.0 / np.sqrt(x) if plain else np.where(pos, 1.0 / np.sqrt(x), 0.0)
+    out = _wrap(y)
+    if not _live(a):
+        return out
+
+    def vjp(g):
+        gx = -0.5 * g * y / x
+        return gx if plain else np.where(pos, gx, 0.0)
+
+    return _record("rsqrt_safe", out, (a,), (vjp,))
 
 
 def softmax(a) -> Tensor:
@@ -463,14 +483,22 @@ def softmax(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
     hi = x.max(axis=-1, keepdims=True)
-    # a finite shift keeps exp(-inf - shift) = 0 without producing NaN
-    shift = np.where(np.isfinite(hi), hi, 0.0)
-    e = np.exp(x - shift)
-    s = e.sum(axis=-1, keepdims=True)
-    # rows whose sum is not positive (all -inf, or NaN) give zeros
-    pos = s > 0.0
-    y = np.where(pos, e, 0.0) / np.where(pos, s, 1.0)
-    out = Tensor(y)
+    finite = np.isfinite(hi)
+    if finite.all():
+        # every row's maximum is finite, so its sum is at least 1: the plain
+        # form, which gives the masked one's bits here
+        e = np.exp(x - hi)
+        y = e / e.sum(axis=-1, keepdims=True)
+    else:
+        # a finite shift keeps exp(-inf - shift) = 0 without producing NaN
+        e = np.exp(x - np.where(finite, hi, 0.0))
+        s = e.sum(axis=-1, keepdims=True)
+        # rows whose sum is not positive (all -inf, or NaN) give zeros
+        pos = s > 0.0
+        y = np.where(pos, e, 0.0) / np.where(pos, s, 1.0)
+    out = _wrap(y)
+    if not _live(a):
+        return out
 
     def vjp(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -481,7 +509,8 @@ def softmax(a) -> Tensor:
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale by
-    ``gamma`` and shift by ``beta``; one node for the whole chain.
+    ``gamma`` and shift by ``beta`` (which broadcast to ``x``'s shape); one
+    node for the whole chain.
 
     Forward values and gradients repeat, operation by operation, what the
     composed chain mean, sub, mul, mean, add, rsqrt_safe, mul, mul, add
@@ -493,31 +522,32 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     c = x.data - x.data.sum(axis=-1, keepdims=True) / d
     v = (c * c).sum(axis=-1, keepdims=True) / d + eps
     pos = v > 0.0
-    v_safe = np.where(pos, v, 1.0)
-    inv = np.where(pos, 1.0 / np.sqrt(v_safe), 0.0)
+    regular = pos.all()  # no NaN variance: rsqrt_safe's plain form
+    v_safe = v if regular else np.where(pos, v, 1.0)
+    inv = 1.0 / np.sqrt(v) if regular else np.where(pos, 1.0 / np.sqrt(v_safe), 0.0)
     normed = c * inv
-    out = Tensor(normed * gamma.data + beta.data)
+    out = _wrap(normed * gamma.data + beta.data)
+    if not _live(x, gamma, beta):
+        return out
+    # the gradient of a per-row value: _unbroadcast to inv's shape, a no-op if d == 1
+    rowsum = _identity if d == 1 else lambda m: m.sum(axis=-1, keepdims=True)
 
     def vjp_x(g):
         g_normed = g * gamma.data
-        g_inv = _unbroadcast(g_normed * c, inv.shape)
-        g_sq = np.broadcast_to(np.where(pos, -0.5 * g_inv * inv / v_safe, 0.0) / d, c.shape)
+        g_sq = -0.5 * rowsum(g_normed * c) * inv / v_safe
+        if not regular:
+            g_sq = np.where(pos, g_sq, 0.0)
+        g_sq /= d
         # c feeds normed, then c * c twice; accumulate in that order
         gc = g_normed * inv
-        gc = gc + g_sq * c
-        gc += g_sq * c
-        return gc + np.broadcast_to(_unbroadcast(-gc, inv.shape) / d, x.shape)
+        g_sq = g_sq * c
+        gc += g_sq
+        gc += g_sq
+        return gc + rowsum(-gc) / d
 
-    return _record(
-        "layer_norm",
-        out,
-        (x, gamma, beta),
-        (
-            vjp_x,
-            lambda g: _unbroadcast(g * normed, gamma.shape),
-            lambda g: _unbroadcast(g, beta.shape),
-        ),
-    )
+    s = out.shape
+    return _record("layer_norm", out, (x, gamma, beta), (
+        vjp_x, _fit(lambda g: g * normed, gamma.shape, s), _fit(_identity, beta.shape, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +559,9 @@ def gather_rows(a, idx) -> Tensor:
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     _shape_check("gather_rows", a.ndim >= 2, a.shape)
-    out = Tensor(a.data[..., idx, :])
+    out = _wrap(a.data[..., idx, :])
+    if not _live(a):
+        return out
 
     def vjp(g):
         ga = np.zeros_like(a.data)
@@ -545,7 +577,9 @@ def take_pairs(a, rows, cols) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     _shape_check("take_pairs", a.ndim == 2, a.shape)
-    out = Tensor(a.data[rows, cols])
+    out = _wrap(a.data[rows, cols])
+    if not _live(a):
+        return out
 
     def vjp(g):
         ga = np.zeros_like(a.data)
@@ -563,7 +597,9 @@ def scatter_pairs(values, shape: tuple[int, int], rows, cols) -> Tensor:
     _shape_check("scatter_pairs", values.ndim == 1 and len(rows) == values.size, values.shape)
     data = np.zeros(shape, dtype=np.float64)
     np.add.at(data, (rows, cols), values.data)
-    out = Tensor(data)
+    out = _wrap(data)
+    if not _live(values):
+        return out
     return _record("scatter_pairs", out, (values,), (lambda g: g[rows, cols],))
 
 
@@ -572,7 +608,9 @@ def submatrix(a, idx) -> Tensor:
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     _shape_check("submatrix", a.ndim == 2 and a.shape[0] == a.shape[1], a.shape)
-    out = Tensor(a.data[np.ix_(idx, idx)])
+    out = _wrap(a.data[np.ix_(idx, idx)])
+    if not _live(a):
+        return out
 
     def vjp(g):
         ga = np.zeros_like(a.data)
@@ -586,30 +624,26 @@ def where(mask, a, b) -> Tensor:
     """Elementwise select by a constant boolean mask (no gradient to mask)."""
     a, b = as_tensor(a), as_tensor(b)
     mask = np.asarray(mask, dtype=bool)
-    out = Tensor(np.where(mask, a.data, b.data))
-    return _record(
-        "where",
-        out,
-        (a, b),
-        (
-            lambda g: _unbroadcast(np.where(mask, g, 0.0), a.shape),
-            lambda g: _unbroadcast(np.where(mask, 0.0, g), b.shape),
-        ),
-    )
+    out = _wrap(np.where(mask, a.data, b.data))
+    if not _live(a, b):
+        return out
+    return _binary("where", out, a, b, lambda g: np.where(mask, g, 0.0),
+                   lambda g: np.where(mask, 0.0, g))
 
 
 def masked_fill(a, mask, value: float) -> Tensor:
     """Set entries where mask is True to a constant (e.g. -inf attention mask)."""
     a = as_tensor(a)
     mask = np.asarray(mask, dtype=bool)
-    out = Tensor(np.where(mask, value, a.data))
+    out = _wrap(np.where(mask, value, a.data))
+    if not _live(a):
+        return out
     return _record("masked_fill", out, (a,), (lambda g: np.where(mask, 0.0, g),))
 
 
 def stop_gradient(a) -> Tensor:
     """Identity in the forward pass; blocks the backward pass entirely."""
-    a = as_tensor(a)
-    return Tensor(a.data)
+    return _wrap(as_tensor(a).data)
 
 
 def outer_add(a, b) -> Tensor:
@@ -623,13 +657,10 @@ def outer_add(a, b) -> Tensor:
         a.shape,
         b.shape,
     )
-    out = Tensor(a.data[..., None, :] + b.data[..., None, :, :])
-    return _record(
-        "outer_add",
-        out,
-        (a, b),
-        (lambda g: g.sum(axis=-2), lambda g: g.sum(axis=-3)),
-    )
+    out = _wrap(a.data[..., None, :] + b.data[..., None, :, :])
+    if not _live(a, b):
+        return out
+    return _record("outer_add", out, (a, b), (lambda g: g.sum(axis=-2), lambda g: g.sum(axis=-3)))
 
 
 # ---------------------------------------------------------------------------
@@ -679,16 +710,17 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
         for inp, vjp in zip(node.inputs, node.vjps):
             if not (inp.requires_grad or inp.node is not None):
                 continue
-            gi = vjp(g)
+            gi = vjp(g)  # of the input's shape; a numpy scalar for a 0-d input
             acc = grads.get(inp)
             if acc is None:
-                grads[inp] = np.asarray(gi, dtype=np.float64)
+                grads[inp] = gi
             elif inp in owned:
-                np.add(acc, gi, out=acc)
-            else:
-                grads[inp] = acc + gi
+                acc += gi
+            else:  # an array even where acc + gi would be a numpy scalar
+                grads[inp] = np.add(acc, gi, out=np.empty_like(acc))
                 owned.add(inp)
-    return {t: Tensor(np.array(grads[t], dtype=np.float64).reshape(t.shape))
+    # copies: an accumulator may be a view, or shared with another tensor
+    return {t: _wrap(np.array(grads[t]))
             for t in reversed(leaves) if t.requires_grad and t in grads}
 
 

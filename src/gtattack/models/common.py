@@ -195,14 +195,14 @@ def pool_weighted(node_reps: Tensor, node_probs: Tensor | None, mode: str) -> Te
     if node_probs is None:
         node_probs = Tensor(np.ones(nodes))
     pvals = node_probs.data
-    if np.any(pvals < 0.0) or np.any(pvals > 1.0):
+    if (pvals < 0.0).any() or (pvals > 1.0).any():
         raise ValueError("node probabilities must lie in [0, 1]")
     weighted = ad.mul(node_reps, ad.reshape(node_probs, nodes + (1,)))
     total = ad.tsum(weighted, axis=-2)
     if mode == "sum":
         return total
     mass = ad.tsum(node_probs, axis=-1, keepdims=True)
-    if np.any(mass.data == 0.0):
+    if (mass.data == 0.0).any():
         raise ValueError("pool_weighted: mean pooling with zero total probability")
     return ad.div(total, mass)
 
@@ -210,9 +210,9 @@ def pool_weighted(node_reps: Tensor, node_probs: Tensor | None, mode: str) -> Te
 def log_prob_row(node_probs: Tensor) -> Tensor:
     """log p as a (1, n) row for biasing attention scores columnwise."""
     pvals = node_probs.data
-    if np.any(pvals < 0.0) or np.any(pvals > 1.0):
+    if (pvals < 0.0).any() or (pvals > 1.0).any():
         raise ValueError("node probabilities must lie in [0, 1]")
-    if not np.any(pvals > 0.0):
+    if not (pvals > 0.0).any():
         raise ValueError("log_prob_row: all node probabilities are zero")
     n = node_probs.shape[0]
     return ad.reshape(ad.tlog(node_probs), (1, n))

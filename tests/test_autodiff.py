@@ -113,6 +113,15 @@ def test_unreachable_leaf_absent_from_map():
     assert y not in gmap
 
 
+def test_0d_tensor_collects_three_gradient_contributions():
+    # y feeds the loss three times; for 0-d operands acc + gi is a numpy
+    # scalar, which the next in-place accumulation cannot write into
+    x = Tensor(2.0, requires_grad=True)
+    y = ad.mul(x, 3.0)
+    g = backward(ad.add(ad.add(ad.mul(y, y), y), y))[x].data
+    assert type(g) is np.ndarray and g.shape == () and g == 3.0 * (2.0 * 6.0 + 2.0)
+
+
 def test_log_zero_with_zero_upstream_gradient_is_zero():
     # log(0) = -inf feeding a softmax that ignores the coordinate: the
     # gradient must come back zero, not NaN.
@@ -497,6 +506,226 @@ def test_backward_equals_reference_through_relaxed_models(arch, task, track_para
     assert any(p in got for p in model.params.values()) == track_params
     for t in want:
         np.testing.assert_array_equal(got[t].data, want[t].data)
+
+
+# ---------------------------------------------------------------------------
+# primitive invariants: output type, recording rule, gradient arrays
+
+RANK_SHAPES = {"0d": (), "1d": (4,), "stacked": (4, 4, 4)}
+ANY_RANK, VECTOR, STACK = ("0d", "1d", "stacked"), ("1d", "stacked"), ("stacked",)
+
+
+def _square(x):
+    side = int(round(np.sqrt(x.size)))
+    return ad.reshape(x, (side, side))
+
+
+# (name, ranks, fn): fn(x, y) with x of the rank's shape and y of x's last
+# axis (0-d for a 0-d x); values lie in [0.5, 1.5], so log, div and
+# rsqrt_safe stay regular
+INVARIANT_CASES = [
+    ("add", ANY_RANK, lambda x, y: ad.add(x, y)),
+    ("sub", ANY_RANK, lambda x, y: ad.sub(y, x)),
+    ("mul", ANY_RANK, lambda x, y: ad.mul(x, y)),
+    ("div", ANY_RANK, lambda x, y: ad.div(y, x)),
+    ("neg", ANY_RANK, lambda x, y: ad.neg(x)),
+    ("matmul", STACK, lambda x, y: ad.matmul(x, ad.reshape(y, (4, 1)))),
+    ("transpose", STACK, lambda x, y: ad.transpose(x)),
+    ("reshape", ANY_RANK, lambda x, y: ad.reshape(x, (-1,))),
+    ("concat", VECTOR, lambda x, y: ad.concat([x, x], axis=-1)),
+    ("sum", ANY_RANK, lambda x, y: ad.tsum(x)),
+    ("sum_axis", VECTOR, lambda x, y: ad.tsum(x, axis=-1)),
+    ("sum_keepdims", VECTOR, lambda x, y: ad.tsum(x, axis=0, keepdims=True)),
+    ("mean", ANY_RANK, lambda x, y: ad.tmean(x)),
+    ("mean_axis", VECTOR, lambda x, y: ad.tmean(x, axis=0)),
+    ("prod_lastdim", VECTOR, lambda x, y: ad.prod_lastdim(x)),
+    ("exp", ANY_RANK, lambda x, y: ad.texp(x)),
+    ("log", ANY_RANK, lambda x, y: ad.tlog(x)),
+    ("tanh", ANY_RANK, lambda x, y: ad.ttanh(x)),
+    ("relu", ANY_RANK, lambda x, y: ad.relu(ad.sub(x, 1.0))),
+    ("rsqrt_safe", ANY_RANK, lambda x, y: ad.rsqrt_safe(x)),
+    ("softmax", VECTOR, lambda x, y: ad.softmax(x)),
+    ("layer_norm", VECTOR, lambda x, y: ad.layer_norm(x, y, y)),
+    ("gather_rows", STACK, lambda x, y: ad.gather_rows(x, [0, 2, 2])),
+    ("take_pairs", VECTOR, lambda x, y: ad.take_pairs(_square(x), [0, 1, 1], [1, 0, 1])),
+    ("scatter_pairs", VECTOR,
+     lambda x, y: ad.scatter_pairs(ad.reshape(x, (-1,)), (3, 5), np.arange(x.size) % 3,
+                                   np.arange(x.size) % 5)),
+    ("submatrix", VECTOR, lambda x, y: ad.submatrix(_square(x), [1, 0, 1])),
+    ("where", ANY_RANK, lambda x, y: ad.where(x.data > 1.0, x, y)),
+    ("masked_fill", ANY_RANK, lambda x, y: ad.masked_fill(x, x.data > 1.0, 2.5)),
+    ("stop_gradient", ANY_RANK, lambda x, y: ad.stop_gradient(x)),
+    ("outer_add", STACK, lambda x, y: ad.outer_add(x, x)),
+]
+INVARIANT_PARAMS = [(name, rank, fn) for name, ranks, fn in INVARIANT_CASES for rank in ranks]
+
+
+def _invariant_leaves(rank, requires_grad):
+    rng = np.random.default_rng(5)
+    shape = RANK_SHAPES[rank]
+    return (Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=requires_grad),
+            Tensor(rng.uniform(0.5, 1.5, size=shape[-1:]), requires_grad=requires_grad))
+
+
+def _assert_float64_array(t):
+    assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+
+
+@pytest.mark.parametrize("name,rank,fn", INVARIANT_PARAMS,
+                         ids=[f"{name}-{rank}" for name, rank, _ in INVARIANT_PARAMS])
+def test_primitive_invariants(name, rank, fn):
+    x, y = _invariant_leaves(rank, requires_grad=False)
+    out = fn(x, y)
+    _assert_float64_array(out)
+    assert out.node is None and not out.requires_grad  # constant inputs
+
+    x, y = _invariant_leaves(rank, requires_grad=True)
+    with ad.no_grad():
+        quiet = fn(x, y)
+    _assert_float64_array(quiet)
+    assert quiet.node is None and not quiet.requires_grad
+    np.testing.assert_array_equal(quiet.data, out.data)
+
+    out = fn(x, y)
+    _assert_float64_array(out)
+    np.testing.assert_array_equal(out.data, quiet.data)
+    if name == "stop_gradient":
+        assert out.node is None
+        return
+    assert out.node is not None and out.requires_grad
+    weights = Tensor(np.linspace(0.5, 1.5, num=out.size).reshape(out.shape))
+    grads = backward(ad.tsum(ad.mul(out, weights)))
+    assert x in grads
+    for leaf, g in grads.items():
+        _assert_float64_array(g)
+        assert g.shape == leaf.shape and g.data.flags.writeable
+    arrays = [g.data for g in grads.values()]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the masked forms they replace: the engine's softmax,
+# layer_norm and rsqrt_safe before their plain paths, copied as oracles
+
+
+def oracle_unbroadcast(g, shape):
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def oracle_softmax(x):
+    hi = x.max(axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(hi), hi, 0.0)
+    e = np.exp(x - shift)
+    s = e.sum(axis=-1, keepdims=True)
+    pos = s > 0.0
+    y = np.where(pos, e, 0.0) / np.where(pos, s, 1.0)
+
+    def vjp(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        return y * (g - inner)
+
+    return y, (vjp,)
+
+
+def oracle_rsqrt_safe(a):
+    pos = a > 0.0
+    x = np.where(pos, a, 1.0)
+    y = np.where(pos, 1.0 / np.sqrt(x), 0.0)
+    return y, (lambda g: np.where(pos, -0.5 * g * y / x, 0.0),)
+
+
+def oracle_layer_norm(x, gamma, beta, eps=1e-5):
+    d = x.shape[-1]
+    c = x - x.sum(axis=-1, keepdims=True) / d
+    v = (c * c).sum(axis=-1, keepdims=True) / d + eps
+    pos = v > 0.0
+    v_safe = np.where(pos, v, 1.0)
+    inv = np.where(pos, 1.0 / np.sqrt(v_safe), 0.0)
+    normed = c * inv
+
+    def vjp_x(g):
+        g_normed = g * gamma
+        g_inv = oracle_unbroadcast(g_normed * c, inv.shape)
+        g_sq = np.broadcast_to(np.where(pos, -0.5 * g_inv * inv / v_safe, 0.0) / d, c.shape)
+        gc = g_normed * inv
+        gc = gc + g_sq * c
+        gc += g_sq * c
+        return gc + np.broadcast_to(oracle_unbroadcast(-gc, inv.shape) / d, x.shape)
+
+    return normed * gamma + beta, (vjp_x, lambda g: oracle_unbroadcast(g * normed, gamma.shape),
+                                   lambda g: oracle_unbroadcast(g, beta.shape))
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, np.ascontiguousarray(a).reshape(-1).view(np.uint64).tolist()
+
+
+def _check_against_oracle(fn, oracle, arrays, seed=0):
+    want, vjps = oracle(*arrays)
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    assert _bits(out.data) == _bits(want)
+    upstream = np.random.default_rng(seed).normal(size=want.shape)
+    grads = backward(ad.tsum(ad.mul(out, Tensor(upstream))))
+    for leaf, vjp in zip(leaves, vjps):
+        assert _bits(grads[leaf].data) == _bits(vjp(upstream))
+
+
+def _check_edge_rows(fn, oracle, arrays):
+    # NaN and inf rows warn in both forms (inf - inf, NaN compared with 0);
+    # regular inputs are checked outside this, where a warning is an error
+    with np.errstate(invalid="ignore"):
+        _check_against_oracle(fn, oracle, arrays)
+
+
+def _regular_and_edge_rows(shape, edge_rows, seed):
+    """A regular stack (times 30) and a copy whose leading rows are edge_rows."""
+    x = np.random.default_rng(seed).normal(size=shape) * 30.0
+    mixed = x.copy()
+    flat = mixed.reshape(-1, shape[-1])
+    flat[:len(edge_rows)] = edge_rows
+    return x, mixed
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 6), (2, 4, 6)])
+def test_softmax_fast_path_equals_masked_form(shape):
+    inf, nan = np.inf, np.nan
+    edge = [[-inf] * 6, [-inf, 0.0, -inf, 1.0, -inf, 2.0], [nan] * 6, [0.0, nan, 1.0, 2.0, 3.0, 4.0],
+            [inf, 0.0, 1.0, 2.0, 3.0, 4.0]]
+    regular, mixed = _regular_and_edge_rows(shape, edge[:int(np.prod(shape[:-1]))], seed=1)
+    _check_against_oracle(ad.softmax, oracle_softmax, [regular])
+    _check_edge_rows(ad.softmax, oracle_softmax, [mixed])
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 7)])
+def test_rsqrt_safe_fast_path_equals_masked_form(shape):
+    deg = np.random.default_rng(2).uniform(0.1, 9.0, size=shape)
+    _check_against_oracle(ad.rsqrt_safe, oracle_rsqrt_safe, [deg])
+    edge = deg.copy().reshape(-1)
+    edge[::3] = 0.0  # zero degree
+    edge[1::5] = np.nan
+    _check_edge_rows(ad.rsqrt_safe, oracle_rsqrt_safe, [edge.reshape(shape)])
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 6), (2, 4, 6), (3, 1)])
+def test_layer_norm_fast_path_equals_masked_form(shape):
+    d = shape[-1]
+    edge = [[np.nan] * d, [1.5] * d, [np.inf] + [0.0] * (d - 1)]  # NaN, zero variance, inf
+    regular, mixed = _regular_and_edge_rows(shape, edge[:int(np.prod(shape[:-1]))], seed=3)
+    rng = np.random.default_rng(4)
+    gamma, beta = rng.normal(size=d), rng.normal(size=d)
+    _check_against_oracle(ad.layer_norm, oracle_layer_norm, [regular, gamma, beta])
+    _check_edge_rows(ad.layer_norm, oracle_layer_norm, [mixed, gamma, beta])
 
 
 # ---------------------------------------------------------------------------
