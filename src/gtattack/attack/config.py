@@ -75,13 +75,17 @@ def allowed_pairs(graph: Graph, config: AttackConfig, n_aug: int | None = None) 
     n, kind = graph.n, config.constraint
     if kind == "tree_only" and n_aug is None:
         raise ValueError("tree_only requires the augmented size n_aug")
-    pairs = upper_triangle_pairs(n, n_aug if config.mode == "injection" else n)  # rows i < n
+    m = n_aug if config.mode == "injection" else n
+    if kind == "tree_only":  # not both in B: each tree node to each candidate, row-major
+        pairs = np.empty((n, m - n, 2), dtype=np.int64)
+        pairs[..., 0] = np.arange(n)[:, None]
+        pairs[..., 1] = np.arange(n, m)
+        return pairs.reshape(-1, 2)
+    pairs = upper_triangle_pairs(n, m)  # rows i < n
     if kind == "protect_labeled":
         if graph.labeled_mask is None:
             raise ValueError("protect_labeled requires a labeled_mask on the graph")
         pairs = pairs[~np.isin(pairs, np.flatnonzero(graph.labeled_mask)).any(axis=1)]
-    elif kind == "tree_only":
-        pairs = pairs[pairs[:, 1] >= n]  # not both in B
     elif kind != "none":
         raise ValueError(f"unknown constraint {kind!r}")
     return pairs

@@ -82,7 +82,11 @@ def prune_disconnected(atilde: Tensor, n_orig: int) -> tuple[Tensor, np.ndarray]
 
     With zero perturbation this reverts the augmentation exactly.  The
     selection is a differentiable submatrix gather, so gradients still
-    reach the surviving entries.
+    reach the surviving entries.  The relaxed step calls it only for blocks
+    with a pair inside the original graph; otherwise (always under
+    ``tree_only``) the component is the original nodes plus the candidates
+    that a block value above ``EDGE_EPS`` joins, and the step reads that
+    set off the block without a component search.
     """
     comp = connected_components(atilde.data, EDGE_EPS)
     if comp[:n_orig].any():  # node 0's component has id 0
@@ -124,12 +128,18 @@ def mst_projection(flips: np.ndarray, weights: np.ndarray, n_orig: int) -> np.nd
     least as much as any flip.  The maximum spanning tree is then the
     original tree plus each flipped injected node's heaviest flip, the one
     of lowest original endpoint among equal weights (Kruskal's own tie
-    order).  Returns the kept flips in input order.
+    order).  One pass over the flips finds them, with no sort: flip sets
+    hold at most a budget of flips.  Returns the kept flips in input order.
     """
     flips = np.asarray(flips, dtype=np.int64).reshape(-1, 2)
-    i, j = flips.T
-    if not np.all((i < n_orig) & (j >= n_orig)):
-        raise ValueError("mst_projection: each flip must join an original node to an injected one")
-    order = np.lexsort((i, -np.asarray(weights, dtype=np.float64), j))
-    _, first = np.unique(j[order], return_index=True)
-    return flips[np.sort(order[first])]
+    best: dict = {}  # injected node -> (weight, original node, row) of its heaviest flip
+    for row, ((i, j), w) in enumerate(zip(flips.tolist(), weights, strict=True)):
+        if not i < n_orig <= j:
+            raise ValueError(
+                "mst_projection: each flip must join an original node to an injected one")
+        kept = best.get(j)
+        if kept is None or w > kept[0] or (w == kept[0] and i < kept[1]):
+            best[j] = (w, i, row)
+    if len(best) == len(flips):
+        return flips
+    return flips[sorted(row for _, _, row in best.values())]

@@ -8,6 +8,7 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..graphs import Graph, apply_flips, connected_components, is_connected
 from ..models import GraphModel, SpectralReference
+from ..paths import EDGE_EPS
 from ..train import discrete_logits, score
 from .config import AttackConfig, PerturbationResult, allowed_pairs, budget_from_fraction
 from .injection import (
@@ -23,8 +24,9 @@ from .structure import BlockState, init_block, prbcd_step, resample_block, sampl
 
 __all__ = ["AttackRun", "run_cell", "run_attack", "random_baseline", "transfer_attack"]
 
-# injection-mode floor for block values: above the pruning epsilon, so every
-# sampled candidate edge stays in the pruned graph and keeps its gradient
+# injection-mode floor for block values: above EDGE_EPS, so every sampled
+# candidate stays in the relaxed step's kept set (read off the block under
+# tree_only, found by prune_disconnected otherwise) and keeps its gradient
 BLOCK_KEEP_EPS = 1e-7
 
 
@@ -77,12 +79,23 @@ class AttackRun:
         lap_pert = self.model.arch == "san" and toggles.san_lap_pert
         injection = self.config.mode == "injection"
         every_node = np.arange(self.n_aug)
+        # set-up checked that the original graph is connected, so with no block
+        # pair inside it (always under tree_only) its component is the original
+        # nodes plus each candidate that a value above EDGE_EPS joins to them
+        search = injection and bool((block.pairs[:, 1] < self.n_orig).any())
 
         def fn(values: Tensor) -> Tensor:
             atilde = apply_flips(self.base_adj, block.pairs, values)
             feats, kept, kw = self.base_feats, every_node, {}
-            if injection:
+            if search:
                 atilde, kept = prune_disconnected(atilde, self.n_orig)
+            elif injection:
+                joined = every_node < self.n_orig
+                joined[block.pairs[values.data > EDGE_EPS, 1]] = True
+                kept = np.flatnonzero(joined)
+                if len(kept) < self.n_aug:
+                    atilde = ad.submatrix(atilde, kept)
+            if injection:
                 feats, kw = feats[kept], {"node_probs": node_probability(atilde)}
             if lap_pert:
                 kw["spectral_ref"] = self.spectral_ref(kept)
@@ -109,21 +122,23 @@ class AttackRun:
             adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
             return adj, self.base_feats, flips
 
-        n = self.n_orig
-        touched = np.arange(self.n_aug) < n
-        touched[flips] = True
-        nodes = np.flatnonzero(touched)
-        adj = np.zeros((len(nodes), len(nodes)))
+        # flip sets hold a budget of flips, so plain Python beats numpy calls here
+        n, pairs = self.n_orig, flips.tolist()
+        added = sorted({v for pair in pairs for v in pair if v >= n})
+        at = dict(zip(added, range(n, n + len(added))))
+        adj = np.zeros((n + len(added), n + len(added)))
         adj[:n, :n] = self.base_adj[:n, :n]
-        i, j = np.searchsorted(nodes, flips).T
-        adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
-        if ((flips[:, 0] < n) != (flips[:, 1] < n)).all():
-            return adj, self.base_feats[nodes], flips
+        ends = [(at.get(i, i), at.get(j, j)) for i, j in pairs]
+        for a, b in ends:
+            adj[a, b] = adj[b, a] = 1.0 - adj[a, b]
+        feats = np.concatenate((self.base_feats[:n], self.base_feats[added]))
+        if all((i < n) != (j < n) for i, j in pairs):
+            return adj, feats, flips
 
         comp = connected_components(adj)
         kept = np.flatnonzero(comp == 0)
-        kept_flips = flips[(comp[i] == 0) | (comp[j] == 0)]
-        return adj[np.ix_(kept, kept)], self.base_feats[nodes[kept]], kept_flips
+        kept_flips = flips[(comp[np.array(ends)] == 0).any(axis=1)]
+        return adj[np.ix_(kept, kept)], feats[kept], kept_flips
 
     def evaluate_discrete(self, flip_sets: list,
                           blocks: list | None = None) -> list[tuple[float, float, list]]:

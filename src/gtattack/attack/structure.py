@@ -4,6 +4,7 @@ block's values (its pairs change only at a resample), discretization."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,8 +37,13 @@ class BlockState:
 
     def value_of(self, pairs: np.ndarray) -> np.ndarray:
         """Value of each (i, j) pair in the block, 1.0 for pairs outside it."""
-        hit = _pair_keys(pairs, self.n)[:, None] == _pair_keys(self.pairs, self.n)
-        return np.where(hit.any(axis=1), self.values[hit.argmax(axis=1)], 1.0)
+        at, values = self._position, self.values
+        return np.array([values[at[p]] if p in at else 1.0 for p in map(tuple, pairs.tolist())])
+
+    @cached_property
+    def _position(self) -> dict:
+        """Row of each (i, j) pair of ``pairs``, built on the first lookup."""
+        return {pair: k for k, pair in enumerate(map(tuple, self.pairs.tolist()))}
 
 
 def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:

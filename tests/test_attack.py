@@ -29,7 +29,7 @@ from gtattack.attack import (
 from gtattack.attack.structure import BlockState, prbcd_step
 from gtattack.autodiff import Tensor, backward
 from gtattack.generators import generate_retweet_tree, make_cluster_dataset, make_tree_dataset
-from gtattack.graphs import Graph, connected_components, upper_triangle_pairs
+from gtattack.graphs import Graph, apply_flips, connected_components, upper_triangle_pairs
 from gtattack.models import build_model
 
 
@@ -200,6 +200,22 @@ def test_resample_respects_mask_fuzz():
         block.values[:] = rng.random(len(block.values))
         block = resample_block(block, 0.5, rng, allowed)
         assert not np.any(block.pairs == 0)
+
+
+def test_value_of_looks_pairs_up_and_defaults_to_one():
+    block = BlockState(n=6, pairs=np.array([[0, 3], [1, 4], [2, 5]]),
+                       values=np.array([0.25, 0.5, 0.75]))
+    np.testing.assert_array_equal(block.value_of(np.array([[2, 5], [0, 4], [0, 3]])),
+                                  [0.75, 1.0, 0.25])
+    block.values = np.array([0.1, 0.2, 0.3])  # a step replaces the values, not the pairs
+    np.testing.assert_array_equal(block.value_of(np.array([[1, 4]])), [0.2])
+    assert block.value_of(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+def test_value_of_empty_block_is_one_per_pair():
+    block = BlockState(n=5, pairs=np.zeros((0, 2), dtype=np.int64), values=np.zeros(0))
+    np.testing.assert_array_equal(block.value_of(np.array([[0, 3]])), [1.0])
+    np.testing.assert_array_equal(block.value_of(np.array([[0, 3], [1, 4]])), [1.0, 1.0])
 
 
 def test_prbcd_step_zero_gradient_keeps_values():
@@ -474,6 +490,16 @@ def test_mst_triangle_drops_weakest():
     flips = np.array([[0, 2], [1, 2]])
     np.testing.assert_array_equal(mst_projection(flips, np.array([0.1, 0.8]), 2), [[1, 2]])
     np.testing.assert_array_equal(mst_projection(flips, np.array([1.0, 1.0]), 2), [[0, 2]])
+
+
+def test_mst_tie_rule_ignores_input_order():
+    # equal weights keep the lowest original endpoint, wherever it comes in
+    # the flip set; unequal ones keep the heaviest flip
+    flips = np.array([[3, 5], [1, 5], [2, 6], [0, 5]])
+    np.testing.assert_array_equal(mst_projection(flips, np.array([0.5, 0.5, 0.2, 0.5]), 4),
+                                  [[2, 6], [0, 5]])
+    np.testing.assert_array_equal(mst_projection(flips, np.array([0.5, 0.9, 0.2, 0.5]), 4),
+                                  [[1, 5], [2, 6]])
 
 
 def test_mst_edge_count():
@@ -1150,6 +1176,93 @@ def test_adaptive_run_equals_per_step_reference(cluster_setup, tree_setup, arch,
     want = run_attack(model, g, cfg, cands, gid)
     assert got.to_doc() == want.to_doc()
     assert len(set(got.loss_trace)) > 1
+
+
+def relaxed_inputs(run, block, values, monkeypatch):
+    """Adjacency, kept nodes and node probabilities that ``run``'s relaxed
+    objective for ``block`` hands the model at ``values``.  The run's
+    features are replaced by node numbers, so the kept nodes can be read
+    off the features the model receives."""
+    seen = {}
+    forward = run.model.forward
+
+    def spy(atilde, feats, toggles, **kw):
+        seen.update(adj=atilde.data.copy(), kept=feats[:, 0].astype(np.int64),
+                    probs=kw["node_probs"].data.copy())
+        return forward(atilde, feats, toggles, **kw)
+
+    monkeypatch.setattr(run.model, "forward", spy)
+    d = run.base_feats.shape[1]
+    run.base_feats = np.repeat(np.arange(run.n_aug, dtype=float)[:, None], d, axis=1)
+    run.objective(block)(Tensor(values))
+    return seen["adj"], seen["kept"], seen["probs"]
+
+
+def pruned_reference(run, block, values):
+    sub, kept = prune_disconnected(apply_flips(run.base_adj, block.pairs, values), run.n_orig)
+    return sub.data, kept, node_probability(sub).data
+
+
+@pytest.mark.parametrize("constraint", ["tree_only", "none"])
+def test_relaxed_kept_set_equals_prune_disconnected(tree_setup, constraint, monkeypatch):
+    # tree_only blocks take their kept set from the block, bit for bit what
+    # the component search keeps; a block with a pair inside the original
+    # graph still searches components
+    from gtattack.attack import runner
+    from gtattack.paths import EDGE_EPS
+
+    ds, g, gid, cands, _ = tree_setup
+    model = build_model("gcn", "graph", g.feature_dim, 1, seed=0)
+    run = runner.AttackRun(model, g, tree_config(constraint=constraint), cands)
+    searches = []
+    monkeypatch.setattr(runner, "prune_disconnected",
+                        lambda *a: searches.append(1) or prune_disconnected(*a))
+    n, rng = run.n_orig, np.random.default_rng(11)
+    crossing = run.allowed[run.allowed[:, 1] >= n]
+    levels = np.array([0.0, EDGE_EPS / 2, EDGE_EPS, np.nextafter(EDGE_EPS, 1.0), 1e-7, 0.4, 1.0])
+    blocks = [BlockState(run.n_aug, pairs, levels[rng.integers(0, len(levels), len(pairs))])
+              for pairs in (crossing[np.sort(rng.choice(len(crossing), size=k, replace=False))]
+                            for k in (1, 5, 20, 60) * 3)]
+    # every candidate joined by a value above EDGE_EPS: no submatrix
+    every = np.array([[int(rng.integers(0, n)), j] for j in range(n, run.n_aug)])
+    blocks.append(BlockState(run.n_aug, every, levels[rng.integers(3, len(levels), len(every))]))
+    sizes = set()
+    for block in blocks:
+        got = relaxed_inputs(run, block, block.values, monkeypatch)
+        for x, y in zip(got, pruned_reference(run, block, Tensor(block.values)), strict=True):
+            assert x.shape == y.shape and np.array_equal(x, y)
+        sizes.add(len(got[1]))
+    assert searches == [] and run.n_aug in sizes and len(sizes) > 2
+    if constraint == "none":
+        # a block that also weakens an original edge
+        (a, b), _ = cut_edge(g.adjacency)
+        pairs = np.vstack([[[a, b]], every])
+        order = np.lexsort(pairs.T[::-1])
+        values = np.r_[0.5, levels[rng.integers(0, len(levels), len(every))]][order]
+        block = BlockState(run.n_aug, pairs[order], values)
+        got = relaxed_inputs(run, block, block.values, monkeypatch)
+        assert searches == [1] and got[0][a, b] == 0.5
+        for x, y in zip(got, pruned_reference(run, block, Tensor(block.values)), strict=True):
+            assert x.shape == y.shape and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("arch", ["gcn", "grit", "graphormer", "san"])
+def test_tree_only_cell_searches_no_components(tree_setup, arch, monkeypatch):
+    # set-up checks the tree through graphs.is_connected; no relaxed step and
+    # no scored flip set searches components under tree_only
+    from gtattack.attack import injection, runner
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("connected_components called in a tree_only cell")
+
+    ds, g, gid, cands, _ = tree_setup
+    model = build_model(arch, "graph", g.feature_dim, 1, seed=0)
+    monkeypatch.setattr(runner, "connected_components", forbidden)
+    monkeypatch.setattr(injection, "connected_components", forbidden)
+    results = run_cell(model, g, tree_config(steps=4, resample_every=2, block_size=20, seed=2),
+                       cands, gid)
+    assert [r.attack_kind for r in results] == ["adaptive", "random"]
+    assert all(r.flips for r in results)
 
 
 def test_run_cell_scores_in_one_call(tree_setup, monkeypatch):
