@@ -15,9 +15,11 @@ def shortest_paths_kernel(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
 
     ``r[u, v] = inf`` means no edge.  Distances come from Floyd-Warshall.
     ``nxt[u, j]`` is the smallest-index neighbor v of u with
-    r[u, v] + dist[v, j] <= dist[u, j] + tol; -1 if unreachable, u itself
-    when u == j.  Greedily following nxt yields the lexicographically
-    smallest shortest path.
+    r[u, v] + dist[v, j] <= dist[u, j] + tol, or, where rounding leaves no
+    neighbor inside ``tol`` (path lengths near 1/EDGE_EPS), the neighbor of
+    least r[u, v] + dist[v, j]; -1 if unreachable, u itself when u == j.
+    Greedily following nxt yields the lexicographically smallest shortest
+    path.
     """
     n = r.shape[0]
     dist = r.copy()
@@ -30,6 +32,14 @@ def shortest_paths_kernel(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
         on_path = r + col[None, :] <= col[:, None] + tol
         nxt[:, j] = np.where(np.isfinite(col), np.argmax(on_path, axis=1), -1)
         nxt[j, j] = j
+    # a row with no neighbor inside tol, where argmax picked node 0, takes the
+    # neighbor of least length instead
+    cols = np.arange(n)
+    hop = np.maximum(nxt, 0)
+    stray = (nxt >= 0) & ~(r[cols[:, None], hop] + dist[hop, cols] <= dist + tol)
+    np.fill_diagonal(stray, False)
+    for u, j in zip(*np.nonzero(stray)):
+        nxt[u, j] = np.argmin(r[u] + dist[:, j])
     return dist, nxt
 
 

@@ -13,7 +13,6 @@ from .injection import (
     mst_projection,
     nia_augment,
     node_probability,
-    prune_disconnected,
 )
 from .losses import attack_loss
 from .projection import project_budget
@@ -36,7 +35,6 @@ __all__ = [
     "nia_augment",
     "node_probability",
     "project_budget",
-    "prune_disconnected",
     "prbcd_step",
     "random_baseline",
     "resample_block",

@@ -68,26 +68,28 @@ def budget_from_fraction(fraction: float, num_edges: int) -> int:
 
 
 def allowed_pairs(graph: Graph, config: AttackConfig, n_aug: int | None = None) -> np.ndarray:
-    """All samplable index pairs (i < j) under the run's mode and constraint.
-    Injection never samples two candidates (block F); ``protect_labeled``
-    forbids pairs touching a labeled original node; ``tree_only`` (injection) also
-    forbids the original block B, keeping tree-to-candidate pairs E."""
+    """All samplable index pairs (i < j), row-major, under the run's mode and
+    constraint.  Structure attacks sample any pair of the graph; injection
+    attacks (augmented size ``n_aug``) sample only pairs that join an original
+    node to a candidate, region E of :func:`~gtattack.attack.injection.nia_augment`.
+    ``protect_labeled`` forbids pairs touching a labeled original node;
+    ``tree_only`` constrains injection attacks and samples every E pair."""
     n, kind = graph.n, config.constraint
-    if kind == "tree_only" and n_aug is None:
-        raise ValueError("tree_only requires the augmented size n_aug")
-    m = n_aug if config.mode == "injection" else n
-    if kind == "tree_only":  # not both in B: each tree node to each candidate, row-major
-        pairs = np.empty((n, m - n, 2), dtype=np.int64)
+    if config.mode == "injection":
+        if n_aug is None:
+            raise ValueError("injection requires the augmented size n_aug")
+        pairs = np.empty((n, n_aug - n, 2), dtype=np.int64)
         pairs[..., 0] = np.arange(n)[:, None]
-        pairs[..., 1] = np.arange(n, m)
-        return pairs.reshape(-1, 2)
-    pairs = upper_triangle_pairs(n, m)  # rows i < n
+        pairs[..., 1] = np.arange(n, n_aug)
+        pairs = pairs.reshape(-1, 2)
+    elif kind == "tree_only":
+        raise ValueError("tree_only constrains injection attacks only")
+    else:
+        pairs = upper_triangle_pairs(n)
     if kind == "protect_labeled":
         if graph.labeled_mask is None:
             raise ValueError("protect_labeled requires a labeled_mask on the graph")
         pairs = pairs[~np.isin(pairs, np.flatnonzero(graph.labeled_mask)).any(axis=1)]
-    elif kind != "none":
-        raise ValueError(f"unknown constraint {kind!r}")
     return pairs
 
 

@@ -1,4 +1,4 @@
-"""Node-injection machinery: augmentation, pruning, node probabilities, MST."""
+"""Node-injection machinery: augmentation, node probabilities, MST."""
 
 from __future__ import annotations
 
@@ -8,14 +8,13 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..graphs import Dataset, Graph, connected_components, is_connected
+from ..graphs import Dataset, Graph, is_connected
 from ..paths import EDGE_EPS
 
 __all__ = [
     "CandidateSet",
     "build_candidate_set",
     "nia_augment",
-    "prune_disconnected",
     "node_probability",
     "mst_projection",
     "is_tree",
@@ -63,7 +62,9 @@ def nia_augment(graph: Graph, candidates: CandidateSet) -> tuple[np.ndarray, np.
 
     Returns (augmented adjacency, augmented features, n_original); index
     pairs with both ends < n_original are region B, one end in the
-    candidate range is E, both in it is F.
+    candidate range is E, both in it is F.  Injection attacks flip E pairs
+    only: original edges stay as they are, and candidates join the graph
+    through original nodes, never through each other.
     """
     if candidates.size and candidates.features.shape[1] != graph.feature_dim:
         raise ValueError(
@@ -75,26 +76,6 @@ def nia_augment(graph: Graph, candidates: CandidateSet) -> tuple[np.ndarray, np.
     adj[:n, :n] = graph.adjacency
     feats = np.vstack([graph.features, candidates.features]) if candidates.size else graph.features.copy()
     return adj, feats, n
-
-
-def prune_disconnected(atilde: Tensor, n_orig: int) -> tuple[Tensor, np.ndarray]:
-    """Keep the connected component containing the original nodes.
-
-    With zero perturbation this reverts the augmentation exactly.  The
-    selection is a differentiable submatrix gather, so gradients still
-    reach the surviving entries.  The relaxed step calls it only for blocks
-    with a pair inside the original graph; otherwise (always under
-    ``tree_only``) the component is the original nodes plus the candidates
-    that a block value above ``EDGE_EPS`` joins, and the step reads that
-    set off the block without a component search.
-    """
-    comp = connected_components(atilde.data, EDGE_EPS)
-    if comp[:n_orig].any():  # node 0's component has id 0
-        raise ValueError("prune_disconnected: original graph is disconnected")
-    kept = np.flatnonzero(comp == 0)
-    if len(kept) == atilde.shape[0]:
-        return atilde, kept
-    return ad.submatrix(atilde, kept), kept
 
 
 def node_probability(atilde: Tensor, iterations: int = 3) -> Tensor:

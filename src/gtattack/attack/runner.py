@@ -6,27 +6,19 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..graphs import Graph, apply_flips, connected_components, is_connected
+from ..graphs import Graph, apply_flips, is_connected
 from ..models import GraphModel, SpectralReference
 from ..paths import EDGE_EPS
 from ..train import discrete_logits, score
 from .config import AttackConfig, PerturbationResult, allowed_pairs, budget_from_fraction
-from .injection import (
-    CandidateSet,
-    is_tree,
-    mst_projection,
-    nia_augment,
-    node_probability,
-    prune_disconnected,
-)
+from .injection import CandidateSet, is_tree, mst_projection, nia_augment, node_probability
 from .losses import attack_loss
 from .structure import BlockState, init_block, prbcd_step, resample_block, sample_discrete
 
 __all__ = ["AttackRun", "run_cell", "run_attack", "random_baseline", "transfer_attack"]
 
 # injection-mode floor for block values: above EDGE_EPS, so every sampled
-# candidate stays in the relaxed step's kept set (read off the block under
-# tree_only, found by prune_disconnected otherwise) and keeps its gradient
+# candidate stays in the relaxed step's kept set and keeps its gradient
 BLOCK_KEEP_EPS = 1e-7
 
 
@@ -73,29 +65,23 @@ class AttackRun:
     # -- relaxed objective ----------------------------------------------------
     def objective(self, block: BlockState):
         """Closure mapping the values of ``block`` (leaf tensor) to the attack
-        loss: structure mode keeps every node, injection mode keeps the
-        original nodes' component and adds node probabilities."""
+        loss: structure mode keeps every node; injection mode keeps the
+        original nodes plus each candidate that a block value above EDGE_EPS
+        joins to them, read off the block, and adds node probabilities."""
         toggles, task = self.config.toggles, self.model.task
         lap_pert = self.model.arch == "san" and toggles.san_lap_pert
         injection = self.config.mode == "injection"
         every_node = np.arange(self.n_aug)
-        # set-up checked that the original graph is connected, so with no block
-        # pair inside it (always under tree_only) its component is the original
-        # nodes plus each candidate that a value above EDGE_EPS joins to them
-        search = injection and bool((block.pairs[:, 1] < self.n_orig).any())
 
         def fn(values: Tensor) -> Tensor:
             atilde = apply_flips(self.base_adj, block.pairs, values)
             feats, kept, kw = self.base_feats, every_node, {}
-            if search:
-                atilde, kept = prune_disconnected(atilde, self.n_orig)
-            elif injection:
+            if injection:
                 joined = every_node < self.n_orig
                 joined[block.pairs[values.data > EDGE_EPS, 1]] = True
                 kept = np.flatnonzero(joined)
                 if len(kept) < self.n_aug:
                     atilde = ad.submatrix(atilde, kept)
-            if injection:
                 feats, kw = feats[kept], {"node_probs": node_probability(atilde)}
             if lap_pert:
                 kw["spectral_ref"] = self.spectral_ref(kept)
@@ -110,9 +96,9 @@ class AttackRun:
     def _discrete_graph(self, flips: np.ndarray,
                         block: BlockState | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Adjacency, features and effective flips of the graph a flip set gives.
-        Injection graphs hold the original nodes plus the touched candidates;
-        they are connected when every flip joins an original node to a candidate,
-        else they keep node 0's component and the flips with an end in it."""
+        Injection graphs hold the original nodes plus the candidates the flips
+        join to them; a flip that does not join an original node to a
+        candidate raises ``ValueError``."""
         if self.config.constraint == "tree_only":
             weights = np.ones(len(flips)) if block is None else block.value_of(flips)
             flips = mst_projection(flips, weights, self.n_orig)
@@ -124,21 +110,16 @@ class AttackRun:
 
         # flip sets hold a budget of flips, so plain Python beats numpy calls here
         n, pairs = self.n_orig, flips.tolist()
-        added = sorted({v for pair in pairs for v in pair if v >= n})
+        if not all(i < n <= j for i, j in pairs):
+            raise ValueError("injection flips must join an original node to a candidate")
+        added = sorted({j for _, j in pairs})
         at = dict(zip(added, range(n, n + len(added))))
         adj = np.zeros((n + len(added), n + len(added)))
         adj[:n, :n] = self.base_adj[:n, :n]
-        ends = [(at.get(i, i), at.get(j, j)) for i, j in pairs]
-        for a, b in ends:
-            adj[a, b] = adj[b, a] = 1.0 - adj[a, b]
+        for i, j in pairs:
+            adj[i, at[j]] = adj[at[j], i] = 1.0 - adj[i, at[j]]
         feats = np.concatenate((self.base_feats[:n], self.base_feats[added]))
-        if all((i < n) != (j < n) for i, j in pairs):
-            return adj, feats, flips
-
-        comp = connected_components(adj)
-        kept = np.flatnonzero(comp == 0)
-        kept_flips = flips[(comp[np.array(ends)] == 0).any(axis=1)]
-        return adj[np.ix_(kept, kept)], feats[kept], kept_flips
+        return adj, feats, flips
 
     def evaluate_discrete(self, flip_sets: list,
                           blocks: list | None = None) -> list[tuple[float, float, list]]:
@@ -150,8 +131,8 @@ class AttackRun:
         (:func:`~gtattack.attack.injection.mst_projection`), weighting each
         flip by its value in that flip set's entry of ``blocks`` (1.0 for
         an entry of None, e.g. a random pick; without ``blocks``, for every
-        set).  In injection mode each graph then keeps the component of the
-        original nodes.  All sets are scored in one
+        set).  In injection mode each graph holds the original nodes plus the
+        candidates its flips join to them.  All sets are scored in one
         :func:`~gtattack.train.discrete_logits` call.
         """
         blocks = [None] * len(flip_sets) if blocks is None else blocks

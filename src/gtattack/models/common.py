@@ -139,7 +139,7 @@ class GraphModel:
     # -- parameters ----------------------------------------------------------
     def _param(self, name: str, shape: tuple[int, ...], rng, kind: str = "glorot") -> Tensor:
         if kind == "glorot":
-            fan_in = shape[0] if len(shape) > 1 else shape[0]
+            fan_in = shape[0]
             fan_out = shape[-1]
             scale = np.sqrt(2.0 / (fan_in + fan_out))
             data = rng.normal(0.0, scale, size=shape)

@@ -18,7 +18,6 @@ from gtattack.attack import (
     nia_augment,
     node_probability,
     project_budget,
-    prune_disconnected,
     random_baseline,
     resample_block,
     run_attack,
@@ -31,6 +30,7 @@ from gtattack.autodiff import Tensor, backward
 from gtattack.generators import generate_retweet_tree, make_cluster_dataset, make_tree_dataset
 from gtattack.graphs import Graph, apply_flips, connected_components, upper_triangle_pairs
 from gtattack.models import build_model
+from gtattack.paths import EDGE_EPS
 
 
 def make_graph(a, d_feat=3, **kw):
@@ -318,37 +318,59 @@ def test_nia_augment_dim_mismatch():
         nia_augment(g, CandidateSet(np.ones((2, 7)), [(1, 0), (1, 1)]))
 
 
-def test_prune_reverts_augmentation_without_flips():
-    g = make_graph([[0, 1], [1, 0]])
-    cands = CandidateSet(np.ones((3, 3)), [(1, 0), (1, 1), (2, 0)])
-    adj, _, n0 = nia_augment(g, cands)
-    sub, kept = prune_disconnected(Tensor(adj), n0)
-    np.testing.assert_array_equal(sub.data, g.adjacency)
+def prune_disconnected(atilde, n_orig):
+    """Reference kept set of a relaxed injection graph: node 0's component,
+    found by a component search, as a differentiable submatrix."""
+    comp = connected_components(atilde.data, EDGE_EPS)
+    assert not comp[:n_orig].any(), "original graph is disconnected"
+    kept = np.flatnonzero(comp == 0)
+    if len(kept) == atilde.shape[0]:
+        return atilde, kept
+    return ad.submatrix(atilde, kept), kept
+
+
+def two_node_injection_run(n_candidates, constraint="none", **kw):
+    from gtattack.attack.runner import AttackRun
+
+    g = make_graph([[0, 1], [1, 0]], graph_label=0, **kw)
+    cands = CandidateSet(np.ones((n_candidates, 3)), [(1, k) for k in range(n_candidates)])
+    model = build_model("gcn", "graph", 3, 1, seed=0)
+    return AttackRun(model, g, tree_config(constraint=constraint), cands)
+
+
+def test_prune_reverts_augmentation_without_flips(monkeypatch):
+    run = two_node_injection_run(3)
+    block = BlockState(run.n_aug, run.allowed, np.zeros(len(run.allowed)))
+    adj, kept, _ = relaxed_inputs(run, block, block.values, monkeypatch)
+    np.testing.assert_array_equal(adj, [[0, 1], [1, 0]])
     np.testing.assert_array_equal(kept, [0, 1])
 
 
-def test_prune_keeps_attached_candidate():
-    g = make_graph([[0, 1], [1, 0]])
-    adj, _, n0 = nia_augment(g, CandidateSet(np.ones((2, 3)), [(1, 0), (1, 1)]))
-    adj[0, 2] = adj[2, 0] = 0.3
-    sub, kept = prune_disconnected(Tensor(adj), n0)
+def test_prune_keeps_attached_candidate(monkeypatch):
+    run = two_node_injection_run(2)
+    block = BlockState(run.n_aug, [[0, 2], [1, 3]], [0.3, EDGE_EPS])
+    adj, kept, _ = relaxed_inputs(run, block, block.values, monkeypatch)
     assert list(kept) == [0, 1, 2]
-    assert sub.shape == (3, 3)
+    assert adj.shape == (3, 3) and adj[0, 2] == 0.3
 
 
 def test_prune_drops_candidate_only_pairs():
-    g = make_graph([[0, 1], [1, 0]])
-    adj, _, n0 = nia_augment(g, CandidateSet(np.ones((2, 3)), [(1, 0), (1, 1)]))
-    adj[2, 3] = adj[3, 2] = 0.9  # connected only to each other
-    sub, kept = prune_disconnected(Tensor(adj), n0)
-    assert list(kept) == [0, 1]
+    # candidates join the graph only through original nodes: no constraint
+    # samples a pair of two candidates, and scoring rejects one
+    for constraint in ("none", "protect_labeled", "tree_only"):
+        run = two_node_injection_run(2, constraint, labeled_mask=[False, False])
+        assert run.allowed.tolist() == [[0, 2], [0, 3], [1, 2], [1, 3]]
+        with pytest.raises(ValueError, match="join an original node"):
+            run.evaluate_discrete([np.array([[2, 3]])])
 
 
 def test_prune_gradient_flows_through_submatrix():
-    at = Tensor(np.array([[0, 1, 0.4], [1, 0, 0], [0.4, 0, 0]]), requires_grad=True)
-    sub, kept = prune_disconnected(at, 2)
-    g = backward(ad.tsum(sub))[at].data
-    assert g[0, 2] == 1.0
+    run = two_node_injection_run(2)
+    block = BlockState(run.n_aug, [[0, 2], [1, 3]], [0.4, 0.0])
+    values = Tensor(block.values, requires_grad=True)
+    with ad.Tape():
+        g = backward(run.objective(block)(values))[values].data
+    assert g[0] != 0.0 and g[1] == 0.0  # candidate 3 is not kept
 
 
 def test_candidate_set_excludes_attacked_graph_and_roots():
@@ -628,9 +650,10 @@ def test_protect_labeled_injection_masks_original_endpoints():
     # unlabeled original nodes, and pairs touching a labeled one are excluded
     g = make_graph(np.zeros((4, 4)), labeled_mask=[True, False, False, True])
     cfg = AttackConfig(mode="injection", constraint="protect_labeled")
-    want = [(i, j) for i, j in upper_triangle_pairs(7).tolist()
-            if i < 4 and i not in (0, 3) and j not in (0, 3)]
+    want = [(i, j) for i in (1, 2) for j in range(4, 7)]
     assert [tuple(p) for p in allowed_pairs(g, cfg, n_aug=7).tolist()] == want
+    with pytest.raises(ValueError, match="n_aug"):
+        allowed_pairs(g, cfg)
 
 
 def test_protect_labeled_requires_mask():
@@ -654,9 +677,12 @@ def test_tree_only_forbids_original_block():
 def test_constraint_none_allows_everything():
     g = make_graph(np.zeros((4, 4)))
     np.testing.assert_array_equal(allowed_pairs(g, AttackConfig()), upper_triangle_pairs(4))
-    # injection never samples two candidates (the F block)
+    # injection samples only pairs of an original node and a candidate (the
+    # E block), row-major: never two original nodes (B) or two candidates (F)
     injection = allowed_pairs(g, AttackConfig(mode="injection"), n_aug=6)
-    np.testing.assert_array_equal(injection, upper_triangle_pairs(6)[:14])
+    np.testing.assert_array_equal(injection, [[i, j] for i in range(4) for j in (4, 5)])
+    with pytest.raises(ValueError, match="n_aug"):
+        allowed_pairs(g, AttackConfig(mode="injection"))
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +961,10 @@ def test_discrete_graph_equals_loop_reference(tree_setup, constraint):
             projected += was_projected
             dropped += not was_projected and len(eff) < len(flips)
     # tree-only samples that are not trees go through the projection; with
-    # no constraint, removing an original edge drops the flips cut off with it
-    assert projected if constraint == "tree_only" else dropped
+    # no constraint every flip joins the graph, so none is dropped
+    assert projected if constraint == "tree_only" else not dropped
+    with pytest.raises(ValueError, match="join an original node"):
+        run._discrete_graph(np.array([[0, 1]]), None)
 
 
 def augmented_discrete_graph(run, flips, block):
@@ -955,19 +983,6 @@ def augmented_discrete_graph(run, flips, block):
     return adj[np.ix_(kept, kept)], run.base_feats[kept], kept_flips
 
 
-def cut_edge(adj):
-    """A tree edge (a, b), a < b, whose removal cuts off at least two nodes
-    from node 0, and the nodes it cuts off."""
-    for a, b in zip(*np.nonzero(np.triu(adj, 1))):
-        cut = adj.copy()
-        cut[a, b] = cut[b, a] = 0.0
-        comp = connected_components(cut)
-        off = np.flatnonzero(comp != 0)
-        if len(off) >= 2:
-            return (int(a), int(b)), off
-    raise AssertionError("no edge cuts off two nodes")
-
-
 @pytest.mark.parametrize("constraint", ["tree_only", "none"])
 def test_discrete_graph_equals_augmented_copy(tree_setup, constraint):
     from gtattack.attack.runner import AttackRun
@@ -982,27 +997,18 @@ def test_discrete_graph_equals_augmented_copy(tree_setup, constraint):
         run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
         for k in (1, 2, 3, 5, 8) * 6
     ]
-    if constraint == "none":
-        (a, b), off = cut_edge(g.adjacency)
-        cases += [np.array(flips) for flips in (
-            [[a, b]],  # detaches a subtree
-            [[a, b], [off[0], c[0]]],  # ... and a candidate joined only to it
-            [[a, b], [a, c[0]], [b, c[0]]],  # a candidate bridging the cut
-            [[a, b], [a, c[0]], [off[0], c[1]], [b, c[2]]],
-        )]
     for flips in cases:
         for blk in (block, None):
             got = run._discrete_graph(flips, blk)
             want = augmented_discrete_graph(run, flips, blk)
             for x, y in zip(got, want, strict=True):
                 assert x.shape == y.shape and np.array_equal(x, y)
-    if constraint == "none":
-        # the cut-off subtree and the candidate joined only to it are dropped;
-        # the removal that cut them off is kept, so replaying rebuilds the graph
-        adj, _, eff = run._discrete_graph(cases[-3], None)
-        assert len(adj) == n - len(off) and eff.tolist() == [[a, b]]
-        adj, _, eff = run._discrete_graph(cases[-2], None)
-        assert len(adj) == n + 1 and len(eff) == 3
+            if constraint == "none":
+                assert np.array_equal(got[2], flips)  # no flip is dropped
+    # a flip inside the original graph raises, alone or among joining flips
+    for flips in ([[0, 1]], [[0, c[0]], [1, 2]]):
+        with pytest.raises(ValueError, match="join an original node"):
+            run._discrete_graph(np.array(flips), None)
 
 
 @pytest.mark.parametrize("constraint", ["tree_only", "none"])
@@ -1012,7 +1018,6 @@ def test_stored_flips_rebuild_scored_graph(tree_setup, constraint):
     from gtattack.attack.runner import AttackRun
 
     ds, _, _, _, model = tree_setup
-    cut_off = 0
     for gid in ds.split["val"] + ds.split["test"]:
         g = ds.graphs[gid]
         cands = build_candidate_set(ds, gid, max_candidates=24, seed=gid)
@@ -1031,12 +1036,12 @@ def test_stored_flips_rebuild_scored_graph(tree_setup, constraint):
                                                                 None)
             assert np.array_equal(adj, again) and np.array_equal(feats, feats_again)
             assert eff_again.tolist() == eff
-            cut_off += len(adj) < g.n
+            assert len(adj) == g.n + len({j for _, j in eff})  # every original node kept
+            if constraint == "none":
+                assert eff == flips.tolist()
         results = run_cell(model, g, cfg, cands, gid)
         assert transfer_attack(results, model, ds.graphs, {gid: cands}) == [
             res.attacked_metric for res in results]
-    # with no constraint some sets cut original nodes off; tree_only never does
-    assert cut_off if constraint == "none" else not cut_off
 
 
 @pytest.mark.parametrize("stack_entries", [8192, 150])
@@ -1205,23 +1210,18 @@ def pruned_reference(run, block, values):
 
 @pytest.mark.parametrize("constraint", ["tree_only", "none"])
 def test_relaxed_kept_set_equals_prune_disconnected(tree_setup, constraint, monkeypatch):
-    # tree_only blocks take their kept set from the block, bit for bit what
-    # the component search keeps; a block with a pair inside the original
-    # graph still searches components
+    # injection blocks take their kept set from the block, bit for bit what
+    # the reference component search keeps
     from gtattack.attack import runner
-    from gtattack.paths import EDGE_EPS
 
     ds, g, gid, cands, _ = tree_setup
     model = build_model("gcn", "graph", g.feature_dim, 1, seed=0)
     run = runner.AttackRun(model, g, tree_config(constraint=constraint), cands)
-    searches = []
-    monkeypatch.setattr(runner, "prune_disconnected",
-                        lambda *a: searches.append(1) or prune_disconnected(*a))
     n, rng = run.n_orig, np.random.default_rng(11)
-    crossing = run.allowed[run.allowed[:, 1] >= n]
     levels = np.array([0.0, EDGE_EPS / 2, EDGE_EPS, np.nextafter(EDGE_EPS, 1.0), 1e-7, 0.4, 1.0])
     blocks = [BlockState(run.n_aug, pairs, levels[rng.integers(0, len(levels), len(pairs))])
-              for pairs in (crossing[np.sort(rng.choice(len(crossing), size=k, replace=False))]
+              for pairs in (run.allowed[np.sort(rng.choice(len(run.allowed), size=k,
+                                                           replace=False))]
                             for k in (1, 5, 20, 60) * 3)]
     # every candidate joined by a value above EDGE_EPS: no submatrix
     every = np.array([[int(rng.integers(0, n)), j] for j in range(n, run.n_aug)])
@@ -1232,37 +1232,59 @@ def test_relaxed_kept_set_equals_prune_disconnected(tree_setup, constraint, monk
         for x, y in zip(got, pruned_reference(run, block, Tensor(block.values)), strict=True):
             assert x.shape == y.shape and np.array_equal(x, y)
         sizes.add(len(got[1]))
-    assert searches == [] and run.n_aug in sizes and len(sizes) > 2
-    if constraint == "none":
-        # a block that also weakens an original edge
-        (a, b), _ = cut_edge(g.adjacency)
-        pairs = np.vstack([[[a, b]], every])
-        order = np.lexsort(pairs.T[::-1])
-        values = np.r_[0.5, levels[rng.integers(0, len(levels), len(every))]][order]
-        block = BlockState(run.n_aug, pairs[order], values)
-        got = relaxed_inputs(run, block, block.values, monkeypatch)
-        assert searches == [1] and got[0][a, b] == 0.5
-        for x, y in zip(got, pruned_reference(run, block, Tensor(block.values)), strict=True):
-            assert x.shape == y.shape and np.array_equal(x, y)
+    assert run.n_aug in sizes and len(sizes) > 2
 
 
 @pytest.mark.parametrize("arch", ["gcn", "grit", "graphormer", "san"])
-def test_tree_only_cell_searches_no_components(tree_setup, arch, monkeypatch):
-    # set-up checks the tree through graphs.is_connected; no relaxed step and
-    # no scored flip set searches components under tree_only
-    from gtattack.attack import injection, runner
+@pytest.mark.parametrize("constraint", ["tree_only", "none"])
+def test_injection_cell_searches_no_components(tree_setup, constraint, arch, monkeypatch):
+    # set-up checks once that the original graph is connected (under
+    # tree_only, through is_tree); no relaxed step and no scored flip set
+    # searches components
+    import sys
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("connected_components called in a tree_only cell")
+    from gtattack import graphs
 
+    calls = []
+    search = graphs.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gtattack") and getattr(module, "connected_components", None) is search:
+            monkeypatch.setattr(module, "connected_components", counted)
     ds, g, gid, cands, _ = tree_setup
     model = build_model(arch, "graph", g.feature_dim, 1, seed=0)
-    monkeypatch.setattr(runner, "connected_components", forbidden)
-    monkeypatch.setattr(injection, "connected_components", forbidden)
-    results = run_cell(model, g, tree_config(steps=4, resample_every=2, block_size=20, seed=2),
-                       cands, gid)
+    cfg = tree_config(steps=4, resample_every=2, block_size=20, constraint=constraint, seed=2)
+    results = run_cell(model, g, cfg, cands, gid)
+    assert calls == [1]
     assert [r.attack_kind for r in results] == ["adaptive", "random"]
     assert all(r.flips for r in results)
+
+
+def test_injection_without_constraint_never_cuts_the_tree():
+    # without a constraint, injection flips only tree-to-candidate pairs, so
+    # no step can weaken a tree edge; on this cell, blocks holding pairs
+    # inside the tree cut it apart and the run raised ValueError
+    import warnings
+
+    from gtattack.train import TrainConfig, train_model
+
+    ds = make_tree_dataset(seed=3, n_train=8, n_val=2, n_test=8, n_nodes_range=(12, 16))
+    g = ds.graphs[17]
+    model = build_model("graphormer", "graph", g.feature_dim, 1, seed=0)
+    train_model(model, ds, TrainConfig(epochs=2, lr=3e-3, seed=0))
+    cands = build_candidate_set(ds, 17, exclude_roots=True, max_candidates=12, seed=17)
+    cfg = AttackConfig(budget_fraction=0.1, steps=20, block_size=40, n_discrete_samples=3,
+                       loss_kind="raw_score", mode="injection", constraint="none", seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_cell(model, g, cfg, cands, 17)
+    assert any(r.flips for r in results)
+    for res in results:
+        assert all(i < g.n <= j for i, j in res.flips)
 
 
 def test_run_cell_scores_in_one_call(tree_setup, monkeypatch):

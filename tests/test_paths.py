@@ -287,6 +287,30 @@ def test_rspd_matrix_matches_all_pairs_and_proxy_gradients():
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_next_hops_are_edges_at_lengths_near_one_over_edge_eps():
+    # paths of length ~1e7: Floyd-Warshall's sum and the next-hop test's sum
+    # round one ulp apart (~3.7e-9, more than the tie tolerance), so row 7
+    # has no neighbor inside it towards 8; its hop must still be an edge
+    a = np.zeros((9, 9))
+    for i, j, w in [(0, 1, 0.5010316326795472), (0, 3, 0.9410611850727133),
+                    (0, 4, 0.7669501458869961), (1, 2, 0.901185997394909), (1, 7, 1e-07),
+                    (2, 8, 1e-07), (3, 5, 0.9696144268593088), (4, 6, 1e-07),
+                    (4, 7, 1.3607994611415765e-07), (5, 6, 1e-07), (5, 8, 1e-07)]:
+        a[i, j] = a[j, i] = w
+    res = all_pairs_shortest(reciprocal_weights(a))
+    for u in range(9):
+        for j in range(9):
+            if u != j:
+                assert a[u, res.next_hop[u, j]] > 0.0, (u, j)
+                path = res.path(u, j)
+                assert sum(1.0 / a[x, y] for x, y in zip(path, path[1:])) == pytest.approx(
+                    res.rspd[u, j], rel=1e-12)
+    at = Tensor(a, requires_grad=True)
+    with np.errstate(all="raise"):
+        g = backward(ad.tsum(rspd_matrix(at)))[at].data
+    assert np.all(np.isfinite(g))
+
+
 # ---------------------------------------------------------------------------
 # bias interpolation
 
