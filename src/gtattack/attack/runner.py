@@ -8,7 +8,6 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..graphs import Graph, apply_flips, is_connected
 from ..models import GraphModel, SpectralReference
-from ..paths import EDGE_EPS
 from ..train import discrete_logits, score
 from .config import AttackConfig, PerturbationResult, allowed_pairs, budget_from_fraction
 from .injection import CandidateSet, is_tree, mst_projection, nia_augment, node_probability
@@ -17,9 +16,26 @@ from .structure import BlockState, init_block, prbcd_step, resample_block, sampl
 
 __all__ = ["AttackRun", "run_cell", "run_attack", "random_baseline", "transfer_attack"]
 
-# injection-mode floor for block values: above EDGE_EPS, so every sampled
-# candidate stays in the relaxed step's kept set and keeps its gradient
+# injection-mode floor for block values: it keeps every block edge present,
+# above EDGE_EPS for the shortest-path kernels, so that it carries a gradient
 BLOCK_KEEP_EPS = 1e-7
+
+
+def _injection_nodes(pairs: np.ndarray, n_orig: int) -> tuple[np.ndarray, list]:
+    """Nodes of the injection graph that ``pairs`` give, and the pairs renumbered
+    onto them.
+
+    The nodes are the original ones, then the candidates that the pairs join
+    to them, in augmented order.  A pair that does not join an original node
+    (below ``n_orig``) to a candidate raises ``ValueError``.  Flip sets hold a
+    budget of pairs, so plain Python beats numpy calls here.
+    """
+    n, pairs = n_orig, pairs.tolist()
+    if not all(i < n <= j for i, j in pairs):
+        raise ValueError("injection flips must join an original node to a candidate")
+    added = sorted({j for _, j in pairs})
+    at = dict(zip(added, range(n, n + len(added))))
+    return np.array([*range(n), *added]), [(i, at[j]) for i, j in pairs]
 
 
 class AttackRun:
@@ -65,27 +81,25 @@ class AttackRun:
     # -- relaxed objective ----------------------------------------------------
     def objective(self, block: BlockState):
         """Closure mapping the values of ``block`` (leaf tensor) to the attack
-        loss: structure mode keeps every node; injection mode keeps the
-        original nodes plus each candidate that a block value above EDGE_EPS
-        joins to them, read off the block, and adds node probabilities."""
+        loss.  Structure mode keeps every node.  Injection mode fixes the
+        graph's nodes once per block, from the block's pairs
+        (:func:`_injection_nodes`), whatever the values; each step then flips
+        the compact base and adds node probabilities."""
         toggles, task = self.config.toggles, self.model.task
-        lap_pert = self.model.arch == "san" and toggles.san_lap_pert
         injection = self.config.mode == "injection"
-        every_node = np.arange(self.n_aug)
+        base, feats, pairs, kw = self.base_adj, self.base_feats, block.pairs, {}
+        nodes = np.arange(self.n_aug)
+        if injection:
+            nodes, local = _injection_nodes(block.pairs, self.n_orig)
+            base, feats = base[np.ix_(nodes, nodes)], feats.take(nodes, axis=0)
+            pairs = np.array(local, dtype=np.int64).reshape(-1, 2)
+        if self.model.arch == "san" and toggles.san_lap_pert:
+            kw["spectral_ref"] = self.spectral_ref(nodes)
 
         def fn(values: Tensor) -> Tensor:
-            atilde = apply_flips(self.base_adj, block.pairs, values)
-            feats, kept, kw = self.base_feats, every_node, {}
-            if injection:
-                joined = every_node < self.n_orig
-                joined[block.pairs[values.data > EDGE_EPS, 1]] = True
-                kept = np.flatnonzero(joined)
-                if len(kept) < self.n_aug:
-                    atilde = ad.submatrix(atilde, kept)
-                feats, kw = feats[kept], {"node_probs": node_probability(atilde)}
-            if lap_pert:
-                kw["spectral_ref"] = self.spectral_ref(kept)
-            logits = self.model.forward(atilde, feats, toggles, **kw)
+            atilde = apply_flips(base, pairs, values)
+            probs = {"node_probs": node_probability(atilde)} if injection else {}
+            logits = self.model.forward(atilde, feats, toggles, **kw, **probs)
             if injection and task == "node":
                 logits = ad.gather_rows(logits, np.arange(self.n_orig))
             return attack_loss(logits, self.labels, self.config.loss_kind, task)
@@ -108,18 +122,13 @@ class AttackRun:
             adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
             return adj, self.base_feats, flips
 
-        # flip sets hold a budget of flips, so plain Python beats numpy calls here
-        n, pairs = self.n_orig, flips.tolist()
-        if not all(i < n <= j for i, j in pairs):
-            raise ValueError("injection flips must join an original node to a candidate")
-        added = sorted({j for _, j in pairs})
-        at = dict(zip(added, range(n, n + len(added))))
-        adj = np.zeros((n + len(added), n + len(added)))
+        n = self.n_orig
+        nodes, pairs = _injection_nodes(flips, n)
+        adj = np.zeros((len(nodes), len(nodes)))
         adj[:n, :n] = self.base_adj[:n, :n]
         for i, j in pairs:
-            adj[i, at[j]] = adj[at[j], i] = 1.0 - adj[i, at[j]]
-        feats = np.concatenate((self.base_feats[:n], self.base_feats[added]))
-        return adj, feats, flips
+            adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
+        return adj, self.base_feats.take(nodes, axis=0), flips
 
     def evaluate_discrete(self, flip_sets: list,
                           blocks: list | None = None) -> list[tuple[float, float, list]]:

@@ -603,23 +603,6 @@ def scatter_pairs(values, shape: tuple[int, int], rows, cols) -> Tensor:
     return _record("scatter_pairs", out, (values,), (lambda g: g[rows, cols],))
 
 
-def submatrix(a, idx) -> Tensor:
-    """Symmetric row/column selection of a square matrix."""
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    _shape_check("submatrix", a.ndim == 2 and a.shape[0] == a.shape[1], a.shape)
-    out = _wrap(a.data[np.ix_(idx, idx)])
-    if not _live(a):
-        return out
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[np.ix_(idx, idx)] = g
-        return ga
-
-    return _record("submatrix", out, (a,), (vjp,))
-
-
 def where(mask, a, b) -> Tensor:
     """Elementwise select by a constant boolean mask (no gradient to mask)."""
     a, b = as_tensor(a), as_tensor(b)

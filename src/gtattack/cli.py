@@ -33,12 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gtattack",
                                      description="graph-transformer adaptive attacks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "train", "attack", "ablate"):
+    for name in ("generate", "train", "attack", "ablate", "report"):
         _add_common(sub.add_parser(name))
-    rep = sub.add_parser("report")
-    rep.add_argument("--config", help="experiment config JSON (for the results dir)")
-    rep.add_argument("--results", help="results directory (overrides config out)")
-    rep.add_argument("--out", help="directory for CSV output")
     return parser
 
 
@@ -79,16 +75,6 @@ def main(argv: list[str] | None = None) -> int:
     log.addHandler(handler)
     log.setLevel(logging.INFO)
     try:
-        if args.command == "report":
-            results_dir = args.results
-            if results_dir is None:
-                if not args.config:
-                    raise ConfigError("report needs --results or --config")
-                results_dir = ExperimentConfig.load(args.config).out
-            written = cmd_report(results_dir, args.out)
-            for path in written:
-                print(path)
-            return 0
         cfg = _apply_overrides(ExperimentConfig.load(args.config), args)
         if args.command == "generate":
             ds = cmd_generate(cfg)
@@ -103,6 +89,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "ablate":
             table = cmd_ablate(cfg)
             print(f"wrote {len(table.rows)} ablation rows to {cfg.out}/ablation.json")
+        elif args.command == "report":
+            for path in cmd_report(cfg.out):
+                print(path)
         return 0
     except (ConfigError, GraphParseError, GraphValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

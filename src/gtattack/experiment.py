@@ -516,8 +516,9 @@ def cmd_ablate(cfg: ExperimentConfig) -> ResultsTable:
 REPORT_COLUMNS = ["budget", "model", "attack", "mean", "std"]
 
 
-def cmd_report(results_dir: str, out_dir: str | None = None) -> list[str]:
-    """Aggregate results.json/ablation.json into CSV files.
+def cmd_report(results_dir: str) -> list[str]:
+    """Aggregate results.json/ablation.json under ``results_dir`` into CSV
+    files under ``results_dir``/report.
 
     One CSV per sweep: columns budget, model, attack, mean, std (rows
     sorted by model, attack, budget), plus a strongest-attack-per-budget
@@ -525,7 +526,7 @@ def cmd_report(results_dir: str, out_dir: str | None = None) -> list[str]:
     loudly instead of being interpolated.
     """
     written = []
-    report_dir = out_dir or os.path.join(results_dir, "report")
+    report_dir = os.path.join(results_dir, "report")
     found = False
     for name in ("results", "ablation"):
         path = os.path.join(results_dir, f"{name}.json")

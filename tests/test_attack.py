@@ -318,6 +318,21 @@ def test_nia_augment_dim_mismatch():
         nia_augment(g, CandidateSet(np.ones((2, 7)), [(1, 0), (1, 1)]))
 
 
+def submatrix(a, idx):
+    """Reference op: the rows and columns ``idx`` of a square tensor, recorded
+    with its own gradient closure."""
+    out = Tensor(a.data[np.ix_(idx, idx)])
+    if not ad._live(a):
+        return out
+
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        ga[np.ix_(idx, idx)] = g
+        return ga
+
+    return ad._record("submatrix", out, (a,), (vjp,))
+
+
 def prune_disconnected(atilde, n_orig):
     """Reference kept set of a relaxed injection graph: node 0's component,
     found by a component search, as a differentiable submatrix."""
@@ -326,7 +341,7 @@ def prune_disconnected(atilde, n_orig):
     kept = np.flatnonzero(comp == 0)
     if len(kept) == atilde.shape[0]:
         return atilde, kept
-    return ad.submatrix(atilde, kept), kept
+    return submatrix(atilde, kept), kept
 
 
 def two_node_injection_run(n_candidates, constraint="none", **kw):
@@ -339,19 +354,23 @@ def two_node_injection_run(n_candidates, constraint="none", **kw):
 
 
 def test_prune_reverts_augmentation_without_flips(monkeypatch):
+    # zero values keep the original graph; the block's candidates stay as
+    # isolated nodes of probability 0
     run = two_node_injection_run(3)
     block = BlockState(run.n_aug, run.allowed, np.zeros(len(run.allowed)))
-    adj, kept, _ = relaxed_inputs(run, block, block.values, monkeypatch)
-    np.testing.assert_array_equal(adj, [[0, 1], [1, 0]])
-    np.testing.assert_array_equal(kept, [0, 1])
+    adj, kept, probs = relaxed_inputs(run, block, block.values, monkeypatch)
+    np.testing.assert_array_equal(adj, run.base_adj)
+    np.testing.assert_array_equal(kept, [0, 1, 2, 3, 4])
+    np.testing.assert_array_equal(probs, [1, 1, 0, 0, 0])
 
 
 def test_prune_keeps_attached_candidate(monkeypatch):
+    # every candidate of the block is a node, whatever its values
     run = two_node_injection_run(2)
     block = BlockState(run.n_aug, [[0, 2], [1, 3]], [0.3, EDGE_EPS])
     adj, kept, _ = relaxed_inputs(run, block, block.values, monkeypatch)
-    assert list(kept) == [0, 1, 2]
-    assert adj.shape == (3, 3) and adj[0, 2] == 0.3
+    assert list(kept) == [0, 1, 2, 3]
+    assert adj.shape == (4, 4) and adj[0, 2] == 0.3 and adj[1, 3] == EDGE_EPS
 
 
 def test_prune_drops_candidate_only_pairs():
@@ -364,13 +383,15 @@ def test_prune_drops_candidate_only_pairs():
             run.evaluate_discrete([np.array([[2, 3]])])
 
 
-def test_prune_gradient_flows_through_submatrix():
+def test_prune_gradient_reaches_zero_valued_candidate():
+    # candidate 3, joined only at value 0, is a node of probability 0 whose
+    # pair still gets a gradient
     run = two_node_injection_run(2)
     block = BlockState(run.n_aug, [[0, 2], [1, 3]], [0.4, 0.0])
     values = Tensor(block.values, requires_grad=True)
     with ad.Tape():
         g = backward(run.objective(block)(values))[values].data
-    assert g[0] != 0.0 and g[1] == 0.0  # candidate 3 is not kept
+    assert g[0] != 0.0 and g[1] != 0.0
 
 
 def test_candidate_set_excludes_attacked_graph_and_roots():
@@ -1210,8 +1231,11 @@ def pruned_reference(run, block, values):
 
 @pytest.mark.parametrize("constraint", ["tree_only", "none"])
 def test_relaxed_kept_set_equals_prune_disconnected(tree_setup, constraint, monkeypatch):
-    # injection blocks take their kept set from the block, bit for bit what
-    # the reference component search keeps
+    # injection blocks take their nodes from the block's pairs: the original
+    # nodes, then every candidate of the block.  Where every value is above
+    # EDGE_EPS (as in every run, above BLOCK_KEEP_EPS), that is bit for bit
+    # what the reference component search keeps; a candidate joined only at
+    # or below EDGE_EPS stays as a node of small or zero probability
     from gtattack.attack import runner
 
     ds, g, gid, cands, _ = tree_setup
@@ -1223,16 +1247,53 @@ def test_relaxed_kept_set_equals_prune_disconnected(tree_setup, constraint, monk
               for pairs in (run.allowed[np.sort(rng.choice(len(run.allowed), size=k,
                                                            replace=False))]
                             for k in (1, 5, 20, 60) * 3)]
-    # every candidate joined by a value above EDGE_EPS: no submatrix
+    # every candidate joined, every value above EDGE_EPS
     every = np.array([[int(rng.integers(0, n)), j] for j in range(n, run.n_aug)])
     blocks.append(BlockState(run.n_aug, every, levels[rng.integers(3, len(levels), len(every))]))
-    sizes = set()
+    sizes, searched, low = set(), 0, 0
     for block in blocks:
+        nodes = np.union1d(np.arange(n), block.pairs[:, 1])
+        full = apply_flips(run.base_adj, block.pairs, Tensor(block.values))
+        sub = full.data[np.ix_(nodes, nodes)]
         got = relaxed_inputs(run, block, block.values, monkeypatch)
-        for x, y in zip(got, pruned_reference(run, block, Tensor(block.values)), strict=True):
+        for x, y in zip(got, (sub, nodes, node_probability(Tensor(sub)).data), strict=True):
             assert x.shape == y.shape and np.array_equal(x, y)
-        sizes.add(len(got[1]))
-    assert run.n_aug in sizes and len(sizes) > 2
+        if (block.values > EDGE_EPS).all():
+            searched += 1
+            for x, y in zip(got, pruned_reference(run, block, Tensor(block.values)), strict=True):
+                assert x.shape == y.shape and np.array_equal(x, y)
+        # the reference search drops a candidate joined only at 0 or at
+        # EDGE_EPS / 2; the block keeps it, with probability 1 - (1 - value)^k
+        # for its k pairs
+        for row, j in enumerate(nodes[n:], start=n):
+            values = block.values[block.pairs[:, 1] == j]
+            for level in (0.0, EDGE_EPS / 2):
+                if (values == level).all():
+                    low += 1
+                    want = 1.0 - (1.0 - level) ** len(values)
+                    assert got[2][row] == pytest.approx(want, rel=1e-6, abs=0.0)
+        sizes.add(len(nodes))
+    assert searched > 1 and low and run.n_aug in sizes and len(sizes) > 2
+
+
+def test_relaxed_nodes_do_not_depend_on_block_values(tree_setup, monkeypatch):
+    # one block: the same nodes (read off the node-numbered features the
+    # model receives) and adjacency shape at every value
+    from gtattack.attack import runner
+
+    ds, g, gid, cands, _ = tree_setup
+    model = build_model("gcn", "graph", g.feature_dim, 1, seed=0)
+    run = runner.AttackRun(model, g, tree_config(constraint="none"), cands)
+    rng = np.random.default_rng(4)
+    pairs = run.allowed[np.sort(rng.choice(len(run.allowed), size=20, replace=False))]
+    block = BlockState(run.n_aug, pairs, np.zeros(len(pairs)))
+    seen = []
+    for value in (0.0, EDGE_EPS / 2, 1e-7, 0.4):
+        adj, kept, _ = relaxed_inputs(run, block, np.full(len(pairs), value), monkeypatch)
+        seen.append((kept.tolist(), adj.shape))
+    want = np.union1d(np.arange(run.n_orig), pairs[:, 1])
+    assert len(want) > run.n_orig
+    assert seen == [(want.tolist(), (len(want), len(want)))] * 4
 
 
 @pytest.mark.parametrize("arch", ["gcn", "grit", "graphormer", "san"])

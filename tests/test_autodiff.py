@@ -215,7 +215,6 @@ PRIMITIVE_CASES = [
     ("gather_rows_3d", lambda x: _mix(ad.gather_rows(x, np.array([0, 2, 2]))), (2, 3, 4)),
     ("take_pairs", lambda x: _mix(ad.take_pairs(x, np.array([0, 1, 2]), np.array([1, 1, 3]))), (3, 4)),
     ("scatter_pairs", lambda x: _mix(ad.scatter_pairs(x, (4, 4), np.array([0, 1, 2]), np.array([1, 2, 3]))), (3,)),
-    ("submatrix", lambda x: _mix(ad.submatrix(x, np.array([0, 2]))), (4, 4)),
     ("where", lambda x, m=_rand((3, 4)) > 0: _mix(ad.where(m, x, ad.mul(x, x))), (3, 4)),
     ("masked_fill", lambda x, m=_rand((3, 4)) > 0.5: _mix(ad.masked_fill(x, m, 2.5)), (3, 4)),
     ("outer_add", lambda x, c=Tensor(_rand((5, 4))): _mix(ad.outer_add(x, c)), (3, 4)),
@@ -551,7 +550,6 @@ INVARIANT_CASES = [
     ("scatter_pairs", VECTOR,
      lambda x, y: ad.scatter_pairs(ad.reshape(x, (-1,)), (3, 5), np.arange(x.size) % 3,
                                    np.arange(x.size) % 5)),
-    ("submatrix", VECTOR, lambda x, y: ad.submatrix(_square(x), [1, 0, 1])),
     ("where", ANY_RANK, lambda x, y: ad.where(x.data > 1.0, x, y)),
     ("masked_fill", ANY_RANK, lambda x, y: ad.masked_fill(x, x.data > 1.0, 2.5)),
     ("stop_gradient", ANY_RANK, lambda x, y: ad.stop_gradient(x)),

@@ -387,6 +387,21 @@ def test_cli_generate_and_report_roundtrip(tmp_path, capsys):
     assert "results.csv" in out
 
 
+def test_cli_stages_chained_with_common_flags(tmp_path, capsys):
+    # as scripts/run_*_experiment.py do: every stage, report included, gets
+    # the same flags, and --out moves every output away from the config's out
+    doc = tiny_config(tmp_path, kind="tree", budgets=[0.1])
+    doc["attack"].update(steps=2, block_size=40)
+    cfg_path, other = write_config(tmp_path, doc), str(tmp_path / "other")
+    for stage in ("generate", "train", "attack", "ablate", "report"):
+        assert cli_main([stage, "--config", cfg_path, "--out", other, "--seed", "0"]) == 0
+    report = [os.path.join(other, "report", f"{name}.csv") for name in ("results", "ablation")]
+    assert capsys.readouterr().out.splitlines()[-2:] == report
+    assert all(os.path.exists(path) for path in report)
+    assert {r["seed"] for r in ResultsTable.load(os.path.join(other, "results.json")).rows} == {0}
+    assert not os.path.exists(doc["out"])
+
+
 def test_cli_ablate_budget_overrides_config(tmp_path):
     doc = tiny_config(tmp_path, ablate_budget=0.05, seeds=[0])
     cfg_path = write_config(tmp_path, doc)
