@@ -10,7 +10,7 @@ CONFIG = os.path.join(HERE, "cluster_config.json")
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    for stage in ("generate", "train", "attack", "report"):
+    for stage in ("generate", "train", "attack", "ablate", "report"):
         code = main([stage, "--config", CONFIG, *args])
         if code != 0:
             sys.exit(code)

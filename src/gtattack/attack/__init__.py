@@ -11,7 +11,6 @@ from .injection import (
     build_candidate_set,
     is_tree,
     mst_projection,
-    nia_augment,
     node_probability,
 )
 from .losses import attack_loss
@@ -32,7 +31,6 @@ __all__ = [
     "init_block",
     "is_tree",
     "mst_projection",
-    "nia_augment",
     "node_probability",
     "project_budget",
     "prbcd_step",

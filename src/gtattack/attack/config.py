@@ -70,10 +70,11 @@ def budget_from_fraction(fraction: float, num_edges: int) -> int:
 def allowed_pairs(graph: Graph, config: AttackConfig, n_aug: int | None = None) -> np.ndarray:
     """All samplable index pairs (i < j), row-major, under the run's mode and
     constraint.  Structure attacks sample any pair of the graph; injection
-    attacks (augmented size ``n_aug``) sample only pairs that join an original
-    node to a candidate, region E of :func:`~gtattack.attack.injection.nia_augment`.
+    attacks sample only pairs that join an original node to a candidate, the
+    candidates being nodes ``graph.n`` to ``n_aug - 1`` (``n_aug`` counts
+    original nodes plus candidates).
     ``protect_labeled`` forbids pairs touching a labeled original node;
-    ``tree_only`` constrains injection attacks and samples every E pair."""
+    ``tree_only`` constrains injection attacks and samples every such pair."""
     n, kind = graph.n, config.constraint
     if config.mode == "injection":
         if n_aug is None:

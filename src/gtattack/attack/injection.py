@@ -1,4 +1,4 @@
-"""Node-injection machinery: augmentation, node probabilities, MST."""
+"""Node-injection machinery: candidate sets, node probabilities, MST."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..graphs import Dataset, Graph, is_connected
+from ..graphs import Dataset, is_connected
 from ..paths import EDGE_EPS
 
 __all__ = [
     "CandidateSet",
     "build_candidate_set",
-    "nia_augment",
     "node_probability",
     "mst_projection",
     "is_tree",
@@ -55,27 +54,6 @@ def build_candidate_set(dataset: Dataset, attacked_graph_id: int,
         features = features[pick]
         prov = [prov[i] for i in pick]
     return CandidateSet(features=features, provenance=prov)
-
-
-def nia_augment(graph: Graph, candidates: CandidateSet) -> tuple[np.ndarray, np.ndarray, int]:
-    """Original graph plus the candidate set as isolated nodes.
-
-    Returns (augmented adjacency, augmented features, n_original); index
-    pairs with both ends < n_original are region B, one end in the
-    candidate range is E, both in it is F.  Injection attacks flip E pairs
-    only: original edges stay as they are, and candidates join the graph
-    through original nodes, never through each other.
-    """
-    if candidates.size and candidates.features.shape[1] != graph.feature_dim:
-        raise ValueError(
-            f"candidate feature dim {candidates.features.shape[1]} != graph dim {graph.feature_dim}"
-        )
-    n = graph.n
-    total = n + candidates.size
-    adj = np.zeros((total, total))
-    adj[:n, :n] = graph.adjacency
-    feats = np.vstack([graph.features, candidates.features]) if candidates.size else graph.features.copy()
-    return adj, feats, n
 
 
 def node_probability(atilde: Tensor, iterations: int = 3) -> Tensor:

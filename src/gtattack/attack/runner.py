@@ -10,7 +10,7 @@ from ..graphs import Graph, apply_flips, is_connected
 from ..models import GraphModel, SpectralReference
 from ..train import discrete_logits, score
 from .config import AttackConfig, PerturbationResult, allowed_pairs, budget_from_fraction
-from .injection import CandidateSet, is_tree, mst_projection, nia_augment, node_probability
+from .injection import CandidateSet, is_tree, mst_projection, node_probability
 from .losses import attack_loss
 from .structure import BlockState, init_block, prbcd_step, resample_block, sample_discrete
 
@@ -21,46 +21,37 @@ __all__ = ["AttackRun", "run_cell", "run_attack", "random_baseline", "transfer_a
 BLOCK_KEEP_EPS = 1e-7
 
 
-def _injection_nodes(pairs: np.ndarray, n_orig: int) -> tuple[np.ndarray, list]:
-    """Nodes of the injection graph that ``pairs`` give, and the pairs renumbered
-    onto them.
-
-    The nodes are the original ones, then the candidates that the pairs join
-    to them, in augmented order.  A pair that does not join an original node
-    (below ``n_orig``) to a candidate raises ``ValueError``.  Flip sets hold a
-    budget of pairs, so plain Python beats numpy calls here.
-    """
-    n, pairs = n_orig, pairs.tolist()
-    if not all(i < n <= j for i, j in pairs):
-        raise ValueError("injection flips must join an original node to a candidate")
-    added = sorted({j for _, j in pairs})
-    at = dict(zip(added, range(n, n + len(added))))
-    return np.array([*range(n), *added]), [(i, at[j]) for i, j in pairs]
-
-
 class AttackRun:
     """Shared state for one (model, graph, config) attack: budgets, masks,
-    the relaxed objective, and true-model evaluation of discrete flips."""
+    the relaxed objective, and true-model evaluation of discrete flips.
+
+    It keeps the original adjacency and the feature rows of the original
+    nodes and, in injection mode, of the candidates after them; candidate
+    ``k`` is node ``n_orig + k`` of the pairs.  :meth:`graph` builds the
+    clean graph that a block or a flip set touches from these."""
 
     def __init__(self, model: GraphModel, graph: Graph, config: AttackConfig,
                  candidates: CandidateSet | None = None):
         self.model = model
         self.config = config
+        self.adjacency, self.features, self.n_orig = graph.adjacency, graph.features, graph.n
         if config.mode == "injection":
             if candidates is None:
                 raise ValueError("injection mode needs a candidate set")
+            if model.task == "node":
+                raise ValueError("injection attacks need a graph-task model")
             # a tree is connected, so a tree_only set-up searches components once
             tree = config.constraint == "tree_only" and is_tree(graph.adjacency)
             if not (tree or is_connected(graph.adjacency)):
                 raise ValueError("injection attacks require a connected original graph")
             if config.constraint == "tree_only" and not tree:
                 raise ValueError("tree_only injection requires a tree as the original graph")
-            self.base_adj, self.base_feats, self.n_orig = nia_augment(graph, candidates)
-        else:
-            self.base_adj = graph.adjacency
-            self.base_feats = graph.features
-            self.n_orig = graph.n
-        self.n_aug = self.base_adj.shape[0]
+            if candidates.size:
+                if candidates.features.shape[1] != graph.feature_dim:
+                    raise ValueError(f"candidate feature dim {candidates.features.shape[1]} "
+                                     f"!= graph dim {graph.feature_dim}")
+                self.features = np.vstack([graph.features, candidates.features])
+        self.n_aug = len(self.features)
         self.delta = budget_from_fraction(config.budget_fraction, graph.num_edges)
         self.allowed = allowed_pairs(graph, config, n_aug=self.n_aug)
         self.block_size = min(config.block_size, len(self.allowed))
@@ -68,104 +59,100 @@ class AttackRun:
             raise ValueError(f"budget {self.delta} exceeds block size {self.block_size}")
         self.labels = graph.node_labels if model.task == "node" else graph.graph_label
         self.lr = config.base_lr * max(self.delta, 1) / max(self.block_size, 1)
-        self._ref_kept = self._ref = None
+        self._ref_adj = self._ref = None
 
-    def spectral_ref(self, kept: np.ndarray) -> SpectralReference:
-        """SAN's clean base point on the ``kept`` nodes, rebuilt only when
-        they differ from the last call's (once per run in structure mode)."""
-        if not np.array_equal(self._ref_kept, kept):
-            self._ref_kept = kept
-            self._ref = SpectralReference.of(self.base_adj[np.ix_(kept, kept)])
-        return self._ref
+    def graph(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Clean adjacency, features and renumbered pairs of the graph that
+        ``pairs`` (a block's or a flip set's) touch.
+
+        Structure mode keeps every node.  In injection mode the nodes are
+        the original ones, then the candidates that the pairs join to them,
+        in candidate order, with no edge yet; a pair that does not join an
+        original node (below ``n_orig``) to a candidate raises
+        ``ValueError``.  Flip sets hold a budget of pairs, so plain Python
+        beats numpy calls here.
+        """
+        if self.config.mode == "structure":
+            return self.adjacency, self.features, pairs
+        n, pairs = self.n_orig, pairs.tolist()
+        if not all(i < n <= j for i, j in pairs):
+            raise ValueError("injection flips must join an original node to a candidate")
+        added = sorted({j for _, j in pairs})
+        at = dict(zip(added, range(n, n + len(added))))
+        adj = np.zeros((n + len(added), n + len(added)))
+        adj[:n, :n] = self.adjacency
+        local = np.array([(i, at[j]) for i, j in pairs], dtype=np.int64).reshape(-1, 2)
+        return adj, self.features.take([*range(n), *added], axis=0), local
 
     # -- relaxed objective ----------------------------------------------------
     def objective(self, block: BlockState):
         """Closure mapping the values of ``block`` (leaf tensor) to the attack
-        loss.  Structure mode keeps every node.  Injection mode fixes the
-        graph's nodes once per block, from the block's pairs
-        (:func:`_injection_nodes`), whatever the values; each step then flips
-        the compact base and adds node probabilities."""
-        toggles, task = self.config.toggles, self.model.task
-        injection = self.config.mode == "injection"
-        base, feats, pairs, kw = self.base_adj, self.base_feats, block.pairs, {}
-        nodes = np.arange(self.n_aug)
-        if injection:
-            nodes, local = _injection_nodes(block.pairs, self.n_orig)
-            base, feats = base[np.ix_(nodes, nodes)], feats.take(nodes, axis=0)
-            pairs = np.array(local, dtype=np.int64).reshape(-1, 2)
+        loss, on the clean graph that the block's pairs touch (:meth:`graph`),
+        whatever the values.  Each step flips that graph and, in injection
+        mode, adds node probabilities.  SAN's reference is rebuilt only when
+        that graph differs from the last block's: once per run in structure
+        mode, and in injection mode when the block joins another number of
+        candidates."""
+        toggles, injection = self.config.toggles, self.config.mode == "injection"
+        base, feats, pairs = self.graph(block.pairs)
+        kw = {}
         if self.model.arch == "san" and toggles.san_lap_pert:
-            kw["spectral_ref"] = self.spectral_ref(nodes)
+            if not np.array_equal(self._ref_adj, base):
+                self._ref_adj, self._ref = base, SpectralReference.of(base)
+            kw["spectral_ref"] = self._ref
 
         def fn(values: Tensor) -> Tensor:
             atilde = apply_flips(base, pairs, values)
             probs = {"node_probs": node_probability(atilde)} if injection else {}
             logits = self.model.forward(atilde, feats, toggles, **kw, **probs)
-            if injection and task == "node":
-                logits = ad.gather_rows(logits, np.arange(self.n_orig))
-            return attack_loss(logits, self.labels, self.config.loss_kind, task)
+            return attack_loss(logits, self.labels, self.config.loss_kind, self.model.task)
 
         return fn
 
     # -- discrete evaluation ----------------------------------------------------
-    def _discrete_graph(self, flips: np.ndarray,
-                        block: BlockState | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Adjacency, features and effective flips of the graph a flip set gives.
-        Injection graphs hold the original nodes plus the candidates the flips
-        join to them; a flip that does not join an original node to a
-        candidate raises ``ValueError``."""
+    def _discrete_graph(self, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Adjacency, features and effective flips of the graph a flip set
+        gives: :meth:`graph` of the flips, with the flips applied.  Under
+        ``tree_only`` the flips are first projected onto the maximum spanning
+        tree, every flip weighing 1.0 (a set the draw already projected
+        stays as it is)."""
         if self.config.constraint == "tree_only":
-            weights = np.ones(len(flips)) if block is None else block.value_of(flips)
-            flips = mst_projection(flips, weights, self.n_orig)
-        if self.config.mode == "structure":
-            adj = self.base_adj.copy()
-            i, j = flips.T
-            adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
-            return adj, self.base_feats, flips
+            flips = mst_projection(flips, np.ones(len(flips)), self.n_orig)
+        adj, feats, pairs = self.graph(flips)
+        adj = adj.copy()
+        i, j = pairs.T
+        adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
+        return adj, feats, flips
 
-        n = self.n_orig
-        nodes, pairs = _injection_nodes(flips, n)
-        adj = np.zeros((len(nodes), len(nodes)))
-        adj[:n, :n] = self.base_adj[:n, :n]
-        for i, j in pairs:
-            adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
-        return adj, self.base_feats.take(nodes, axis=0), flips
-
-    def evaluate_discrete(self, flip_sets: list,
-                          blocks: list | None = None) -> list[tuple[float, float, list]]:
+    def evaluate_discrete(self, flip_sets: list) -> list[tuple[float, float, list]]:
         """True-model evaluation of discrete flip sets.
 
         Returns one (attack loss, metric, effective flips) per flip set, in
         input order.  In tree-only mode each flip set is first projected to
-        the flips of the maximum-probability spanning tree
-        (:func:`~gtattack.attack.injection.mst_projection`), weighting each
-        flip by its value in that flip set's entry of ``blocks`` (1.0 for
-        an entry of None, e.g. a random pick; without ``blocks``, for every
-        set).  In injection mode each graph holds the original nodes plus the
-        candidates its flips join to them.  All sets are scored in one
+        the flips of the maximum spanning tree, every flip weighing 1.0
+        (:func:`~gtattack.attack.injection.mst_projection`).  In injection
+        mode each graph holds the original nodes plus the candidates its
+        flips join to them.  All sets are scored in one
         :func:`~gtattack.train.discrete_logits` call.
         """
-        blocks = [None] * len(flip_sets) if blocks is None else blocks
-        return _score(self.model, [(self, flips, block)
-                                   for flips, block in zip(flip_sets, blocks, strict=True)])
+        return _score(self.model, [(self, flips) for flips in flip_sets])
 
 
 def _score(model: GraphModel, items: list) -> list[tuple[float, float, list]]:
-    """:meth:`AttackRun.evaluate_discrete` of (run, flips, block) items that
-    may come from several runs on ``model``; the graphs are built one at a
-    time as the stacks fill, and the outputs of one run and size are scored
-    in one :func:`attack_loss` and one :func:`~gtattack.train.score` call."""
+    """:meth:`AttackRun.evaluate_discrete` of (run, flips) items that may
+    come from several runs on ``model``; the graphs are built one at a time
+    as the stacks fill, and the outputs of one run and size are scored in
+    one :func:`attack_loss` and one :func:`~gtattack.train.score` call."""
     effective: list = []
 
     def graphs():
-        for run, flips, block in items:
-            flips = np.asarray(flips, dtype=np.int64).reshape(-1, 2)
-            adj, feats, eff = run._discrete_graph(flips, block)
+        for run, flips in items:
+            adj, feats, eff = run._discrete_graph(np.asarray(flips, dtype=np.int64).reshape(-1, 2))
             effective.append(eff.tolist())
             yield adj, feats
 
     groups: dict = {}
-    for i, ((run, _, _), out) in enumerate(zip(items, discrete_logits(model, graphs()))):
-        out = out[: run.n_orig]
+    for i, ((run, _), out) in enumerate(zip(items, discrete_logits(model, graphs()))):
         groups.setdefault((run, out.shape), []).append((i, out))
     results: list = [None] * len(items)
     with ad.no_grad():
@@ -177,9 +164,11 @@ def _score(model: GraphModel, items: list) -> list[tuple[float, float, list]]:
     return results
 
 
-def _adaptive_draws(run: AttackRun) -> tuple[list, BlockState, list[float]]:
+def _adaptive_draws(run: AttackRun) -> tuple[list, list[float]]:
     """PRBCD over a sampled block, one relaxed objective per block, then
-    discrete samples of the final block; returns (flip sets, block, trace)."""
+    discrete samples of the final block; returns (flip sets, trace).  Under
+    ``tree_only`` each sample is projected onto its maximum spanning tree,
+    each flip weighing its block value."""
     config = run.config
     rng = np.random.default_rng(config.seed)
     fresh = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
@@ -193,17 +182,20 @@ def _adaptive_draws(run: AttackRun) -> tuple[list, BlockState, list[float]]:
         if (step + 1) % config.resample_every == 0 and step < config.steps - 1:
             block = resample_block(block, 0.5, rng, run.allowed, fresh_value=fresh)
             objective = run.objective(block)
-    return sample_discrete(block, run.delta, config.n_discrete_samples, rng), block, trace
+    samples = sample_discrete(block, run.delta, config.n_discrete_samples, rng)
+    if config.constraint == "tree_only":
+        samples = [mst_projection(s, block.value_of(s), run.n_orig) for s in samples]
+    return samples, trace
 
 
-def _random_draws(run: AttackRun) -> tuple[list, None, list[float]]:
+def _random_draws(run: AttackRun) -> tuple[list, list[float]]:
     """The adaptive run's evaluation count, steps + 1 + n_discrete_samples,
     of random budget-sized flip sets from the allowed pairs."""
     config = run.config
     rng = np.random.default_rng(config.seed)
     n_evals = config.steps + 1 + config.n_discrete_samples
     return [run.allowed[np.sort(rng.choice(len(run.allowed), size=run.delta, replace=False))]
-            for _ in range(n_evals)], None, []
+            for _ in range(n_evals)], []
 
 
 _DRAWS = {"adaptive": _adaptive_draws, "random": _random_draws}
@@ -222,12 +214,11 @@ def run_cell(model: GraphModel, graph: Graph, config: AttackConfig,
     loss (no flip sets: the clean metric and no flips).
     """
     run = AttackRun(model, graph, config, candidates)
-    draws = [_DRAWS[kind](run) if run.delta else ([], None, []) for kind in kinds]
-    flip_sets = [flips for sets, _, _ in draws for flips in sets]
-    blocks = [block for sets, block, _ in draws for _ in sets]
-    (_, clean_metric, _), *scored = run.evaluate_discrete([[], *flip_sets], [None, *blocks])
+    draws = [_DRAWS[kind](run) if run.delta else ([], []) for kind in kinds]
+    (_, clean_metric, _), *scored = run.evaluate_discrete(
+        [[], *(flips for sets, _ in draws for flips in sets)])
     results = []
-    for kind, (sets, _, trace) in zip(kinds, draws):
+    for kind, (sets, trace) in zip(kinds, draws):
         mine, scored = scored[: len(sets)], scored[len(sets):]
         _, metric, flips = min(mine, key=lambda r: r[0], default=(np.inf, clean_metric, []))
         results.append(PerturbationResult(
@@ -280,5 +271,5 @@ def transfer_attack(sources: list[PerturbationResult], model: GraphModel, graphs
             )
             cands = None if candidates is None else candidates[src.graph_id]
             runs[key] = AttackRun(model, graphs[src.graph_id], config, cands)
-        items.append((runs[key], src.flips, None))
+        items.append((runs[key], src.flips))
     return [metric for _, metric, _ in _score(model, items)]

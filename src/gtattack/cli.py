@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
             table = cmd_ablate(cfg)
             print(f"wrote {len(table.rows)} ablation rows to {cfg.out}/ablation.json")
         elif args.command == "report":
-            for path in cmd_report(cfg.out):
+            for path in cmd_report(cfg):
                 print(path)
         return 0
     except (ConfigError, GraphParseError, GraphValidationError) as exc:

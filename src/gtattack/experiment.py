@@ -470,6 +470,10 @@ ABLATION_AXES = {
 }
 
 
+def _ablate_budget(cfg: ExperimentConfig) -> float:
+    return cfg.ablate_budget if cfg.ablate_budget is not None else cfg.budgets[-1]
+
+
 def ablation_grid(arch: str, mode: str) -> list[RelaxToggles]:
     """Toggle combinations mirroring the per-model ablation tables: both
     axes, each alone; injection adds ``node_prob_bias`` to each of these and
@@ -487,7 +491,7 @@ def ablation_grid(arch: str, mode: str) -> list[RelaxToggles]:
 def cmd_ablate(cfg: ExperimentConfig) -> ResultsTable:
     """Fixed-budget sweep over toggle combinations plus random/clean rows."""
     ex = _Executor(cfg)
-    budget = cfg.ablate_budget if cfg.ablate_budget is not None else cfg.budgets[-1]
+    budget = _ablate_budget(cfg)
     mode = _attack_config(cfg, budget, cfg.seeds[0]).mode
     table = ResultsTable(config_hash=cfg.hash())
 
@@ -516,30 +520,41 @@ def cmd_ablate(cfg: ExperimentConfig) -> ResultsTable:
 REPORT_COLUMNS = ["budget", "model", "attack", "mean", "std"]
 
 
-def cmd_report(results_dir: str) -> list[str]:
-    """Aggregate results.json/ablation.json under ``results_dir`` into CSV
-    files under ``results_dir``/report.
+def cmd_report(cfg: ExperimentConfig) -> list[str]:
+    """Aggregate the rows of results.json/ablation.json under ``cfg.out``
+    that belong to the config's cells into CSV files under ``cfg.out``/report.
+
+    A row belongs when its seed is in ``seeds`` and its model in ``models``;
+    a results row also needs its budget in ``budgets`` (clean rows, at
+    budget 0, stay), and an ablation row the ablate budget.  A file of which
+    no row belongs is a ConfigError rather than an empty CSV.
 
     One CSV per sweep: columns budget, model, attack, mean, std (rows
     sorted by model, attack, budget), plus a strongest-attack-per-budget
     series (minimum mean accuracy over attack kinds).  Missing cells warn
     loudly instead of being interpolated.
     """
+    archs = {spec.arch for spec in cfg.models}
+    # clean results rows sit at budget 0
+    budgets = {"results": {0.0, *cfg.budgets}, "ablation": {_ablate_budget(cfg)}}
     written = []
-    report_dir = os.path.join(results_dir, "report")
-    found = False
+    report_dir = os.path.join(cfg.out, "report")
     for name in ("results", "ablation"):
-        path = os.path.join(results_dir, f"{name}.json")
+        path = os.path.join(cfg.out, f"{name}.json")
         if not os.path.exists(path):
             continue
-        found = True
         table = ResultsTable.load(path)
+        table.rows = [r for r in table.rows if r["seed"] in cfg.seeds and r["model"] in archs
+                      and r["budget"] in budgets[name]]
+        if not table.rows:
+            raise ConfigError(f"no row of {path} belongs to the config's seeds, models "
+                              "and budgets")
         os.makedirs(report_dir, exist_ok=True)
         out_path = os.path.join(report_dir, f"{name}.csv")
         _write_csv(table, out_path, with_toggles=(name == "ablation"))
         written.append(out_path)
-    if not found:
-        raise ConfigError(f"no results.json or ablation.json under {results_dir}")
+    if not written:
+        raise ConfigError(f"no results.json or ablation.json under {cfg.out}")
     return written
 
 

@@ -15,7 +15,6 @@ from gtattack.attack import (
     init_block,
     is_tree,
     mst_projection,
-    nia_augment,
     node_probability,
     project_budget,
     random_baseline,
@@ -297,25 +296,41 @@ def test_sample_discrete_never_exceeds_budget():
 # injection machinery
 
 
-def test_nia_augment_shapes():
-    g = make_graph([[0, 1], [1, 0]])
-    cands = CandidateSet(features=np.ones((3, 3)), provenance=[(1, 0), (1, 1), (2, 0)])
-    adj, feats, n0 = nia_augment(g, cands)
-    assert adj.shape == (5, 5) and feats.shape == (5, 3) and n0 == 2
-    np.testing.assert_array_equal(adj[:2, :2], g.adjacency)
-    assert adj[2:].sum() == 0.0
+def test_injection_run_rejects_candidate_dim_mismatch():
+    from gtattack.attack.runner import AttackRun
 
-
-def test_nia_augment_zero_candidates():
-    g = make_graph([[0, 1], [1, 0]])
-    adj, feats, n0 = nia_augment(g, CandidateSet(np.zeros((0, 3)), []))
-    np.testing.assert_array_equal(adj, g.adjacency)
-
-
-def test_nia_augment_dim_mismatch():
-    g = make_graph([[0, 1], [1, 0]])
+    g = make_graph([[0, 1], [1, 0]], graph_label=0)
+    model = build_model("gcn", "graph", 3, 1, seed=0)
     with pytest.raises(ValueError, match="dim"):
-        nia_augment(g, CandidateSet(np.ones((2, 7)), [(1, 0), (1, 1)]))
+        AttackRun(model, g, tree_config(), CandidateSet(np.ones((2, 7)), [(1, 0), (1, 1)]))
+
+
+def test_injection_run_rejects_node_task_model():
+    from gtattack.attack.runner import AttackRun
+
+    g = make_graph([[0, 1], [1, 0]], graph_label=0, node_labels=np.array([0, 1]))
+    model = build_model("gcn", "node", 3, 2, seed=0)
+    cands = CandidateSet(np.ones((2, 3)), [(1, 0), (1, 1)])
+    for constraint in ("tree_only", "none"):
+        with pytest.raises(ValueError, match="graph-task model"):
+            AttackRun(model, g, tree_config(constraint=constraint), cands)
+
+
+def augmented(run):
+    """An independent copy of the run's clean graph on every node, the
+    candidates included: the original adjacency zero-padded to ``n_aug``
+    nodes."""
+    adj = np.zeros((run.n_aug, run.n_aug))
+    adj[: run.n_orig, : run.n_orig] = run.adjacency
+    return adj
+
+
+def weight_projected(run, flip_sets, block):
+    """``flip_sets`` as a tree-only draw hands them on: each projected onto
+    its maximum spanning tree with its values in ``block`` as weights."""
+    if run.config.constraint != "tree_only":
+        return flip_sets
+    return [mst_projection(f, block.value_of(f), run.n_orig) for f in flip_sets]
 
 
 def submatrix(a, idx):
@@ -359,7 +374,7 @@ def test_prune_reverts_augmentation_without_flips(monkeypatch):
     run = two_node_injection_run(3)
     block = BlockState(run.n_aug, run.allowed, np.zeros(len(run.allowed)))
     adj, kept, probs = relaxed_inputs(run, block, block.values, monkeypatch)
-    np.testing.assert_array_equal(adj, run.base_adj)
+    np.testing.assert_array_equal(adj, augmented(run))
     np.testing.assert_array_equal(kept, [0, 1, 2, 3, 4])
     np.testing.assert_array_equal(probs, [1, 1, 0, 0, 0])
 
@@ -602,7 +617,7 @@ def test_mst_keeps_original_edges_of_any_numbering(tree_setup):
     g = make_graph(path, d_feat=tree_setup[1].feature_dim)
     cands = CandidateSet(features=np.zeros((1, g.feature_dim)), provenance=[(1, 1)])
     run = AttackRun(tree_setup[4], g, tree_config(budget_fraction=0.5), cands)
-    adj, _, eff = run._discrete_graph(np.array([[0, 4], [1, 4]]), None)
+    adj, _, eff = run._discrete_graph(np.array([[0, 4], [1, 4]]))
     assert eff.tolist() == [[0, 4]]
     want = np.zeros((5, 5))
     want[:4, :4] = path
@@ -775,10 +790,8 @@ def test_strongest_keeps_first_of_equal_lowest_losses(cluster_setup, monkeypatch
                 (0.3, 70.0, [[0, 1]]), (0.1, 60.0, [[0, 2]]), (0.1, 50.0, [[0, 3]]),
                 (0.2, 40.0, [[0, 4]]), (0.0, 30.0, [[0, 5]]), (0.0, 20.0, [[0, 6]]),
                 (0.4, 10.0, [[0, 7]])]
-    seen = []
 
-    def scripted_evaluate(run, flip_sets, blocks=None):
-        seen.append(blocks)
+    def scripted_evaluate(run, flip_sets):
         return scripted[: len(flip_sets)]
 
     monkeypatch.setattr(AttackRun, "evaluate_discrete", scripted_evaluate)
@@ -787,9 +800,6 @@ def test_strongest_keeps_first_of_equal_lowest_losses(cluster_setup, monkeypatch
     assert (adaptive.clean_metric, adaptive.attacked_metric, adaptive.flips) == (90.0, 60.0,
                                                                                  [[0, 2]])
     assert (rand.clean_metric, rand.attacked_metric, rand.flips) == (90.0, 30.0, [[0, 5]])
-    [blocks] = seen
-    assert isinstance(blocks[1], BlockState) and blocks[1] is blocks[2] is blocks[3]
-    assert blocks[:1] + blocks[4:] == [None] * 5  # clean graph and random picks
     # no flip sets: the clean metric twice and no flips
     for res in run_cell(model, g, quick_config(budget_fraction=1e-6)):
         assert (res.clean_metric, res.attacked_metric, res.flips) == (90.0, 90.0, [])
@@ -811,14 +821,31 @@ def test_san_spectral_reference_built_only_for_relaxed_objective(cluster_setup, 
     assert calls == []
     run_attack(model, g, cfg)
     assert calls == [g.adjacency.shape]  # structure mode: once per run
-    # tree-only injection: once per kept node set, i.e. once per block (a
-    # block small enough that each resample brings in other candidates)
+    # tree-only injection: once per block that joins another number of
+    # candidates than the last, since the clean graph is the tree padded
+    # with that many isolated nodes
+    from gtattack.attack.runner import AttackRun
+
     _, tree, gid, cands, _ = tree_setup
     model = build_model("san", "graph", tree.feature_dim, 1, seed=0)
+    joined, objective = [], AttackRun.objective
+
+    def counted_objective(run, block):
+        joined.append(len(np.unique(block.pairs[:, 1])))
+        return objective(run, block)
+
+    monkeypatch.setattr(AttackRun, "objective", counted_objective)
     calls.clear()
     run_attack(model, tree, tree_config(steps=5, resample_every=2, block_size=12), cands, gid)
-    assert len(calls) == 3
-    assert all(tree.n < n < tree.n + cands.size for n, _ in calls)
+    assert len(joined) == 3
+    want = [k for i, k in enumerate(joined) if i == 0 or k != joined[i - 1]]
+    assert [n - tree.n for n, _ in calls] == want
+    # two blocks joining other candidates, but as many: one reference
+    run = AttackRun(model, tree, tree_config(), cands)
+    calls.clear()
+    for j in (tree.n, tree.n + 1):
+        run.objective(BlockState(run.n_aug, [[0, j]], [0.5]))
+    assert calls == [(tree.n + 1, tree.n + 1)]
 
 
 def test_transfer_empty_perturbation_is_clean(cluster_setup):
@@ -886,21 +913,22 @@ def test_evaluate_discrete_batch_equals_single_calls(tree_setup, stack_entries, 
         for k in (1, 2, 3, 3, 2, 1, 3, 3)
     ]
     block = BlockState(run.n_aug, run.allowed, np.full(len(run.allowed), 0.5))
-    together = run.evaluate_discrete(flip_sets, [block] * len(flip_sets))
-    alone = [run.evaluate_discrete([f], [block])[0] for f in flip_sets]
+    flip_sets = weight_projected(run, flip_sets, block)
+    together = run.evaluate_discrete(flip_sets)
+    alone = [run.evaluate_discrete([f])[0] for f in flip_sets]
     assert together == alone
     assert len({g.n + len(eff) for _, _, eff in together}) >= 3  # mixed node counts
 
 
 def assert_scores_equal_per_graph_calls(model, items, scored):
     """Each (loss, metric, flips) of ``scored`` equals ``attack_loss`` and
-    ``train.score`` of its (run, flips, block) item's graph alone, bit for bit."""
+    ``train.score`` of its (run, flips) item's graph alone, bit for bit."""
     from gtattack import train
 
-    for (run, flips, block), (loss, metric, eff) in zip(items, scored, strict=True):
-        adj, feats, want_eff = run._discrete_graph(np.asarray(flips).reshape(-1, 2), block)
+    for (run, flips), (loss, metric, eff) in zip(items, scored, strict=True):
+        adj, feats, want_eff = run._discrete_graph(np.asarray(flips).reshape(-1, 2))
         with ad.no_grad():
-            logits = model.forward_discrete(adj, feats).data[: run.n_orig]
+            logits = model.forward_discrete(adj, feats).data
         want = attack_loss(Tensor(logits), run.labels, run.config.loss_kind, model.task).item()
         assert loss == want and type(loss) is float
         assert metric == float(train.score(logits, run.labels, model.task))
@@ -914,13 +942,13 @@ def test_scoring_equals_per_graph_calls_tree_raw_score(tree_setup):
     run = AttackRun(model, g, tree_config(), cands)
     rng = np.random.default_rng(4)
     block = BlockState(run.n_aug, run.allowed, rng.random(len(run.allowed)))
-    flip_sets = [np.zeros((0, 2), dtype=np.int64)] + [
+    flip_sets = weight_projected(run, [np.zeros((0, 2), dtype=np.int64)] + [
         run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
         for k in (1, 3, 2, 3, 1, 3)
-    ]
-    scored = run.evaluate_discrete(flip_sets, [block] * len(flip_sets))
+    ], block)
+    scored = run.evaluate_discrete(flip_sets)
     assert len({g.n + len(eff) for _, _, eff in scored}) >= 3  # mixed node counts
-    assert_scores_equal_per_graph_calls(model, [(run, f, block) for f in flip_sets], scored)
+    assert_scores_equal_per_graph_calls(model, [(run, f) for f in flip_sets], scored)
 
 
 def test_scoring_equals_per_graph_calls_cluster_tanh_margin(cluster_setup):
@@ -934,8 +962,8 @@ def test_scoring_equals_per_graph_calls_cluster_tanh_margin(cluster_setup):
     assert not np.array_equal(graphs[0].node_labels, graphs[1].node_labels)
     runs = [AttackRun(model, gr, quick_config(budget_fraction=0.1)) for gr in graphs]
     rng = np.random.default_rng(6)
-    items = [(run, run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))],
-              None) for k in (0, 1, 2, 3) for run in runs]
+    items = [(run, run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))])
+             for k in (0, 1, 2, 3) for run in runs]
     assert_scores_equal_per_graph_calls(model, items, _score(model, items))
 
 
@@ -953,7 +981,7 @@ def reference_discrete_graph(run, flips, value):
                 best[j] = (i, j)
         projected = len(best) < len(flips)
         flips = [f for f in flips if best[f[1]] == f]
-    adj = run.base_adj.copy()
+    adj = augmented(run)
     for i, j in flips:
         adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
     comp = connected_components(adj)
@@ -974,8 +1002,9 @@ def test_discrete_graph_equals_loop_reference(tree_setup, constraint):
     projected = dropped = 0
     for k in (0, 1, 2, 3, 4, 6, 6, 8) * 4:
         flips = run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
-        for blk, value in ((block, lambda i, j: lookup[(i, j)]), (None, lambda i, j: 1.0)):
-            adj, _, eff = run._discrete_graph(flips, blk)
+        for sets, value in (([flips], lambda i, j: 1.0),
+                            (weight_projected(run, [flips], block), lambda i, j: lookup[(i, j)])):
+            adj, _, eff = run._discrete_graph(sets[0])
             want_adj, want_eff, was_projected = reference_discrete_graph(run, flips, value)
             assert np.array_equal(adj, want_adj)
             assert eff.tolist() == [list(f) for f in want_eff]
@@ -985,23 +1014,24 @@ def test_discrete_graph_equals_loop_reference(tree_setup, constraint):
     # no constraint every flip joins the graph, so none is dropped
     assert projected if constraint == "tree_only" else not dropped
     with pytest.raises(ValueError, match="join an original node"):
-        run._discrete_graph(np.array([[0, 1]]), None)
+        run._discrete_graph(np.array([[0, 1]]))
 
 
 def augmented_discrete_graph(run, flips, block):
-    """``AttackRun._discrete_graph`` in injection mode built on a copy of
-    the whole augmented matrix: project, flip, keep node 0's component and
-    the flips with an end in it."""
+    """``AttackRun._discrete_graph`` in injection mode built on an augmented
+    copy of the run's graph: project (weighting each flip by its value in
+    ``block``, or 1.0 without one), flip, keep node 0's component and the
+    flips with an end in it."""
     if run.config.constraint == "tree_only":
         weights = np.ones(len(flips)) if block is None else block.value_of(flips)
         flips = mst_projection(flips, weights, run.n_orig)
-    adj = run.base_adj.copy()
+    adj = augmented(run)
     i, j = flips.T
     adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
     comp = connected_components(adj)
     kept = np.flatnonzero(comp == comp[0])
     kept_flips = flips[(comp[flips] == comp[0]).any(axis=1)]
-    return adj[np.ix_(kept, kept)], run.base_feats[kept], kept_flips
+    return adj[np.ix_(kept, kept)], run.features[kept], kept_flips
 
 
 @pytest.mark.parametrize("constraint", ["tree_only", "none"])
@@ -1020,7 +1050,8 @@ def test_discrete_graph_equals_augmented_copy(tree_setup, constraint):
     ]
     for flips in cases:
         for blk in (block, None):
-            got = run._discrete_graph(flips, blk)
+            sets = [flips] if blk is None else weight_projected(run, [flips], blk)
+            got = run._discrete_graph(sets[0])
             want = augmented_discrete_graph(run, flips, blk)
             for x, y in zip(got, want, strict=True):
                 assert x.shape == y.shape and np.array_equal(x, y)
@@ -1029,7 +1060,35 @@ def test_discrete_graph_equals_augmented_copy(tree_setup, constraint):
     # a flip inside the original graph raises, alone or among joining flips
     for flips in ([[0, 1]], [[0, c[0]], [1, 2]]):
         with pytest.raises(ValueError, match="join an original node"):
-            run._discrete_graph(np.array(flips), None)
+            run._discrete_graph(np.array(flips))
+
+
+@pytest.mark.parametrize("mode", ["structure", "tree_only", "none"])
+def test_relaxed_graph_at_ones_equals_scored_graph(cluster_setup, tree_setup, mode):
+    # the relaxed step and the scorer see one graph: the clean graph of a
+    # flip set as a draw hands it on, flipped at values 1, is the graph that
+    # the flip set is scored on
+    from gtattack.attack.runner import AttackRun
+
+    if mode == "structure":
+        _, g, model = cluster_setup
+        run = AttackRun(model, g, quick_config())
+    else:
+        _, g, _, cands, model = tree_setup
+        run = AttackRun(model, g, tree_config(constraint=mode), cands)
+    rng = np.random.default_rng(8)
+    block = BlockState(run.n_aug, run.allowed, rng.random(len(run.allowed)))
+    sizes = set()
+    for k in (0, 1, 2, 3, 5, 8) * 3:
+        picked = run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
+        [flips] = weight_projected(run, [picked], block)
+        adj, feats, eff = run._discrete_graph(flips)
+        base, base_feats, pairs = run.graph(flips)
+        relaxed = apply_flips(base, pairs, np.ones(len(pairs))).data
+        assert relaxed.shape == adj.shape and np.array_equal(relaxed, adj)
+        assert np.array_equal(base_feats, feats) and np.array_equal(eff, flips)
+        sizes.add(len(adj))
+    assert len(sizes) == 1 if mode == "structure" else len(sizes) > 2
 
 
 @pytest.mark.parametrize("constraint", ["tree_only", "none"])
@@ -1046,15 +1105,15 @@ def test_stored_flips_rebuild_scored_graph(tree_setup, constraint):
         run = AttackRun(model, g, cfg, cands)
         rng = np.random.default_rng(gid)
         block = BlockState(run.n_aug, run.allowed, rng.random(len(run.allowed)))
-        flip_sets = [run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
-                     for k in (1, 2, 3, 4) * 5]
-        scored = run.evaluate_discrete(flip_sets, [block] * len(flip_sets))
+        flip_sets = weight_projected(run, [
+            run.allowed[np.sort(rng.choice(len(run.allowed), size=k, replace=False))]
+            for k in (1, 2, 3, 4) * 5], block)
+        scored = run.evaluate_discrete(flip_sets)
         replayed = run.evaluate_discrete([eff for _, _, eff in scored])
         assert replayed == scored
         for flips, (_, _, eff) in zip(flip_sets, scored):
-            adj, feats, _ = run._discrete_graph(flips, block)
-            again, feats_again, eff_again = run._discrete_graph(np.array(eff).reshape(-1, 2),
-                                                                None)
+            adj, feats, _ = run._discrete_graph(flips)
+            again, feats_again, eff_again = run._discrete_graph(np.array(eff).reshape(-1, 2))
             assert np.array_equal(adj, again) and np.array_equal(feats, feats_again)
             assert eff_again.tolist() == eff
             assert len(adj) == g.n + len({j for _, j in eff})  # every original node kept
@@ -1088,7 +1147,8 @@ def test_injection_emits_valid_trees(tree_setup):
     res = run_attack(model, g, tree_config(), candidates=cands, graph_id=gid)
     assert len(res.flips) <= res.budget
     # rebuild the emitted graph and check it is a tree containing the original
-    adj, _, n0 = nia_augment(g, cands)
+    adj, n0 = np.zeros((g.n + cands.size,) * 2), g.n
+    adj[:n0, :n0] = g.adjacency
     for i, j in res.flips:
         adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
         assert not (i < n0 and j < n0), "tree_only must not touch original edges"
@@ -1132,28 +1192,31 @@ def test_run_cell_equals_single_kind_calls(cluster_setup, tree_setup, arch, mode
 
 
 def per_step_adaptive_draws(run):
-    """Reference PRBCD loop: a new objective closure, a new BlockState and,
-    in injection mode, a new SAN SpectralReference on every step."""
+    """Reference PRBCD loop on an augmented copy of the run's graph: a new
+    objective closure, a new BlockState and, in injection mode, a component
+    search and a new SAN SpectralReference on every step.  Returns the
+    discrete samples, weight-projected under ``tree_only``, and the trace."""
     from gtattack.attack.runner import BLOCK_KEEP_EPS
     from gtattack.graphs import apply_flips
     from gtattack.models import SpectralReference
 
     config, model, toggles = run.config, run.model, run.config.toggles
+    base = augmented(run)
     lap_pert = model.arch == "san" and toggles.san_lap_pert
-    structure_ref = SpectralReference.of(run.base_adj) if lap_pert else None
+    structure_ref = SpectralReference.of(base) if lap_pert else None
 
     def objective(block):
         def fn(values):
-            atilde = apply_flips(run.base_adj, block.pairs, values)
+            atilde = apply_flips(base, block.pairs, values)
             if config.mode == "structure":
                 kw = {"spectral_ref": structure_ref} if lap_pert else {}
-                logits = model.forward(atilde, run.base_feats, toggles, **kw)
+                logits = model.forward(atilde, run.features, toggles, **kw)
                 return attack_loss(logits, run.labels, config.loss_kind, model.task)
             sub, kept = prune_disconnected(atilde, run.n_orig)
             kw = {"node_probs": node_probability(sub)}
             if lap_pert:
-                kw["spectral_ref"] = SpectralReference.of(run.base_adj[np.ix_(kept, kept)])
-            logits = model.forward(sub, run.base_feats[kept], toggles, **kw)
+                kw["spectral_ref"] = SpectralReference.of(base[np.ix_(kept, kept)])
+            logits = model.forward(sub, run.features[kept], toggles, **kw)
             return attack_loss(logits, run.labels, config.loss_kind, model.task)
 
         return fn
@@ -1177,7 +1240,8 @@ def per_step_adaptive_draws(run):
         trace.append(value)
         if (k + 1) % config.resample_every == 0 and k < config.steps - 1:
             block = resample_block(block, 0.5, rng, run.allowed, fresh_value=fresh)
-    return sample_discrete(block, run.delta, config.n_discrete_samples, rng), block, trace
+    samples = sample_discrete(block, run.delta, config.n_discrete_samples, rng)
+    return weight_projected(run, samples, block), trace
 
 
 @pytest.mark.parametrize("mode", ["structure", "injection", "injection_none"])
@@ -1218,14 +1282,14 @@ def relaxed_inputs(run, block, values, monkeypatch):
         return forward(atilde, feats, toggles, **kw)
 
     monkeypatch.setattr(run.model, "forward", spy)
-    d = run.base_feats.shape[1]
-    run.base_feats = np.repeat(np.arange(run.n_aug, dtype=float)[:, None], d, axis=1)
+    d = run.features.shape[1]
+    run.features = np.repeat(np.arange(run.n_aug, dtype=float)[:, None], d, axis=1)
     run.objective(block)(Tensor(values))
     return seen["adj"], seen["kept"], seen["probs"]
 
 
 def pruned_reference(run, block, values):
-    sub, kept = prune_disconnected(apply_flips(run.base_adj, block.pairs, values), run.n_orig)
+    sub, kept = prune_disconnected(apply_flips(augmented(run), block.pairs, values), run.n_orig)
     return sub.data, kept, node_probability(sub).data
 
 
@@ -1253,7 +1317,7 @@ def test_relaxed_kept_set_equals_prune_disconnected(tree_setup, constraint, monk
     sizes, searched, low = set(), 0, 0
     for block in blocks:
         nodes = np.union1d(np.arange(n), block.pairs[:, 1])
-        full = apply_flips(run.base_adj, block.pairs, Tensor(block.values))
+        full = apply_flips(augmented(run), block.pairs, Tensor(block.values))
         sub = full.data[np.ix_(nodes, nodes)]
         got = relaxed_inputs(run, block, block.values, monkeypatch)
         for x, y in zip(got, (sub, nodes, node_probability(Tensor(sub)).data), strict=True):

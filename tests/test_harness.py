@@ -87,6 +87,25 @@ def test_shipped_configs_build_every_attack_config(name):
                 assert _attack_config(cfg, budget, seed, toggles).mode == mode
 
 
+@pytest.mark.parametrize("kind", ["cluster", "injection"])
+def test_experiment_scripts_chain_all_five_stages(kind, monkeypatch):
+    # each script passes its own arguments to every stage, ablate included,
+    # so that the config's ablate_budget is read
+    import runpy
+    import sys
+
+    from gtattack import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", ["script", "--seed", "0"])
+    scripts = Path(__file__).parent.parent / "scripts"
+    runpy.run_path(str(scripts / f"run_{kind}_experiment.py"), run_name="__main__")
+    config = str(scripts / f"{'cluster' if kind == 'cluster' else 'tree'}_config.json")
+    assert calls == [[stage, "--config", config, "--seed", "0"]
+                     for stage in ("generate", "train", "attack", "ablate", "report")]
+
+
 def test_config_hash_unchanged_without_ablate_budget(tmp_path):
     # value computed before ablate_budget entered the hash
     assert ExperimentConfig.from_doc(tiny_config(tmp_path)).hash() == "57cb5d1898b1c07a"
@@ -205,7 +224,7 @@ def test_attack_writes_perturbations(swept):
 
 def test_report_csv_golden_columns(swept):
     cfg, _ = swept
-    written = cmd_report(cfg.out)
+    written = cmd_report(cfg)
     rows = load_report_csv(written[0])
     assert list(rows[0].keys()) == ["budget", "model", "attack", "mean", "std"]
     # sorted by model, attack, budget
@@ -217,7 +236,7 @@ def test_report_csv_golden_columns(swept):
 
 def test_report_strongest_is_min_over_kinds(swept):
     cfg, table = swept
-    written = cmd_report(cfg.out)
+    written = cmd_report(cfg)
     rows = load_report_csv(written[0])
     for budget in cfg.budgets:
         means = [float(r["mean"]) for r in rows
@@ -233,15 +252,45 @@ def test_report_warns_on_uneven_seed_coverage(tmp_path, caplog):
     table.add("gcn", "adaptive", 0.02, "-", 1, 40.0)
     table.add("gcn", "random", 0.02, "-", 0, 60.0)
     table.save(str(tmp_path / "results.json"))
+    cfg = ExperimentConfig.from_doc(tiny_config(tmp_path, out=str(tmp_path)))
     with caplog.at_level(logging.WARNING, logger="gtattack.experiment"):
-        cmd_report(str(tmp_path))
+        cmd_report(cfg)
     assert [r.levelname for r in caplog.records] == ["WARNING"]
     assert "uneven seed coverage across cells: [1, 2]" in caplog.text
 
 
 def test_report_empty_dir_errors(tmp_path):
     with pytest.raises(ConfigError, match="no results"):
-        cmd_report(str(tmp_path))
+        cmd_report(ExperimentConfig.from_doc(tiny_config(tmp_path, out=str(tmp_path))))
+
+
+def test_cli_report_restricts_rows_like_every_stage(tmp_path, capsys):
+    # report aggregates only the cells that the flags leave in the config:
+    # here gcn's rows of seed 0 at budget 0.02, and gcn's clean row of seed 0
+    doc = tiny_config(tmp_path, models=[{"arch": "gcn", "epochs": 1, "lr": 0.003, "seed": 0},
+                                        {"arch": "grit", "epochs": 1, "lr": 0.005, "seed": 0}])
+    cfg_path = write_config(tmp_path, doc)
+    for stage in ("generate", "train", "attack"):
+        assert cli_main([stage, "--config", cfg_path]) == 0
+    table = ResultsTable.load(os.path.join(doc["out"], "results.json"))
+    assert {r["model"] for r in table.rows} == {"gcn", "grit"}
+    flags = ["--seed", "0", "--model", "gcn", "--budget", "0.02"]
+    assert cli_main(["report", "--config", cfg_path, *flags]) == 0
+    csv = os.path.join(doc["out"], "report", "results.csv")
+    rows = load_report_csv(csv)
+    assert {(r["model"], r["budget"]) for r in rows} == {("gcn", "0"), ("gcn", "0.02")}
+    assert {r["attack"] for r in rows} == {"clean", "adaptive", "random", "transfer:grit",
+                                           "transfer", "strongest"}
+    assert {r["std"] for r in rows} == {"0.0000"}  # one seed per cell
+    adaptive = [float(r["mean"]) for r in rows if r["attack"] == "adaptive"]
+    want = table.cell(model="gcn", attack="adaptive", budget=0.02, seed=0)
+    assert adaptive == [pytest.approx(want[0], abs=5e-5)]
+    # a restriction that leaves no row exits 2 instead of writing an empty CSV
+    os.remove(csv)
+    capsys.readouterr()
+    assert cli_main(["report", "--config", cfg_path, "--seed", "2"]) == 2
+    assert "no row of" in capsys.readouterr().err
+    assert not os.path.exists(csv)
 
 
 def test_attack_cells_reproducible(swept):
