@@ -78,7 +78,7 @@ def allowed_pairs(graph: Graph, config: AttackConfig, n_aug: int | None = None) 
     n, kind = graph.n, config.constraint
     if config.mode == "injection":
         if n_aug is None:
-            raise ValueError("injection requires the augmented size n_aug")
+            raise ValueError("injection requires n_aug, the original nodes plus candidates")
         pairs = np.empty((n, n_aug - n, 2), dtype=np.int64)
         pairs[..., 0] = np.arange(n)[:, None]
         pairs[..., 1] = np.arange(n, n_aug)

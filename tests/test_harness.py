@@ -87,8 +87,8 @@ def test_shipped_configs_build_every_attack_config(name):
                 assert _attack_config(cfg, budget, seed, toggles).mode == mode
 
 
-@pytest.mark.parametrize("kind", ["cluster", "injection"])
-def test_experiment_scripts_chain_all_five_stages(kind, monkeypatch):
+@pytest.mark.parametrize("script,config", [("cluster", "cluster"), ("injection", "tree")])
+def test_experiment_scripts_chain_all_five_stages(script, config, monkeypatch):
     # each script passes its own arguments to every stage, ablate included,
     # so that the config's ablate_budget is read
     import runpy
@@ -100,8 +100,8 @@ def test_experiment_scripts_chain_all_five_stages(kind, monkeypatch):
     monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
     monkeypatch.setattr(sys, "argv", ["script", "--seed", "0"])
     scripts = Path(__file__).parent.parent / "scripts"
-    runpy.run_path(str(scripts / f"run_{kind}_experiment.py"), run_name="__main__")
-    config = str(scripts / f"{'cluster' if kind == 'cluster' else 'tree'}_config.json")
+    runpy.run_path(str(scripts / f"run_{script}_experiment.py"), run_name="__main__")
+    config = str(scripts / f"{config}_config.json")
     assert calls == [[stage, "--config", config, "--seed", "0"]
                      for stage in ("generate", "train", "attack", "ablate", "report")]
 
