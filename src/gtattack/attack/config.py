@@ -51,6 +51,8 @@ class AttackConfig:
             raise ValueError(f"unknown constraint {self.constraint!r}")
         if self.mode not in ("structure", "injection"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.constraint == "tree_only" and self.mode != "injection":
+            raise ValueError("tree_only constrains injection attacks only")
         for name in ("block_size", "resample_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -74,7 +76,7 @@ def allowed_pairs(graph: Graph, config: AttackConfig, n_aug: int | None = None) 
     candidates being nodes ``graph.n`` to ``n_aug - 1`` (``n_aug`` counts
     original nodes plus candidates).
     ``protect_labeled`` forbids pairs touching a labeled original node;
-    ``tree_only`` constrains injection attacks and samples every such pair."""
+    ``tree_only`` (an injection constraint) samples every such pair."""
     n, kind = graph.n, config.constraint
     if config.mode == "injection":
         if n_aug is None:
@@ -83,8 +85,6 @@ def allowed_pairs(graph: Graph, config: AttackConfig, n_aug: int | None = None) 
         pairs[..., 0] = np.arange(n)[:, None]
         pairs[..., 1] = np.arange(n, n_aug)
         pairs = pairs.reshape(-1, 2)
-    elif kind == "tree_only":
-        raise ValueError("tree_only constrains injection attacks only")
     else:
         pairs = upper_triangle_pairs(n)
     if kind == "protect_labeled":

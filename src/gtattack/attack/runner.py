@@ -110,49 +110,43 @@ class AttackRun:
         return fn
 
     # -- discrete evaluation ----------------------------------------------------
-    def _discrete_graph(self, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Adjacency, features and effective flips of the graph a flip set
-        gives: :meth:`graph` of the flips, with the flips applied.  Under
-        ``tree_only`` the flips are first projected onto the maximum spanning
-        tree, every flip weighing 1.0 (a set the draw already projected
-        stays as it is)."""
-        if self.config.constraint == "tree_only":
-            flips = mst_projection(flips, np.ones(len(flips)), self.n_orig)
+    def _discrete_graph(self, flips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency and features of the graph a flip set gives: :meth:`graph`
+        of the flips, with the flips applied.  Under ``tree_only`` a set that
+        joins a candidate more than once is not a tree and raises
+        ``ValueError``."""
         adj, feats, pairs = self.graph(flips)
+        if self.config.constraint == "tree_only" and len(feats) - self.n_orig < len(pairs):
+            raise ValueError("tree_only flip sets join each candidate at most once")
         adj = adj.copy()
         i, j = pairs.T
         adj[i, j] = adj[j, i] = 1.0 - adj[i, j]
-        return adj, feats, flips
+        return adj, feats
 
-    def evaluate_discrete(self, flip_sets: list) -> list[tuple[float, float, list]]:
-        """True-model evaluation of discrete flip sets.
+    def evaluate_discrete(self, flip_sets: list) -> list[tuple[float, float]]:
+        """True-model evaluation of discrete flip sets, as they are.
 
-        Returns one (attack loss, metric, effective flips) per flip set, in
-        input order.  In tree-only mode each flip set is first projected to
-        the flips of the maximum spanning tree, every flip weighing 1.0
-        (:func:`~gtattack.attack.injection.mst_projection`).  In injection
-        mode each graph holds the original nodes plus the candidates its
-        flips join to them.  All sets are scored in one
+        Returns one (attack loss, metric) per flip set, in input order.  In
+        injection mode each graph holds the original nodes plus the
+        candidates its flips join to them.  Under ``tree_only`` every set
+        must already be a tree, each candidate joined at most once (the draws
+        project theirs with :func:`~gtattack.attack.injection.mst_projection`);
+        another raises ``ValueError``.  All sets are scored in one
         :func:`~gtattack.train.discrete_logits` call.
         """
         return _score(self.model, [(self, flips) for flips in flip_sets])
 
 
-def _score(model: GraphModel, items: list) -> list[tuple[float, float, list]]:
+def _score(model: GraphModel, items: list) -> list[tuple[float, float]]:
     """:meth:`AttackRun.evaluate_discrete` of (run, flips) items that may
     come from several runs on ``model``; the graphs are built one at a time
     as the stacks fill, and the outputs of one run and size are scored in
     one :func:`attack_loss` and one :func:`~gtattack.train.score` call."""
-    effective: list = []
-
-    def graphs():
-        for run, flips in items:
-            adj, feats, eff = run._discrete_graph(np.asarray(flips, dtype=np.int64).reshape(-1, 2))
-            effective.append(eff.tolist())
-            yield adj, feats
+    graphs = (run._discrete_graph(np.asarray(flips, dtype=np.int64).reshape(-1, 2))
+              for run, flips in items)
 
     groups: dict = {}
-    for i, ((run, _), out) in enumerate(zip(items, discrete_logits(model, graphs()))):
+    for i, ((run, _), out) in enumerate(zip(items, discrete_logits(model, graphs))):
         groups.setdefault((run, out.shape), []).append((i, out))
     results: list = [None] * len(items)
     with ad.no_grad():
@@ -160,7 +154,7 @@ def _score(model: GraphModel, items: list) -> list[tuple[float, float, list]]:
             stack = np.stack([out for _, out in group])
             losses = attack_loss(Tensor(stack), run.labels, run.config.loss_kind, model.task).data
             for (i, _), loss, metric in zip(group, losses, score(stack, run.labels, model.task)):
-                results[i] = (float(loss), float(metric), effective[i])
+                results[i] = (float(loss), float(metric))
     return results
 
 
@@ -168,7 +162,7 @@ def _adaptive_draws(run: AttackRun) -> tuple[list, list[float]]:
     """PRBCD over a sampled block, one relaxed objective per block, then
     discrete samples of the final block; returns (flip sets, trace).  Under
     ``tree_only`` each sample is projected onto its maximum spanning tree,
-    each flip weighing its block value."""
+    each flip weighing its block value, so the sets are final as drawn."""
     config = run.config
     rng = np.random.default_rng(config.seed)
     fresh = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
@@ -184,18 +178,24 @@ def _adaptive_draws(run: AttackRun) -> tuple[list, list[float]]:
             objective = run.objective(block)
     samples = sample_discrete(block, run.delta, config.n_discrete_samples, rng)
     if config.constraint == "tree_only":
-        samples = [mst_projection(s, block.value_of(s), run.n_orig) for s in samples]
-    return samples, trace
+        return [mst_projection(block.pairs[rows], block.values[rows], run.n_orig)
+                for rows in samples], trace
+    return [block.pairs[rows] for rows in samples], trace
 
 
 def _random_draws(run: AttackRun) -> tuple[list, list[float]]:
     """The adaptive run's evaluation count, steps + 1 + n_discrete_samples,
-    of random budget-sized flip sets from the allowed pairs."""
+    of random budget-sized flip sets from the allowed pairs.  Under
+    ``tree_only`` each pick is projected onto its maximum spanning tree,
+    every flip weighing 1.0."""
     config = run.config
     rng = np.random.default_rng(config.seed)
     n_evals = config.steps + 1 + config.n_discrete_samples
-    return [run.allowed[np.sort(rng.choice(len(run.allowed), size=run.delta, replace=False))]
-            for _ in range(n_evals)], []
+    picks = [run.allowed[np.sort(rng.choice(len(run.allowed), size=run.delta, replace=False))]
+             for _ in range(n_evals)]
+    if config.constraint == "tree_only":
+        picks = [mst_projection(pick, np.ones(len(pick)), run.n_orig) for pick in picks]
+    return picks, []
 
 
 _DRAWS = {"adaptive": _adaptive_draws, "random": _random_draws}
@@ -211,21 +211,22 @@ def run_cell(model: GraphModel, graph: Graph, config: AttackConfig,
     depend on the other kinds in the cell.  The clean graph and every
     kind's flip sets are scored in one :meth:`AttackRun.evaluate_discrete`
     call, and each kind keeps the first of its flip sets of lowest attack
-    loss (no flip sets: the clean metric and no flips).
+    loss, as drawn (no flip sets: the clean metric and no flips).
     """
     run = AttackRun(model, graph, config, candidates)
     draws = [_DRAWS[kind](run) if run.delta else ([], []) for kind in kinds]
-    (_, clean_metric, _), *scored = run.evaluate_discrete(
+    (_, clean_metric), *scored = run.evaluate_discrete(
         [[], *(flips for sets, _ in draws for flips in sets)])
     results = []
     for kind, (sets, trace) in zip(kinds, draws):
         mine, scored = scored[: len(sets)], scored[len(sets):]
-        _, metric, flips = min(mine, key=lambda r: r[0], default=(np.inf, clean_metric, []))
+        (_, metric), flips = min(zip(mine, sets), key=lambda r: r[0][0],
+                                 default=((np.inf, clean_metric), np.zeros((0, 2), np.int64)))
         results.append(PerturbationResult(
             graph_id=graph_id, budget=run.delta, budget_fraction=config.budget_fraction,
-            flips=flips, clean_metric=clean_metric, attacked_metric=metric, loss_trace=trace,
-            seed=config.seed, toggles=config.toggles.to_dict(), mode=config.mode,
-            constraint=config.constraint, attack_kind=kind,
+            flips=flips.tolist(), clean_metric=clean_metric, attacked_metric=metric,
+            loss_trace=trace, seed=config.seed, toggles=config.toggles.to_dict(),
+            mode=config.mode, constraint=config.constraint, attack_kind=kind,
         ))
     return tuple(results)
 
@@ -272,4 +273,4 @@ def transfer_attack(sources: list[PerturbationResult], model: GraphModel, graphs
             cands = None if candidates is None else candidates[src.graph_id]
             runs[key] = AttackRun(model, graphs[src.graph_id], config, cands)
         items.append((runs[key], src.flips))
-    return [metric for _, metric, _ in _score(model, items)]
+    return [metric for _, metric in _score(model, items)]

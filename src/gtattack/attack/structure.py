@@ -4,7 +4,6 @@ block's values (its pairs change only at a resample), discretization."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -13,6 +12,9 @@ from ..autodiff import Tape, Tensor, backward
 from .projection import project_budget
 
 __all__ = ["BlockState", "init_block", "resample_block", "prbcd_step", "sample_discrete"]
+
+# Bernoulli draws of a sample before it falls back to top-budget rounding
+MAX_RETRIES = 50
 
 
 @dataclass
@@ -35,16 +37,6 @@ class BlockState:
             if len(np.unique(keys)) != len(keys):
                 raise ValueError("block pairs must be unique")
 
-    def value_of(self, pairs: np.ndarray) -> np.ndarray:
-        """Value of each (i, j) pair in the block, 1.0 for pairs outside it."""
-        at, values = self._position, self.values
-        return np.array([values[at[p]] if p in at else 1.0 for p in map(tuple, pairs.tolist())])
-
-    @cached_property
-    def _position(self) -> dict:
-        """Row of each (i, j) pair of ``pairs``, built on the first lookup."""
-        return {pair: k for k, pair in enumerate(map(tuple, self.pairs.tolist()))}
-
 
 def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     return pairs[:, 0] * n + pairs[:, 1]
@@ -55,8 +47,8 @@ def init_block(n: int, allowed: np.ndarray, block_size: int, rng: np.random.Gene
     """Uniform sample of candidate pairs from the allowed set.
 
     ``fresh_value`` is 0 for structure attacks; injection attacks seed a
-    tiny positive value so candidate edges survive pruning and gradients
-    can reach them.
+    tiny positive value, which keeps every block edge above ``EDGE_EPS``
+    so that it carries a gradient.
     """
     k = min(block_size, len(allowed))
     pick = np.sort(rng.choice(len(allowed), size=k, replace=False))
@@ -122,35 +114,37 @@ def prbcd_step(objective: Callable[[Tensor], Tensor], block: BlockState, budget:
 
 
 def sample_discrete(block: BlockState, budget: int, n_samples: int,
-                    rng: np.random.Generator, max_retries: int = 50) -> list[np.ndarray]:
-    """Draw discrete flip sets (k, 2) from the continuous block.
+                    rng: np.random.Generator) -> list[np.ndarray]:
+    """Draw discrete flip sets from the continuous block, each as the
+    ascending rows of ``block`` it flips.
 
     The first set is the deterministic top-budget rounding; each of the
     ``n_samples`` draws after it takes independent Bernoulli(value) flips,
-    retrying up to ``max_retries`` times if the budget is exceeded and
-    falling back to top-budget rounding.  Scoring the sets on the true model
-    and keeping the strongest is left to the caller
+    retrying up to ``MAX_RETRIES`` times if the budget is exceeded and
+    falling back to top-budget rounding.  Taking the pairs (and, for the
+    tree projection, the values) of the rows, scoring the sets on the true
+    model and keeping the strongest is left to the caller
     (:func:`~gtattack.attack.runner.run_cell`).
     """
     positive = block.values > 0.0
+    none = np.zeros(0, dtype=np.int64)
 
     def top_budget() -> np.ndarray:
         if budget <= 0 or not positive.any():
-            return np.zeros((0, 2), dtype=np.int64)
+            return none
         order = np.argsort(-block.values, kind="stable")
-        order = order[positive[order]][:budget]
-        return block.pairs[np.sort(order)]
+        return np.sort(order[positive[order]][:budget])
 
     candidates = [top_budget()]
     for _ in range(n_samples):
         chosen = None
-        for _ in range(max_retries):
+        for _ in range(MAX_RETRIES):
             draw = rng.random(len(block.values)) < block.values
             if budget <= 0:
-                chosen = np.zeros((0, 2), dtype=np.int64)
+                chosen = none
                 break
             if draw.sum() <= budget:
-                chosen = block.pairs[draw]
+                chosen = np.flatnonzero(draw)
                 break
         if chosen is None:
             chosen = top_budget()

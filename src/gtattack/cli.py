@@ -57,6 +57,9 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
         if args.command == "ablate":
             raise ConfigError("ablate sweeps the toggle sets of ablation_grid "
                               "and takes no --toggles")
+        if args.command == "report":
+            raise ConfigError("report takes no --toggles: results.json holds the "
+                              "toggle set of the attack run that wrote it")
         # unknown names are rejected when the new config is validated
         toggles = dict.fromkeys(RelaxToggles().to_dict(), False)
         toggles.update(dict.fromkeys((t for t in args.toggles.split(",") if t), True))

@@ -338,8 +338,6 @@ def _attack_config(cfg: ExperimentConfig, budget: float, seed: int,
         raise ValueError("protect_labeled needs labeled nodes; tree graphs have none")
     if kind == "cluster" and acfg.mode == "injection":
         raise ValueError("injection needs a candidate set; cluster datasets build none")
-    if acfg.constraint == "tree_only" and acfg.mode != "injection":
-        raise ValueError("tree_only constrains injection attacks only")
     return acfg
 
 

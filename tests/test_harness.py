@@ -628,6 +628,15 @@ def test_cli_ablate_rejects_toggles(tmp_path, capsys):
     assert "ablation_grid" in capsys.readouterr().err
 
 
+def test_cli_report_rejects_toggles(tmp_path, capsys):
+    # a results.json holds the rows of one attack run, all of one toggle
+    # set, so the flag could only keep every row or none
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path))
+    assert cli_main(["report", "--config", cfg_path, "--toggles", "node_prob_bias"]) == 2
+    assert "report takes no --toggles" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_cli_progress_goes_to_each_calls_stderr(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path, seeds=[0], budgets=[0.05]))
     sinks = {}
