@@ -311,7 +311,10 @@ def _load_models(cfg: ExperimentConfig) -> dict[str, GraphModel]:
         with open(path) as fh:
             doc = json.load(fh)
         _check_stamp(doc, _stamp(cfg.dataset, vars(spec)), path, "train")
-        models[spec.arch] = model_from_doc(doc)
+        try:
+            models[spec.arch] = model_from_doc(doc)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}; rerun train") from exc
     return models
 
 

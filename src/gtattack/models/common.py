@@ -172,9 +172,25 @@ class GraphModel:
         }
 
     def load_doc(self, doc: dict) -> None:
+        """Parameter values from a ``to_doc`` document.  ValueError, naming
+        the parameter, at the first one this model has and the document
+        lacks or holds in another shape, then at the first one the document
+        has and this model lacks; no parameter changes then."""
+        params, shapes = doc["params"], doc["shapes"]
+        loaded = {}
         for k, t in self.params.items():
-            flat = np.asarray(doc["params"][k], dtype=np.float64)
-            t.data = flat.reshape(tuple(doc["shapes"][k]))
+            if k not in params or k not in shapes:
+                raise ValueError(f"checkpoint lacks parameter {k!r}")
+            flat = np.asarray(params[k], dtype=np.float64)
+            if list(shapes[k]) != list(t.shape) or flat.shape != (t.size,):
+                raise ValueError(f"checkpoint parameter {k!r} has shape {list(shapes[k])} and "
+                                 f"{flat.size} values; {self.arch} expects {list(t.shape)}")
+            loaded[k] = flat.reshape(t.shape)
+        unexpected = [k for k in params if k not in self.params]
+        if unexpected:
+            raise ValueError(f"checkpoint has parameter {unexpected[0]!r}, which {self.arch} lacks")
+        for k, data in loaded.items():
+            self.params[k].data = data
 
 
 # ---------------------------------------------------------------------------

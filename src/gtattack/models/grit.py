@@ -20,27 +20,42 @@ __all__ = ["GRIT", "rrwp"]
 
 def rrwp(atilde: Tensor | np.ndarray, k: int) -> Tensor:
     """Random-walk probability stack, shape (..., n, n, k) for an adjacency
-    of shape (..., n, n).
+    of shape (..., n, n), as one differentiable op.
 
     Slice 0 is the identity, slice t is M^t with M = D^-1 A; rows of
-    degree-0 nodes are all zero (safe division).
+    degree-0 nodes are all zero (safe division).  Backward walks the power
+    chain back to dM, then through the row scaling M = A * (1/d) to dA.
     """
     if k < 2:
         raise ValueError("rrwp needs k >= 2")
     a = ad.as_tensor(atilde)
     n = a.shape[-1]
-    lead = a.shape[:-2]
-    d = ad.tsum(a, axis=-1)
-    inv = ad.mul(ad.rsqrt_safe(d), ad.rsqrt_safe(d))  # 1/d where d > 0 else 0
-    m = ad.mul(a, ad.reshape(inv, lead + (n, 1)))
-    eye = np.zeros(a.shape)
-    eye[..., np.arange(n), np.arange(n)] = 1.0
-    slices = [Tensor(eye), m]
-    power = m
-    for _ in range(k - 2):
-        power = ad.matmul(power, m)
-        slices.append(power)
-    return ad.concat([ad.reshape(s, a.shape + (1,)) for s in slices], axis=-1)
+    d = a.data.sum(axis=-1, keepdims=True)
+    inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+    m = a.data * inv
+    out = np.zeros(a.shape + (k,))
+    out[..., np.arange(n), np.arange(n), 0] = 1.0
+    out[..., 1] = m
+    powers = [m]  # M^1 .. M^(k-1)
+    for t in range(2, k):
+        powers.append(powers[-1] @ m)
+        out[..., t] = powers[-1]
+    out = Tensor(out)
+    if not ad._live(a):
+        return out
+
+    def vjp(g):
+        gs = np.moveaxis(g, -1, 0).copy()  # gs[t] = dL/d(M^t), contiguous for BLAS
+        mt = m.swapaxes(-1, -2)
+        carry = gs[k - 1]  # dL/d(M^t) through every later power, t = k-1 down to 1
+        gm = np.zeros_like(m)
+        for t in range(k - 1, 1, -1):  # M^t = M^(t-1) @ M
+            gm += powers[t - 2].swapaxes(-1, -2) @ carry
+            carry = gs[t - 1] + carry @ mt
+        gm += carry
+        return inv * (gm - (gm * m).sum(axis=-1, keepdims=True))
+
+    return ad._record("rrwp", out, (a,), (vjp,))
 
 
 def _pair_aggregate(alpha: Tensor, ev: Tensor) -> Tensor:
@@ -76,7 +91,10 @@ class GRIT(GraphModel):
             self._param(f"l{l}.wk", (d, de), rng)
             self._param(f"l{l}.ew", (de, de), rng)
             self._param(f"l{l}.eb", (de, de), rng)
-            self._param(f"l{l}.eback", (de, de), rng)
+            if l < self.hparams["layers"] - 1:
+                self._param(f"l{l}.eback", (de, de), rng)
+            else:  # the last layer's pair update has no reader: draw, keep no parameter
+                rng.normal(size=(de, de))
             for hh in range(heads):
                 self._param(f"l{l}.h{hh}.wv", (d, dh), rng)
                 self._param(f"l{l}.h{hh}.score", (de, 1), rng)
@@ -97,9 +115,7 @@ class GRIT(GraphModel):
         k = self.hparams["walk_length"]
         de = self.hparams["pair_dim"]
 
-        p = rrwp(a, k)
-        if not toggles.grit_rrwp_grad:
-            p = ad.stop_gradient(p)
+        p = rrwp(a if toggles.grit_rrwp_grad else ad.stop_gradient(a), k)
         p2d = ad.reshape(p, lead + (n * n, k))
         diag_idx = np.arange(n) * n + np.arange(n)
         node_pe = ad.matmul(ad.gather_rows(p2d, diag_idx), self.p("pe_node.w"))
@@ -129,14 +145,15 @@ class GRIT(GraphModel):
                 w = ad.reshape(ad.matmul(pair2d, self.p(f"l{l}.h{hh}.score")), lead + (n, n))
                 alpha = attention_nodeprob_bias(w, lp)
                 v_h = ad.matmul(h, self.p(f"l{l}.h{hh}.wv"))
-                ev_h = ad.reshape(ad.matmul(pair2d, self.p(f"l{l}.h{hh}.ev")), lead + (n, n, -1))
-                outs.append(ad.add(ad.matmul(alpha, v_h), _pair_aggregate(alpha, ev_h)))
+                # sum_j alpha_ij (pairact_ij @ ev) == (sum_j alpha_ij pairact_ij) @ ev
+                ev_h = ad.matmul(_pair_aggregate(alpha, pairact), self.p(f"l{l}.h{hh}.ev"))
+                outs.append(ad.add(ad.matmul(alpha, v_h), ev_h))
             attn = ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo"))
             scaled = ad.add(
                 ad.mul(attn, self.p(f"l{l}.theta1")),
                 ad.mul(log_deg, ad.mul(attn, self.p(f"l{l}.theta2"))),
             )
             h = self._block(h, scaled, l)
-            if l < layers - 1:  # the last layer's pair update has no reader
+            if l < layers - 1:
                 e2d = ad.add(e2d, ad.matmul(pair2d, self.p(f"l{l}.eback")))
         return self._readout(h, node_probs)

@@ -683,6 +683,38 @@ def test_cli_attack_rejects_checkpoint_of_another_config(tmp_path, capsys):
     assert "gcn.json was made from another config" in err and "rerun train" in err
 
 
+def _drop(doc, name):
+    del doc["params"][name], doc["shapes"][name]
+
+
+def _shorten(doc, name):
+    doc["params"][name] = doc["params"][name][:-1]
+
+
+def _add_old_eback(doc, name):  # what GRIT checkpoints saved before it was dropped
+    doc["params"][name], doc["shapes"][name] = [0.0] * 64, [8, 8]
+
+
+@pytest.mark.parametrize("edit,name,message", [
+    (_drop, "l0.wq", "lacks parameter 'l0.wq'"),
+    (_shorten, "out.w", "parameter 'out.w' has shape [24, 6] and 143 values; grit expects [24, 6]"),
+    (_add_old_eback, "l1.eback", "has parameter 'l1.eback', which grit lacks"),
+], ids=["missing", "mis_sized", "unexpected"])
+def test_cli_attack_rejects_checkpoint_with_bad_parameters(tmp_path, capsys, edit, name, message):
+    doc = tiny_config(tmp_path, seeds=[0], budgets=[0.05],
+                      models=[{"arch": "grit", "epochs": 0, "lr": 0.003, "seed": 0}])
+    cfg_path = write_config(tmp_path, doc)
+    assert cli_main(["train", "--config", cfg_path]) == 0
+    path = Path(doc["out"], "checkpoints", "grit.json")
+    ckpt = json.loads(path.read_text())
+    edit(ckpt, name)
+    path.write_text(json.dumps(ckpt))
+    assert cli_main(["attack", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert f"grit.json: checkpoint {message}; rerun train" in err
+    assert not os.path.exists(os.path.join(doc["out"], "results.json"))
+
+
 def test_unstamped_dataset_is_rejected(tmp_path):
     cfg = ExperimentConfig.from_doc(tiny_config(tmp_path))
     cmd_train(cfg)

@@ -269,6 +269,60 @@ def test_rrwp_requires_k_at_least_two():
         rrwp(np.zeros((2, 2)), 1)
 
 
+def composed_rrwp(atilde, k):
+    """rrwp as a composition of autodiff primitives: the oracle for the
+    recorded op (M = A * (rsqrt(d) * rsqrt(d)), powers by matmul, concat)."""
+    a = ad.as_tensor(atilde)
+    n = a.shape[-1]
+    lead = a.shape[:-2]
+    d = ad.tsum(a, axis=-1)
+    inv = ad.mul(ad.rsqrt_safe(d), ad.rsqrt_safe(d))
+    m = ad.mul(a, ad.reshape(inv, lead + (n, 1)))
+    eye = np.zeros(a.shape)
+    eye[..., np.arange(n), np.arange(n)] = 1.0
+    slices = [Tensor(eye), m]
+    for _ in range(k - 2):
+        slices.append(ad.matmul(slices[-1], m))
+    return ad.concat([ad.reshape(s, a.shape + (1,)) for s in slices], axis=-1)
+
+
+def rrwp_loss_and_grad(fn, a, weights):
+    at = Tensor(a, requires_grad=True)
+    loss = ad.tsum(ad.mul(fn(at, weights.shape[-1]), Tensor(weights)))
+    return loss.item(), backward(loss)[at].data
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_rrwp_gradient_matches_finite_differences(lead):
+    """A degree-0 row, alone and in a stack of 3.  That row's own entries
+    get gradient 0, the safe-division convention (a finite difference there
+    would step across d = 0); every other entry matches central differences."""
+    rng = np.random.default_rng(31)
+    n, k = 5, 4
+    a = rng.uniform(0.1, 0.9, size=lead + (n, n))
+    a[..., 2, :] = 0.0
+    weights = rng.standard_normal(lead + (n, n, k))
+    _, got = rrwp_loss_and_grad(rrwp, a, weights)
+    np.testing.assert_array_equal(got[..., 2, :], 0.0)
+    want = finite_difference(lambda x: rrwp_loss_and_grad(rrwp, x, weights)[0], a.copy(), 1e-6)
+    rows = np.arange(n) != 2
+    np.testing.assert_allclose(got[..., rows, :], want[..., rows, :], rtol=1e-6, atol=1e-8)
+    _, composed = rrwp_loss_and_grad(composed_rrwp, a, weights)
+    np.testing.assert_allclose(got, composed, rtol=1e-12, atol=1e-15)
+
+
+def test_stacked_rrwp_slices_equal_single_graph_bits():
+    rng = np.random.default_rng(32)
+    a = np.stack([interior_adjacency(rng, 7) for _ in range(3)])
+    a[1, 4, :] = a[1, :, 4] = 0.0
+    weights = rng.standard_normal((3, 7, 7, 8))
+    stacked = rrwp(a, 8).data
+    _, stacked_grad = rrwp_loss_and_grad(rrwp, a, weights)
+    for i in range(3):
+        assert np.array_equal(stacked[i], rrwp(a[i], 8).data)
+        assert np.array_equal(stacked_grad[i], rrwp_loss_and_grad(rrwp, a[i], weights[i])[1])
+
+
 # ---------------------------------------------------------------------------
 # degree PE interpolation
 
@@ -465,15 +519,83 @@ def test_grit_pair_aggregation_matches_elementwise_formula(monkeypatch):
 
 
 def test_grit_last_layer_skips_pair_update():
-    rng = np.random.default_rng(22)
-    a = interior_adjacency(rng, 7)
-    m = build_model("grit", "node", 5, 3, seed=0, **SMALL["grit"])
-    eback = m.p(f"l{m.hparams['layers'] - 1}.eback")
-    with Tape() as tape:
-        m.forward(Tensor(a, requires_grad=True), rng.standard_normal((7, 5)), RelaxToggles())
-        assert tape.nodes
-        readers = [node.op for node in tape.nodes if any(t is eback for t in node.inputs)]
-    assert readers == []
+    for layers in (1, 2, 3):
+        m = build_model("grit", "node", 5, 3, seed=0, layers=layers, **SMALL["grit"])
+        ebacks = sorted(name for name in m.params if name.endswith(".eback"))
+        assert ebacks == [f"l{l}.eback" for l in range(layers - 1)]
+
+
+def composed_grit_forward(m, atilde, features, toggles=RelaxToggles(), node_probs=None):
+    """GRIT's forward with a composed rrwp and each head's value projection
+    applied to every pair before aggregation: the oracle for ``GRIT.forward``."""
+    from gtattack.models import grit
+    from gtattack.models.common import attention_nodeprob_bias, linear
+
+    a = ad.as_tensor(atilde)
+    n = a.shape[-1]
+    lead = a.shape[:-2]
+    k, de = m.hparams["walk_length"], m.hparams["pair_dim"]
+    p = composed_rrwp(a, k)
+    if not toggles.grit_rrwp_grad:
+        p = ad.stop_gradient(p)
+    p2d = ad.reshape(p, lead + (n * n, k))
+    node_pe = ad.matmul(ad.gather_rows(p2d, np.arange(n) * (n + 1)), m.p("pe_node.w"))
+    h = ad.add(linear(ad.as_tensor(features), m.p("x.w"), m.p("x.b")), node_pe)
+    e2d = linear(p2d, m.p("pe_pair.w"), m.p("pe_pair.b"))
+    deg = ad.tsum(a, axis=-1)
+    if not toggles.grit_deg_grad:
+        deg = ad.stop_gradient(deg)
+    log_deg = ad.reshape(ad.tlog(ad.add(deg, Tensor(np.ones(n)))), lead + (n, 1))
+    lp = log_prob_row(node_probs) if node_probs is not None and toggles.node_prob_bias else None
+    layers = m.hparams["layers"]
+    for l in range(layers):
+        qk = ad.outer_add(ad.matmul(h, m.p(f"l{l}.wq")), ad.matmul(h, m.p(f"l{l}.wk")))
+        ew = ad.reshape(ad.matmul(e2d, m.p(f"l{l}.ew")), lead + (n, n, de))
+        eb = ad.reshape(ad.matmul(e2d, m.p(f"l{l}.eb")), lead + (n, n, de))
+        pair2d = ad.reshape(ad.relu(ad.add(ad.mul(qk, ew), eb)), lead + (n * n, de))
+        outs = []
+        for hh in range(m.hparams["heads"]):
+            w = ad.reshape(ad.matmul(pair2d, m.p(f"l{l}.h{hh}.score")), lead + (n, n))
+            alpha = attention_nodeprob_bias(w, lp)
+            v_h = ad.matmul(h, m.p(f"l{l}.h{hh}.wv"))
+            ev_h = ad.reshape(ad.matmul(pair2d, m.p(f"l{l}.h{hh}.ev")), lead + (n, n, -1))
+            outs.append(ad.add(ad.matmul(alpha, v_h), grit._pair_aggregate(alpha, ev_h)))
+        attn = ad.matmul(ad.concat(outs, axis=-1), m.p(f"l{l}.wo"))
+        scaled = ad.add(ad.mul(attn, m.p(f"l{l}.theta1")),
+                        ad.mul(log_deg, ad.mul(attn, m.p(f"l{l}.theta2"))))
+        h = m._block(h, scaled, l)
+        if l < layers - 1:
+            e2d = ad.add(e2d, ad.matmul(pair2d, m.p(f"l{l}.eback")))
+    return m._readout(h, node_probs)
+
+
+@pytest.mark.parametrize("rrwp_grad", [True, False])
+def test_grit_forward_equals_composed_oracle(rrwp_grad):
+    """Relaxed outputs, stacked discrete outputs and every gradient (the
+    adjacency's and each parameter's) agree with the composed oracle to
+    1e-12 relative.  Entries that are sums which cancel (a parameter
+    gradient of 1e-4 beside entries of 10) carry rounding of the array's
+    scale, so the absolute floor is 1e-12 of each array's largest entry."""
+    rng = np.random.default_rng(23)
+    a = interior_adjacency(rng, 9)
+    feats = rng.standard_normal((9, 5))
+    probs = rng.uniform(0.2, 1.0, size=9)
+    stack = np.stack([random_discrete(rng, 9)[0] for _ in range(3)])
+    toggles = RelaxToggles(grit_rrwp_grad=rrwp_grad)
+    m = build_model("grit", "node", 5, 3, seed=0)
+    for t in m.params.values():
+        t.requires_grad = True
+    results = []
+    for forward in (m.forward, lambda *args, **kw: composed_grit_forward(m, *args, **kw)):
+        at = Tensor(a, requires_grad=True)
+        out = forward(at, feats, toggles, node_probs=Tensor(probs))
+        grads = backward(ad.tsum(ad.mul(out, out)))
+        with ad.no_grad():
+            discrete = forward(Tensor(stack), np.stack([feats] * 3), RelaxToggles.none()).data
+        results.append([out.data, discrete, grads[at].data]
+                       + [grads[t].data for t in m.params.values()])
+    for new, old in zip(*results):
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12 * np.abs(old).max())
 
 
 # ---------------------------------------------------------------------------
