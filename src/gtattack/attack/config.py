@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graphs import Graph, upper_triangle_pairs
+from ..graphs import Graph, read_json, upper_triangle_pairs, write_json
 from ..models import RelaxToggles
 
 __all__ = [
@@ -109,7 +108,7 @@ class PerturbationResult:
     toggles: dict
     mode: str
     constraint: str
-    attack_kind: str = "adaptive"  # adaptive | random | transfer
+    attack_kind: str = "adaptive"  # adaptive | random
 
     def to_doc(self) -> dict:
         return dict(vars(self))
@@ -119,10 +118,8 @@ class PerturbationResult:
         return cls(**doc)
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_doc(), sort_keys=True))
+        write_json(path, self.to_doc())
 
     @classmethod
     def load(cls, path: str) -> "PerturbationResult":
-        with open(path) as fh:
-            return cls.from_doc(json.load(fh))
+        return cls.from_doc(read_json(path))

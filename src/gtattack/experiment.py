@@ -39,7 +39,7 @@ from .generators import (
     make_cluster_dataset,
     make_tree_dataset,
 )
-from .graphs import Dataset, load_dataset, save_dataset
+from .graphs import Dataset, load_dataset, read_json, save_dataset, write_json
 from .models import GraphModel, RelaxToggles, build_model, model_from_doc, save_checkpoint
 from .train import TrainConfig, evaluate_accuracy, train_model
 
@@ -167,11 +167,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                return cls.from_doc(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.from_doc(read_json(path))
 
     def hash(self) -> str:
         doc = {
@@ -215,14 +211,11 @@ class ResultsTable:
         return [r["accuracy"] for r in self.rows if all(r[k] == v for k, v in kw.items())]
 
     def save(self, path: str) -> None:
-        doc = {"config_hash": self.config_hash, "rows": self.rows}
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc, sort_keys=True))
+        write_json(path, {"config_hash": self.config_hash, "rows": self.rows})
 
     @classmethod
     def load(cls, path: str) -> "ResultsTable":
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         return cls(rows=doc["rows"], config_hash=doc.get("config_hash", ""))
 
 
@@ -266,10 +259,8 @@ def _load_or_generate(cfg: ExperimentConfig) -> Dataset:
     split = os.path.join(path, "split.json")
     if not os.path.exists(split):
         return cmd_generate(cfg)
-    ds = load_dataset(path)
-    with open(split) as fh:
-        _check_stamp(json.load(fh), _stamp(cfg.dataset), split, "generate")
-    return ds
+    _check_stamp(read_json(split), _stamp(cfg.dataset), split, "generate")
+    return load_dataset(path)
 
 
 def cmd_train(cfg: ExperimentConfig) -> dict[str, GraphModel]:
@@ -295,8 +286,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict[str, GraphModel]:
         history["test_acc"] = evaluate_accuracy(model, ds.part("test"))
         save_checkpoint(model, os.path.join(ckpt_dir, f"{spec.arch}.json"),
                         stamp=_stamp(cfg.dataset, vars(spec)))
-        with open(os.path.join(ckpt_dir, f"{spec.arch}.history.json"), "w") as fh:
-            fh.write(json.dumps(history, sort_keys=True))
+        write_json(os.path.join(ckpt_dir, f"{spec.arch}.history.json"), history)
         models[spec.arch] = model
     return models
 
@@ -308,11 +298,12 @@ def _load_models(cfg: ExperimentConfig) -> dict[str, GraphModel]:
         path = os.path.join(ckpt_dir, f"{spec.arch}.json")
         if not os.path.exists(path):
             raise ConfigError(f"missing checkpoint {path}; run train first")
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         _check_stamp(doc, _stamp(cfg.dataset, vars(spec)), path, "train")
         try:
             models[spec.arch] = model_from_doc(doc)
+        except KeyError as exc:
+            raise ConfigError(f"{path}: checkpoint lacks key {exc}; rerun train") from exc
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}; rerun train") from exc
     return models

@@ -30,6 +30,8 @@ __all__ = [
     "load_graph",
     "save_dataset",
     "load_dataset",
+    "write_json",
+    "read_json",
     "upper_triangle_pairs",
     "connected_components",
     "is_connected",
@@ -43,7 +45,8 @@ class GraphValidationError(ValueError):
 
 
 class GraphParseError(ValueError):
-    """A graph file could not be parsed; message carries field context."""
+    """A JSON artifact (config, graph, split, checkpoint, results) cannot be read,
+    is not an object, or holds a malformed graph field; the message names the file."""
 
 
 @dataclass
@@ -202,6 +205,27 @@ def is_connected(a: np.ndarray) -> bool:
 # file I/O (JSON; edges stored as upper triangle only)
 
 
+def write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` to ``path`` as compact JSON with sorted keys."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, sort_keys=True))
+
+
+def read_json(path: str) -> dict:
+    """The JSON object in ``path``; GraphParseError naming the file when it
+    cannot be read, is not JSON or its top level is not an object."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise GraphParseError(f"{path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise GraphParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise GraphParseError(f"{path}: top-level value must be an object")
+    return doc
+
+
 def _graph_to_doc(g: Graph) -> dict:
     iu, ju = np.triu_indices(g.n, k=1)
     mask = g.adjacency[iu, ju] != 0.0
@@ -272,19 +296,11 @@ def _graph_from_doc(doc: dict, context: str) -> Graph:
 
 
 def save_graph(g: Graph, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(_graph_to_doc(g), sort_keys=True))
+    write_json(path, _graph_to_doc(g))
 
 
 def load_graph(path: str) -> Graph:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise GraphParseError(f"{path}: top-level value must be an object")
-    return _graph_from_doc(doc, path)
+    return _graph_from_doc(read_json(path), path)
 
 
 def _graph_files(directory: str) -> list[str]:
@@ -304,19 +320,11 @@ def save_dataset(ds: Dataset, directory: str, stamp: str | None = None) -> None:
     doc = {"task": ds.task, **ds.split}
     if stamp is not None:
         doc["stamp"] = stamp
-    with open(os.path.join(directory, "split.json"), "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True))
+    write_json(os.path.join(directory, "split.json"), doc)
 
 
 def load_dataset(directory: str) -> Dataset:
-    split_path = os.path.join(directory, "split.json")
-    try:
-        with open(split_path) as fh:
-            split_doc = json.load(fh)
-    except FileNotFoundError:
-        raise GraphParseError(f"{split_path}: missing split file")
-    except json.JSONDecodeError as exc:
-        raise GraphParseError(f"{split_path}: line {exc.lineno}: {exc.msg}") from exc
+    split_doc = read_json(os.path.join(directory, "split.json"))
     graphs = [load_graph(os.path.join(directory, f)) for f in _graph_files(directory)]
     split = {k: split_doc[k] for k in ("train", "val", "test")}
     return Dataset(graphs=graphs, split=split, task=split_doc["task"])

@@ -8,8 +8,7 @@ writes (see ``experiment``).
 
 from __future__ import annotations
 
-import json
-
+from ..graphs import read_json, write_json
 from ..spectral import SpectralReference
 from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, pool_weighted
 from .gcn import GCN
@@ -55,13 +54,11 @@ def build_model(arch: str, task: str, feature_dim: int, n_classes: int,
 def save_checkpoint(model: GraphModel, path: str, stamp: str | None = None) -> None:
     """The model's document, plus ``stamp`` when given."""
     doc = model.to_doc() if stamp is None else {**model.to_doc(), "stamp": stamp}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True))
+    write_json(path, doc)
 
 
 def load_checkpoint(path: str) -> GraphModel:
-    with open(path) as fh:
-        return model_from_doc(json.load(fh))
+    return model_from_doc(read_json(path))
 
 
 def model_from_doc(doc: dict) -> GraphModel:

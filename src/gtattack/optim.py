@@ -10,6 +10,8 @@ from .autodiff import Tensor
 
 __all__ = ["AdamState", "adam_step"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -27,10 +29,7 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[dict[str, Tensor], AdamState]:
+) -> None:
     """One Adam update with bias correction; parameters are updated in place.
 
     Missing gradient entries count as zero.  The update runs once over all
@@ -45,8 +44,7 @@ def adam_step(
     parts = []
     for name, p in params.items():
         g = grads.get(name)
-        g = np.zeros(p.data.shape) if g is None else np.asarray(
-            g.data if isinstance(g, Tensor) else g, dtype=np.float64)
+        g = np.zeros(p.data.shape) if g is None else np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ValueError(
                 f"adam_step: gradient shape {g.shape} != param shape {p.data.shape} for {name!r}"
@@ -56,21 +54,20 @@ def adam_step(
     state.t += 1
     # in place: at a transformer's parameter count each temporary is fresh pages
     m, v = state.m, state.v
-    step = (1.0 - beta1) * g
-    m *= beta1
+    step = (1.0 - BETA1) * g
+    m *= BETA1
     m += step
-    np.multiply(1.0 - beta2, g, out=step)
+    np.multiply(1.0 - BETA2, g, out=step)
     step *= g
-    v *= beta2
+    v *= BETA2
     v += step
-    np.divide(m, 1.0 - beta1**state.t, out=step)
+    np.divide(m, 1.0 - BETA1**state.t, out=step)
     step *= lr
-    np.divide(v, 1.0 - beta2**state.t, out=g)
+    np.divide(v, 1.0 - BETA2**state.t, out=g)
     np.sqrt(g, out=g)
-    g += eps
+    g += EPS
     step /= g
     offset = 0
     for p, size in zip(params.values(), sizes):
         p.data -= step[offset:offset + size].reshape(p.data.shape)
         offset += size
-    return params, state

@@ -111,6 +111,8 @@ def rspd_matrix(atilde: Tensor) -> Tensor:
     r = reciprocal_weights(atilde.data)
     dist, nxt = shortest_paths_kernel(r, _TIE_TOL)
     out = Tensor(dist)
+    if not ad._live(atilde):
+        return out
     a_data = atilde.data
 
     def vjp(g):

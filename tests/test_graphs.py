@@ -23,8 +23,10 @@ from gtattack.graphs import (
     is_connected,
     laplacian_sym,
     load_graph,
+    read_json,
     save_graph,
     upper_triangle_pairs,
+    write_json,
 )
 from gtattack.spectral import eig_sym
 
@@ -242,6 +244,28 @@ def test_truncated_file_is_parse_error(tmp_path):
     path.write_text('{"n": 3, "edges": [[0, 1, 1.0')
     with pytest.raises(GraphParseError, match="line"):
         load_graph(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file or directory"),
+    ('{"n": 3, "edges": [[0, 1', "line 1, col"),
+    ("[1]", "top-level value must be an object"),
+], ids=["missing", "truncated", "not_an_object"])
+def test_read_json_raises_parse_error_naming_the_file(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(GraphParseError, match=message) as exc:
+        read_json(str(path))
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_write_json_writes_compact_json_with_sorted_keys(tmp_path):
+    doc = {"b": [1, 2.5, None, float("inf")], "a": {"y": True, "x": "s"}}
+    path = tmp_path / "doc.json"
+    write_json(str(path), doc)
+    assert path.read_text() == json.dumps(doc, sort_keys=True)
+    assert read_json(str(path)) == doc
 
 
 def test_lower_triangle_edge_rejected(tmp_path):

@@ -674,6 +674,17 @@ def test_cli_attack_rejects_dataset_of_another_config(tmp_path, capsys):
     assert not os.path.exists(os.path.join(doc["out"], "results.json"))
 
 
+def test_cli_reports_stale_dataset_before_parsing_its_graphs(tmp_path, capsys):
+    doc = tiny_config(tmp_path)
+    assert cli_main(["generate", "--config", write_config(tmp_path, doc)]) == 0
+    graph = Path(doc["out"], "dataset", "graph_00000.json")
+    graph.write_text(graph.read_text()[:10])
+    doc["dataset"]["seed"] = 6
+    assert cli_main(["train", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "split.json was made from another config" in err and "rerun generate" in err
+
+
 def test_cli_attack_rejects_checkpoint_of_another_config(tmp_path, capsys):
     doc = tiny_config(tmp_path, seeds=[0], budgets=[0.05])
     assert cli_main(["train", "--config", write_config(tmp_path, doc)]) == 0
@@ -713,6 +724,50 @@ def test_cli_attack_rejects_checkpoint_with_bad_parameters(tmp_path, capsys, edi
     err = capsys.readouterr().err
     assert f"grit.json: checkpoint {message}; rerun train" in err
     assert not os.path.exists(os.path.join(doc["out"], "results.json"))
+
+
+# ---------------------------------------------------------------------------
+# broken artifacts: a stage exits 2 naming the file it cannot read
+
+
+@pytest.fixture(scope="module")
+def cli_swept(tmp_path_factory):
+    """train, attack and ablate through the CLI on a tiny cluster config."""
+    tmp_path = tmp_path_factory.mktemp("cli")
+    doc = tiny_config(tmp_path, seeds=[0], budgets=[0.05], ablate_budget=0.05)
+    cfg_path = write_config(tmp_path, doc)
+    for stage in ("train", "attack", "ablate"):
+        assert cli_main([stage, "--config", cfg_path]) == 0
+    return cfg_path, doc["out"]
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _without_hparams(text):
+    doc = json.loads(text)
+    del doc["hparams"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("stage,name,edit", [
+    ("attack", os.path.join("checkpoints", "gcn.json"), _truncate),
+    ("attack", os.path.join("checkpoints", "gcn.json"), _without_hparams),
+    ("report", "results.json", _truncate),
+    ("report", "results.json", lambda text: "[1]"),
+    ("report", "ablation.json", _truncate),
+], ids=["truncated_checkpoint", "checkpoint_without_hparams", "truncated_results",
+        "results_not_an_object", "truncated_ablation"])
+def test_cli_broken_artifact_exits_2_naming_it(cli_swept, tmp_path, capsys, stage, name, edit):
+    cfg_path, out = cli_swept
+    copy = str(tmp_path / "run")
+    shutil.copytree(out, copy)
+    path = Path(copy, name)
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert cli_main([stage, "--config", cfg_path, "--out", copy]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 def test_unstamped_dataset_is_rejected(tmp_path):

@@ -287,6 +287,29 @@ def test_rspd_matrix_matches_all_pairs_and_proxy_gradients():
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_rspd_matrix_records_a_node_only_for_a_live_input():
+    a = sym([[0.0, 1.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])  # the path 0 - 1 - 2
+    res = all_pairs_shortest(reciprocal_weights(a))
+    with ad.no_grad():
+        d = rspd_matrix(Tensor(a.copy(), requires_grad=True))
+    assert d.node is None and not d.requires_grad
+    np.testing.assert_array_equal(d.data, res.rspd)
+    with ad.Tape() as tape:
+        d = rspd_matrix(Tensor(a.copy()))
+        assert d.node is None and not d.requires_grad and tape.nodes == []
+        at = Tensor(a.copy(), requires_grad=True)
+        d = rspd_matrix(at)
+        assert [node.op for node in tape.nodes] == ["rspd_matrix"]
+        got = backward(ad.tsum(d))[at].data
+    want = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                leaf = Tensor(a.copy(), requires_grad=True)
+                want += backward(path_sum_proxy(leaf, res, i, j))[leaf].data
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
 def test_next_hops_are_edges_at_lengths_near_one_over_edge_eps():
     # paths of length ~1e7: Floyd-Warshall's sum and the next-hop test's sum
     # round one ulp apart (~3.7e-9, more than the tie tolerance), so row 7
