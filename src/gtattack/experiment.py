@@ -39,7 +39,15 @@ from .generators import (
     make_cluster_dataset,
     make_tree_dataset,
 )
-from .graphs import Dataset, load_dataset, read_json, save_dataset, write_json
+from .graphs import (
+    Dataset,
+    GraphParseError,
+    load_dataset,
+    read_json,
+    require_keys,
+    save_dataset,
+    write_json,
+)
 from .models import GraphModel, RelaxToggles, build_model, model_from_doc, save_checkpoint
 from .train import TrainConfig, evaluate_accuracy, train_model
 
@@ -191,6 +199,10 @@ class ExperimentConfig:
 # results table
 
 
+# the keys of a results row, in the order ``ResultsTable.add`` takes their values
+ROW_KEYS = ("model", "attack", "budget", "toggles", "seed", "accuracy")
+
+
 @dataclass
 class ResultsTable:
     """Flat rows keyed by (model, attack, budget, toggles, seed) -> accuracy."""
@@ -202,10 +214,7 @@ class ResultsTable:
             accuracy: float) -> None:
         if not 0.0 <= accuracy <= 100.0:
             raise ValueError(f"accuracy {accuracy} outside [0, 100]")
-        self.rows.append({
-            "model": model, "attack": attack, "budget": budget,
-            "toggles": toggles, "seed": seed, "accuracy": accuracy,
-        })
+        self.rows.append(dict(zip(ROW_KEYS, (model, attack, budget, toggles, seed, accuracy))))
 
     def cell(self, **kw) -> list[float]:
         return [r["accuracy"] for r in self.rows if all(r[k] == v for k, v in kw.items())]
@@ -215,8 +224,18 @@ class ResultsTable:
 
     @classmethod
     def load(cls, path: str) -> "ResultsTable":
+        """The table in ``path``; GraphParseError naming the file when it
+        lacks ``rows``, or a row is not an object with every key ``add`` writes."""
         doc = read_json(path)
-        return cls(rows=doc["rows"], config_hash=doc.get("config_hash", ""))
+        require_keys(doc, ("rows",), path)
+        rows = doc["rows"]
+        if not isinstance(rows, list):
+            raise GraphParseError(f"{path}: rows must be a list")
+        for i, row in enumerate(rows):
+            if not isinstance(row, dict):
+                raise GraphParseError(f"{path}: rows[{i}] must be an object")
+            require_keys(row, ROW_KEYS, path, f"rows[{i}] ")
+        return cls(rows=rows, config_hash=doc.get("config_hash", ""))
 
 
 def toggles_label(t: RelaxToggles) -> str:

@@ -32,6 +32,7 @@ __all__ = [
     "load_dataset",
     "write_json",
     "read_json",
+    "require_keys",
     "upper_triangle_pairs",
     "connected_components",
     "is_connected",
@@ -46,7 +47,8 @@ class GraphValidationError(ValueError):
 
 class GraphParseError(ValueError):
     """A JSON artifact (config, graph, split, checkpoint, results) cannot be read,
-    is not an object, or holds a malformed graph field; the message names the file."""
+    is not an object, lacks a key its reader needs, or holds a malformed graph
+    field; the message names the file."""
 
 
 @dataclass
@@ -226,6 +228,14 @@ def read_json(path: str) -> dict:
     return doc
 
 
+def require_keys(doc: dict, keys, path: str, where: str = "") -> None:
+    """GraphParseError naming ``path`` (and ``where`` in it) at the first of
+    ``keys`` that the object ``doc`` lacks."""
+    for key in keys:
+        if key not in doc:
+            raise GraphParseError(f"{path}: {where}lacks key {key!r}")
+
+
 def _graph_to_doc(g: Graph) -> dict:
     iu, ju = np.triu_indices(g.n, k=1)
     mask = g.adjacency[iu, ju] != 0.0
@@ -324,7 +334,9 @@ def save_dataset(ds: Dataset, directory: str, stamp: str | None = None) -> None:
 
 
 def load_dataset(directory: str) -> Dataset:
-    split_doc = read_json(os.path.join(directory, "split.json"))
+    split_path = os.path.join(directory, "split.json")
+    split_doc = read_json(split_path)
+    require_keys(split_doc, ("train", "val", "test", "task"), split_path)
     graphs = [load_graph(os.path.join(directory, f)) for f in _graph_files(directory)]
     split = {k: split_doc[k] for k in ("train", "val", "test")}
     return Dataset(graphs=graphs, split=split, task=split_doc["task"])

@@ -13,9 +13,9 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, linear, log_prob_row
+from .common import GraphModel, RelaxToggles, linear, log_prob_row
 
-__all__ = ["GRIT", "rrwp"]
+__all__ = ["GRIT", "rrwp", "pair_activation", "pair_attention"]
 
 
 def rrwp(atilde: Tensor | np.ndarray, k: int) -> Tensor:
@@ -58,13 +58,156 @@ def rrwp(atilde: Tensor | np.ndarray, k: int) -> Tensor:
     return ad._record("rrwp", out, (a,), (vjp,))
 
 
-def _pair_aggregate(alpha: Tensor, ev: Tensor) -> Tensor:
-    """out[..., i, :] = sum_j alpha[..., i, j] * ev[..., i, j, :] for
-    attention (..., n, n) and pair values (..., n, n, d): one batched
-    (1, n) @ (n, d) matmul per row."""
-    rows = alpha.shape[:-1]
-    out = ad.matmul(ad.reshape(alpha, rows + (1, alpha.shape[-1])), ev)
-    return ad.reshape(out, rows + (ev.shape[-1],))
+def _once(fn):
+    """``fn(g)``, computed once per upstream gradient.
+
+    ``backward`` calls a node's input VJPs in turn with one gradient array,
+    so the terms several inputs' gradients share are computed by the first
+    VJP that needs them; the memo holds that array, so the identity check
+    cannot match a recycled one.
+    """
+    memo = [None, None]
+
+    def get(g):
+        if memo[0] is not g:
+            memo[:] = g, fn(g)
+        return memo[1]
+
+    return get
+
+
+def _param_grad(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Gradient of a parameter w in y = x @ w, summed over x's leading axes."""
+    return x.reshape(-1, x.shape[-1]).T @ gy.reshape(-1, gy.shape[-1])
+
+
+def pair_activation(h, e2d, wq, wk, ew, eb) -> Tensor:
+    """relu((q_i + k_j) * (e_ij W_ew) + e_ij W_eb) with q = h Wq, k = h Wk,
+    for node states h (..., n, d) and pair states e2d (..., n*n, de), as
+    one differentiable op of shape (..., n, n, de).
+
+    The forward repeats the composed chain (matmul, outer_add, mul, add,
+    relu) expression for expression, so its values equal it bit for bit.
+    """
+    h, e2d, wq, wk, ew, eb = map(ad.as_tensor, (h, e2d, wq, wk, ew, eb))
+    n = h.shape[-2]
+    pair_shape = h.shape[:-2] + (n, n, ew.shape[-1])
+    # q_i + k_j, with q repeated row by row: the adds of the broadcast sum
+    # q[..., :, None, :] + k[..., None, :, :], over longer inner loops
+    qk = np.repeat(h.data @ wq.data, n, axis=-2).reshape(pair_shape)
+    qk += (h.data @ wk.data)[..., None, :, :]
+    ewv = (e2d.data @ ew.data).reshape(pair_shape)
+    act = qk * ewv
+    act += (e2d.data @ eb.data).reshape(pair_shape)
+    act = np.maximum(act, 0.0, out=act)
+    out = Tensor(act)
+    if not ad._live(h, e2d, wq, wk, ew, eb):
+        return out
+    flat = e2d.shape[:-1] + (-1,)
+    gate = _once(lambda g: g * (act > 0.0))  # relu's VJP: act > 0 exactly where its input is
+    grad_ew = _once(lambda g: (gate(g) * qk).reshape(flat))
+
+    def grad_qk(g):  # gradients of q (a sum over j, as a matmul) and of k
+        gqk = gate(g) * ewv
+        return np.ones(n) @ gqk, gqk.sum(axis=-3)
+
+    grad_qk = _once(grad_qk)
+
+    def vjp_h(g):
+        gq, gk = grad_qk(g)
+        return gq @ wq.data.T + gk @ wk.data.T
+
+    def vjp_e2d(g):
+        return grad_ew(g) @ ew.data.T + gate(g).reshape(flat) @ eb.data.T
+
+    return ad._record("pair_activation", out, (h, e2d, wq, wk, ew, eb), (
+        vjp_h, vjp_e2d,
+        lambda g: _param_grad(h.data, grad_qk(g)[0]),
+        lambda g: _param_grad(h.data, grad_qk(g)[1]),
+        lambda g: _param_grad(e2d.data, grad_ew(g)),
+        lambda g: _param_grad(e2d.data, gate(g))))
+
+
+def pair_attention(h, pair, lp, heads, wo) -> Tensor:
+    """concat_h(alpha_h (h W_v,h) + (sum_j alpha_h,ij pair_ij) W_ev,h) @ W_o
+    with alpha_h = softmax(pair @ score_h + lp) over j, for node states h
+    (..., n, d), pair activations (..., n, n, de), a log-probability bias
+    ``lp`` broadcasting to (..., n, n) or None, and ``heads`` a sequence of
+    (W_v, score, W_ev) parameter triples; one differentiable op of h's shape.
+
+    Each head aggregates its pair activations before the value projection,
+    which equals sum_j alpha_ij (pair_ij W_ev) by linearity.  The forward
+    repeats the composed chain (matmul, add, softmax, a (1, n) @ (n, de)
+    matmul per row, matmul, add, concat, matmul) expression for expression,
+    so its values equal it bit for bit.
+    """
+    h, pair, wo = ad.as_tensor(h), ad.as_tensor(pair), ad.as_tensor(wo)
+    lp = None if lp is None else ad.as_tensor(lp)
+    heads = [tuple(map(ad.as_tensor, head)) for head in heads]
+    lead = h.shape[:-2]
+    n = h.shape[-2]
+    pair2d = pair.data.reshape(lead + (n * n, pair.shape[-1]))
+    alphas, values, aggs, outs = [], [], [], []
+    for wv, score, ev in heads:
+        w = (pair2d @ score.data).reshape(lead + (n, n))
+        # autodiff's softmax of an untracked array: its arithmetic, no node
+        alpha = ad.softmax(w if lp is None else w + lp.data).data
+        v = h.data @ wv.data
+        agg = (alpha.reshape(lead + (n, 1, n)) @ pair.data).reshape(lead + (n, -1))
+        outs.append(alpha @ v + agg @ ev.data)
+        alphas.append(alpha)
+        values.append(v)
+        aggs.append(agg)
+    cat = np.concatenate(outs, axis=-1)
+    out = Tensor(cat @ wo.data)
+    bias = () if lp is None else (lp,)
+    params = [t for head in heads for t in head]
+    if not ad._live(h, pair, *bias, *params, wo):
+        return out
+    bounds = np.cumsum([0] + [o.shape[-1] for o in outs])
+
+    def head_grads(g):
+        """Per head, the gradients of its output slice, of its aggregate and
+        of its scores before the softmax."""
+        gcat = g @ wo.data.T
+        gos = [gcat[..., lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        gaggs = [go @ ev.data.T for go, (_, _, ev) in zip(gos, heads)]
+        # every head's sum_c pair_ijc gagg_ic as one batched matmul
+        through_agg = pair.data @ np.stack(gaggs, axis=-1)
+        gscores = []
+        for i, (go, alpha, v) in enumerate(zip(gos, alphas, values)):
+            galpha = go @ v.swapaxes(-1, -2) + through_agg[..., i]
+            gscores.append(alpha * (galpha - (galpha * alpha).sum(axis=-1, keepdims=True)))
+        return gos, gaggs, gscores
+
+    head_grads = _once(head_grads)
+    grad_values = _once(lambda g: [alpha.swapaxes(-1, -2) @ go
+                                   for alpha, go in zip(alphas, head_grads(g)[0])])
+
+    def vjp_h(g):
+        return sum(gv @ wv.data.T for gv, (wv, _, _) in zip(grad_values(g), heads))
+
+    def vjp_pair(g):
+        # sum_h alpha_h,ij gagg_h,i + gscore_h,ij score_h, one (2H) @ (2H, de) per row
+        _, gaggs, gscores = head_grads(g)
+        weights = np.stack(alphas + gscores, axis=-1)
+        rows = np.stack(gaggs, axis=-2)
+        scores = np.broadcast_to(np.concatenate([s.data.T for _, s, _ in heads]),
+                                 rows.shape[:-2] + (len(heads), rows.shape[-1]))
+        return weights @ np.concatenate((rows, scores), axis=-2)
+
+    def vjp_lp(g):
+        return ad._unbroadcast(sum(head_grads(g)[2]), lp.shape)
+
+    def head_vjps(i):
+        return (lambda g: _param_grad(h.data, grad_values(g)[i]),
+                lambda g: _param_grad(pair.data, head_grads(g)[2][i][..., None]),
+                lambda g: _param_grad(aggs[i], head_grads(g)[0][i]))
+
+    vjps = [vjp_h, vjp_pair] + ([vjp_lp] if bias else [])
+    vjps += [vjp for i in range(len(heads)) for vjp in head_vjps(i)]
+    vjps.append(lambda g: _param_grad(cat, g))
+    return ad._record("pair_attention", out, (h, pair, *bias, *params, wo), tuple(vjps))
 
 
 class GRIT(GraphModel):
@@ -113,7 +256,6 @@ class GRIT(GraphModel):
         layers = self.hparams["layers"]
         heads = self.hparams["heads"]
         k = self.hparams["walk_length"]
-        de = self.hparams["pair_dim"]
 
         p = rrwp(a if toggles.grit_rrwp_grad else ad.stop_gradient(a), k)
         p2d = ad.reshape(p, lead + (n * n, k))
@@ -132,28 +274,15 @@ class GRIT(GraphModel):
             lp = log_prob_row(node_probs)
 
         for l in range(layers):
-            # pair-conditioned activation: relu((q_i + k_j) * (W e_ij) + W' e_ij)
-            q = ad.matmul(h, self.p(f"l{l}.wq"))
-            kk = ad.matmul(h, self.p(f"l{l}.wk"))
-            qk = ad.outer_add(q, kk)
-            ew = ad.reshape(ad.matmul(e2d, self.p(f"l{l}.ew")), lead + (n, n, de))
-            eb = ad.reshape(ad.matmul(e2d, self.p(f"l{l}.eb")), lead + (n, n, de))
-            pairact = ad.relu(ad.add(ad.mul(qk, ew), eb))
-            pair2d = ad.reshape(pairact, lead + (n * n, de))
-            outs = []
-            for hh in range(heads):
-                w = ad.reshape(ad.matmul(pair2d, self.p(f"l{l}.h{hh}.score")), lead + (n, n))
-                alpha = attention_nodeprob_bias(w, lp)
-                v_h = ad.matmul(h, self.p(f"l{l}.h{hh}.wv"))
-                # sum_j alpha_ij (pairact_ij @ ev) == (sum_j alpha_ij pairact_ij) @ ev
-                ev_h = ad.matmul(_pair_aggregate(alpha, pairact), self.p(f"l{l}.h{hh}.ev"))
-                outs.append(ad.add(ad.matmul(alpha, v_h), ev_h))
-            attn = ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo"))
+            pair = pair_activation(h, e2d, *(self.p(f"l{l}.{w}") for w in ("wq", "wk", "ew", "eb")))
+            attn = pair_attention(h, pair, lp, [
+                tuple(self.p(f"l{l}.h{hh}.{w}") for w in ("wv", "score", "ev"))
+                for hh in range(heads)], self.p(f"l{l}.wo"))
             scaled = ad.add(
                 ad.mul(attn, self.p(f"l{l}.theta1")),
                 ad.mul(log_deg, ad.mul(attn, self.p(f"l{l}.theta2"))),
             )
             h = self._block(h, scaled, l)
             if l < layers - 1:
-                e2d = ad.add(e2d, ad.matmul(pair2d, self.p(f"l{l}.eback")))
+                e2d = ad.add(e2d, ad.matmul(ad.reshape(pair, e2d.shape), self.p(f"l{l}.eback")))
         return self._readout(h, node_probs)

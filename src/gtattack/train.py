@@ -17,9 +17,9 @@ from .spectral import eig_sym
 # cap on B * n * n for one stacked true-model forward of B graphs of n nodes.
 # On a 61-node cluster graph (147 random evaluations, 2-core x86_64) a GRIT
 # cell peaks at 42 MB RSS with 8192 and at 47 MB with 16384 (one graph at a
-# time: 39 MB), at equal time.  A no-grad GRIT forward peaks at about 69
-# floats (0.55 KB) per adjacency entry under tracemalloc: 1.9 MB for one
-# 60-node graph, 15.1 MB for a stack of 8.
+# time: 39 MB), at equal time.  A no-grad GRIT forward peaks at about 58
+# floats (0.46 KB) per adjacency entry under tracemalloc: 1.6 MiB for one
+# 60-node graph, 12.7 MiB for a stack of 8.
 EVAL_STACK_ENTRIES = 8192
 
 __all__ = [

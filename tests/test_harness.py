@@ -751,15 +751,30 @@ def _without_hparams(text):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("stage,name,edit", [
-    ("attack", os.path.join("checkpoints", "gcn.json"), _truncate),
-    ("attack", os.path.join("checkpoints", "gcn.json"), _without_hparams),
-    ("report", "results.json", _truncate),
-    ("report", "results.json", lambda text: "[1]"),
-    ("report", "ablation.json", _truncate),
+def _without(key, rows=False):
+    """An edit deleting ``key`` from the document, or from its first row."""
+    def edit(text):
+        doc = json.loads(text)
+        del (doc["rows"][0] if rows else doc)[key]
+        return json.dumps(doc)
+
+    return edit
+
+
+@pytest.mark.parametrize("stage,name,edit,said", [
+    ("attack", os.path.join("checkpoints", "gcn.json"), _truncate, ""),
+    ("attack", os.path.join("checkpoints", "gcn.json"), _without_hparams, ""),
+    ("report", "results.json", _truncate, ""),
+    ("report", "results.json", lambda text: "[1]", ""),
+    ("report", "ablation.json", _truncate, ""),
+    ("report", "results.json", lambda text: "{}", "lacks key 'rows'"),
+    ("report", "results.json", _without("seed", rows=True), "rows[0] lacks key 'seed'"),
+    ("attack", os.path.join("dataset", "split.json"), _without("train"), "lacks key 'train'"),
 ], ids=["truncated_checkpoint", "checkpoint_without_hparams", "truncated_results",
-        "results_not_an_object", "truncated_ablation"])
-def test_cli_broken_artifact_exits_2_naming_it(cli_swept, tmp_path, capsys, stage, name, edit):
+        "results_not_an_object", "truncated_ablation", "results_without_rows",
+        "results_row_without_seed", "split_without_train"])
+def test_cli_broken_artifact_exits_2_naming_it(cli_swept, tmp_path, capsys, stage, name, edit,
+                                               said):
     cfg_path, out = cli_swept
     copy = str(tmp_path / "run")
     shutil.copytree(out, copy)
@@ -767,7 +782,7 @@ def test_cli_broken_artifact_exits_2_naming_it(cli_swept, tmp_path, capsys, stag
     path.write_text(edit(path.read_text()))
     capsys.readouterr()
     assert cli_main([stage, "--config", cfg_path, "--out", copy]) == 2
-    assert f"error: {path}: " in capsys.readouterr().err
+    assert f"error: {path}: {said}" in capsys.readouterr().err
 
 
 def test_unstamped_dataset_is_rejected(tmp_path):

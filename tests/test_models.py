@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from gtattack.models import (
     rrwp,
     save_checkpoint,
 )
+from gtattack.models import grit
 from gtattack.models.common import log_prob_row
 from gtattack.generators import make_cluster_dataset
 from gtattack.paths import all_pairs_shortest, reciprocal_weights, rspd_matrix
@@ -489,33 +491,93 @@ def test_grit_toggles_cut_gradients_but_not_values():
     assert not np.allclose(grads["on"], grads["no_deg"])
 
 
-def test_grit_pair_aggregation_matches_elementwise_formula(monkeypatch):
-    from gtattack.models import grit
+def grit_op_inputs(lead):
+    """Inputs of one GRIT layer's two ops on 5 nodes, stacked over ``lead``:
+    pair states from the random-walk stack of a graph whose node 2 has
+    degree 0, and a log-probability bias whose node 4 has probability 0."""
+    rng = np.random.default_rng(41)
+    n, d, de, k = 5, 4, 3, 3
+    a = rng.uniform(0.1, 0.9, size=lead + (n, n))
+    a = a + a.swapaxes(-1, -2)
+    a[..., 2, :] = a[..., :, 2] = 0.0
+    e2d = rrwp(a, k).data.reshape(lead + (n * n, k)) @ rng.standard_normal((k, de)) + 0.3
+    probs = rng.uniform(0.2, 1.0, size=lead + (1, n))
+    probs[..., 4] = 0.0
+    with np.errstate(divide="ignore"):
+        lp = np.log(probs)
+    h = rng.standard_normal(lead + (n, d))
+    act = [rng.standard_normal(s) for s in ((d, de), (d, de), (de, de), (de, de))]
+    heads = [rng.standard_normal(s) for _ in range(2) for s in ((d, 2), (de, 1), (de, 2))]
+    return h, e2d, lp, act, heads, rng.standard_normal((d, d))
 
-    def elementwise(alpha, ev):  # sum_j alpha_ij * ev_ij as mul + sum
-        return ad.tsum(ad.mul(ad.reshape(alpha, alpha.shape + (1,)), ev), axis=-2)
 
-    rng = np.random.default_rng(21)
-    a = interior_adjacency(rng, 9)
-    feats = rng.standard_normal((9, 5))
-    probs = rng.uniform(0.2, 1.0, size=9)
-    stack = np.stack([random_discrete(rng, 9)[0] for _ in range(3)])
-    m = build_model("grit", "node", 5, 3, seed=0)
-    for t in m.params.values():
-        t.requires_grad = True
-    results = []
-    for aggregate in (grit._pair_aggregate, elementwise):
-        monkeypatch.setattr(grit, "_pair_aggregate", aggregate)
-        at = Tensor(a, requires_grad=True)
-        out = m.forward(at, feats, RelaxToggles(), node_probs=Tensor(probs))
-        grads = backward(ad.tsum(ad.mul(out, out)))
+def run_pair_attention(h, pair, lp, *rest):
+    *heads, wo = rest
+    return grit.pair_attention(h, pair, lp, [heads[i:i + 3] for i in range(0, len(heads), 3)], wo)
+
+
+def check_op_gradients(op, inputs, weights):
+    """Every input's gradient of sum(op(*inputs) * weights) against central
+    differences; returns the gradients."""
+    def loss(values):
         with ad.no_grad():
-            discrete = m.forward_discrete(stack, np.stack([feats] * 3)).data
-        results.append([out.data, discrete, grads[at].data]
-                       + [grads[t].data for t in m.params.values() if t in grads])
-    assert len(results[0]) == len(results[1])
-    for new, old in zip(*results):
-        np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+            return float((op(*values).data * weights).sum())
+
+    tensors = [Tensor(x, requires_grad=True) for x in inputs]
+    grads = backward(ad.tsum(ad.mul(op(*tensors), Tensor(weights))))
+    got = [grads[t].data for t in tensors]
+    for i, x in enumerate(inputs):
+        def moved(point, i=i):
+            return loss(inputs[:i] + [point] + inputs[i + 1:])
+
+        want = finite_difference(moved, x.copy(), 1e-6)
+        np.testing.assert_allclose(got[i], want, rtol=1e-6, atol=1e-8, err_msg=f"input {i}")
+    return got
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_pair_activation_gradients_match_finite_differences(lead):
+    h, e2d, _, act, _, _ = grit_op_inputs(lead)
+    out = grit.pair_activation(h, e2d, *act).data
+    assert out.shape == lead + (5, 5, 3)
+    assert (out == 0.0).any() and (out > 0.0).any()  # both sides of the relu
+    weights = np.random.default_rng(42).standard_normal(out.shape)
+    check_op_gradients(grit.pair_activation, [h, e2d] + act, weights)
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_pair_attention_gradients_match_finite_differences(lead):
+    """Node 4 has probability 0: its column of attention is exactly 0, so
+    the output ignores its value and pair column, and its bias gets a
+    finite zero gradient."""
+    h, e2d, lp, act, heads, wo = grit_op_inputs(lead)
+    pair = grit.pair_activation(h, e2d, *act).data
+    out = run_pair_attention(h, pair, lp, *heads, wo).data
+    moved_h, moved_pair = h.copy(), pair.copy()
+    moved_h[..., 4, :] += 1.0
+    moved_pair[..., 4, :] += 1.0
+    np.testing.assert_array_equal(run_pair_attention(moved_h, moved_pair, lp, *heads, wo).data, out)
+    weights = np.random.default_rng(43).standard_normal(out.shape)
+    gh, gpair, glp = check_op_gradients(run_pair_attention, [h, pair, lp] + heads + [wo],
+                                        weights)[:3]
+    np.testing.assert_array_equal(gh[..., 4, :], 0.0)
+    np.testing.assert_array_equal(gpair[..., 4, :], 0.0)
+    assert np.isfinite(glp).all() and (glp[..., 4] == 0.0).all()
+
+
+def test_relaxed_grit_pass_records_two_attention_nodes_per_layer():
+    rng = np.random.default_rng(44)
+    a = interior_adjacency(rng, 7)
+    for layers in (1, 2, 3):
+        m = build_model("grit", "node", 5, 3, seed=0, layers=layers, **SMALL["grit"])
+        with Tape() as tape:
+            at = Tensor(a, requires_grad=True)
+            out = m.forward(at, rng.standard_normal((7, 5)), RelaxToggles(),
+                            node_probs=Tensor(rng.uniform(0.2, 1.0, size=7), requires_grad=True))
+            backward(ad.tsum(ad.mul(out, out)))
+            ops = Counter(node.op for node in tape.nodes)
+        assert ops["pair_activation"] == ops["pair_attention"] == layers
+        assert ops["softmax"] == 0
 
 
 def test_grit_last_layer_skips_pair_update():
@@ -526,10 +588,10 @@ def test_grit_last_layer_skips_pair_update():
 
 
 def composed_grit_forward(m, atilde, features, toggles=RelaxToggles(), node_probs=None):
-    """GRIT's forward with a composed rrwp and each head's value projection
-    applied to every pair before aggregation: the oracle for ``GRIT.forward``."""
-    from gtattack.models import grit
-    from gtattack.models.common import attention_nodeprob_bias, linear
+    """GRIT's forward as a chain of autodiff primitives: a composed rrwp,
+    and per head a softmax, the value projection applied to every pair, and
+    sum_j alpha_ij ev_ij as mul + sum.  The oracle for ``GRIT.forward``."""
+    from gtattack.models.common import linear
 
     a = ad.as_tensor(atilde)
     n = a.shape[-1]
@@ -559,7 +621,8 @@ def composed_grit_forward(m, atilde, features, toggles=RelaxToggles(), node_prob
             alpha = attention_nodeprob_bias(w, lp)
             v_h = ad.matmul(h, m.p(f"l{l}.h{hh}.wv"))
             ev_h = ad.reshape(ad.matmul(pair2d, m.p(f"l{l}.h{hh}.ev")), lead + (n, n, -1))
-            outs.append(ad.add(ad.matmul(alpha, v_h), grit._pair_aggregate(alpha, ev_h)))
+            agg = ad.tsum(ad.mul(ad.reshape(alpha, alpha.shape + (1,)), ev_h), axis=-2)
+            outs.append(ad.add(ad.matmul(alpha, v_h), agg))
         attn = ad.matmul(ad.concat(outs, axis=-1), m.p(f"l{l}.wo"))
         scaled = ad.add(ad.mul(attn, m.p(f"l{l}.theta1")),
                         ad.mul(log_deg, ad.mul(attn, m.p(f"l{l}.theta2"))))
