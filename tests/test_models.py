@@ -580,6 +580,43 @@ def test_relaxed_grit_pass_records_two_attention_nodes_per_layer():
         assert ops["softmax"] == 0
 
 
+def test_grit_pair_aggregation_matches_elementwise_formula(monkeypatch):
+    from gtattack.models.common import attention_nodeprob_bias
+
+    def elementwise(h, pair, lp, heads, wo):  # sum_j alpha_ij * pair_ij as mul + sum
+        n, de = pair.shape[-2], pair.shape[-1]
+        pair2d = ad.reshape(pair, pair.shape[:-3] + (n * n, de))
+        outs = []
+        for wv, score, ev in heads:
+            w = ad.reshape(ad.matmul(pair2d, score), pair.shape[:-1])
+            alpha = attention_nodeprob_bias(w, lp)
+            agg = ad.tsum(ad.mul(ad.reshape(alpha, alpha.shape + (1,)), pair), axis=-2)
+            outs.append(ad.add(ad.matmul(alpha, ad.matmul(h, wv)), ad.matmul(agg, ev)))
+        return ad.matmul(ad.concat(outs, axis=-1), wo)
+
+    rng = np.random.default_rng(21)
+    a = interior_adjacency(rng, 9)
+    feats = rng.standard_normal((9, 5))
+    probs = rng.uniform(0.2, 1.0, size=9)
+    stack = np.stack([random_discrete(rng, 9)[0] for _ in range(3)])
+    m = build_model("grit", "node", 5, 3, seed=0)
+    for t in m.params.values():
+        t.requires_grad = True
+    results = []
+    for attention in (grit.pair_attention, elementwise):
+        monkeypatch.setattr(grit, "pair_attention", attention)
+        at = Tensor(a, requires_grad=True)
+        out = m.forward(at, feats, RelaxToggles(), node_probs=Tensor(probs))
+        grads = backward(ad.tsum(ad.mul(out, out)))
+        with ad.no_grad():
+            discrete = m.forward_discrete(stack, np.stack([feats] * 3)).data
+        results.append([out.data, discrete, grads[at].data]
+                       + [grads[t].data for t in m.params.values() if t in grads])
+    assert len(results[0]) == len(results[1])
+    for new, old in zip(*results):
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+
+
 def test_grit_last_layer_skips_pair_update():
     for layers in (1, 2, 3):
         m = build_model("grit", "node", 5, 3, seed=0, layers=layers, **SMALL["grit"])
