@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graphs import EDGE_EPS
 
-def shortest_paths_kernel(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+_TIE_TOL = 1e-9  # a neighbor is on a shortest path when within this of the distance
+
+
+def shortest_paths_kernel(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs distances and next hops on a non-negative weight matrix.
 
     ``r[u, v] = inf`` means no edge.  Distances come from Floyd-Warshall.
     ``nxt[u, j]`` is the smallest-index neighbor v of u with
-    r[u, v] + dist[v, j] <= dist[u, j] + tol, or, where rounding leaves no
-    neighbor inside ``tol`` (path lengths near 1/EDGE_EPS), the neighbor of
+    r[u, v] + dist[v, j] <= dist[u, j] + _TIE_TOL, or, where rounding leaves
+    no neighbor inside it (path lengths near 1/EDGE_EPS), the neighbor of
     least r[u, v] + dist[v, j]; -1 if unreachable, u itself when u == j.
     Greedily following nxt yields the lexicographically smallest shortest
     path.
@@ -29,14 +33,14 @@ def shortest_paths_kernel(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     nxt = np.full((n, n), -1, dtype=np.int64)
     for j in range(n):
         col = dist[:, j]
-        on_path = r + col[None, :] <= col[:, None] + tol
+        on_path = r + col[None, :] <= col[:, None] + _TIE_TOL
         nxt[:, j] = np.where(np.isfinite(col), np.argmax(on_path, axis=1), -1)
         nxt[j, j] = j
-    # a row with no neighbor inside tol, where argmax picked node 0, takes the
+    # a row with no neighbor inside _TIE_TOL, where argmax picked node 0, takes the
     # neighbor of least length instead
     cols = np.arange(n)
     hop = np.maximum(nxt, 0)
-    stray = (nxt >= 0) & ~(r[cols[:, None], hop] + dist[hop, cols] <= dist + tol)
+    stray = (nxt >= 0) & ~(r[cols[:, None], hop] + dist[hop, cols] <= dist + _TIE_TOL)
     np.fill_diagonal(stray, False)
     for u, j in zip(*np.nonzero(stray)):
         nxt[u, j] = np.argmin(r[u] + dist[:, j])
@@ -76,10 +80,10 @@ def rspd_grad_kernel(g: np.ndarray, nxt: np.ndarray, atilde: np.ndarray) -> np.n
     return grad_a
 
 
-def bfs_hops(adj: np.ndarray, edge_eps: float = 1e-9) -> np.ndarray:
-    """All-pairs hop distances on the support of ``adj``, or of each matrix
-    in a (..., n, n) stack (vectorized BFS)."""
-    conn = (adj > edge_eps).astype(np.float64)  # float matmul runs on BLAS
+def bfs_hops(adj: np.ndarray) -> np.ndarray:
+    """All-pairs hop distances over the entries > EDGE_EPS of ``adj``, or of
+    each matrix in a (..., n, n) stack (vectorized BFS)."""
+    conn = (adj > EDGE_EPS).astype(np.float64)  # float matmul runs on BLAS
     n = adj.shape[-1]
     dist = np.full(adj.shape, np.inf)
     frontier = np.broadcast_to(np.eye(n, dtype=bool), adj.shape).copy()

@@ -61,6 +61,8 @@ class AttackConfig:
             raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError(f"max_candidates must be None or >= 1, got {self.max_candidates}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def budget_from_fraction(fraction: float, num_edges: int) -> int:

@@ -8,8 +8,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..graphs import Dataset, is_connected
-from ..paths import EDGE_EPS
+from ..graphs import EDGE_EPS, Dataset, is_connected
 
 __all__ = [
     "CandidateSet",
@@ -56,24 +55,26 @@ def build_candidate_set(dataset: Dataset, attacked_graph_id: int,
     return CandidateSet(features=features, provenance=prov)
 
 
-def node_probability(atilde: Tensor, iterations: int = 3) -> Tensor:
-    """p_i <- 1 - prod_j (1 - A_ij p_j), starting from p = 1.
+NODE_PROB_ITERATIONS = 3
+
+
+def node_probability(atilde: Tensor) -> Tensor:
+    """p_i <- 1 - prod_j (1 - A_ij p_j), NODE_PROB_ITERATIONS rounds from p = 1.
 
     Nodes joined by weight-1 edges to probability-1 neighbors stay at 1
     exactly (the product hits a zero factor).  Differentiable in A.
     """
-    if iterations < 1:
-        raise ValueError("node_probability needs iterations >= 1")
     n = atilde.shape[0]
     p = Tensor(np.ones(n))
     ones = Tensor(np.ones((n, n)))
-    for _ in range(iterations):
+    for _ in range(NODE_PROB_ITERATIONS):
         factors = ad.sub(ones, ad.mul(atilde, ad.reshape(p, (1, n))))
         p = ad.sub(Tensor(np.ones(n)), ad.prod_lastdim(factors))
     return p
 
 
 def is_tree(adjacency: np.ndarray) -> bool:
+    """Whether the entries > EDGE_EPS form a spanning tree."""
     n = adjacency.shape[0]
     m = int(np.count_nonzero(np.triu(adjacency > EDGE_EPS, k=1)))
     return m == n - 1 and is_connected(adjacency)

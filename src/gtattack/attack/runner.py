@@ -174,7 +174,7 @@ def _adaptive_draws(run: AttackRun) -> tuple[list, list[float]]:
         if fresh:
             np.maximum(block.values, fresh, out=block.values)
         if (step + 1) % config.resample_every == 0 and step < config.steps - 1:
-            block = resample_block(block, 0.5, rng, run.allowed, fresh_value=fresh)
+            block = resample_block(block, rng, run.allowed, fresh_value=fresh)
             objective = run.objective(block)
     samples = sample_discrete(block, run.delta, config.n_discrete_samples, rng)
     if config.constraint == "tree_only":

@@ -15,6 +15,7 @@ __all__ = ["BlockState", "init_block", "resample_block", "prbcd_step", "sample_d
 
 # Bernoulli draws of a sample before it falls back to top-budget rounding
 MAX_RETRIES = 50
+KEEP_FRACTION = 0.5  # share of a block, its highest values, that a resample keeps
 
 
 @dataclass
@@ -55,18 +56,16 @@ def init_block(n: int, allowed: np.ndarray, block_size: int, rng: np.random.Gene
     return BlockState(n=n, pairs=allowed[pick], values=np.full(k, fresh_value))
 
 
-def resample_block(block: BlockState, keep_fraction: float, rng: np.random.Generator,
-                   allowed: np.ndarray, fresh_value: float = 0.0) -> BlockState:
-    """Keep the highest-valued entries, resample the rest uniformly.
+def resample_block(block: BlockState, rng: np.random.Generator, allowed: np.ndarray,
+                   fresh_value: float = 0.0) -> BlockState:
+    """Keep the KEEP_FRACTION highest-valued entries, resample the rest uniformly.
 
     Kept entries retain their values; fresh entries start at ``fresh_value``
     (0 for structure attacks).  No pair outside the allowed set can ever
     enter the block.
     """
-    if not 0.0 <= keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must be in [0, 1]")
     size = len(block.pairs)
-    n_keep = int(round(keep_fraction * size))
+    n_keep = int(round(KEEP_FRACTION * size))
     order = np.argsort(-block.values, kind="stable")
     kept_idx = np.sort(order[:n_keep])
     kept_pairs = block.pairs[kept_idx]

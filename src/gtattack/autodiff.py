@@ -11,9 +11,9 @@ A node is recorded only when grad is on (outside :class:`no_grad`) and an
 input is tracked (requires a gradient or was recorded); otherwise an op
 builds no closures, and ``backward`` visits tracked tensors only.  Op
 results are float64 arrays wrapped without ``Tensor()``'s conversion, and
-each VJP is chosen by shape when its node is recorded.  Binary primitives
-leave shapes to numpy's broadcast rule and re-raise its error as
-:class:`ShapeError`.
+each VJP is chosen by shape when its node is recorded.  Binary primitives,
+``where`` and ``masked_fill`` leave shapes to numpy's broadcast rule and
+re-raise its error as :class:`ShapeError`.
 
 Conventions baked in here and relied on elsewhere:
 
@@ -507,7 +507,10 @@ def softmax(a) -> Tensor:
     return _record("softmax", out, (a,), (vjp,))
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5  # added to layer_norm's variance
+
+
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale by
     ``gamma`` and shift by ``beta`` (which broadcast to ``x``'s shape); one
     node for the whole chain.
@@ -520,7 +523,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     # sum / d is the arithmetic of ndarray.mean, without its Python wrapper
     c = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    v = (c * c).sum(axis=-1, keepdims=True) / d + eps
+    v = (c * c).sum(axis=-1, keepdims=True) / d + LN_EPS
     pos = v > 0.0
     regular = pos.all()  # no NaN variance: rsqrt_safe's plain form
     v_safe = v if regular else np.where(pos, v, 1.0)
@@ -607,7 +610,10 @@ def where(mask, a, b) -> Tensor:
     """Elementwise select by a constant boolean mask (no gradient to mask)."""
     a, b = as_tensor(a), as_tensor(b)
     mask = np.asarray(mask, dtype=bool)
-    out = _wrap(np.where(mask, a.data, b.data))
+    try:
+        out = _wrap(np.where(mask, a.data, b.data))
+    except ValueError:
+        raise _shape_error("where", mask.shape, a.shape, b.shape) from None
     if not _live(a, b):
         return out
     return _binary("where", out, a, b, lambda g: np.where(mask, g, 0.0),
@@ -618,7 +624,10 @@ def masked_fill(a, mask, value: float) -> Tensor:
     """Set entries where mask is True to a constant (e.g. -inf attention mask)."""
     a = as_tensor(a)
     mask = np.asarray(mask, dtype=bool)
-    out = _wrap(np.where(mask, value, a.data))
+    try:
+        out = _wrap(np.where(mask, value, a.data))
+    except ValueError:
+        raise _shape_error("masked_fill", a.shape, mask.shape) from None
     if not _live(a):
         return out
     return _record("masked_fill", out, (a,), (lambda g: np.where(mask, 0.0, g),))
@@ -627,23 +636,6 @@ def masked_fill(a, mask, value: float) -> Tensor:
 def stop_gradient(a) -> Tensor:
     """Identity in the forward pass; blocks the backward pass entirely."""
     return _wrap(as_tensor(a).data)
-
-
-def outer_add(a, b) -> Tensor:
-    """out[..., i, j, :] = a[..., i, :] + b[..., j, :] for (..., n, d) and
-    (..., m, d) inputs with equal leading axes."""
-    a, b = as_tensor(a), as_tensor(b)
-    _shape_check(
-        "outer_add",
-        a.ndim >= 2 and b.ndim == a.ndim and a.shape[:-2] == b.shape[:-2]
-        and a.shape[-1] == b.shape[-1],
-        a.shape,
-        b.shape,
-    )
-    out = _wrap(a.data[..., None, :] + b.data[..., None, :, :])
-    if not _live(a, b):
-        return out
-    return _record("outer_add", out, (a, b), (lambda g: g.sum(axis=-2), lambda g: g.sum(axis=-3)))
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,8 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         try:  # fail before any stage runs, not at the first attack cell
-            _attack_config(self, self.budgets[0], self.seeds[0])
+            for seed in self.seeds:
+                _attack_config(self, self.budgets[0], seed)
             if self.ablate_budget is not None:
                 _attack_config(self, self.ablate_budget, self.seeds[0])
         except (TypeError, ValueError) as exc:

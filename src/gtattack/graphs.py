@@ -1,7 +1,8 @@
 """Graph data model, normalized Laplacian, edge-flip application, I/O.
 
 Adjacency matrices are dense, symmetric, zero-diagonal, with entries in
-[0, 1].  A graph is *discrete* when every entry is exactly 0 or 1; the
+[0, 1]; every edge test of the package reads an entry <= EDGE_EPS as no
+edge.  A graph is *discrete* when every entry is exactly 0 or 1; the
 relaxed attack machinery produces continuous adjacencies as
 :class:`~gtattack.autodiff.Tensor` objects so gradients can flow back to
 the edge-flip values.
@@ -19,6 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 __all__ = [
+    "EDGE_EPS",
     "Graph",
     "Dataset",
     "GraphValidationError",
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
+
+# no edge at or below this: 1/A stays finite, and sampling cannot tell it from 0
+EDGE_EPS = 1e-9
 
 
 class GraphValidationError(ValueError):
@@ -171,14 +176,14 @@ def apply_flips(adjacency: np.ndarray, pairs: np.ndarray, values: np.ndarray | T
     return ad.add(Tensor(a), delta)
 
 
-def upper_triangle_pairs(n: int, m: int | None = None) -> np.ndarray:
-    """All index pairs (i, j), i < j, of an n × m grid (m defaults to n), row-major."""
-    iu = np.triu_indices(n, k=1, m=m)
+def upper_triangle_pairs(n: int) -> np.ndarray:
+    """All index pairs (i, j), i < j < n, row-major."""
+    iu = np.triu_indices(n, k=1)
     return np.stack(iu, axis=1).astype(np.int64)
 
 
-def connected_components(a: np.ndarray, edge_eps: float = 1e-9) -> np.ndarray:
-    """Component id per node, edges being entries > edge_eps.
+def connected_components(a: np.ndarray) -> np.ndarray:
+    """Component id per node, edges being entries > EDGE_EPS.
 
     Ids are numbered in the order of each component's smallest node.  Each
     node carries a label, a node of its own component no larger than
@@ -187,7 +192,7 @@ def connected_components(a: np.ndarray, edge_eps: float = 1e-9) -> np.ndarray:
     node's label; at the fixed point every label is its component's minimum.
     """
     n = a.shape[0]
-    adj = a > edge_eps
+    adj = a > EDGE_EPS
     label = np.arange(n)
     while True:
         new = np.minimum(label, np.where(adj, label[None, :], n).min(axis=1, initial=n))

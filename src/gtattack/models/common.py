@@ -54,7 +54,10 @@ class RelaxToggles:
         names = [f.name for f in fields(cls)]
         if set(d) - set(names):
             raise ValueError(f"unknown toggles {sorted(set(d) - set(names))}; valid: {names}")
-        return cls(**{name: bool(d.get(name, True)) for name in names})
+        for name, value in d.items():
+            if not isinstance(value, bool):
+                raise TypeError(f"toggle {name} must be true or false, got {value!r}")
+        return cls(**{name: d.get(name, True) for name in names})
 
 
 UNRELAXED = RelaxToggles.none()
@@ -132,7 +135,7 @@ class GraphModel:
         """Output head over (..., n, d) node states: per-node logits, or the
         probability-weighted mean over nodes as one (..., 1, c) row."""
         if self.task == "graph":
-            pooled = pool_weighted(h, node_probs, "mean")
+            pooled = pool_weighted(h, node_probs)
             h = ad.reshape(pooled, h.shape[:-2] + (1, h.shape[-1]))
         return linear(h, self.p("out.w"), self.p("out.b"))
 
@@ -202,11 +205,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out if b is None else ad.add(out, b)
 
 
-def pool_weighted(node_reps: Tensor, node_probs: Tensor | None, mode: str) -> Tensor:
-    """Probability-weighted sum/mean pooling of (..., n, d) node
-    representations over the node axis; probs of 1 reduce to plain pooling."""
-    if mode not in ("sum", "mean"):
-        raise ValueError(f"pool mode must be 'sum' or 'mean', got {mode!r}")
+def pool_weighted(node_reps: Tensor, node_probs: Tensor | None) -> Tensor:
+    """Probability-weighted mean of (..., n, d) node representations over
+    the node axis; probs of 1 (or None) give the plain mean."""
     nodes = node_reps.shape[:-1]
     if node_probs is None:
         node_probs = Tensor(np.ones(nodes))
@@ -215,11 +216,9 @@ def pool_weighted(node_reps: Tensor, node_probs: Tensor | None, mode: str) -> Te
         raise ValueError("node probabilities must lie in [0, 1]")
     weighted = ad.mul(node_reps, ad.reshape(node_probs, nodes + (1,)))
     total = ad.tsum(weighted, axis=-2)
-    if mode == "sum":
-        return total
     mass = ad.tsum(node_probs, axis=-1, keepdims=True)
     if (mass.data == 0.0).any():
-        raise ValueError("pool_weighted: mean pooling with zero total probability")
+        raise ValueError("pool_weighted: zero total probability")
     return ad.div(total, mass)
 
 

@@ -86,7 +86,7 @@ def pair_activation(h, e2d, wq, wk, ew, eb) -> Tensor:
     for node states h (..., n, d) and pair states e2d (..., n*n, de), as
     one differentiable op of shape (..., n, n, de).
 
-    The forward repeats the composed chain (matmul, outer_add, mul, add,
+    The forward repeats the composed chain (matmul, broadcast add, mul, add,
     relu) expression for expression, so its values equal it bit for bit.
     """
     h, e2d, wq, wk, ew, eb = map(ad.as_tensor, (h, e2d, wq, wk, ew, eb))

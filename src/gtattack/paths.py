@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from ._kernels import rspd_grad_kernel, shortest_paths_kernel
 from .autodiff import Tensor
+from .graphs import EDGE_EPS
 
 __all__ = [
     "EDGE_EPS",
@@ -28,12 +29,6 @@ __all__ = [
     "interp_table",
     "spd_bias",
 ]
-
-# adjacency entries at or below this are treated as absent edges so the
-# reciprocal cannot overflow; indistinguishable from 0 at sampling time
-EDGE_EPS = 1e-9
-
-_TIE_TOL = 1e-9
 
 
 @dataclass
@@ -64,7 +59,7 @@ class ShortestPathResult:
 
 
 def reciprocal_weights(atilde: Tensor | np.ndarray) -> np.ndarray:
-    """R_ij = 1/A_ij for A_ij > 0 (so weight-1 edges cost 1); absent -> inf."""
+    """R_ij = 1/A_ij for A_ij > EDGE_EPS (so weight-1 edges cost 1); absent -> inf."""
     a = atilde.data if isinstance(atilde, Tensor) else np.asarray(atilde, dtype=np.float64)
     r = np.full_like(a, np.inf)
     present = a > EDGE_EPS
@@ -79,7 +74,7 @@ def all_pairs_shortest(r: np.ndarray) -> ShortestPathResult:
     off = r[~np.eye(r.shape[0], dtype=bool)]
     if off.size and np.min(off) < 1.0 - 1e-12:
         raise ValueError("all_pairs_shortest: off-diagonal weights must be >= 1 or inf")
-    dist, nxt = shortest_paths_kernel(r, _TIE_TOL)
+    dist, nxt = shortest_paths_kernel(r)
     return ShortestPathResult(rspd=dist, next_hop=nxt)
 
 
@@ -109,7 +104,7 @@ def rspd_matrix(atilde: Tensor) -> Tensor:
     matching :func:`path_sum_proxy` edge by edge).
     """
     r = reciprocal_weights(atilde.data)
-    dist, nxt = shortest_paths_kernel(r, _TIE_TOL)
+    dist, nxt = shortest_paths_kernel(r)
     out = Tensor(dist)
     if not ad._live(atilde):
         return out

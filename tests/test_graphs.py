@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtattack import autodiff as ad
+from gtattack import paths
+from gtattack._kernels import bfs_hops
+from gtattack.attack import is_tree
 from gtattack.autodiff import Tensor, backward
 from gtattack.generators import (
     _sbm_once,
@@ -14,6 +17,7 @@ from gtattack.generators import (
     make_cluster_dataset,
 )
 from gtattack.graphs import (
+    EDGE_EPS,
     Dataset,
     Graph,
     GraphParseError,
@@ -188,6 +192,20 @@ def test_connected_components_numbered_by_smallest_node():
     comp = connected_components(a)
     assert comp.dtype == np.int64
     np.testing.assert_array_equal(comp, [0, 1, 2, 0, 1, 0, 3, 4, 4])
+
+
+@pytest.mark.parametrize("weight,edge", [(EDGE_EPS, False), (np.nextafter(EDGE_EPS, 1.0), True)],
+                         ids=["at_eps", "above_eps"])
+def test_every_edge_test_shares_one_threshold(weight, edge):
+    # the path 0-1-2 plus the entry (2, 3): a spanning tree exactly when it is an edge
+    a = np.zeros((4, 4))
+    for i, j, w in [(0, 1, 1.0), (1, 2, 1.0), (2, 3, weight)]:
+        a[i, j] = a[j, i] = w
+    assert paths.EDGE_EPS is EDGE_EPS
+    assert bool(connected_components(a).max() == 0) is edge
+    assert bool(np.isfinite(bfs_hops(a)[0, 3])) is edge
+    assert bool(np.isfinite(paths.reciprocal_weights(a)[2, 3])) is edge
+    assert is_tree(a) is edge
 
 
 def test_sbm_deterministic():

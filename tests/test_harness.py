@@ -467,7 +467,9 @@ def test_cli_bad_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("attack", [{"bogus": 1}, {"steps": 0}, {"toggles": ["x"]},
-                                    {"toggles": {"node_prob_bias": False, "bogus": True}}])
+                                    {"toggles": {"node_prob_bias": False, "bogus": True}},
+                                    {"toggles": {"san_attention": "false"}},
+                                    {"toggles": {"grit_deg_grad": 0}}])
 def test_cli_bad_attack_block_exits_2(tmp_path, capsys, attack):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path, attack=attack))
     assert cli_main(["attack", "--config", cfg_path]) == 2
@@ -480,6 +482,12 @@ def test_cli_nonpositive_budget_exits_2(tmp_path, capsys, budget):
     assert cli_main(["train", "--config", cfg_path]) == 0
     assert cli_main(["attack", "--config", cfg_path, "--budget", budget]) == 2
     assert "budget_fraction must be > 0" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_config(tmp_path))
+    assert cli_main(["generate", "--config", cfg_path, "--seed", "-1"]) == 2
+    assert "bad attack config: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ablate_budget", [0, -0.05])
@@ -520,6 +528,8 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
     (lambda doc: {**doc, "n_attack_graphs": 2.5}, "n_attack_graphs must be int, got 2.5"),
     (lambda doc: {**doc, "n_attack_graphs": True}, "n_attack_graphs must be int, got True"),
     (lambda doc: {**doc, "seeds": ["a"]}, "seeds must be list[int], got ['a']"),
+    (lambda doc: {**doc, "seeds": [-1]}, "bad attack config: seed must be >= 0, got -1"),
+    (lambda doc: {**doc, "seeds": [0, -1]}, "bad attack config: seed must be >= 0, got -1"),
     (lambda doc: {**doc, "models": []}, "models, seeds and budgets must be non-empty"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "budget_fraction": 0.9}},
      "attack.budget_fraction is not read; each cell takes it from budgets"),
@@ -550,6 +560,7 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
         "unknown_arch", "unknown_hparam", "hidden_not_divisible_by_heads", "duplicate_arch",
         "n_workers_string", "zero_n_workers", "string_epochs", "float_train_subset",
         "string_lr", "float_n_attack_graphs", "bool_n_attack_graphs", "string_seed",
+        "negative_seed", "negative_later_seed",
         "no_models", "attack_budget_fraction", "attack_seed", "zero_resample_every",
         "zero_block_size", "string_block_size", "float_steps", "int_loss_kind",
         "negative_n_discrete_samples", "zero_base_lr", "infinite_base_lr",

@@ -65,6 +65,12 @@ def test_relaxed_equals_discrete_forward(arch):
         assert np.max(np.abs(ref - out)) <= 1e-8
 
 
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_toggles_from_dict_takes_booleans_only(value):
+    with pytest.raises(TypeError, match=f"toggle san_attention must be true or false, got {value!r}"):
+        RelaxToggles.from_dict({"san_attention": value})
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_toggle_combinations_do_not_change_discrete_forward(arch):
     rng = np.random.default_rng(1)
@@ -440,26 +446,25 @@ def test_nodeprob_bias_rejects_all_zero():
 
 def test_pool_weighted_ones_is_plain():
     h = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    np.testing.assert_allclose(pool_weighted(h, None, "mean").data, [2.0, 3.0])
-    np.testing.assert_allclose(pool_weighted(h, None, "sum").data, [4.0, 6.0])
+    np.testing.assert_allclose(pool_weighted(h, None).data, [2.0, 3.0])
 
 
 def test_pool_weighted_zero_prob_drops_node():
     h = Tensor(np.array([[1.0, 2.0], [30.0, 40.0], [3.0, 4.0]]))
     p = Tensor(np.array([1.0, 0.0, 1.0]))
-    np.testing.assert_allclose(pool_weighted(h, p, "mean").data, [2.0, 3.0])
+    np.testing.assert_allclose(pool_weighted(h, p).data, [2.0, 3.0])
 
 
 def test_pool_weighted_mean_of_equal_reps():
     h = Tensor(np.array([[2.0, 5.0], [2.0, 5.0]]))
     p = Tensor(np.array([1.0, 0.5]))
-    np.testing.assert_allclose(pool_weighted(h, p, "mean").data, [2.0, 5.0])
+    np.testing.assert_allclose(pool_weighted(h, p).data, [2.0, 5.0])
 
 
 def test_pool_weighted_zero_mass_mean_rejected():
     h = Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError, match="zero total"):
-        pool_weighted(h, Tensor(np.zeros(2)), "mean")
+        pool_weighted(h, Tensor(np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +653,9 @@ def composed_grit_forward(m, atilde, features, toggles=RelaxToggles(), node_prob
     lp = log_prob_row(node_probs) if node_probs is not None and toggles.node_prob_bias else None
     layers = m.hparams["layers"]
     for l in range(layers):
-        qk = ad.outer_add(ad.matmul(h, m.p(f"l{l}.wq")), ad.matmul(h, m.p(f"l{l}.wk")))
+        q, kk = ad.matmul(h, m.p(f"l{l}.wq")), ad.matmul(h, m.p(f"l{l}.wk"))
+        dq = q.shape[-1]
+        qk = ad.add(ad.reshape(q, lead + (n, 1, dq)), ad.reshape(kk, lead + (1, n, dq)))
         ew = ad.reshape(ad.matmul(e2d, m.p(f"l{l}.ew")), lead + (n, n, de))
         eb = ad.reshape(ad.matmul(e2d, m.p(f"l{l}.eb")), lead + (n, n, de))
         pair2d = ad.reshape(ad.relu(ad.add(ad.mul(qk, ew), eb)), lead + (n * n, de))
