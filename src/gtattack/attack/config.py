@@ -3,10 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
-from ..graphs import Graph, read_json, upper_triangle_pairs, write_json
+from ..graphs import (
+    Count,
+    Fraction,
+    Graph,
+    Index,
+    Positive,
+    check_value,
+    read_json,
+    upper_triangle_pairs,
+    write_json,
+)
 from ..models import RelaxToggles
 
 __all__ = [
@@ -26,43 +37,23 @@ class AttackConfig:
     steps, 20 discrete samples, resampling half the block every 10 steps.
     """
 
-    budget_fraction: float = 0.01
-    steps: int = 125
-    block_size: int = 20000
-    n_discrete_samples: int = 20
-    loss_kind: str = "tanh_margin"  # tanh_margin | raw_score
+    budget_fraction: Fraction = 0.01
+    steps: Count = 125
+    block_size: Count = 20000
+    n_discrete_samples: Index = 20
+    loss_kind: Literal["tanh_margin", "raw_score"] = "tanh_margin"
     toggles: RelaxToggles = field(default_factory=RelaxToggles)
-    constraint: str = "none"  # none | protect_labeled | tree_only
-    mode: str = "structure"  # structure | injection
-    base_lr: float = 500.0
-    resample_every: int = 10
-    max_candidates: int | None = 128
-    seed: int = 0
+    constraint: Literal["none", "protect_labeled", "tree_only"] = "none"
+    mode: Literal["structure", "injection"] = "structure"
+    base_lr: Positive = 500.0
+    resample_every: Count = 10
+    max_candidates: Count | None = 128
+    seed: Index = 0
 
     def __post_init__(self):
-        if self.budget_fraction <= 0:
-            raise ValueError("budget_fraction must be > 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.loss_kind not in ("tanh_margin", "raw_score"):
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if self.constraint not in ("none", "protect_labeled", "tree_only"):
-            raise ValueError(f"unknown constraint {self.constraint!r}")
-        if self.mode not in ("structure", "injection"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_value(self, AttackConfig, "")
         if self.constraint == "tree_only" and self.mode != "injection":
             raise ValueError("tree_only constrains injection attacks only")
-        for name in ("block_size", "resample_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_discrete_samples < 0:
-            raise ValueError(f"n_discrete_samples must be >= 0, got {self.n_discrete_samples}")
-        if not (np.isfinite(self.base_lr) and self.base_lr > 0):
-            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
-        if self.max_candidates is not None and self.max_candidates < 1:
-            raise ValueError(f"max_candidates must be None or >= 1, got {self.max_candidates}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def budget_from_fraction(fraction: float, num_edges: int) -> int:

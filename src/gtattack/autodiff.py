@@ -628,6 +628,8 @@ def masked_fill(a, mask, value: float) -> Tensor:
         out = _wrap(np.where(mask, value, a.data))
     except ValueError:
         raise _shape_error("masked_fill", a.shape, mask.shape) from None
+    if out.shape != a.shape:  # a mask that broadcasts a to a larger shape: so would its gradient
+        raise _shape_error("masked_fill", a.shape, mask.shape)
     if not _live(a):
         return out
     return _record("masked_fill", out, (a,), (lambda g: np.where(mask, 0.0, g),))

@@ -16,7 +16,7 @@ from .experiment import (
     cmd_report,
     cmd_train,
 )
-from .graphs import GraphParseError, GraphValidationError
+from .graphs import GraphValidationError
 from .models import RelaxToggles
 
 
@@ -96,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
             for path in cmd_report(cfg):
                 print(path)
         return 0
-    except (ConfigError, GraphParseError, GraphValidationError) as exc:
+    except (ConfigError, GraphValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -19,10 +19,9 @@ import inspect
 import json
 import logging
 import os
-import types
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field
+from typing import Annotated, Literal, NamedTuple
 
 import numpy as np
 
@@ -40,15 +39,21 @@ from .generators import (
     make_tree_dataset,
 )
 from .graphs import (
+    NON_EMPTY,
+    Bound,
+    ConfigError,
+    Count,
     Dataset,
-    GraphParseError,
+    Fraction,
+    Index,
+    Positive,
+    check_value,
     load_dataset,
     read_json,
-    require_keys,
     save_dataset,
     write_json,
 )
-from .models import GraphModel, RelaxToggles, build_model, model_from_doc, save_checkpoint
+from .models import Arch, GraphModel, RelaxToggles, build_model, model_from_doc, save_checkpoint
 from .train import TrainConfig, evaluate_accuracy, train_model
 
 log = logging.getLogger(__name__)
@@ -65,10 +70,6 @@ __all__ = [
     "toggles_label",
     "ablation_grid",
 ]
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration (CLI exits with code 2)."""
 
 
 # dataset kind -> (dataset maker, the per-graph generator it passes extra
@@ -89,58 +90,57 @@ def _check_dataset(spec: dict) -> None:
     generate(0, **own, **extra)
 
 
-def _conforms(value, hint) -> bool:
-    """Whether a config value has the declared type ``hint``: a bool is not
-    an int, an int is a float."""
-    if get_origin(hint) is types.UnionType:
-        return any(_conforms(value, h) for h in get_args(hint))
-    if get_origin(hint) is list:
-        return isinstance(value, list) and all(_conforms(v, get_args(hint)[0]) for v in value)
-    kinds = (int, float) if hint is float else hint
-    return not isinstance(value, bool) and isinstance(value, kinds)
+@dataclass
+class DatasetSpec:
+    """The keys of a config's ``dataset`` entry.  The entry stays a dict, so
+    its hash still stamps the dataset; a key left out takes the default of
+    the maker or generator that gets it, and a default here only marks a key
+    as optional.  ``_check_dataset`` rejects keys the kind's generator lacks."""
 
-
-def _check_fields(cls, values: dict, prefix: str = "") -> None:
-    """ConfigError naming the first field of dataclass ``cls`` whose entry
-    in ``values`` is not of its type; fields absent from ``values`` pass."""
-    hints = get_type_hints(cls)
-    for f in fields(cls):
-        if f.name in values and not _conforms(values[f.name], hints[f.name]):
-            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {values[f.name]!r}")
+    kind: Literal["cluster", "tree"]
+    seed: Index
+    n_train: Count = None
+    n_val: Count = None
+    n_test: Count = None
+    n_clusters: Count = None
+    nodes_per_cluster_range: tuple[Count, Count] = None
+    p_intra: float = None
+    p_inter: float = None
+    feature_dim: Count = None
+    noise_scale: float = None
+    n_nodes_range: tuple[Count, Count] = None
+    root_shift: float = None
+    user_shift: float = None
+    power_frac: float = None
+    power_scale: float = None
 
 
 @dataclass
 class ModelSpec:
-    arch: str
-    epochs: int = 6
-    lr: float = 3e-3
-    seed: int = 0
-    train_subset: int | None = None
+    arch: Arch
+    epochs: Index = 6
+    lr: Positive = 3e-3
+    seed: Index = 0
+    train_subset: Count | None = None
     hparams: dict = field(default_factory=dict)
 
 
 @dataclass
 class ExperimentConfig:
-    dataset: dict
-    models: list[ModelSpec]
-    budgets: list[float]
-    seeds: list[int]
+    dataset: Annotated[dict, DatasetSpec]
+    models: Annotated[list[ModelSpec], NON_EMPTY]
+    budgets: Annotated[list[Fraction], NON_EMPTY]
+    seeds: Annotated[list[Index], NON_EMPTY]
     out: str
     attack: dict = field(default_factory=dict)
-    n_attack_graphs: int = 20
-    ablate_budget: float | None = None
-    n_workers: int = 1
+    n_attack_graphs: Count = 20
+    ablate_budget: Fraction | None = None
+    n_workers: Count = 1
 
     def __post_init__(self):
-        _check_fields(type(self), vars(self))
-        for i, spec in enumerate(self.models):
-            _check_fields(ModelSpec, vars(spec), f"models[{i}].")
-        if not self.models or not self.seeds or not self.budgets:
-            raise ConfigError("models, seeds and budgets must be non-empty")
+        check_value(self, ExperimentConfig, "")  # the CLI's overrides included
         if list(self.budgets) != sorted(self.budgets):
             raise ConfigError("budgets must be ascending")
-        if self.dataset.get("kind") not in DATASETS:
-            raise ConfigError("dataset.kind must be 'cluster' or 'tree'")
         try:  # fail before generate, not inside it
             _check_dataset(self.dataset)
         except (TypeError, ValueError) as exc:
@@ -153,9 +153,6 @@ class ExperimentConfig:
                 build_model(spec.arch, self.task, 1, 1, spec.seed, **spec.hparams)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad model config: {exc}") from exc
-        for name in ("n_attack_graphs", "n_workers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         try:  # fail before any stage runs, not at the first attack cell
             for seed in self.seeds:
                 _attack_config(self, self.budgets[0], seed)
@@ -166,13 +163,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExperimentConfig":
-        try:
-            unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-            if unknown:
-                raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-            return cls(**{**doc, "models": [ModelSpec(**m) for m in doc["models"]]})
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
+        check_value(doc, cls, "")  # unknown and missing keys, before they are unpacked
+        return cls(**{**doc, "models": [ModelSpec(**m) for m in doc["models"]]})
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -200,22 +192,31 @@ class ExperimentConfig:
 # results table
 
 
-# the keys of a results row, in the order ``ResultsTable.add`` takes their values
-ROW_KEYS = ("model", "attack", "budget", "toggles", "seed", "accuracy")
+@dataclass
+class ResultRow:
+    """One row of results.json or ablation.json."""
+
+    model: str
+    attack: str
+    budget: float
+    toggles: str
+    seed: Index
+    accuracy: Annotated[float, Bound(">=", 0), Bound("<=", 100)]
 
 
 @dataclass
 class ResultsTable:
     """Flat rows keyed by (model, attack, budget, toggles, seed) -> accuracy."""
 
-    rows: list[dict] = field(default_factory=list)
+    rows: list[Annotated[dict, ResultRow]]
     config_hash: str = ""
 
     def add(self, model: str, attack: str, budget: float, toggles: str, seed: int,
             accuracy: float) -> None:
-        if not 0.0 <= accuracy <= 100.0:
-            raise ValueError(f"accuracy {accuracy} outside [0, 100]")
-        self.rows.append(dict(zip(ROW_KEYS, (model, attack, budget, toggles, seed, accuracy))))
+        row = {"model": model, "attack": attack, "budget": budget, "toggles": toggles,
+               "seed": seed, "accuracy": accuracy}
+        check_value(row, ResultRow, "")
+        self.rows.append(row)
 
     def cell(self, **kw) -> list[float]:
         return [r["accuracy"] for r in self.rows if all(r[k] == v for k, v in kw.items())]
@@ -225,18 +226,11 @@ class ResultsTable:
 
     @classmethod
     def load(cls, path: str) -> "ResultsTable":
-        """The table in ``path``; GraphParseError naming the file when it
-        lacks ``rows``, or a row is not an object with every key ``add`` writes."""
+        """The table in ``path``; GraphParseError naming the file and the key
+        where it breaks the declared types."""
         doc = read_json(path)
-        require_keys(doc, ("rows",), path)
-        rows = doc["rows"]
-        if not isinstance(rows, list):
-            raise GraphParseError(f"{path}: rows must be a list")
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                raise GraphParseError(f"{path}: rows[{i}] must be an object")
-            require_keys(row, ROW_KEYS, path, f"rows[{i}] ")
-        return cls(rows=rows, config_hash=doc.get("config_hash", ""))
+        check_value(doc, cls, f"{path}:")
+        return cls(**doc)
 
 
 def toggles_label(t: RelaxToggles) -> str:
@@ -322,8 +316,6 @@ def _load_models(cfg: ExperimentConfig) -> dict[str, GraphModel]:
         _check_stamp(doc, _stamp(cfg.dataset, vars(spec)), path, "train")
         try:
             models[spec.arch] = model_from_doc(doc)
-        except KeyError as exc:
-            raise ConfigError(f"{path}: checkpoint lacks key {exc}; rerun train") from exc
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}; rerun train") from exc
     return models
@@ -336,10 +328,10 @@ def _attack_config(cfg: ExperimentConfig, budget: float, seed: int,
     for key, source in (("budget_fraction", "budgets"), ("seed", "seeds")):
         if key in base:
             raise ValueError(f"attack.{key} is not read; each cell takes it from {source}")
+    check_value(base, AttackConfig, "attack")
     toggle_doc = base.pop("toggles", None)
     if toggles is None:
         toggles = RelaxToggles() if toggle_doc is None else RelaxToggles.from_dict(toggle_doc)
-    _check_fields(AttackConfig, base, "attack.")  # types first, then AttackConfig's ranges
     defaults = ({"loss_kind": "tanh_margin", "mode": "structure"} if cfg.task == "node" else
                 {"loss_kind": "raw_score", "mode": "injection", "constraint": "tree_only"})
     acfg = AttackConfig(budget_fraction=budget, seed=seed, toggles=toggles,
@@ -393,6 +385,9 @@ class _Executor:
         self.ds = _load_or_generate(cfg)
         self.models = _load_models(cfg)
         self.targets = self.ds.split["test"][: cfg.n_attack_graphs]
+        if len(self.targets) < cfg.n_attack_graphs:
+            log.warning("n_attack_graphs %d exceeds the %d test graphs; attacking all of them",
+                        cfg.n_attack_graphs, len(self.targets))
         self.target_graphs = [self.ds.graphs[gid] for gid in self.targets]
         acfg = _attack_config(cfg, cfg.budgets[0], cfg.seeds[0])
         self.cands = {
@@ -441,7 +436,7 @@ def _add_means(table: ResultsTable, done: list[tuple[_Cell, tuple]]) -> dict[tup
 def cmd_attack(cfg: ExperimentConfig) -> ResultsTable:
     """Adaptive + random + transfer sweep over (model, budget, seed)."""
     ex = _Executor(cfg)
-    table = ResultsTable(config_hash=cfg.hash())
+    table = ResultsTable([], cfg.hash())
     label = toggles_label(_attack_config(cfg, cfg.budgets[0], cfg.seeds[0]).toggles)
     for arch, model in ex.models.items():
         clean = evaluate_accuracy(model, ex.target_graphs)
@@ -505,7 +500,7 @@ def cmd_ablate(cfg: ExperimentConfig) -> ResultsTable:
     ex = _Executor(cfg)
     budget = _ablate_budget(cfg)
     mode = _attack_config(cfg, budget, cfg.seeds[0]).mode
-    table = ResultsTable(config_hash=cfg.hash())
+    table = ResultsTable([], cfg.hash())
 
     cells = []
     for arch in ex.models:

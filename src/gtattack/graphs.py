@@ -10,9 +10,15 @@ the edge-flip values.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import operator
 import os
-from dataclasses import dataclass
+import types
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Annotated, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,6 +29,7 @@ __all__ = [
     "EDGE_EPS",
     "Graph",
     "Dataset",
+    "ConfigError",
     "GraphValidationError",
     "GraphParseError",
     "laplacian_sym",
@@ -34,7 +41,13 @@ __all__ = [
     "load_dataset",
     "write_json",
     "read_json",
-    "require_keys",
+    "Bound",
+    "NON_EMPTY",
+    "Count",
+    "Index",
+    "Positive",
+    "Fraction",
+    "check_value",
     "upper_triangle_pairs",
     "connected_components",
     "is_connected",
@@ -50,10 +63,15 @@ class GraphValidationError(ValueError):
     """A graph violated a structural invariant (symmetry, range, diagonal)."""
 
 
-class GraphParseError(ValueError):
-    """A JSON artifact (config, graph, split, checkpoint, results) cannot be read,
-    is not an object, lacks a key its reader needs, or holds a malformed graph
-    field; the message names the file."""
+class ConfigError(ValueError):
+    """Invalid input to an experiment stage: a config, or an artifact the
+    stage reads (the CLI exits with code 2)."""
+
+
+class GraphParseError(ConfigError):
+    """A JSON document (config, graph, split, checkpoint, results) cannot be
+    read, or breaks the declared type of one of its keys (see
+    ``check_value``); the message names the file or the key."""
 
 
 @dataclass
@@ -110,18 +128,24 @@ class Graph:
         return self.features.shape[1]
 
 
+Task = Literal["node-classification", "binary-graph-classification"]
+
+
 @dataclass
 class Dataset:
     graphs: list[Graph]
     split: dict[str, list[int]]
-    task: str  # "node-classification" | "binary-graph-classification"
+    task: Task
 
     def __post_init__(self):
-        if self.task not in ("node-classification", "binary-graph-classification"):
-            raise GraphValidationError(f"unknown task {self.task!r}")
+        check_value(self.task, Task, "task")
         seen: set[int] = set()
         for part in ("train", "val", "test"):
             idxs = self.split.get(part, [])
+            outside = [i for i in idxs if not 0 <= i < len(self.graphs)]
+            if outside:
+                raise GraphValidationError(f"split {part} holds index {outside[0]}, outside "
+                                           f"range({len(self.graphs)})")
             if seen & set(idxs):
                 raise GraphValidationError("dataset splits overlap")
             seen |= set(idxs)
@@ -233,12 +257,158 @@ def read_json(path: str) -> dict:
     return doc
 
 
-def require_keys(doc: dict, keys, path: str, where: str = "") -> None:
-    """GraphParseError naming ``path`` (and ``where`` in it) at the first of
-    ``keys`` that the object ``doc`` lacks."""
-    for key in keys:
-        if key not in doc:
-            raise GraphParseError(f"{path}: {where}lacks key {key!r}")
+class Bound(NamedTuple):
+    """``Annotated[int, Bound(">=", 1)]``: a number, or the length of a list,
+    that compares so with ``limit``."""
+
+    op: str  # ">=", ">" or "<="
+    limit: float
+
+
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+_UNIONS = (Union, types.UnionType)
+# the declared types that configs and artifacts share
+NON_EMPTY = Bound(">=", 1)
+Count = Annotated[int, Bound(">=", 1)]
+Index = Annotated[int, Bound(">=", 0)]
+Positive = Annotated[float, Bound(">", 0)]
+Fraction = Annotated[float, Bound(">", 0), Bound("<=", 1)]
+
+
+class _Mismatch(Exception):
+    """A value breaks its declared type; ``path`` holds its keys, innermost first."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path: list = []
+
+
+def check_value(value, hint, where: str) -> None:
+    """GraphParseError at the first part of ``value`` that breaks ``hint``, a
+    JSON type: ``int`` (not a bool), ``float`` (finite; an int is one),
+    ``str``, ``bool``, ``None``, ``dict``, ``Literal``, a union, ``list``,
+    ``tuple`` (a list of its length), ``dict[str, ...]``, or a dataclass (an
+    object or instance holding each field without a default, and no other
+    key).  ``Annotated`` adds ``Bound``s, or a dataclass a dict's keys follow.
+    Messages name ``where`` (the value, ``"<file>:"`` or nothing) and the
+    path: ``"<file>: rows[0].seed must be int, got 'x'"``."""
+    try:
+        _checker(hint)(value)
+    except _Mismatch as exc:
+        for key in reversed(exc.path):
+            if isinstance(key, int):
+                where += f"[{key}]"
+            else:
+                where += (" " if where.endswith(":") else "." if where else "") + key
+        raise GraphParseError(f"{where} {exc}".lstrip()) from None
+
+
+def _is_type(hint) -> Callable[[object], bool]:
+    """Whether a value has the JSON type of ``hint``, bounds and entries aside."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        return _is_type(args[0])
+    if origin in _UNIONS:
+        tests = [_is_type(h) for h in args]
+        return lambda value: any(test(value) for test in tests)
+    if origin is Literal:
+        return lambda value: any(type(value) is type(a) and value == a for a in args)
+    if origin is tuple:
+        return lambda value: isinstance(value, list) and len(value) == len(args)
+    if hint is int or hint is float:  # a bool is not an int, an int is a float
+        return lambda value: isinstance(value, (int, hint)) and not isinstance(value, bool)
+    kinds = (dict, hint) if is_dataclass(hint) else origin or hint
+    return lambda value: isinstance(value, kinds)
+
+
+def _name(hint) -> str:
+    """How messages name ``hint``: ``int | None``, ``list[int]``, ``object``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        return _name(args[0])
+    if origin is Literal or origin in _UNIONS:
+        return " | ".join(repr(a) if origin is Literal else _name(a) for a in args)
+    if origin in (list, tuple):
+        return f"{origin.__name__}[{', '.join(map(_name, args))}]"
+    if dict in (origin, hint) or is_dataclass(hint):
+        return "object"
+    return "None" if hint is type(None) else hint.__name__
+
+
+@functools.cache
+def _checker(hint) -> Callable[[object], None]:
+    """The check of ``hint``, built once per hint (a dataclass's type hints
+    resolve here): a function raising _Mismatch where a value breaks it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        return _bounded(_checker(args[0]), args[1:])
+    is_type, name, inner = _is_type(hint), _name(hint), None
+    if origin in _UNIONS:  # the member of the value's type decides
+        members = [(_is_type(h), _checker(h)) for h in args]
+
+        def inner(value):
+            next(check for is_member, check in members if is_member(value))(value)
+    elif is_dataclass(hint):
+        hints = get_type_hints(hint, include_extras=True)
+        entries = {f.name: _checker(hints[f.name]) for f in fields(hint)}
+        required = [f.name for f in fields(hint)
+                    if f.default is MISSING and f.default_factory is MISSING]
+
+        def inner(value):
+            doc = value if isinstance(value, dict) else vars(value)
+            unknown = [key for key in doc if key not in entries]
+            missing = [key for key in required if key not in doc]
+            if unknown or missing:
+                raise _Mismatch(f"has unknown key {unknown[0]!r}" if unknown else
+                                f"lacks key {missing[0]!r}")
+            _each(doc.items(), entries.__getitem__)
+    elif origin in (list, tuple, dict) and args:
+        items = [_checker(h) for h in args]  # a tuple's per position; list and dict values: last
+        floats = origin is list and args == (float,)  # features, parameters: one fast pass
+
+        def inner(value):
+            if floats and all(type(v) is float and math.isfinite(v) for v in value):
+                return
+            _each(value.items() if origin is dict else enumerate(value),
+                  items.__getitem__ if origin is tuple else lambda key: items[-1])
+    elif hint is float:
+        def inner(value):
+            if not math.isfinite(value):
+                raise _Mismatch(f"must be finite, got {value!r}")
+
+    def check(value):
+        if not is_type(value):
+            raise _Mismatch(f"must be {name}, got {value!r}")
+        if inner is not None:
+            inner(value)
+    return check
+
+
+def _each(pairs, check_of: Callable) -> None:
+    """``check_of(key)(item)`` for each (key, item), naming the key of a mismatch."""
+    for key, item in pairs:
+        try:
+            check_of(key)(item)
+        except _Mismatch as exc:
+            exc.path.append(key)
+            raise
+
+
+def _bounded(check: Callable, marks: tuple) -> Callable[[object], None]:
+    """``check``, then each mark of ``Annotated``: a ``Bound``, or a
+    dataclass whose fields the keys of a dict are."""
+    schemas = [_checker(mark) for mark in marks if not isinstance(mark, Bound)]
+    bounds = [(_COMPARE[mark.op], mark) for mark in marks if isinstance(mark, Bound)]
+
+    def bounded(value):
+        check(value)
+        for schema in schemas:
+            schema(value)
+        for compare, bound in bounds:
+            if not compare(len(value) if isinstance(value, list) else value, bound.limit):
+                what = "have length" if isinstance(value, list) else "be"
+                raise _Mismatch(f"must {what} {bound.op} {bound.limit:g}, got {value!r}")
+    return bounded
 
 
 def _graph_to_doc(g: Graph) -> dict:
@@ -255,49 +425,36 @@ def _graph_to_doc(g: Graph) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    """Whether a JSON value is an integer (a bool is not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+@dataclass
+class _GraphDoc:
+    """A graph file: ``n`` nodes, each edge [i, j, weight] with i < j, one
+    feature row per node."""
+
+    n: Index
+    edges: list[tuple[int, int, float]]
+    features: list[list[float]]
+    node_labels: list[Index] | None = None
+    graph_label: Literal[0, 1] | None = None
+    labeled_mask: list[Literal[0, 1, False, True]] | None = None
 
 
 def _graph_from_doc(doc: dict, context: str) -> Graph:
-    for key in ("n", "edges", "features"):
-        if key not in doc:
-            raise GraphParseError(f"{context}: missing field {key!r}")
+    check_value(doc, _GraphDoc, f"{context}:")
     n = doc["n"]
-    if not _is_int(n) or n < 0:
-        raise GraphParseError(f"{context}: field 'n' must be a non-negative int")
-    if not isinstance(doc["edges"], list):
-        raise GraphParseError(f"{context}: field 'edges' must be a list")
+    try:
+        feats = np.asarray(doc["features"], dtype=np.float64)
+    except ValueError:  # rows of different lengths
+        feats = None
+    if feats is None or feats.ndim != 2 or feats.shape[0] != n:  # before an n x n allocation
+        raise GraphParseError(f"{context}: features must be an n x d matrix")
     a = np.zeros((n, n), dtype=np.float64)
-    for k, e in enumerate(doc["edges"]):
-        if not (isinstance(e, list) and len(e) == 3):
-            raise GraphParseError(f"{context}: edges[{k}] must be [i, j, weight]")
-        i, j, w = e
-        if not (_is_int(i) and _is_int(j)):
-            raise GraphParseError(f"{context}: edges[{k}] indices must be ints")
-        if not (_is_int(w) or isinstance(w, float)):
-            raise GraphParseError(f"{context}: edges[{k}] weight must be a number")
+    for k, (i, j, w) in enumerate(doc["edges"]):
         if not (0 <= i < n and 0 <= j < n):
             raise GraphParseError(f"{context}: edges[{k}] index out of range")
         if i >= j:
             raise GraphParseError(f"{context}: edges[{k}] must have i < j (upper triangle)")
         a[i, j] = w
         a[j, i] = w
-    try:
-        feats = np.asarray(doc["features"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise GraphParseError(f"{context}: features must be numbers: {exc}") from exc
-    if feats.ndim != 2 or feats.shape[0] != n:
-        raise GraphParseError(f"{context}: features must be an n x d matrix")
-    for key, ok, what in (("node_labels", lambda v: _is_int(v) and v >= 0, "non-negative ints"),
-                          ("labeled_mask", lambda v: isinstance(v, int) and v in (0, 1),
-                           "booleans or 0/1")):
-        if doc.get(key) is not None and not (isinstance(doc[key], list) and all(map(ok, doc[key]))):
-            raise GraphParseError(f"{context}: {key} must be a list of {what}")
-    label = doc.get("graph_label")
-    if label is not None and not (_is_int(label) and label in (0, 1)):
-        raise GraphParseError(f"{context}: graph_label must be 0 or 1")
     try:
         return Graph(
             adjacency=a,
@@ -338,10 +495,25 @@ def save_dataset(ds: Dataset, directory: str, stamp: str | None = None) -> None:
     write_json(os.path.join(directory, "split.json"), doc)
 
 
+@dataclass
+class _SplitDoc:
+    """split.json: the graph ids of each part, the task, and the stamp
+    ``save_dataset`` records."""
+
+    task: Task
+    train: list[Index]
+    val: list[Index]
+    test: list[Index]
+    stamp: str | None = None
+
+
 def load_dataset(directory: str) -> Dataset:
     split_path = os.path.join(directory, "split.json")
     split_doc = read_json(split_path)
-    require_keys(split_doc, ("train", "val", "test", "task"), split_path)
+    check_value(split_doc, _SplitDoc, f"{split_path}:")
     graphs = [load_graph(os.path.join(directory, f)) for f in _graph_files(directory)]
     split = {k: split_doc[k] for k in ("train", "val", "test")}
-    return Dataset(graphs=graphs, split=split, task=split_doc["task"])
+    try:
+        return Dataset(graphs=graphs, split=split, task=split_doc["task"])
+    except GraphValidationError as exc:
+        raise GraphParseError(f"{split_path}: {exc}") from exc

@@ -8,7 +8,10 @@ writes (see ``experiment``).
 
 from __future__ import annotations
 
-from ..graphs import read_json, write_json
+from dataclasses import dataclass
+from typing import Literal
+
+from ..graphs import Count, Index, check_value, read_json, write_json
 from ..spectral import SpectralReference
 from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, pool_weighted
 from .gcn import GCN
@@ -41,12 +44,11 @@ ARCHS: dict[str, type[GraphModel]] = {
     "graphormer": Graphormer,
     "san": SAN,
 }
+Arch = Literal[tuple(ARCHS)]
 
 
 def build_model(arch: str, task: str, feature_dim: int, n_classes: int,
                 seed: int = 0, **hparams) -> GraphModel:
-    if arch not in ARCHS:
-        raise ValueError(f"unknown architecture {arch!r}; choose from {sorted(ARCHS)}")
     return ARCHS[arch](task=task, feature_dim=feature_dim, n_classes=n_classes,
                        seed=seed, **hparams)
 
@@ -61,8 +63,24 @@ def load_checkpoint(path: str) -> GraphModel:
     return model_from_doc(read_json(path))
 
 
+@dataclass
+class _Checkpoint:
+    """The keys of a checkpoint document; ``GraphModel`` checks ``hparams``."""
+
+    arch: Arch
+    task: str
+    feature_dim: Count
+    n_classes: Count
+    seed: Index
+    hparams: dict
+    params: dict[str, list[float]]
+    shapes: dict[str, list[Index]]
+    stamp: str | None = None
+
+
 def model_from_doc(doc: dict) -> GraphModel:
     """The model a checkpoint document describes."""
+    check_value(doc, _Checkpoint, "checkpoint")
     model = build_model(doc["arch"], doc["task"], doc["feature_dim"], doc["n_classes"],
                         seed=doc["seed"], **doc["hparams"])
     model.load_doc(doc)

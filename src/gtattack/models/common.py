@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from typing import Literal
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor, layer_norm
+from ..graphs import Count, check_value
 
 __all__ = [
     "RelaxToggles",
@@ -49,15 +50,8 @@ class RelaxToggles:
     @classmethod
     def from_dict(cls, d: dict) -> "RelaxToggles":
         """Toggles from a name -> bool mapping; names left out stay on."""
-        if not isinstance(d, Mapping):
-            raise TypeError(f"toggles must be an object of name: bool, got {type(d).__name__}")
-        names = [f.name for f in fields(cls)]
-        if set(d) - set(names):
-            raise ValueError(f"unknown toggles {sorted(set(d) - set(names))}; valid: {names}")
-        for name, value in d.items():
-            if not isinstance(value, bool):
-                raise TypeError(f"toggle {name} must be true or false, got {value!r}")
-        return cls(**{name: d.get(name, True) for name in names})
+        check_value(d, cls, "toggles")
+        return cls(**d)
 
 
 UNRELAXED = RelaxToggles.none()
@@ -83,8 +77,7 @@ class GraphModel:
     arch = "base"
 
     def __init__(self, task: str, feature_dim: int, n_classes: int, seed: int = 0, **hparams):
-        if task not in ("node", "graph"):
-            raise ValueError(f"task must be 'node' or 'graph', got {task!r}")
+        check_value(task, Literal["node", "graph"], "task")
         self.task = task
         self.feature_dim = feature_dim
         self.n_classes = n_classes
@@ -93,6 +86,9 @@ class GraphModel:
         unknown = set(hparams) - set(self.hparams)
         if unknown:
             raise ValueError(f"{self.arch}: unknown hparams {sorted(unknown)}")
+        for name, value in hparams.items():  # the type of the default: int sizes, or floats
+            check_value(value, Count if type(self.hparams[name]) is int else float,
+                        f"hparams.{name}")
         self.hparams.update(hparams)
         self.params: dict[str, Tensor] = {}
         self._build(np.random.default_rng(seed))

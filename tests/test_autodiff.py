@@ -49,7 +49,8 @@ def test_matmul_batch_mismatch_and_vector_operands_name_primitive(sa, sb):
         ad.matmul(Tensor(np.ones(sa)), Tensor(np.ones(sb)))
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "where", "masked_fill"])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "where", "masked_fill",
+                                "masked_fill_wider_mask"])
 def test_elementwise_shape_mismatch_names_primitive(op):
     a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2)))
     args, shapes = (a, b), "(2, 3) and (2, 2)"
@@ -57,6 +58,9 @@ def test_elementwise_shape_mismatch_names_primitive(op):
         args, shapes = (np.ones((2, 3), dtype=bool), a, b), f"(2, 3) and {shapes}"
     elif op == "masked_fill":
         args = (a, np.ones((2, 2), dtype=bool), 0.0)
+    elif op == "masked_fill_wider_mask":  # a mask that would broadcast a to (2, 3)
+        op, shapes = "masked_fill", "(3,) and (2, 3)"
+        args = (Tensor(np.ones(3), requires_grad=True), np.ones((2, 3), dtype=bool), 0.0)
     with pytest.raises(ad.ShapeError, match=re.escape(f"{op}: incompatible shapes {shapes}")):
         getattr(ad, op)(*args)
 

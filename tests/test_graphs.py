@@ -300,25 +300,46 @@ def test_out_of_range_weight_rejected(tmp_path):
         load_graph(str(path))
 
 
+# each id names the field, the value and the rule that the value breaks
 @pytest.mark.parametrize("field, value, message", [
-    ("edges", [[0.0, 1, 1.0]], r"edges\[0\] indices must be ints"),
-    ("edges", [["0", 1, 1.0]], r"edges\[0\] indices must be ints"),
-    ("edges", [[0, 1, "1.0"]], r"edges\[0\] weight must be a number"),
-    ("n", True, "'n' must be a non-negative int"),
-    ("edges", 5, "'edges' must be a list"),
-    ("features", [[0.0], ["x"]], "features must be numbers"),
-    ("edges", [[0, 1, float("nan")]], "must be finite"),
-    ("node_labels", ["a", "b"], "node_labels must be a list of non-negative ints"),
-    ("node_labels", [0.5, 1], "node_labels must be a list of non-negative ints"),
-    ("node_labels", [-1, 0], "node_labels must be a list of non-negative ints"),
-    ("node_labels", 1, "node_labels must be a list of non-negative ints"),
-    ("graph_label", "x", "graph_label must be 0 or 1"),
-    ("graph_label", 2.7, "graph_label must be 0 or 1"),
-    ("graph_label", True, "graph_label must be 0 or 1"),
-    ("graph_label", 2, "graph_label must be 0 or 1"),
-    ("labeled_mask", [2, 0], "labeled_mask must be a list of booleans or 0/1"),
-    ("labeled_mask", ["x", "y"], "labeled_mask must be a list of booleans or 0/1"),
-    ("labeled_mask", [1.0, 0.0], "labeled_mask must be a list of booleans or 0/1"),
+    pytest.param("edges", [[0.0, 1, 1.0]], r"edges\[0\]\[0\] must be int, got 0\.0",
+                 id=r"edges-value0-edges\[0\] indices must be ints"),
+    pytest.param("edges", [["0", 1, 1.0]], r"edges\[0\]\[0\] must be int, got '0'",
+                 id=r"edges-value1-edges\[0\] indices must be ints"),
+    pytest.param("edges", [[0, 1, "1.0"]], r"edges\[0\]\[2\] must be float, got '1\.0'",
+                 id=r"edges-value2-edges\[0\] weight must be a number"),
+    pytest.param("n", True, "n must be int, got True", id="n-True-'n' must be a non-negative int"),
+    pytest.param("edges", 5, r"edges must be list\[tuple\[int, int, float\]\], got 5",
+                 id="edges-5-'edges' must be a list"),
+    pytest.param("features", [[0.0], ["x"]], r"features\[1\]\[0\] must be float, got 'x'",
+                 id="features-value5-features must be numbers"),
+    pytest.param("edges", [[0, 1, float("nan")]], r"edges\[0\]\[2\] must be finite, got nan",
+                 id="edges-value6-must be finite"),
+    pytest.param("node_labels", ["a", "b"], r"node_labels\[0\] must be int, got 'a'",
+                 id="node_labels-value7-node_labels must be a list of non-negative ints"),
+    pytest.param("node_labels", [0.5, 1], r"node_labels\[0\] must be int, got 0\.5",
+                 id="node_labels-value8-node_labels must be a list of non-negative ints"),
+    pytest.param("node_labels", [-1, 0], r"node_labels\[0\] must be >= 0, got -1",
+                 id="node_labels-value9-node_labels must be a list of non-negative ints"),
+    pytest.param("node_labels", 1, r"node_labels must be list\[int\] \| None, got 1",
+                 id="node_labels-1-node_labels must be a list of non-negative ints"),
+    pytest.param("graph_label", "x", r"graph_label must be 0 \| 1 \| None, got 'x'",
+                 id="graph_label-x-graph_label must be 0 or 1"),
+    pytest.param("graph_label", 2.7, r"graph_label must be 0 \| 1 \| None, got 2\.7",
+                 id="graph_label-2.7-graph_label must be 0 or 1"),
+    pytest.param("graph_label", True, r"graph_label must be 0 \| 1 \| None, got True",
+                 id="graph_label-True-graph_label must be 0 or 1"),
+    pytest.param("graph_label", 2, r"graph_label must be 0 \| 1 \| None, got 2",
+                 id="graph_label-2-graph_label must be 0 or 1"),
+    pytest.param("labeled_mask", [2, 0],
+                 r"labeled_mask\[0\] must be 0 \| 1 \| False \| True, got 2",
+                 id="labeled_mask-value15-labeled_mask must be a list of booleans or 0/1"),
+    pytest.param("labeled_mask", ["x", "y"],
+                 r"labeled_mask\[0\] must be 0 \| 1 \| False \| True, got 'x'",
+                 id="labeled_mask-value16-labeled_mask must be a list of booleans or 0/1"),
+    pytest.param("labeled_mask", [1.0, 0.0],
+                 r"labeled_mask\[0\] must be 0 \| 1 \| False \| True, got 1\.0",
+                 id="labeled_mask-value17-labeled_mask must be a list of booleans or 0/1"),
 ])
 def test_malformed_graph_field_is_parse_error(tmp_path, field, value, message):
     doc = {"n": 2, "edges": [[0, 1, 1.0]], "features": [[0.0], [0.0]], field: value}
@@ -326,7 +347,7 @@ def test_malformed_graph_field_is_parse_error(tmp_path, field, value, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(GraphParseError, match=message) as exc:
         load_graph(str(path))
-    assert str(exc.value).startswith(f"{path}: ")
+    assert str(exc.value).startswith(f"{path}: {field}")
 
 
 def test_label_fields_of_every_allowed_form_load(tmp_path):

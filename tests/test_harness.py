@@ -1,12 +1,16 @@
+import contextlib
 import io
 import json
 import logging
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtattack.cli import main as cli_main
 from gtattack.experiment import (
@@ -118,7 +122,7 @@ def test_config_hash_covers_ablate_budget(tmp_path):
 
 
 def test_results_table_rejects_out_of_range_accuracy():
-    t = ResultsTable()
+    t = ResultsTable([])
     with pytest.raises(ValueError):
         t.add("gcn", "adaptive", 0.01, "all", 0, 120.0)
 
@@ -481,36 +485,36 @@ def test_cli_nonpositive_budget_exits_2(tmp_path, capsys, budget):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path, seeds=[0]))
     assert cli_main(["train", "--config", cfg_path]) == 0
     assert cli_main(["attack", "--config", cfg_path, "--budget", budget]) == 2
-    assert "budget_fraction must be > 0" in capsys.readouterr().err
+    assert f"budgets[0] must be > 0, got {float(budget)}" in capsys.readouterr().err
 
 
 def test_cli_negative_seed_flag_exits_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path))
     assert cli_main(["generate", "--config", cfg_path, "--seed", "-1"]) == 2
-    assert "bad attack config: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert "seeds[0] must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ablate_budget", [0, -0.05])
 def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
     cfg_path = write_config(tmp_path, tiny_config(tmp_path, ablate_budget=ablate_budget))
     assert cli_main(["ablate", "--config", cfg_path]) == 2
-    assert "bad attack config: budget_fraction must be > 0" in capsys.readouterr().err
+    assert f"ablate_budget must be > 0, got {ablate_budget}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change,message", [
-    (lambda doc: {**doc, "n_worker": 3}, "unknown config keys: n_worker"),
+    (lambda doc: {**doc, "n_worker": 3}, "has unknown key 'n_worker'"),
     (lambda doc: {**doc, "n_attack_graphs": -1}, "n_attack_graphs must be >= 1"),
     (lambda doc: {**doc, "n_attack_graphs": 0}, "n_attack_graphs must be >= 1"),
-    (lambda doc: {**doc, "dataset": {**doc["dataset"], "sed": 5}}, "bad dataset config"),
+    (lambda doc: {**doc, "dataset": {**doc["dataset"], "sed": 5}}, "dataset has unknown key 'sed'"),
     (lambda doc: {**doc, "dataset": {**doc["dataset"], "label": 1}},
-     "multiple values for keyword argument 'label'"),
+     "dataset has unknown key 'label'"),
     (lambda doc: {**doc, "dataset": {**doc["dataset"], "n_nodes_range": [1, 3]}},
      "bad dataset config: trees need at least 2 nodes"),
     (lambda doc: {**doc, "dataset": {"kind": "cluster", "seed": 5, "p_inter": 0.5,
                                      "p_intra": 0.4}},
      "bad dataset config: require 0 <= p_inter < p_intra <= 1"),
     (lambda doc: {**doc, "models": [{"arch": "gat"}]},
-     "bad model config: unknown architecture 'gat'"),
+     "models[0].arch must be 'gcn' | 'grit' | 'graphormer' | 'san', got 'gat'"),
     (lambda doc: {**doc, "models": [{"arch": "gcn", "hparams": {"hiden": 3}}]},
      "bad model config: gcn: unknown hparams ['hiden']"),
     (lambda doc: {**doc, "models": [{"arch": "graphormer", "hparams": {"hidden": 5}}]},
@@ -527,34 +531,45 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
      "models[0].lr must be float, got 'x'"),
     (lambda doc: {**doc, "n_attack_graphs": 2.5}, "n_attack_graphs must be int, got 2.5"),
     (lambda doc: {**doc, "n_attack_graphs": True}, "n_attack_graphs must be int, got True"),
-    (lambda doc: {**doc, "seeds": ["a"]}, "seeds must be list[int], got ['a']"),
-    (lambda doc: {**doc, "seeds": [-1]}, "bad attack config: seed must be >= 0, got -1"),
-    (lambda doc: {**doc, "seeds": [0, -1]}, "bad attack config: seed must be >= 0, got -1"),
-    (lambda doc: {**doc, "models": []}, "models, seeds and budgets must be non-empty"),
+    (lambda doc: {**doc, "seeds": ["a"]}, "seeds[0] must be int, got 'a'"),
+    (lambda doc: {**doc, "seeds": [-1]}, "seeds[0] must be >= 0, got -1"),
+    (lambda doc: {**doc, "seeds": [0, -1]}, "seeds[1] must be >= 0, got -1"),
+    (lambda doc: {**doc, "models": []}, "models must have length >= 1, got []"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "budget_fraction": 0.9}},
      "attack.budget_fraction is not read; each cell takes it from budgets"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "seed": 3}},
      "attack.seed is not read; each cell takes it from seeds"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "resample_every": 0}},
-     "bad attack config: resample_every must be >= 1, got 0"),
+     "bad attack config: attack.resample_every must be >= 1, got 0"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "block_size": 0}},
-     "bad attack config: block_size must be >= 1, got 0"),
+     "bad attack config: attack.block_size must be >= 1, got 0"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "block_size": "x"}},
      "attack.block_size must be int, got 'x'"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "steps": 2.5}},
      "attack.steps must be int, got 2.5"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "loss_kind": 3}},
-     "attack.loss_kind must be str, got 3"),
+     "attack.loss_kind must be 'tanh_margin' | 'raw_score', got 3"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "n_discrete_samples": -1}},
-     "bad attack config: n_discrete_samples must be >= 0, got -1"),
+     "bad attack config: attack.n_discrete_samples must be >= 0, got -1"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "base_lr": 0}},
-     "bad attack config: base_lr must be finite and > 0, got 0"),
+     "bad attack config: attack.base_lr must be > 0, got 0"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "base_lr": float("inf")}},
-     "bad attack config: base_lr must be finite and > 0, got inf"),
+     "bad attack config: attack.base_lr must be finite, got inf"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "max_candidates": 0}},
-     "bad attack config: max_candidates must be None or >= 1, got 0"),
+     "bad attack config: attack.max_candidates must be >= 1, got 0"),
     (lambda doc: {**doc, "attack": {**doc["attack"], "max_candidates": 2.5}},
      "attack.max_candidates must be int | None, got 2.5"),
+    (lambda doc: {**doc, "budgets": [float("nan")]}, "budgets[0] must be finite, got nan"),
+    (lambda doc: {**doc, "budgets": [float("inf")]}, "budgets[0] must be finite, got inf"),
+    (lambda doc: {**doc, "models": [{"arch": "gcn", "lr": float("nan")}]},
+     "models[0].lr must be finite, got nan"),
+    (lambda doc: {**doc, "budgets": [0.05, 5.0]}, "budgets[1] must be <= 1, got 5.0"),
+    (lambda doc: {**doc, "dataset": {**doc["dataset"], "n_train": -1}},
+     "dataset.n_train must be >= 1, got -1"),
+    (lambda doc: {**doc, "dataset": {**doc["dataset"], "n_val": 0}},
+     "dataset.n_val must be >= 1, got 0"),
+    (lambda doc: {**doc, "dataset": {**doc["dataset"], "n_test": 0}},
+     "dataset.n_test must be >= 1, got 0"),
 ], ids=["unknown_top_level_key", "negative_n_attack_graphs", "zero_n_attack_graphs",
         "unknown_dataset_key", "tree_label_key", "tree_too_small", "sbm_p_inter_above_p_intra",
         "unknown_arch", "unknown_hparam", "hidden_not_divisible_by_heads", "duplicate_arch",
@@ -564,7 +579,8 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
         "no_models", "attack_budget_fraction", "attack_seed", "zero_resample_every",
         "zero_block_size", "string_block_size", "float_steps", "int_loss_kind",
         "negative_n_discrete_samples", "zero_base_lr", "infinite_base_lr",
-        "zero_max_candidates", "float_max_candidates"])
+        "zero_max_candidates", "float_max_candidates", "nan_budget", "infinite_budget",
+        "nan_lr", "budget_above_1", "negative_n_train", "zero_n_val", "zero_n_test"])
 def test_cli_rejects_config_at_load(tmp_path, capsys, change, message):
     cfg_path = write_config(tmp_path, change(tiny_config(tmp_path, kind="tree")))
     assert cli_main(["generate", "--config", cfg_path]) == 2
@@ -762,6 +778,19 @@ def _without_hparams(text):
     return json.dumps(doc)
 
 
+def _set(value, *keys):
+    """An edit setting the entry at ``keys`` of the document to ``value``."""
+    def edit(text):
+        doc = json.loads(text)
+        inner = doc
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value
+        return json.dumps(doc)
+
+    return edit
+
+
 def _without(key, rows=False):
     """An edit deleting ``key`` from the document, or from its first row."""
     def edit(text):
@@ -781,9 +810,23 @@ def _without(key, rows=False):
     ("report", "results.json", lambda text: "{}", "lacks key 'rows'"),
     ("report", "results.json", _without("seed", rows=True), "rows[0] lacks key 'seed'"),
     ("attack", os.path.join("dataset", "split.json"), _without("train"), "lacks key 'train'"),
+    ("report", "results.json", _set("x", "rows", 0, "accuracy"),
+     "rows[0].accuracy must be float, got 'x'"),
+    ("attack", os.path.join("checkpoints", "gcn.json"), _set("x", "hparams", "hidden"),
+     "hparams.hidden must be int, got 'x'"),
+    ("attack", os.path.join("dataset", "split.json"), _set([999], "test"),
+     "split test holds index 999, outside range(9)"),
+    ("attack", os.path.join("dataset", "split.json"), _set("x", "test"),
+     "test must be list[int], got 'x'"),
+    ("attack", os.path.join("dataset", "graph_00000.json"), _set(float("nan"), "edges", 0, 2),
+     "edges[0][2] must be finite, got nan"),
+    ("attack", os.path.join("dataset", "graph_00000.json"), _set("x", "graph_label"),
+     "graph_label must be 0 | 1 | None, got 'x'"),
 ], ids=["truncated_checkpoint", "checkpoint_without_hparams", "truncated_results",
         "results_not_an_object", "truncated_ablation", "results_without_rows",
-        "results_row_without_seed", "split_without_train"])
+        "results_row_without_seed", "split_without_train", "string_accuracy",
+        "string_hparam", "split_index_out_of_range", "split_part_not_a_list",
+        "nan_edge_weight", "string_graph_label"])
 def test_cli_broken_artifact_exits_2_naming_it(cli_swept, tmp_path, capsys, stage, name, edit,
                                                said):
     cfg_path, out = cli_swept
@@ -824,3 +867,86 @@ def test_generate_removes_graphs_of_a_larger_dataset(tmp_path):
     assert len(reloaded.graphs) == 9
     for a, b in zip(reloaded.graphs, ds.graphs):
         np.testing.assert_array_equal(a.adjacency, b.adjacency)
+
+
+def test_attack_clips_n_attack_graphs_to_the_test_split(tmp_path, caplog):
+    doc = tiny_config(tmp_path, kind="tree", seeds=[0], budgets=[0.1], n_attack_graphs=100)
+    cfg_path = write_config(tmp_path, doc)
+    for stage in ("generate", "train"):
+        assert cli_main([stage, "--config", cfg_path]) == 0
+    with caplog.at_level(logging.WARNING, logger="gtattack.experiment"):
+        assert cli_main(["attack", "--config", cfg_path]) == 0
+    assert "n_attack_graphs 100 exceeds the 3 test graphs; attacking all of them" in caplog.text
+    files = os.listdir(os.path.join(doc["out"], "perturbations"))
+    assert len({name.split(".g")[1].split(".")[0] for name in files}) == 3  # graph ids
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one leaf of a config or artifact mutated, then the stage that reads it
+
+
+# each artifact of a finished run, and the stage that reads it
+FUZZ_TARGETS = {
+    "config.json": "generate",
+    os.path.join("run", "dataset", "split.json"): "train",
+    os.path.join("run", "checkpoints", "gcn.json"): "attack",
+    os.path.join("run", "results.json"): "report",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """A finished tiny tree run (generate, train, attack) and its config."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    doc = tiny_config(tmp_path, kind="tree", seeds=[0], budgets=[0.1], n_attack_graphs=1)
+    doc["attack"].update(steps=2, block_size=40, n_discrete_samples=1)
+    cfg_path = write_config(tmp_path, doc)
+    for stage in ("generate", "train", "attack"):
+        assert cli_main([stage, "--config", cfg_path]) == 0
+    shutil.rmtree(os.path.join(doc["out"], "perturbations"))
+    return tmp_path
+
+
+def _leaves(doc, path=()):
+    """Paths to the scalar leaves of a JSON document (two entries per list)."""
+    if isinstance(doc, dict):
+        return [leaf for key, value in doc.items() for leaf in _leaves(value, path + (key,))]
+    if isinstance(doc, list):
+        return [leaf for i, value in enumerate(doc[:2]) for leaf in _leaves(value, path + (i,))]
+    return [path]
+
+
+def _mutate(value, kind):
+    return {"type": 1 if isinstance(value, str) else "x", "nan": float("nan"),
+            "inf": float("inf"), "-inf": float("-inf"), "index": 999,
+            "negative": -abs(value) - 1 if isinstance(value, (int, float)) else -1}[kind]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_stage_never_crashes_on_a_mutated_leaf(fuzz_run, data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_TARGETS)), label="file")
+    doc = json.loads((fuzz_run / name).read_text())
+    path = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
+    kind = data.draw(st.sampled_from(["type", "nan", "inf", "-inf", "negative", "index",
+                                      "extra", "missing"]), label="mutation")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "missing":
+        del parent[path[-1]]
+    elif kind == "extra":
+        if isinstance(parent, dict):
+            parent["bogus"] = 1
+        else:
+            parent.append(parent[path[-1]])
+    else:
+        parent[path[-1]] = _mutate(parent[path[-1]], kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(fuzz_run, tmp, dirs_exist_ok=True)
+        Path(tmp, name).write_text(json.dumps(doc))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli_main([FUZZ_TARGETS[name], "--config", os.path.join(tmp, "config.json"),
+                             "--out", os.path.join(tmp, "run")])
+    assert code in (0, 2), sink.getvalue()

@@ -67,7 +67,7 @@ def test_relaxed_equals_discrete_forward(arch):
 
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_toggles_from_dict_takes_booleans_only(value):
-    with pytest.raises(TypeError, match=f"toggle san_attention must be true or false, got {value!r}"):
+    with pytest.raises(ValueError, match=f"toggles.san_attention must be bool, got {value!r}"):
         RelaxToggles.from_dict({"san_attention": value})
 
 
