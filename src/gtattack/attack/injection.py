@@ -58,19 +58,73 @@ def build_candidate_set(dataset: Dataset, attacked_graph_id: int,
 NODE_PROB_ITERATIONS = 3
 
 
-def node_probability(atilde: Tensor) -> Tensor:
-    """p_i <- 1 - prod_j (1 - A_ij p_j), NODE_PROB_ITERATIONS rounds from p = 1.
+def node_probability(atilde) -> Tensor:
+    """p_i <- 1 - prod_j (1 - A_ij p_j), NODE_PROB_ITERATIONS rounds from p = 1,
+    as one recorded op.
 
     Nodes joined by weight-1 edges to probability-1 neighbors stay at 1
-    exactly (the product hits a zero factor).  Differentiable in A.
+    exactly (the product hits a zero factor).  Each product runs over the
+    nonzero entries of A only: every other factor is exactly 1, so the values
+    equal the dense products bit for bit.  The gradient in A is dense, with
+    the exact-zero rule of a product: a row with one zero factor sends its
+    whole gradient to that entry, a row with two or more sends none.  ``A``
+    is listed once per round, the last round first, so that its gradient
+    accumulates in the order of the per-round composed chain.
     """
-    n = atilde.shape[0]
-    p = Tensor(np.ones(n))
-    ones = Tensor(np.ones((n, n)))
+    atilde = ad.as_tensor(atilde)
+    a = atilde.data
+    n = a.shape[0]
+    rows, cols = np.nonzero(a)  # row-major, each row's factors in column order
+    weights = a[rows, cols]
+    counts = np.bincount(rows, minlength=n)
+    busy = counts > 0
+    starts = (np.cumsum(counts) - counts)[busy]
+
+    def row_products(factors):
+        prod = np.ones(n)
+        if len(factors):
+            prod[busy] = np.multiply.reduceat(factors, starts)
+        return prod
+
+    p = np.ones(n)
+    rounds = []  # (input probabilities, factors) per round
     for _ in range(NODE_PROB_ITERATIONS):
-        factors = ad.sub(ones, ad.mul(atilde, ad.reshape(p, (1, n))))
-        p = ad.sub(Tensor(np.ones(n)), ad.prod_lastdim(factors))
-    return p
+        factors = 1.0 - weights * p[cols]
+        rounds.append((p, factors))
+        p = 1.0 - row_products(factors)
+    out = ad._wrap(p)
+    if not ad._live(atilde):
+        return out
+
+    def round_grads(g):
+        """Gradients in A of each round, the last first, for the gradient g of p."""
+        grads = []
+        for r, (p_in, factors) in reversed(list(enumerate(rounds))):
+            zero = factors == 0.0
+            safe = np.where(zero, 1.0, factors)
+            others = row_products(safe)  # per row, the product of its nonzero factors
+            nzero = np.bincount(rows[zero], minlength=n)
+            free = nzero == 0
+            # per entry, the product of the row's other factors
+            part = np.where(free[rows], others[rows] / safe,
+                            np.where(zero & (nzero[rows] == 1), others[rows], 0.0))
+            gp = g[rows] * part
+            ga = np.outer(g * np.where(free, others, 0.0), p_in)  # entries with A_ij = 0
+            ga[rows, cols] = gp * p_in[cols]
+            grads.append(ga)
+            if r:
+                g = np.bincount(cols, weights=gp * weights, minlength=n)
+        return grads
+
+    memo = [None, None]  # the last upstream gradient and its round gradients
+
+    def grads_for(g):
+        if memo[0] is not g:
+            memo[:] = g, round_grads(g)
+        return memo[1]
+
+    return ad._record("node_probability", out, (atilde,) * NODE_PROB_ITERATIONS,
+                      tuple(lambda g, r=r: grads_for(g)[r] for r in range(NODE_PROB_ITERATIONS)))
 
 
 def is_tree(adjacency: np.ndarray) -> bool:

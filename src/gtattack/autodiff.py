@@ -53,7 +53,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "backward",
-    "finite_difference",
     "as_tensor",
 ]
 
@@ -386,34 +385,6 @@ def tmean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _record("mean", out, (a,), (_spread(a.shape, axis, denom),))
 
 
-def prod_lastdim(a) -> Tensor:
-    """Product along the last axis, with a backward that is exact at zeros.
-
-    grad wrt x_j is prod_{k != j} x_k: rows with one zero route all gradient
-    to that entry, rows with two or more zeros get zero gradient everywhere.
-    """
-    a = as_tensor(a)
-    x = a.data
-    out = _wrap(x.prod(axis=-1))
-    if not _live(a):
-        return out
-
-    def vjp(g):
-        zeros = x == 0.0
-        nzero = zeros.sum(axis=-1, keepdims=True)
-        xs = np.where(zeros, 1.0, x)
-        prod_nz = xs.prod(axis=-1, keepdims=True)
-        # generic entry: product of the other coordinates
-        part = np.where(
-            nzero == 0,
-            prod_nz / xs,
-            np.where(nzero == 1, np.where(zeros, prod_nz, 0.0), 0.0),
-        )
-        return np.expand_dims(g, -1) * part
-
-    return _record("prod_lastdim", out, (a,), (vjp,))
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -460,24 +431,6 @@ def relu(a) -> Tensor:
     return _record("relu", out, (a,), (lambda g: g * (a.data > 0.0),)) if _live(a) else out
 
 
-def rsqrt_safe(a) -> Tensor:
-    """x -> x**-0.5 where x > 0, else 0 (degree-0 Laplacian convention)."""
-    a = as_tensor(a)
-    pos = a.data > 0.0
-    plain = pos.all()  # every x > 0, where the masked form gives the same bits
-    x = a.data if plain else np.where(pos, a.data, 1.0)
-    y = 1.0 / np.sqrt(x) if plain else np.where(pos, 1.0 / np.sqrt(x), 0.0)
-    out = _wrap(y)
-    if not _live(a):
-        return out
-
-    def vjp(g):
-        gx = -0.5 * g * y / x
-        return gx if plain else np.where(pos, gx, 0.0)
-
-    return _record("rsqrt_safe", out, (a,), (vjp,))
-
-
 def softmax(a) -> Tensor:
     """Softmax along the last axis; rows of all ``-inf`` give all zeros."""
     a = as_tensor(a)
@@ -516,8 +469,8 @@ def layer_norm(x, gamma, beta) -> Tensor:
     node for the whole chain.
 
     Forward values and gradients repeat, operation by operation, what the
-    composed chain mean, sub, mul, mean, add, rsqrt_safe, mul, mul, add
-    computes, so they equal it bit for bit.
+    composed chain mean, sub, mul, mean, add, x -> x^-1/2 (0 at x <= 0),
+    mul, mul, add computes, so they equal it bit for bit.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
@@ -525,7 +478,7 @@ def layer_norm(x, gamma, beta) -> Tensor:
     c = x.data - x.data.sum(axis=-1, keepdims=True) / d
     v = (c * c).sum(axis=-1, keepdims=True) / d + LN_EPS
     pos = v > 0.0
-    regular = pos.all()  # no NaN variance: rsqrt_safe's plain form
+    regular = pos.all()  # no NaN variance: the unmasked form gives the same bits
     v_safe = v if regular else np.where(pos, v, 1.0)
     inv = 1.0 / np.sqrt(v) if regular else np.where(pos, 1.0 / np.sqrt(v_safe), 0.0)
     normed = c * inv
@@ -590,20 +543,6 @@ def take_pairs(a, rows, cols) -> Tensor:
         return ga
 
     return _record("take_pairs", out, (a,), (vjp,))
-
-
-def scatter_pairs(values, shape: tuple[int, int], rows, cols) -> Tensor:
-    """Dense matrix with values[k] placed at (rows[k], cols[k]), zeros elsewhere."""
-    values = as_tensor(values)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    _shape_check("scatter_pairs", values.ndim == 1 and len(rows) == values.size, values.shape)
-    data = np.zeros(shape, dtype=np.float64)
-    np.add.at(data, (rows, cols), values.data)
-    out = _wrap(data)
-    if not _live(values):
-        return out
-    return _record("scatter_pairs", out, (values,), (lambda g: g[rows, cols],))
 
 
 def where(mask, a, b) -> Tensor:
@@ -699,30 +638,3 @@ def backward(loss: Tensor) -> dict[Tensor, Tensor]:
     # copies: an accumulator may be a view, or shared with another tensor
     return {t: _wrap(np.array(grads[t]))
             for t in reversed(leaves) if t.requires_grad and t in grads}
-
-
-# ---------------------------------------------------------------------------
-# finite differences (independent oracle used throughout the test suite)
-
-
-def finite_difference(
-    loss_fn: Callable[[np.ndarray], float],
-    point: np.ndarray,
-    epsilon: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function."""
-    if epsilon <= 0:
-        raise ValueError("finite_difference: epsilon must be positive")
-    point = np.asarray(point, dtype=np.float64)
-    grad = np.zeros_like(point)
-    flat = point.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        hi = loss_fn(point)
-        flat[i] = orig - epsilon
-        lo = loss_fn(point)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * epsilon)
-    return grad

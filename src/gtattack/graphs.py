@@ -34,6 +34,7 @@ __all__ = [
     "GraphParseError",
     "laplacian_sym",
     "laplacian_sym_tensor",
+    "sym_normalize",
     "apply_flips",
     "save_graph",
     "load_graph",
@@ -174,9 +175,40 @@ def laplacian_sym_tensor(a: Tensor) -> Tensor:
     so graphs with isolated nodes still have a well-defined spectrum.
     """
     n = a.shape[-1]
-    s = ad.rsqrt_safe(ad.tsum(a, axis=-1))
-    scale = ad.mul(ad.reshape(s, (*s.shape, 1)), ad.reshape(s, (*s.shape[:-1], 1, n)))
-    return ad.masked_fill(ad.neg(ad.mul(a, scale)), np.eye(n, dtype=bool), 1.0)
+    return ad.masked_fill(ad.neg(sym_normalize(a)), np.eye(n, dtype=bool), 1.0)
+
+
+def sym_normalize(a) -> Tensor:
+    """D^-1/2 A D^-1/2 of each matrix in a (..., n, n) stack, D holding the
+    row sums; a row whose sum is not positive gets factor 0.  One recorded op.
+
+    Values and gradients repeat, operation by operation, the composed chain
+    (row sum, x -> x^-1/2 with 0 at x <= 0, two reshapes, the outer product
+    s_i s_j, then A times it), and ``a`` is listed once per consumer in that
+    chain, the product and then the row sum, so that its gradient also
+    accumulates in the chain's order.
+    """
+    a = ad.as_tensor(a)
+    x = a.data
+    d = x.sum(axis=-1)
+    pos = d > 0.0
+    plain = pos.all()  # every degree > 0, where the masked form gives the same bits
+    d_safe = d if plain else np.where(pos, d, 1.0)
+    s = 1.0 / np.sqrt(d) if plain else np.where(pos, 1.0 / np.sqrt(d_safe), 0.0)
+    col, row = s[..., :, None], s[..., None, :]
+    scale = col * row
+    out = ad._wrap(x * scale)
+    if not ad._live(a):
+        return out
+
+    def vjp_degree(g):
+        gw = g * x
+        gd = -0.5 * ((gw * col).sum(axis=-2) + (gw * row).sum(axis=-1)) * s / d_safe
+        res = np.empty(x.shape)
+        res[...] = (gd if plain else np.where(pos, gd, 0.0))[..., None]
+        return res
+
+    return ad._record("sym_normalize", out, (a, a), (lambda g: g * scale, vjp_degree))
 
 
 def apply_flips(adjacency: np.ndarray, pairs: np.ndarray, values: np.ndarray | Tensor) -> Tensor:
@@ -185,19 +217,29 @@ def apply_flips(adjacency: np.ndarray, pairs: np.ndarray, values: np.ndarray | T
     B holds ``values`` at the unique index pairs ``pairs`` (k, 2), i < j,
     and at their mirrors.  B entries of 0 leave A untouched; 1 flips the
     edge; fractional values interpolate.  When ``values`` is a Tensor,
-    gradients flow from the result back to it.
+    gradients flow from the result back to it through one recorded op: each
+    value's gradient gathers the two mirrored entries of its pair.
     """
     a = np.asarray(adjacency, dtype=np.float64)
     if len(pairs) == 0:
         return Tensor(a.copy())
     values = ad.as_tensor(values)
-    n = a.shape[0]
+    k = len(pairs)
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    both = ad.concat([values, values], axis=0)
-    dense_b = ad.scatter_pairs(both, (n, n), rows, cols)
-    delta = ad.mul(Tensor(1.0 - 2.0 * a), dense_b)
-    return ad.add(Tensor(a), delta)
+    base = a[rows, cols]
+    coef = 1.0 - 2.0 * base
+    flipped = a.copy()
+    flipped[rows, cols] = base + coef * np.concatenate([values.data, values.data])
+    out = ad._wrap(flipped)
+    if not ad._live(values):
+        return out
+
+    def vjp(g):
+        gm = g[rows, cols] * coef
+        return gm[:k] + gm[k:]
+
+    return ad._record("apply_flips", out, (values,), (vjp,))
 
 
 def upper_triangle_pairs(n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
+from ..graphs import sym_normalize
 from .common import GraphModel, RelaxToggles, linear
 
 __all__ = ["GCN"]
@@ -33,12 +34,7 @@ class GCN(GraphModel):
     @staticmethod
     def _propagation(atilde: Tensor) -> Tensor:
         n = atilde.shape[-1]
-        lead = atilde.shape[:-2]
-        with_loops = ad.masked_fill(atilde, np.eye(n, dtype=bool), 1.0)
-        d = ad.tsum(with_loops, axis=-1)
-        s = ad.rsqrt_safe(d)
-        scale = ad.mul(ad.reshape(s, lead + (n, 1)), ad.reshape(s, lead + (1, n)))
-        return ad.mul(with_loops, scale)
+        return sym_normalize(ad.masked_fill(atilde, np.eye(n, dtype=bool), 1.0))
 
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None) -> Tensor:
         prop = self._propagation(ad.as_tensor(atilde))

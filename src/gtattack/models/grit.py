@@ -223,6 +223,8 @@ class GRIT(GraphModel):
         heads = self.hparams["heads"]
         if d % heads:
             raise ValueError("hidden must be divisible by heads")
+        if k < 2:  # rrwp stacks the identity and at least one walk step
+            raise ValueError(f"walk_length must be >= 2, got {k}")
         dh = d // heads
         self._param("x.w", (self.feature_dim, d), rng)
         self._param("x.b", (d,), rng, "zeros")

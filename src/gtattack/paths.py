@@ -10,8 +10,6 @@ is frozen and the sum of reciprocals over it acts as the gradient proxy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -21,41 +19,11 @@ from .graphs import EDGE_EPS
 
 __all__ = [
     "EDGE_EPS",
-    "ShortestPathResult",
     "reciprocal_weights",
-    "all_pairs_shortest",
-    "path_sum_proxy",
     "rspd_matrix",
     "interp_table",
     "spd_bias",
 ]
-
-
-@dataclass
-class ShortestPathResult:
-    """Distance matrix plus per-pair next hops.
-
-    ``next_hop[u, j]`` is the first node after ``u`` on the chosen path
-    from ``u`` to ``j`` (lexicographically smallest among shortest paths),
-    ``-1`` when unreachable, ``u`` itself when ``u == j``.  Following the
-    hops reconstructs one shortest path per pair.
-    """
-
-    rspd: np.ndarray
-    next_hop: np.ndarray
-
-    def path(self, i: int, j: int) -> list[int]:
-        if self.rspd[i, j] == np.inf:
-            raise ValueError(f"no path between {i} and {j}")
-        nodes = [i]
-        guard = self.rspd.shape[0] + 1
-        u = i
-        while u != j:
-            u = int(self.next_hop[u, j])
-            nodes.append(u)
-            if len(nodes) > guard:
-                raise RuntimeError("path reconstruction did not terminate")
-        return nodes
 
 
 def reciprocal_weights(atilde: Tensor | np.ndarray) -> np.ndarray:
@@ -68,40 +36,13 @@ def reciprocal_weights(atilde: Tensor | np.ndarray) -> np.ndarray:
     return r
 
 
-def all_pairs_shortest(r: np.ndarray) -> ShortestPathResult:
-    """Floyd-Warshall over all pairs with deterministic lexicographic tie-break."""
-    r = np.asarray(r, dtype=np.float64)
-    off = r[~np.eye(r.shape[0], dtype=bool)]
-    if off.size and np.min(off) < 1.0 - 1e-12:
-        raise ValueError("all_pairs_shortest: off-diagonal weights must be >= 1 or inf")
-    dist, nxt = shortest_paths_kernel(r)
-    return ShortestPathResult(rspd=dist, next_hop=nxt)
-
-
-def path_sum_proxy(atilde: Tensor, result: ShortestPathResult, i: int, j: int) -> Tensor:
-    """Sum of reciprocal adjacency entries over the frozen path from i to j.
-
-    Equals rspd(i, j) in value and carries gradients back to the on-path
-    adjacency entries (d(1/a)/da = -1/a^2).
-    """
-    if result.rspd[i, j] == np.inf:
-        raise ValueError(f"path_sum_proxy: ({i}, {j}) unreachable; use the unreachable bias")
-    nodes = result.path(i, j)
-    if len(nodes) == 1:
-        return Tensor(0.0)
-    us = np.array(nodes[:-1], dtype=np.int64)
-    vs = np.array(nodes[1:], dtype=np.int64)
-    vals = ad.take_pairs(atilde, us, vs)
-    return ad.tsum(ad.div(Tensor(np.ones(len(us))), vals))
-
-
 def rspd_matrix(atilde: Tensor) -> Tensor:
     """All-pairs relaxed shortest-path distances as one differentiable op.
 
     Forward runs Floyd-Warshall on the reciprocal weights; backward pushes
     the upstream gradient onto the adjacency along each pair's frozen path
-    (level by level through the next-hop trees of all targets at once,
-    matching :func:`path_sum_proxy` edge by edge).
+    (level by level through the next-hop trees of all targets at once), the
+    path whose sum of reciprocal entries equals the distance.
     """
     r = reciprocal_weights(atilde.data)
     dist, nxt = shortest_paths_kernel(r)

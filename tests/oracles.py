@@ -1,0 +1,216 @@
+"""Reference implementations that the tests hold recorded ops against.
+
+The composed chains are the primitive compositions that the one-node ops
+``layer_norm``, ``apply_flips``, ``node_probability`` and ``sym_normalize``
+replaced; each records one autodiff node per primitive.  The three
+primitives below them have no caller outside these chains, so they live
+here rather than in the engine.  Central finite differences check every
+gradient, and the per-pair shortest paths with their frozen-path sums are
+the reference for ``paths.rspd_matrix``.
+"""
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from gtattack import autodiff as ad
+from gtattack._kernels import shortest_paths_kernel
+from gtattack.autodiff import Tensor, as_tensor
+
+# ---------------------------------------------------------------------------
+# primitives only the chains use
+
+
+def rsqrt_safe(a) -> Tensor:
+    """x -> x**-0.5 where x > 0, else 0 (degree-0 Laplacian convention)."""
+    a = as_tensor(a)
+    pos = a.data > 0.0
+    plain = pos.all()  # every x > 0, where the masked form gives the same bits
+    x = a.data if plain else np.where(pos, a.data, 1.0)
+    y = 1.0 / np.sqrt(x) if plain else np.where(pos, 1.0 / np.sqrt(x), 0.0)
+    out = ad._wrap(y)
+    if not ad._live(a):
+        return out
+
+    def vjp(g):
+        gx = -0.5 * g * y / x
+        return gx if plain else np.where(pos, gx, 0.0)
+
+    return ad._record("rsqrt_safe", out, (a,), (vjp,))
+
+
+def prod_lastdim(a) -> Tensor:
+    """Product along the last axis, with a backward that is exact at zeros.
+
+    grad wrt x_j is prod_{k != j} x_k: rows with one zero route all gradient
+    to that entry, rows with two or more zeros get zero gradient everywhere.
+    """
+    a = as_tensor(a)
+    x = a.data
+    out = ad._wrap(x.prod(axis=-1))
+    if not ad._live(a):
+        return out
+
+    def vjp(g):
+        zeros = x == 0.0
+        nzero = zeros.sum(axis=-1, keepdims=True)
+        xs = np.where(zeros, 1.0, x)
+        prod_nz = xs.prod(axis=-1, keepdims=True)
+        # generic entry: product of the other coordinates
+        part = np.where(
+            nzero == 0,
+            prod_nz / xs,
+            np.where(nzero == 1, np.where(zeros, prod_nz, 0.0), 0.0),
+        )
+        return np.expand_dims(g, -1) * part
+
+    return ad._record("prod_lastdim", out, (a,), (vjp,))
+
+
+def scatter_pairs(values, shape: tuple[int, int], rows, cols) -> Tensor:
+    """Dense matrix with values[k] placed at (rows[k], cols[k]), zeros elsewhere."""
+    values = as_tensor(values)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    ad._shape_check("scatter_pairs", values.ndim == 1 and len(rows) == values.size,
+                    values.shape)
+    data = np.zeros(shape, dtype=np.float64)
+    np.add.at(data, (rows, cols), values.data)
+    out = ad._wrap(data)
+    if not ad._live(values):
+        return out
+    return ad._record("scatter_pairs", out, (values,), (lambda g: g[rows, cols],))
+
+
+# ---------------------------------------------------------------------------
+# composed chains
+
+
+def composed_layer_norm(x, gamma, beta, eps=1e-5):
+    """Layer norm as a chain of primitives, one node each."""
+    mu = ad.tmean(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.tmean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = rsqrt_safe(ad.add(var, Tensor(np.full(var.shape, eps))))
+    return ad.add(ad.mul(ad.mul(centered, inv), gamma), beta)
+
+
+def composed_apply_flips(adjacency, pairs, values):
+    """A + (1 - 2A) * B with B scattered from the values and their mirrors."""
+    a = np.asarray(adjacency, dtype=np.float64)
+    if len(pairs) == 0:
+        return Tensor(a.copy())
+    values = ad.as_tensor(values)
+    n = a.shape[0]
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    both = ad.concat([values, values], axis=0)
+    dense_b = scatter_pairs(both, (n, n), rows, cols)
+    delta = ad.mul(Tensor(1.0 - 2.0 * a), dense_b)
+    return ad.add(Tensor(a), delta)
+
+
+def composed_node_probability(atilde, rounds=3):
+    """p_i <- 1 - prod_j (1 - A_ij p_j) from p = 1, over the dense matrix."""
+    n = atilde.shape[0]
+    p = Tensor(np.ones(n))
+    ones = Tensor(np.ones((n, n)))
+    for _ in range(rounds):
+        factors = ad.sub(ones, ad.mul(atilde, ad.reshape(p, (1, n))))
+        p = ad.sub(Tensor(np.ones(n)), prod_lastdim(factors))
+    return p
+
+
+def composed_sym_normalize(a):
+    """D^-1/2 A D^-1/2 of a (..., n, n) stack, as GCN composed it."""
+    n = a.shape[-1]
+    lead = a.shape[:-2]
+    s = rsqrt_safe(ad.tsum(a, axis=-1))
+    scale = ad.mul(ad.reshape(s, lead + (n, 1)), ad.reshape(s, lead + (1, n)))
+    return ad.mul(a, scale)
+
+
+# ---------------------------------------------------------------------------
+# finite differences
+
+
+def finite_difference(
+    loss_fn: Callable[[np.ndarray], float],
+    point: np.ndarray,
+    epsilon: float = 1e-5,
+) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function."""
+    if epsilon <= 0:
+        raise ValueError("finite_difference: epsilon must be positive")
+    point = np.asarray(point, dtype=np.float64)
+    grad = np.zeros_like(point)
+    flat = point.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        hi = loss_fn(point)
+        flat[i] = orig - epsilon
+        lo = loss_fn(point)
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * epsilon)
+    return grad
+
+
+# ---------------------------------------------------------------------------
+# per-pair shortest paths
+
+
+@dataclass
+class ShortestPathResult:
+    """Distance matrix plus per-pair next hops.
+
+    ``next_hop[u, j]`` is the first node after ``u`` on the chosen path
+    from ``u`` to ``j`` (lexicographically smallest among shortest paths),
+    ``-1`` when unreachable, ``u`` itself when ``u == j``.  Following the
+    hops reconstructs one shortest path per pair.
+    """
+
+    rspd: np.ndarray
+    next_hop: np.ndarray
+
+    def path(self, i: int, j: int) -> list[int]:
+        if self.rspd[i, j] == np.inf:
+            raise ValueError(f"no path between {i} and {j}")
+        nodes = [i]
+        guard = self.rspd.shape[0] + 1
+        u = i
+        while u != j:
+            u = int(self.next_hop[u, j])
+            nodes.append(u)
+            if len(nodes) > guard:
+                raise RuntimeError("path reconstruction did not terminate")
+        return nodes
+
+
+def all_pairs_shortest(r: np.ndarray) -> ShortestPathResult:
+    """Floyd-Warshall over all pairs with deterministic lexicographic tie-break."""
+    r = np.asarray(r, dtype=np.float64)
+    off = r[~np.eye(r.shape[0], dtype=bool)]
+    if off.size and np.min(off) < 1.0 - 1e-12:
+        raise ValueError("all_pairs_shortest: off-diagonal weights must be >= 1 or inf")
+    dist, nxt = shortest_paths_kernel(r)
+    return ShortestPathResult(rspd=dist, next_hop=nxt)
+
+
+def path_sum_proxy(atilde: Tensor, result: ShortestPathResult, i: int, j: int) -> Tensor:
+    """Sum of reciprocal adjacency entries over the frozen path from i to j.
+
+    Equals rspd(i, j) in value and carries gradients back to the on-path
+    adjacency entries (d(1/a)/da = -1/a^2).
+    """
+    if result.rspd[i, j] == np.inf:
+        raise ValueError(f"path_sum_proxy: ({i}, {j}) unreachable; use the unreachable bias")
+    nodes = result.path(i, j)
+    if len(nodes) == 1:
+        return Tensor(0.0)
+    us = np.array(nodes[:-1], dtype=np.int64)
+    vs = np.array(nodes[1:], dtype=np.int64)
+    vals = ad.take_pairs(atilde, us, vs)
+    return ad.tsum(ad.div(Tensor(np.ones(len(us))), vals))

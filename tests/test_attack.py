@@ -144,6 +144,20 @@ def test_projection_clamped_sum_just_above_budget_is_projected():
     assert np.max(np.abs(got - sort_projection_oracle(values, 2.0))) <= 1e-12
 
 
+@pytest.mark.parametrize("budget", [1, 2, 5])
+def test_projection_of_values_beyond_float_unit_spacing(budget):
+    # block values after one step of a tiny tree run whose GCN trained at
+    # lr 1e6 (the five highest and three lowest of the block): x - 1 == x,
+    # so the segment search met a zero slope and divided by it
+    values = np.array([7.907952053015912e+18, 7.907943157443476e+18, 7.907940423769078e+18,
+                       7.907936409737363e+18, 7.907933221547098e+18, -5.851312306056883e+25,
+                       -5.851310452976524e+25, -5.851309280309864e+25])
+    with np.errstate(all="raise"):
+        got = project_budget(values, budget)
+    # the values lie far more than 1 apart: the projection keeps the top `budget`
+    np.testing.assert_array_equal(got, np.arange(len(values)) < budget)
+
+
 def test_projection_rejects_negative_budget_and_non_finite_values():
     with pytest.raises(ValueError):
         project_budget(np.array([0.5]), -0.1)
@@ -1127,6 +1141,68 @@ def test_relaxed_graph_at_ones_equals_scored_graph(cluster_setup, tree_setup, mo
         assert np.array_equal(base_feats, feats)
         sizes.add(len(adj))
     assert len(sizes) == 1 if mode == "structure" else len(sizes) > 2
+
+
+SAN_GAP = ("Principle I holds for SAN only at its spectral reference graph. At a flipped "
+           "graph probe D measured SAN's relaxed loss off by 4e-5 to 5e-4 (structure) and "
+           "0.7% to 6.5% (injection); here it is off by up to 2e-2 (structure, san_lap_pert) "
+           "and 5e-1 (injection), where the block's unjoined candidates also enter the "
+           "Laplacian as isolated nodes, with or without san_lap_pert")
+NO_BIAS_GAP = ("without node_prob_bias, attention does not drop the block's unjoined "
+               "candidates (probability 0, no edge), which the scored graph does not hold: "
+               "the relaxed loss is off by 4e-2 to 6.6 relative")
+
+
+def _principle_one_cases():
+    from gtattack.experiment import ablation_grid, toggles_label
+    from gtattack.models import RelaxToggles
+
+    cases = []
+    for arch in ("gcn", "grit", "graphormer", "san"):
+        for mode in ("structure", "tree_only", "none"):
+            for toggles in ablation_grid(arch, "structure" if mode == "structure" else "injection"):
+                gap = None
+                if arch == "san" and (mode != "structure" or toggles.san_lap_pert):
+                    gap = SAN_GAP
+                elif mode != "structure" and not toggles.node_prob_bias:
+                    gap = NO_BIAS_GAP
+                label = "all" if toggles == RelaxToggles() else toggles_label(toggles)
+                cases.append(pytest.param(
+                    arch, mode, toggles, id=f"{arch}-{mode}-{label}",
+                    marks=[pytest.mark.xfail(strict=True, reason=gap)] if gap else []))
+    return cases
+
+
+@pytest.mark.parametrize("arch,mode,toggles", _principle_one_cases())
+def test_relaxed_objective_equals_scored_loss_at_flip_sets(cluster_setup, tree_setup, arch,
+                                                          mode, toggles):
+    # Principle I where the attack goes: a block's values of 1 on a flip set
+    # and 0 on its other pairs give the relaxed objective the loss that
+    # evaluate_discrete scores for the flip set, for every ablation toggle
+    # set of the architecture (shipped hparams, untrained weights)
+    from gtattack.attack.runner import AttackRun
+
+    if mode == "structure":
+        _, g, _ = cluster_setup
+        model = build_model(arch, "node", g.feature_dim, int(g.node_labels.max()) + 1, seed=0)
+        run = AttackRun(model, g, quick_config(toggles=toggles))
+    else:
+        _, g, _, cands, _ = tree_setup
+        model = build_model(arch, "graph", g.feature_dim, 1, seed=0)
+        run = AttackRun(model, g, tree_config(constraint=mode, toggles=toggles), cands)
+    errors = []
+    for k in (0, 1, 3, 7):
+        rng = np.random.default_rng(k)
+        pairs = run.allowed[np.sort(rng.choice(len(run.allowed), size=30, replace=False))]
+        flips = pairs[np.sort(rng.choice(len(pairs), size=k, replace=False))]
+        if mode == "tree_only":
+            flips = mst_projection(flips, np.ones(len(flips)), run.n_orig)
+        values = (pairs[:, None, :] == flips[None, :, :]).all(axis=-1).any(axis=-1) * 1.0
+        block = BlockState(run.n_aug, pairs, values)
+        relaxed = run.objective(block)(Tensor(values)).item()
+        [(loss, _)] = run.evaluate_discrete([flips])
+        errors.append(abs(relaxed - loss) / abs(loss))
+    assert max(errors) <= 1e-12, errors
 
 
 @pytest.mark.parametrize("constraint", ["tree_only", "none"])

@@ -2,13 +2,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gtattack import autodiff as ad
 from gtattack import paths
 from gtattack._kernels import bfs_hops
-from gtattack.attack import is_tree
+from gtattack.attack import is_tree, node_probability
 from gtattack.autodiff import Tensor, backward
 from gtattack.generators import (
     _sbm_once,
@@ -29,10 +29,17 @@ from gtattack.graphs import (
     load_graph,
     read_json,
     save_graph,
+    sym_normalize,
     upper_triangle_pairs,
     write_json,
 )
 from gtattack.spectral import eig_sym
+from oracles import (
+    composed_apply_flips,
+    composed_node_probability,
+    composed_sym_normalize,
+    finite_difference,
+)
 
 
 def make_graph(a, d_feat=2, **kw):
@@ -134,6 +141,116 @@ def test_flip_output_in_unit_interval(n, seed):
 def test_flip_empty_block_is_identity():
     out = flip(TRIANGLE, np.zeros((0, 2), dtype=int), np.zeros(0))
     np.testing.assert_array_equal(out.data, TRIANGLE)
+
+
+# ---------------------------------------------------------------------------
+# the relaxed-graph front end (apply_flips, node_probability, sym_normalize)
+# against the composed chains it replaced: one recorded node each, the
+# chain's values bit for bit, its gradients within rtol 1e-12, and finite
+# differences
+
+# a pair's weight: absent; 1, a zero factor of node_probability next to a
+# probability-1 node; a weak edge; or anything in [0, 1]
+PAIR_WEIGHTS = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-9, 1e-3), st.floats(0.0, 1.0))
+FRONT_END = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def weighted_graphs(draw, n=None):
+    n = draw(st.integers(1, 8)) if n is None else n
+    m = n * (n - 1) // 2
+    a = np.zeros((n, n))
+    a[np.triu_indices(n, k=1)] = draw(st.lists(PAIR_WEIGHTS, min_size=m, max_size=m))
+    return a + a.T
+
+
+def _star_with_strays():
+    # node 0 has three weight-1 edges (two or more zero factors), each leaf
+    # one; node 4 is isolated (degree 0); node 5 hangs on a weak edge
+    a = np.zeros((6, 6))
+    a[0, 1:4] = a[1:4, 0] = 1.0
+    a[1, 5] = a[5, 1] = 1e-7
+    return a
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, np.ascontiguousarray(a).reshape(-1).view(np.uint64).tolist()
+
+
+def _weights(shape):
+    return np.linspace(-1.0, 2.0, num=int(np.prod(shape))).reshape(shape)
+
+
+def _forward_backward(fn, x0):
+    """fn's value at x0, the gradient of a mixed sum of it, and the number
+    of nodes that fn records."""
+    x = Tensor(x0.copy(), requires_grad=True)
+    with ad.Tape() as tape:
+        out = fn(x)
+        n_nodes = len(tape.nodes)
+        grad = backward(ad.tsum(ad.mul(out, Tensor(_weights(out.shape)))))[x].data
+    return out.data, grad, n_nodes
+
+
+def check_against_chain(op, chain, x0):
+    got, grad, n_nodes = _forward_backward(op, x0)
+    want, want_grad, _ = _forward_backward(chain, x0)
+    assert n_nodes == 1
+    assert _bits(got) == _bits(want)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0.0)
+    return grad
+
+
+def check_finite_differences(op, x0, grad):
+    weights = _weights(op(Tensor(x0)).shape)
+    fd = finite_difference(lambda x: float((op(Tensor(x)).data * weights).sum()), x0.copy(),
+                           epsilon=1e-6)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
+@st.composite
+def flip_cases(draw):
+    """A weighted graph, some of its pairs, and a value for each."""
+    a = draw(weighted_graphs())
+    pairs = upper_triangle_pairs(len(a))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = pairs[np.array(keep, dtype=bool)]
+    return a, pairs, np.array(draw(st.lists(PAIR_WEIGHTS, min_size=len(pairs),
+                                            max_size=len(pairs))))
+
+
+@FRONT_END
+@given(flip_cases())
+@example((_star_with_strays(), upper_triangle_pairs(6), np.linspace(0.0, 1.0, 15)))
+def test_apply_flips_equals_composed_chain(case):
+    a, pairs, values = case
+    assume(len(pairs))
+    grad = check_against_chain(lambda v: apply_flips(a, pairs, v),
+                               lambda v: composed_apply_flips(a, pairs, v), values)
+    check_finite_differences(lambda v: apply_flips(a, pairs, v), values, grad)
+
+
+@FRONT_END
+@given(weighted_graphs())
+@example(_star_with_strays())
+@example(np.zeros((1, 1)))
+def test_node_probability_equals_composed_chain(a):
+    grad = check_against_chain(node_probability, composed_node_probability, a)
+    check_finite_differences(node_probability, a, grad)
+
+
+@FRONT_END
+@given(st.one_of(weighted_graphs(),
+                 st.integers(1, 6).flatmap(lambda n: st.lists(weighted_graphs(n), min_size=2,
+                                                              max_size=3).map(np.stack))))
+@example(_star_with_strays())
+def test_sym_normalize_equals_composed_chain(a):
+    grad = check_against_chain(sym_normalize, composed_sym_normalize, a)
+    # away from degree 0, where x^-1/2 is smooth: GCN's self-loops
+    loops = a + np.eye(a.shape[-1])
+    grad = check_against_chain(sym_normalize, composed_sym_normalize, loops)
+    check_finite_differences(sym_normalize, loops, grad)
 
 
 # ---------------------------------------------------------------------------

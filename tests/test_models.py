@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gtattack import autodiff as ad
-from gtattack.autodiff import Tape, Tensor, backward, finite_difference
+from gtattack.autodiff import Tape, Tensor, backward
 from gtattack.attack.losses import attack_loss
 from gtattack.models import (
     RelaxToggles,
@@ -14,6 +14,7 @@ from gtattack.models import (
     build_model,
     degree_pe,
     load_checkpoint,
+    model_from_doc,
     pool_weighted,
     rrwp,
     save_checkpoint,
@@ -21,8 +22,9 @@ from gtattack.models import (
 from gtattack.models import grit
 from gtattack.models.common import log_prob_row
 from gtattack.generators import make_cluster_dataset
-from gtattack.paths import all_pairs_shortest, reciprocal_weights, rspd_matrix
+from gtattack.paths import reciprocal_weights, rspd_matrix
 from gtattack.train import TrainConfig, train_model
+from oracles import all_pairs_shortest, finite_difference, rsqrt_safe
 
 ARCHS = ["gcn", "grit", "graphormer", "san"]
 
@@ -277,6 +279,15 @@ def test_rrwp_requires_k_at_least_two():
         rrwp(np.zeros((2, 2)), 1)
 
 
+def test_grit_rejects_walk_length_below_two_at_build_and_load():
+    with pytest.raises(ValueError, match="walk_length must be >= 2, got 1"):
+        build_model("grit", "node", 3, 2, walk_length=1)
+    doc = build_model("grit", "node", 3, 2).to_doc()
+    doc["hparams"]["walk_length"] = 1
+    with pytest.raises(ValueError, match="walk_length must be >= 2, got 1"):
+        model_from_doc(doc)
+
+
 def composed_rrwp(atilde, k):
     """rrwp as a composition of autodiff primitives: the oracle for the
     recorded op (M = A * (rsqrt(d) * rsqrt(d)), powers by matmul, concat)."""
@@ -284,7 +295,7 @@ def composed_rrwp(atilde, k):
     n = a.shape[-1]
     lead = a.shape[:-2]
     d = ad.tsum(a, axis=-1)
-    inv = ad.mul(ad.rsqrt_safe(d), ad.rsqrt_safe(d))
+    inv = ad.mul(rsqrt_safe(d), rsqrt_safe(d))
     m = ad.mul(a, ad.reshape(inv, lead + (n, 1)))
     eye = np.zeros(a.shape)
     eye[..., np.arange(n), np.arange(n)] = 1.0
