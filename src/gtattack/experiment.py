@@ -15,7 +15,6 @@ and writes into an output directory:
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import logging
 import os
@@ -28,16 +27,13 @@ import numpy as np
 from .attack import (
     AttackConfig,
     PerturbationResult,
+    allowed_pairs,
+    budget_from_fraction,
     build_candidate_set,
     run_cell,
     transfer_attack,
 )
-from .generators import (
-    generate_retweet_tree,
-    generate_sbm_cluster,
-    make_cluster_dataset,
-    make_tree_dataset,
-)
+from .generators import make_cluster_dataset, make_tree_dataset
 from .graphs import (
     NON_EMPTY,
     Bound,
@@ -72,30 +68,26 @@ __all__ = [
 ]
 
 
-# dataset kind -> (dataset maker, the per-graph generator it passes extra
-# keys to, the keywords the maker passes that generator itself)
-DATASETS = {
-    "cluster": (make_cluster_dataset, generate_sbm_cluster, {}),
-    "tree": (make_tree_dataset, generate_retweet_tree, {"label": 0}),
-}
+DATASETS = {"cluster": make_cluster_dataset, "tree": make_tree_dataset}
 
 
-def _check_dataset(spec: dict) -> None:
-    """Raise TypeError or ValueError unless the dataset maker of
-    ``spec["kind"]`` takes every other key of ``spec`` and its generator
-    makes a graph of seed 0 from them."""
-    spec = dict(spec)
-    make, generate, own = DATASETS[spec.pop("kind")]
-    extra = inspect.signature(make).bind(**spec).arguments.get("gen_kwargs", {})
-    generate(0, **own, **extra)
+def _make_dataset(spec: dict) -> Dataset:
+    """The dataset of a config's ``dataset`` entry: its kind's maker called
+    with the entry's other keys; ConfigError for a key the maker lacks or a
+    graph it cannot make."""
+    try:
+        return DATASETS[spec["kind"]](**{k: v for k, v in spec.items() if k != "kind"})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad dataset config: {exc}") from exc
 
 
 @dataclass
 class DatasetSpec:
-    """The keys of a config's ``dataset`` entry.  The entry stays a dict, so
-    its hash still stamps the dataset; a key left out takes the default of
-    the maker or generator that gets it, and a default here only marks a key
-    as optional.  ``_check_dataset`` rejects keys the kind's generator lacks."""
+    """The keys of a config's ``dataset`` entry, each a keyword of the
+    kind's maker (see ``generators`` for the settings no config varies).
+    The entry stays a dict, so its hash still stamps the dataset; a key left
+    out takes the maker's default, and a default here only marks a key as
+    optional.  A key the kind's maker lacks fails its one-graph build."""
 
     kind: Literal["cluster", "tree"]
     seed: Index
@@ -104,15 +96,7 @@ class DatasetSpec:
     n_test: Count = None
     n_clusters: Count = None
     nodes_per_cluster_range: tuple[Count, Count] = None
-    p_intra: float = None
-    p_inter: float = None
-    feature_dim: Count = None
-    noise_scale: float = None
     n_nodes_range: tuple[Count, Count] = None
-    root_shift: float = None
-    user_shift: float = None
-    power_frac: float = None
-    power_scale: float = None
 
 
 @dataclass
@@ -141,10 +125,8 @@ class ExperimentConfig:
         check_value(self, ExperimentConfig, "")  # the CLI's overrides included
         if list(self.budgets) != sorted(self.budgets):
             raise ConfigError("budgets must be ascending")
-        try:  # fail before generate, not inside it
-            _check_dataset(self.dataset)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad dataset config: {exc}") from exc
+        # fail before generate, not inside it: make the dataset's first graph
+        _make_dataset({**self.dataset, "n_train": 1, "n_val": 0, "n_test": 0})
         archs = [spec.arch for spec in self.models]
         if len(set(archs)) < len(archs):  # each writes checkpoints/<arch>.json
             raise ConfigError(f"each model arch may appear once, got {archs}")
@@ -261,9 +243,7 @@ def _check_stamp(doc: dict, stamp: str, path: str, stage: str) -> None:
 def cmd_generate(cfg: ExperimentConfig) -> Dataset:
     """Generate the synthetic dataset and write it to out/dataset, stamped
     with the hash of the ``dataset`` entry."""
-    spec = dict(cfg.dataset)
-    make = DATASETS[spec.pop("kind")][0]
-    ds = make(**spec)
+    ds = _make_dataset(cfg.dataset)
     save_dataset(ds, _dataset_dir(cfg), stamp=_stamp(cfg.dataset))
     return ds
 
@@ -376,11 +356,12 @@ def _run_task(task: tuple) -> tuple[PerturbationResult, ...]:
 
 class _Executor:
     """The dataset, models, targets and candidate sets of one command, loaded
-    once.  ``run`` maps cells over a fork pool when n_workers > 1 (each run
-    owns its RNG, so results do not depend on scheduling) and writes their
+    once, with the flips of each of its ``budgets`` checked to fit a block.
+    ``run`` maps cells over a fork pool when n_workers > 1 (each run owns its
+    RNG, so results do not depend on scheduling) and writes their
     perturbation JSONs."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, budgets: list[float]):
         self.cfg = cfg
         self.ds = _load_or_generate(cfg)
         self.models = _load_models(cfg)
@@ -395,6 +376,20 @@ class _Executor:
                 self.ds, gid, exclude_roots=True, max_candidates=acfg.max_candidates, seed=gid)
             for gid in self.targets
         }
+        # a cell's block holds at most block_size of the pairs its attack may
+        # flip; check each budget against both before any cell runs
+        for gid, graph in zip(self.targets, self.target_graphs):
+            n_aug = graph.n + (0 if self.cands[gid] is None else self.cands[gid].size)
+            allowed = len(allowed_pairs(graph, acfg, n_aug))
+            for budget in budgets:
+                flips = budget_from_fraction(budget, graph.num_edges)
+                if flips > acfg.block_size:
+                    raise ConfigError(f"attack.block_size {acfg.block_size} is below the "
+                                      f"{flips} flips of budget {budget:g} on graph {gid}")
+                if flips > allowed:
+                    raise ConfigError(f"attack.constraint {acfg.constraint!r} leaves {allowed} "
+                                      f"pairs to flip on graph {gid}, below the {flips} flips "
+                                      f"of budget {budget:g}")
         os.makedirs(os.path.join(cfg.out, "perturbations"), exist_ok=True)
 
     def run(self, cells: list[_Cell]) -> list[tuple[_Cell, tuple[PerturbationResult, ...]]]:
@@ -435,7 +430,7 @@ def _add_means(table: ResultsTable, done: list[tuple[_Cell, tuple]]) -> dict[tup
 
 def cmd_attack(cfg: ExperimentConfig) -> ResultsTable:
     """Adaptive + random + transfer sweep over (model, budget, seed)."""
-    ex = _Executor(cfg)
+    ex = _Executor(cfg, cfg.budgets)
     table = ResultsTable([], cfg.hash())
     label = toggles_label(_attack_config(cfg, cfg.budgets[0], cfg.seeds[0]).toggles)
     for arch, model in ex.models.items():
@@ -497,8 +492,8 @@ def ablation_grid(arch: str, mode: str) -> list[RelaxToggles]:
 
 def cmd_ablate(cfg: ExperimentConfig) -> ResultsTable:
     """Fixed-budget sweep over toggle combinations plus random/clean rows."""
-    ex = _Executor(cfg)
     budget = _ablate_budget(cfg)
+    ex = _Executor(cfg, [budget])
     mode = _attack_config(cfg, budget, cfg.seeds[0]).mode
     table = ResultsTable([], cfg.hash())
 

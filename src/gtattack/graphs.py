@@ -345,52 +345,69 @@ def check_value(value, hint, where: str) -> None:
         raise GraphParseError(f"{where} {exc}".lstrip()) from None
 
 
-def _is_type(hint) -> Callable[[object], bool]:
-    """Whether a value has the JSON type of ``hint``, bounds and entries aside."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Annotated:
-        return _is_type(args[0])
-    if origin in _UNIONS:
-        tests = [_is_type(h) for h in args]
-        return lambda value: any(test(value) for test in tests)
-    if origin is Literal:
-        return lambda value: any(type(value) is type(a) and value == a for a in args)
-    if origin is tuple:
-        return lambda value: isinstance(value, list) and len(value) == len(args)
-    if hint is int or hint is float:  # a bool is not an int, an int is a float
-        return lambda value: isinstance(value, (int, hint)) and not isinstance(value, bool)
-    kinds = (dict, hint) if is_dataclass(hint) else origin or hint
-    return lambda value: isinstance(value, kinds)
-
-
-def _name(hint) -> str:
-    """How messages name ``hint``: ``int | None``, ``list[int]``, ``object``."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Annotated:
-        return _name(args[0])
-    if origin is Literal or origin in _UNIONS:
-        return " | ".join(repr(a) if origin is Literal else _name(a) for a in args)
-    if origin in (list, tuple):
-        return f"{origin.__name__}[{', '.join(map(_name, args))}]"
-    if dict in (origin, hint) or is_dataclass(hint):
-        return "object"
-    return "None" if hint is type(None) else hint.__name__
-
-
 @functools.cache
 def _checker(hint) -> Callable[[object], None]:
     """The check of ``hint``, built once per hint (a dataclass's type hints
-    resolve here): a function raising _Mismatch where a value breaks it."""
+    resolve here): a function raising _Mismatch where a value breaks it.  It
+    carries ``name``, how messages name the hint (``int | None``,
+    ``list[int]``, ``object``), and ``is_type``, whether a value has the
+    hint's JSON type, bounds and entries aside, which picks a union's member."""
     origin, args = get_origin(hint), get_args(hint)
-    if origin is Annotated:
-        return _bounded(_checker(args[0]), args[1:])
-    is_type, name, inner = _is_type(hint), _name(hint), None
+    if origin is Annotated:  # the base check, then each mark: a Bound, or a
+        # dataclass whose fields the keys of a dict are
+        base = _checker(args[0])
+        schemas = [_checker(mark) for mark in args[1:] if not isinstance(mark, Bound)]
+        bounds = [(_COMPARE[mark.op], mark) for mark in args[1:] if isinstance(mark, Bound)]
+
+        def check(value):
+            base(value)
+            for schema in schemas:
+                schema(value)
+            for compare, bound in bounds:
+                if not compare(len(value) if isinstance(value, list) else value, bound.limit):
+                    what = "have length" if isinstance(value, list) else "be"
+                    raise _Mismatch(f"must {what} {bound.op} {bound.limit:g}, got {value!r}")
+        check.name, check.is_type = base.name, base.is_type
+        return check
+    parts = [] if origin is Literal else [_checker(h) for h in args]
+    inner, is_type, kinds = None, None, origin or hint
     if origin in _UNIONS:  # the member of the value's type decides
-        members = [(_is_type(h), _checker(h)) for h in args]
+        name = " | ".join(part.name for part in parts)
+
+        def is_type(value):
+            return any(part.is_type(value) for part in parts)
 
         def inner(value):
-            next(check for is_member, check in members if is_member(value))(value)
-    elif is_dataclass(hint):
+            next(part for part in parts if part.is_type(value))(value)
+    elif origin is Literal:
+        name = " | ".join(map(repr, args))
+
+        def is_type(value):
+            return any(type(value) is type(a) and value == a for a in args)
+    elif origin in (list, tuple, dict):  # a tuple's parts per position; list and dict values: last
+        name = "object" if origin is dict else \
+            f"{origin.__name__}[{', '.join(part.name for part in parts)}]"
+        floats = origin is list and args == (float,)  # features, parameters: one fast pass
+        if origin is tuple:  # a list of its length
+            def is_type(value):
+                return isinstance(value, list) and len(value) == len(parts)
+
+        def inner(value):
+            if floats and all(type(v) is float and math.isfinite(v) for v in value):
+                return
+            _each(value.items() if origin is dict else enumerate(value),
+                  parts.__getitem__ if origin is tuple else lambda key: parts[-1])
+    elif hint is int or hint is float:  # a bool is not an int, an int is a float
+        name, kinds = hint.__name__, (int, hint)
+
+        def is_type(value):
+            return isinstance(value, kinds) and not isinstance(value, bool)
+        if hint is float:
+            def inner(value):
+                if not math.isfinite(value):
+                    raise _Mismatch(f"must be finite, got {value!r}")
+    elif is_dataclass(hint):  # an object, or an instance
+        name, kinds = "object", (dict, hint)
         hints = get_type_hints(hint, include_extras=True)
         entries = {f.name: _checker(hints[f.name]) for f in fields(hint)}
         required = [f.name for f in fields(hint)
@@ -404,25 +421,18 @@ def _checker(hint) -> Callable[[object], None]:
                 raise _Mismatch(f"has unknown key {unknown[0]!r}" if unknown else
                                 f"lacks key {missing[0]!r}")
             _each(doc.items(), entries.__getitem__)
-    elif origin in (list, tuple, dict) and args:
-        items = [_checker(h) for h in args]  # a tuple's per position; list and dict values: last
-        floats = origin is list and args == (float,)  # features, parameters: one fast pass
-
-        def inner(value):
-            if floats and all(type(v) is float and math.isfinite(v) for v in value):
-                return
-            _each(value.items() if origin is dict else enumerate(value),
-                  items.__getitem__ if origin is tuple else lambda key: items[-1])
-    elif hint is float:
-        def inner(value):
-            if not math.isfinite(value):
-                raise _Mismatch(f"must be finite, got {value!r}")
+    else:  # str, bool, None or a bare dict
+        name = "object" if hint is dict else "None" if hint is type(None) else hint.__name__
+    if is_type is None:
+        def is_type(value):
+            return isinstance(value, kinds)
 
     def check(value):
         if not is_type(value):
             raise _Mismatch(f"must be {name}, got {value!r}")
         if inner is not None:
             inner(value)
+    check.name, check.is_type = name, is_type
     return check
 
 
@@ -434,23 +444,6 @@ def _each(pairs, check_of: Callable) -> None:
         except _Mismatch as exc:
             exc.path.append(key)
             raise
-
-
-def _bounded(check: Callable, marks: tuple) -> Callable[[object], None]:
-    """``check``, then each mark of ``Annotated``: a ``Bound``, or a
-    dataclass whose fields the keys of a dict are."""
-    schemas = [_checker(mark) for mark in marks if not isinstance(mark, Bound)]
-    bounds = [(_COMPARE[mark.op], mark) for mark in marks if isinstance(mark, Bound)]
-
-    def bounded(value):
-        check(value)
-        for schema in schemas:
-            schema(value)
-        for compare, bound in bounds:
-            if not compare(len(value) if isinstance(value, list) else value, bound.limit):
-                what = "have length" if isinstance(value, list) else "be"
-                raise _Mismatch(f"must {what} {bound.op} {bound.limit:g}, got {value!r}")
-    return bounded
 
 
 def _graph_to_doc(g: Graph) -> dict:

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gtattack import autodiff as ad
-from gtattack import paths
+from gtattack import generators, paths
 from gtattack._kernels import bfs_hops
 from gtattack.attack import is_tree, node_probability
 from gtattack.autodiff import Tensor, backward
@@ -291,9 +291,11 @@ def test_sbm_contract():
     assert np.all(g.features[unlabeled][:, :6] == 0.0)
 
 
-def test_sbm_no_inter_edges_keeps_clusters_separate():
+def test_sbm_no_inter_edges_keeps_clusters_separate(monkeypatch):
+    monkeypatch.setattr(generators, "P_INTRA", 0.9)
+    monkeypatch.setattr(generators, "P_INTER", 0.0)
     rng = np.random.default_rng(3)
-    g = _sbm_once(rng, 4, (8, 10), 0.9, 0.0, 6, 0.1)
+    g = _sbm_once(rng, 4, (8, 10))
     comp = connected_components(g.adjacency)
     # components never span two clusters
     for cid in np.unique(comp):
@@ -332,9 +334,11 @@ def test_sbm_deterministic():
     np.testing.assert_array_equal(g1.features, g2.features)
 
 
-def test_sbm_validates_probs():
-    with pytest.raises(ValueError):
-        generate_sbm_cluster(seed=0, p_intra=0.1, p_inter=0.2)
+def test_sbm_rejects_more_clusters_than_features():
+    # each cluster's labeled node reveals it through a one-hot feature channel
+    generate_sbm_cluster(seed=0, n_clusters=generators.FEATURE_DIM, nodes_per_cluster_range=(2, 3))
+    with pytest.raises(ValueError, match="n_clusters must be <= FEATURE_DIM = 8"):
+        generate_sbm_cluster(seed=0, n_clusters=generators.FEATURE_DIM + 1)
 
 
 def test_tree_is_tree():
@@ -364,7 +368,7 @@ def test_cluster_dataset_counts():
 
 
 def test_graph_roundtrip(tmp_path):
-    g = generate_sbm_cluster(seed=2, n_clusters=3, nodes_per_cluster_range=(4, 6), feature_dim=5)
+    g = generate_sbm_cluster(seed=2, n_clusters=3, nodes_per_cluster_range=(4, 6))
     path = tmp_path / "g.json"
     save_graph(g, str(path))
     g2 = load_graph(str(path))

@@ -512,7 +512,14 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
      "bad dataset config: trees need at least 2 nodes"),
     (lambda doc: {**doc, "dataset": {"kind": "cluster", "seed": 5, "p_inter": 0.5,
                                      "p_intra": 0.4}},
-     "bad dataset config: require 0 <= p_inter < p_intra <= 1"),
+     "dataset has unknown key 'p_inter'"),
+    (lambda doc: {**doc, "dataset": {**doc["dataset"], "n_clusters": 3}},
+     "bad dataset config: make_tree_dataset() got an unexpected keyword argument 'n_clusters'"),
+    (lambda doc: {**doc, "dataset": {"kind": "cluster", "seed": 5, "n_clusters": 9}},
+     "bad dataset config: n_clusters must be <= FEATURE_DIM = 8"),
+    (lambda doc: {**doc, "dataset": {"kind": "cluster", "seed": 5,
+                                     "nodes_per_cluster_range": [1, 1]}},
+     "bad dataset config: generate_sbm_cluster: no connected sample in 200 retries"),
     (lambda doc: {**doc, "models": [{"arch": "gat"}]},
      "models[0].arch must be 'gcn' | 'grit' | 'graphormer' | 'san', got 'gat'"),
     (lambda doc: {**doc, "models": [{"arch": "gcn", "hparams": {"hiden": 3}}]},
@@ -574,6 +581,7 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
      "dataset.n_test must be >= 1, got 0"),
 ], ids=["unknown_top_level_key", "negative_n_attack_graphs", "zero_n_attack_graphs",
         "unknown_dataset_key", "tree_label_key", "tree_too_small", "sbm_p_inter_above_p_intra",
+        "tree_cluster_key", "more_clusters_than_features", "unconnectable_clusters",
         "unknown_arch", "unknown_hparam", "hidden_not_divisible_by_heads",
         "grit_walk_length_1", "duplicate_arch",
         "n_workers_string", "zero_n_workers", "string_epochs", "float_train_subset",
@@ -591,6 +599,19 @@ def test_cli_rejects_config_at_load(tmp_path, capsys, change, message):
     assert not os.path.exists(tmp_path / "run")
 
 
+def test_cli_generate_rejects_a_later_graph_it_cannot_connect(tmp_path, capsys):
+    # three one-node clusters connect with probability 0.7% per sample: seed
+    # 0's first graph connects, so the config loads, but a later one does not
+    doc = tiny_config(tmp_path, dataset={"kind": "cluster", "seed": 0, "n_train": 4, "n_val": 2,
+                                         "n_test": 3, "n_clusters": 3,
+                                         "nodes_per_cluster_range": [1, 1]})
+    ExperimentConfig.from_doc(doc)
+    assert cli_main(["generate", "--config", write_config(tmp_path, doc)]) == 2
+    assert ("bad dataset config: generate_sbm_cluster: no connected sample in 200 retries"
+            in capsys.readouterr().err)
+    assert not os.path.exists(tmp_path / "run")
+
+
 @pytest.mark.parametrize("kind,attack,message", [
     ("tree", {"constraint": "protect_labeled"}, "protect_labeled needs labeled nodes"),
     ("tree", {"mode": "structure"}, "tree_only constrains injection attacks only"),
@@ -605,6 +626,39 @@ def test_cli_rejects_attack_the_dataset_cannot_run(tmp_path, capsys, kind, attac
     assert cli_main(["generate", "--config", cfg_path]) == 2
     assert f"bad attack config: {message}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("stage", ["attack", "ablate"])
+def test_cli_rejects_block_size_below_a_budget_before_any_cell(tmp_path, capsys, stage):
+    # the block size is a config key, but a budget's flips depend on each
+    # target graph's edge count, so the check waits for the dataset
+    doc = tiny_config(tmp_path, kind="tree", seeds=[0], budgets=[0.2], ablate_budget=0.2)
+    doc["dataset"]["n_nodes_range"] = [12, 12]  # 11 edges: 2 flips at budget 0.2
+    doc["attack"]["block_size"] = 1
+    cfg_path = write_config(tmp_path, doc)
+    for command in ("generate", "train"):
+        assert cli_main([command, "--config", cfg_path]) == 0
+    assert cli_main([stage, "--config", cfg_path]) == 2
+    assert ("attack.block_size 1 is below the 2 flips of budget 0.2 on graph 6"
+            in capsys.readouterr().err)
+    assert not os.path.exists(tmp_path / "run" / "perturbations")
+    assert not os.path.exists(tmp_path / "run" / "results.json")
+    assert not os.path.exists(tmp_path / "run" / "ablation.json")
+
+
+def test_cli_rejects_budget_above_the_pairs_a_constraint_leaves(tmp_path, capsys):
+    # two clusters of two nodes, each with one labeled node: protect_labeled
+    # leaves the one pair of unlabeled nodes, and budget 0.5 takes 2 flips
+    doc = tiny_config(tmp_path, seeds=[0], budgets=[0.5], n_attack_graphs=1)
+    doc["dataset"].update(n_clusters=2, nodes_per_cluster_range=[2, 2])
+    doc["attack"]["constraint"] = "protect_labeled"
+    cfg_path = write_config(tmp_path, doc)
+    for command in ("generate", "train"):
+        assert cli_main([command, "--config", cfg_path]) == 0
+    assert cli_main(["attack", "--config", cfg_path]) == 2
+    assert ("attack.constraint 'protect_labeled' leaves 1 pairs to flip on graph 6, below the "
+            "2 flips of budget 0.5" in capsys.readouterr().err)
+    assert not os.path.exists(tmp_path / "run" / "perturbations")
 
 
 @pytest.mark.parametrize("kind,attack", [
@@ -921,7 +975,7 @@ def _leaves(doc, path=()):
 
 def _mutate(value, kind):
     return {"type": 1 if isinstance(value, str) else "x", "nan": float("nan"),
-            "inf": float("inf"), "-inf": float("-inf"), "index": 999,
+            "inf": float("inf"), "-inf": float("-inf"), "index": 999, "one": 1,
             "negative": -abs(value) - 1 if isinstance(value, (int, float)) else -1}[kind]
 
 
@@ -931,7 +985,7 @@ def test_cli_stage_never_crashes_on_a_mutated_leaf(fuzz_run, data):
     name = data.draw(st.sampled_from(sorted(FUZZ_TARGETS)), label="file")
     doc = json.loads((fuzz_run / name).read_text())
     path = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
-    kind = data.draw(st.sampled_from(["type", "nan", "inf", "-inf", "negative", "index",
+    kind = data.draw(st.sampled_from(["type", "nan", "inf", "-inf", "negative", "index", "one",
                                       "extra", "missing"]), label="mutation")
     parent = doc
     for key in path[:-1]:
