@@ -398,12 +398,17 @@ def texp(a) -> Tensor:
 
 def tlog(a) -> Tensor:
     a = as_tensor(a)
-    if (a.data < 0.0).any():
+    y, vjp = log_parts(a.data)
+    out = _wrap(y)
+    return _record("log", out, (a,), (vjp,)) if _live(a) else out
+
+
+def log_parts(x: np.ndarray):
+    """``tlog``'s values on an array, and its VJP; for ops that contain a log."""
+    if (x < 0.0).any():
         raise ValueError("log: negative input")
     with np.errstate(divide="ignore"):
-        out = _wrap(np.log(a.data))
-    if not _live(a):
-        return out
+        y = np.log(x)
 
     def vjp(g):
         # skip coordinates with zero upstream gradient so log(0) = -inf does
@@ -412,10 +417,10 @@ def tlog(a) -> Tensor:
         res = np.zeros_like(g)
         live = g != 0.0
         with np.errstate(divide="ignore"):
-            np.divide(g, a.data, out=res, where=live)
+            np.divide(g, x, out=res, where=live)
         return res
 
-    return _record("log", out, (a,), (vjp,))
+    return y, vjp
 
 
 def ttanh(a) -> Tensor:
@@ -473,23 +478,29 @@ def layer_norm(x, gamma, beta) -> Tensor:
     mul, mul, add computes, so they equal it bit for bit.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    out, vjps = layer_norm_parts(x.data, gamma.data, beta.data)
+    out = _wrap(out)
+    return _record("layer_norm", out, (x, gamma, beta), vjps) if _live(x, gamma, beta) else out
+
+
+def layer_norm_parts(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """``layer_norm``'s values on arrays, and its VJPs for x, gamma and
+    beta; for ops that contain a layer norm."""
     d = x.shape[-1]
     # sum / d is the arithmetic of ndarray.mean, without its Python wrapper
-    c = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    c = x - x.sum(axis=-1, keepdims=True) / d
     v = (c * c).sum(axis=-1, keepdims=True) / d + LN_EPS
     pos = v > 0.0
     regular = pos.all()  # no NaN variance: the unmasked form gives the same bits
     v_safe = v if regular else np.where(pos, v, 1.0)
     inv = 1.0 / np.sqrt(v) if regular else np.where(pos, 1.0 / np.sqrt(v_safe), 0.0)
     normed = c * inv
-    out = _wrap(normed * gamma.data + beta.data)
-    if not _live(x, gamma, beta):
-        return out
+    out = normed * gamma + beta
     # the gradient of a per-row value: _unbroadcast to inv's shape, a no-op if d == 1
     rowsum = _identity if d == 1 else lambda m: m.sum(axis=-1, keepdims=True)
 
     def vjp_x(g):
-        g_normed = g * gamma.data
+        g_normed = g * gamma
         g_sq = -0.5 * rowsum(g_normed * c) * inv / v_safe
         if not regular:
             g_sq = np.where(pos, g_sq, 0.0)
@@ -502,8 +513,7 @@ def layer_norm(x, gamma, beta) -> Tensor:
         return gc + rowsum(-gc) / d
 
     s = out.shape
-    return _record("layer_norm", out, (x, gamma, beta), (
-        vjp_x, _fit(lambda g: g * normed, gamma.shape, s), _fit(_identity, beta.shape, s)))
+    return out, (vjp_x, _fit(lambda g: g * normed, gamma.shape, s), _fit(_identity, beta.shape, s))
 
 
 # ---------------------------------------------------------------------------

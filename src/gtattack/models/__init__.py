@@ -13,7 +13,7 @@ from typing import Literal
 
 from ..graphs import Count, Index, check_value, read_json, write_json
 from ..spectral import SpectralReference
-from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, pool_weighted
+from .common import GraphModel, RelaxToggles, pool_weighted
 from .gcn import GCN
 from .graphormer import Graphormer, degree_pe
 from .grit import GRIT, rrwp
@@ -28,7 +28,6 @@ __all__ = [
     "Graphormer",
     "SAN",
     "SpectralReference",
-    "attention_nodeprob_bias",
     "pool_weighted",
     "rrwp",
     "degree_pe",

@@ -1,24 +1,26 @@
-"""Shared model machinery: toggles, parameter store, attention/pooling helpers."""
+"""Shared model machinery: toggles, parameter store, the attention and
+layer-tail ops, pooling helpers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Literal
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .. import autodiff as ad
-from ..autodiff import Tensor, layer_norm
+from ..autodiff import Tensor
 from ..graphs import Count, check_value
 
 __all__ = [
     "RelaxToggles",
     "UNRELAXED",
     "GraphModel",
+    "ScoreBias",
+    "attention",
+    "layer_tail",
     "linear",
-    "layer_norm",
     "pool_weighted",
-    "attention_nodeprob_bias",
     "log_prob_row",
 ]
 
@@ -122,10 +124,7 @@ class GraphModel:
 
     def _block(self, h: Tensor, update: Tensor, l: int) -> Tensor:
         """Post-norm tail of layer ``l``: h = LN(h + update), then LN(h + FFN(h))."""
-        h = layer_norm(ad.add(h, update), self.p(f"l{l}.ln1.g"), self.p(f"l{l}.ln1.b"))
-        ffn = linear(ad.relu(linear(h, self.p(f"l{l}.ffn.w1"), self.p(f"l{l}.ffn.b1"))),
-                     self.p(f"l{l}.ffn.w2"), self.p(f"l{l}.ffn.b2"))
-        return layer_norm(ad.add(h, ffn), self.p(f"l{l}.ln2.g"), self.p(f"l{l}.ln2.b"))
+        return layer_tail(h, update, *(self.p(f"l{l}.{name}") for name in TAIL_PARAMS))
 
     def _readout(self, h: Tensor, node_probs: Tensor | None) -> Tensor:
         """Output head over (..., n, d) node states: per-node logits, or the
@@ -229,10 +228,220 @@ def log_prob_row(node_probs: Tensor) -> Tensor:
     return ad.reshape(ad.tlog(node_probs), (1, n))
 
 
-def attention_nodeprob_bias(w: Tensor, lp: Tensor | None) -> Tensor:
-    """softmax(w + log p) == p_j e^{w_ij} / sum_k p_k e^{w_ik}, rowwise, for
-    ``lp = log_prob_row(p)``; plain softmax(w) when ``lp`` is None.
+def _once(fn):
+    """``fn(g)``, computed once per upstream gradient.
 
-    Nodes with probability 0 are excluded exactly.
+    ``backward`` calls a node's input VJPs in turn with one gradient array,
+    so the terms several inputs' gradients share are computed by the first
+    VJP that needs them; the memo holds that array, so the identity check
+    cannot match a recycled one.
     """
-    return ad.softmax(w if lp is None else ad.add(w, lp))
+    memo = [None, None]
+
+    def get(g):
+        if memo[0] is not g:
+            memo[:] = g, fn(g)
+        return memo[1]
+
+    return get
+
+
+def _right_grad(x: np.ndarray, gy: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of w in y = x @ w, summed back to w's ``shape`` as ``matmul`` does."""
+    return ad._unbroadcast(x.swapaxes(-1, -2) @ gy, shape)
+
+
+# ---------------------------------------------------------------------------
+# recorded ops: attention and the layer tail
+#
+# Both forwards repeat the numpy expressions of the composed chains of
+# primitives they replace, so their values equal them bit for bit.  Each op
+# lists an input once per consumer in that chain, in reverse creation order,
+# so that its gradient accumulates in the chain's order and keeps its bits.
+
+
+class ScoreBias(NamedTuple):
+    """What one attention branch adds to its scaled scores w: ``values``,
+    which broadcast to w.  ``vjp`` maps the gradient of the biased scores
+    to the gradient of ``source``, the tensor the values come from; a
+    constant bias has neither.  A ``mask`` bias (see ``masked``) has
+    values -inf where the mask is True and 0 elsewhere, and passes no
+    gradient to the scores it switches off."""
+
+    values: np.ndarray
+    source: Tensor | None = None
+    vjp: Callable | None = None
+    mask: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, t: Tensor) -> "ScoreBias":
+        """The bias tensor ``t``, added to the scores."""
+        return cls(t.data, source=t, vjp=lambda g: ad._unbroadcast(g, t.shape))
+
+    @classmethod
+    def masked(cls, mask: np.ndarray) -> "ScoreBias":
+        """Scores set to -inf where ``mask`` is True, as ``masked_fill``
+        does: adding 0 elsewhere changes at most the sign of a zero score,
+        which no softmax output sees."""
+        return cls(np.where(mask, -np.inf, 0.0), mask=mask)
+
+
+def attention(h, heads: Sequence, wo, lp=None, mix: Sequence[float] | None = None) -> Tensor:
+    """Multi-head attention over node states h (..., n, d) as one recorded
+    op: concat_h(alpha_h (h W_v,h)) @ W_o.
+
+    ``heads`` holds per head a pair (W_v, branches), and each branch a
+    triple (W_q, W_k, ScoreBias); every head has the same number of
+    branches.  Branch b of a head has scores w_b = (h W_q)(h W_k)^T / sqrt(d_head)
+    with its bias applied, and weights softmax(w_b + lp) over the last axis,
+    ``lp`` a log-probability row (see ``log_prob_row``) or None.  With one
+    branch and ``mix`` None, alpha_h is that softmax; otherwise alpha_h is
+    sum_b mix_b softmax(w_b + lp).  Heads and branches are batched on a
+    leading axis, with their parameters stacked per call.
+
+    Values repeat the composed chain (per head: per branch two matmuls,
+    then the value matmul; transpose, matmul, mul, bias, add, softmax, mul
+    and add per branch; matmul; then concat and matmul by W_o).  Each head's
+    consumers of h are its value projection, then per branch, the last
+    first, its key and query projections.
+    """
+    h, wo = ad.as_tensor(h), ad.as_tensor(wo)
+    lp = None if lp is None else ad.as_tensor(lp)
+    wvs = [ad.as_tensor(wv) for wv, _ in heads]
+    branches = [(ad.as_tensor(wq), ad.as_tensor(wk), bias)
+                for _, head in heads for wq, wk, bias in head]
+    n_heads = len(heads)
+    n_br = len(branches) // n_heads
+    x = h.data
+    lead, n = x.shape[:-2], x.shape[-2]
+
+    def stacked(ws):  # (k, 1.., d, d_head): broadcasts against x's leading axes
+        w = np.array([w.data for w in ws])
+        return w.reshape((len(ws),) + (1,) * len(lead) + w.shape[1:]) if lead else w
+
+    wq = stacked([b[0] for b in branches])
+    wk = stacked([b[1] for b in branches])
+    wv = stacked(wvs)
+    q, k, v = x @ wq, x @ wk, x @ wv
+    scale = 1.0 / np.sqrt(wq.shape[-1])
+    w = q @ k.swapaxes(-1, -2)
+    w *= scale
+    for wb, (_, _, bias) in zip(w, branches):
+        wb += bias.values
+    if lp is not None:
+        w += lp.data
+    y = ad.softmax(w).data  # the primitive's arithmetic on an array: no node
+    if mix is None:
+        alpha = y
+    else:
+        yb = y.reshape((n_heads, n_br) + y.shape[1:])
+        alpha = yb[:, 0] * mix[0]
+        for b in range(1, n_br):
+            alpha = alpha + yb[:, b] * mix[b]
+    o = alpha @ v
+    dh = o.shape[-1]
+    cat = np.concatenate(o, axis=-1)  # the heads' outputs side by side
+    out = ad._wrap(cat @ wo.data)
+    bias_srcs = [(j, bias) for j, (_, _, bias) in enumerate(branches) if bias.source is not None]
+    params = [t for b in branches for t in b[:2]] + wvs + [wo]
+    sources = [b.source for _, b in bias_srcs] + ([] if lp is None else [lp])
+    if not ad._live(h, *sources, *params):
+        return out
+
+    masked = [(j, bias.mask) for j, (_, _, bias) in enumerate(branches) if bias.mask is not None]
+
+    def chain(g):
+        """Per head and branch: the gradients of the biased scores ("w"), of
+        the projections q, k and v, and h's gradient through each of them."""
+        # each head's slice of the concat's gradient, as a view
+        g_cat = (g @ wo.data.swapaxes(-1, -2)).reshape(lead + (n, n_heads, dh))
+        g_heads = g_cat.transpose((g_cat.ndim - 2,) + tuple(range(g_cat.ndim - 2)) + (g_cat.ndim - 1,))
+        g_alpha = g_heads @ v.swapaxes(-1, -2)
+        g_v = alpha.swapaxes(-1, -2) @ g_heads
+        if mix is None:
+            g_y = g_alpha
+        else:
+            weights = np.reshape(mix, (1, n_br) + (1,) * (g_alpha.ndim - 1))
+            g_y = (g_alpha[:, None] * weights).reshape(y.shape)
+        g_w = y * (g_y - (g_y * y).sum(axis=-1, keepdims=True))
+        g_s = g_w
+        if masked:  # masked_fill's gradient: 0 where the mask holds
+            g_s = g_w.copy()
+            for j, mask in masked:
+                g_s[j] = np.where(mask, 0.0, g_w[j])
+        g_s = g_s * scale
+        g_q = g_s @ k
+        g_k = (q.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
+        return {"w": g_w, "q": g_q, "k": g_k, "v": g_v, "h_q": g_q @ wq.swapaxes(-1, -2),
+                "h_k": g_k @ wk.swapaxes(-1, -2), "h_v": g_v @ wv.swapaxes(-1, -2)}
+
+    chain = _once(chain)
+    inputs, vjps = [], []
+    for i in reversed(range(n_heads)):
+        inputs.append(h)
+        vjps.append(lambda g, i=i: chain(g)["h_v"][i])
+        for j in reversed(range(i * n_br, (i + 1) * n_br)):
+            inputs += [h, h]
+            vjps += [lambda g, j=j: chain(g)["h_k"][j], lambda g, j=j: chain(g)["h_q"][j]]
+    for j, bias in reversed(bias_srcs):
+        inputs.append(bias.source)
+        vjps.append(lambda g, j=j, f=bias.vjp: f(chain(g)["w"][j]))
+    if lp is not None:
+        for j in reversed(range(len(branches))):
+            inputs.append(lp)
+            vjps.append(lambda g, j=j: ad._unbroadcast(chain(g)["w"][j], lp.shape))
+    for j, (wq_j, wk_j, _) in enumerate(branches):
+        inputs += [wq_j, wk_j]
+        vjps += [lambda g, j=j, s=wq_j.shape: _right_grad(x, chain(g)["q"][j], s),
+                 lambda g, j=j, s=wk_j.shape: _right_grad(x, chain(g)["k"][j], s)]
+    for i, wv_i in enumerate(wvs):
+        inputs.append(wv_i)
+        vjps.append(lambda g, i=i, s=wv_i.shape: _right_grad(x, chain(g)["v"][i], s))
+    inputs.append(wo)
+    vjps.append(lambda g: _right_grad(cat, g, wo.shape))
+    return ad._record("attention", out, tuple(inputs), tuple(vjps))
+
+
+TAIL_PARAMS = ("ln1.g", "ln1.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.g", "ln2.b")
+
+
+def layer_tail(h, update, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b) -> Tensor:
+    """Post-norm layer tail over node states h (..., n, d) as one recorded
+    op: x = LN1(h + update), then LN2(x + relu(x W1 + b1) W2 + b2).
+
+    Values and gradients repeat the composed chain (add, layer_norm,
+    matmul, add, relu, matmul, add, add, layer_norm) expression for
+    expression; x's gradient sums the residual's before the FFN's, as that
+    chain accumulates it.
+    """
+    ts = tuple(map(ad.as_tensor, (h, update, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b)))
+    h, update, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b = ts
+    x, ln1 = ad.layer_norm_parts(h.data + update.data, ln1_g.data, ln1_b.data)
+    pre = x @ w1.data + b1.data
+    act = np.maximum(pre, 0.0)
+    y, ln2 = ad.layer_norm_parts(x + (act @ w2.data + b2.data), ln2_g.data, ln2_b.data)
+    out = ad._wrap(y)
+    if not ad._live(*ts):
+        return out
+    (ln1_x, ln1_g_vjp, ln1_b_vjp), (ln2_x, ln2_g_vjp, ln2_b_vjp) = ln1, ln2
+
+    def chain(g):
+        """The gradients of LN2's input (also the FFN output's), of the
+        FFN's pre-activation, of x, and of LN1's input."""
+        g_res = ln2_x(g)
+        g_pre = (g_res @ w2.data.swapaxes(-1, -2)) * (pre > 0.0)
+        g_x = g_res + g_pre @ w1.data.swapaxes(-1, -2)
+        return g_res, g_pre, g_x, ln1_x(g_x)
+
+    chain = _once(chain)
+    return ad._record("layer_tail", out, ts, (
+        lambda g: ad._unbroadcast(chain(g)[3], h.shape),
+        lambda g: ad._unbroadcast(chain(g)[3], update.shape),
+        lambda g: ln1_g_vjp(chain(g)[2]),
+        lambda g: ln1_b_vjp(chain(g)[2]),
+        lambda g: _right_grad(x, chain(g)[1], w1.shape),
+        lambda g: ad._unbroadcast(chain(g)[1], b1.shape),
+        lambda g: _right_grad(act, chain(g)[0], w2.shape),
+        lambda g: ad._unbroadcast(chain(g)[0], b2.shape),
+        ln2_g_vjp,
+        ln2_b_vjp))

@@ -17,7 +17,7 @@ from .. import autodiff as ad
 from .._kernels import bfs_hops
 from ..autodiff import Tensor
 from ..paths import interp_table, rspd_matrix, spd_bias
-from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, linear, log_prob_row
+from .common import GraphModel, RelaxToggles, ScoreBias, attention, linear, log_prob_row
 
 __all__ = ["Graphormer", "degree_pe"]
 
@@ -103,17 +103,12 @@ class Graphormer(GraphModel):
                 p_full = ad.concat([node_probs, Tensor(np.ones(1))], axis=0)
             lp = log_prob_row(p_full)
 
-        biases = [self._head_bias(spd, hh) for hh in range(heads)]
-        scale = 1.0 / np.sqrt(self.hparams["hidden"] // heads)
+        biases = [ScoreBias.of(self._head_bias(spd, hh)) for hh in range(heads)]
         for l in range(self.hparams["layers"]):
-            outs = []
-            for hh in range(heads):
-                q = ad.matmul(h, self.p(f"l{l}.h{hh}.wq"))
-                k = ad.matmul(h, self.p(f"l{l}.h{hh}.wk"))
-                v = ad.matmul(h, self.p(f"l{l}.h{hh}.wv"))
-                w = ad.add(ad.mul(ad.matmul(q, ad.transpose(k)), scale), biases[hh])
-                outs.append(ad.matmul(attention_nodeprob_bias(w, lp), v))
-            h = self._block(h, ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo")), l)
+            heads_l = [(self.p(f"l{l}.h{hh}.wv"),
+                        [(self.p(f"l{l}.h{hh}.wq"), self.p(f"l{l}.h{hh}.wk"), biases[hh])])
+                       for hh in range(heads)]
+            h = self._block(h, attention(h, heads_l, self.p(f"l{l}.wo"), lp), l)
 
         if self.task == "graph":  # the virtual node reads out the graph
             h = ad.gather_rows(h, np.array([h.shape[-2] - 1]))

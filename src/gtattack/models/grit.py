@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from .common import GraphModel, RelaxToggles, linear, log_prob_row
+from .common import GraphModel, RelaxToggles, _once, linear, log_prob_row
 
 __all__ = ["GRIT", "rrwp", "pair_activation", "pair_attention"]
 
@@ -56,24 +56,6 @@ def rrwp(atilde: Tensor | np.ndarray, k: int) -> Tensor:
         return inv * (gm - (gm * m).sum(axis=-1, keepdims=True))
 
     return ad._record("rrwp", out, (a,), (vjp,))
-
-
-def _once(fn):
-    """``fn(g)``, computed once per upstream gradient.
-
-    ``backward`` calls a node's input VJPs in turn with one gradient array,
-    so the terms several inputs' gradients share are computed by the first
-    VJP that needs them; the memo holds that array, so the identity check
-    cannot match a recycled one.
-    """
-    memo = [None, None]
-
-    def get(g):
-        if memo[0] is not g:
-            memo[:] = g, fn(g)
-        return memo[1]
-
-    return get
 
 
 def _param_grad(x: np.ndarray, gy: np.ndarray) -> np.ndarray:

@@ -17,13 +17,21 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..graphs import laplacian_sym, laplacian_sym_tensor
 from ..spectral import EigenDecomposition, SpectralReference, eig_sym, perturbed_eigenpairs
-from .common import GraphModel, RelaxToggles, attention_nodeprob_bias, linear, log_prob_row
+from .common import GraphModel, RelaxToggles, ScoreBias, attention, linear, log_prob_row
 
 __all__ = ["SAN"]
 
 
 def _cols(t: Tensor, idx: np.ndarray) -> Tensor:
     return ad.transpose(ad.gather_rows(ad.transpose(t), idx))
+
+
+def _log_bias(a: Tensor, complement: bool = False) -> ScoreBias:
+    """log A (the real-edge branch) or log(1 - A) (the fake-edge branch) as
+    an attention score bias, with the gradient in A that ``tlog(a)`` or
+    ``tlog(sub(1.0, a))`` gives."""
+    values, vjp = ad.log_parts(1.0 - a.data if complement else a.data)
+    return ScoreBias(values, source=a, vjp=(lambda g: np.negative(vjp(g))) if complement else vjp)
 
 
 class SAN(GraphModel):
@@ -47,6 +55,8 @@ class SAN(GraphModel):
             raise ValueError("hidden must be divisible by heads")
         if d <= dp:
             raise ValueError("hidden must exceed pe_dim")
+        if self.hparams["gamma"] < 0.0:  # the fake branch's weight gamma / (1 + gamma)
+            raise ValueError(f"gamma must be >= 0, got {self.hparams['gamma']}")
         self._param("x.w", (self.feature_dim, d - dp), rng)
         self._param("x.b", (d - dp,), rng, "zeros")
         # eigen-token encoder (1-layer transformer over k tokens per node)
@@ -99,33 +109,6 @@ class SAN(GraphModel):
                      self.p("lpe.ffn.w2"), self.p("lpe.ffn.b2"))
         return ad.tmean(ad.reshape(ad.add(m2d, ffn), lead + (n, k, dp)), axis=-2)
 
-    # -- attention -------------------------------------------------------------
-    def _dual_attention(self, h: Tensor, a: Tensor, layer: int, hh: int,
-                        relaxed: bool, lp: Tensor | None) -> Tensor:
-        d = self.hparams["hidden"]
-        dh = d // self.hparams["heads"]
-        gamma = self.hparams["gamma"]
-        scale = 1.0 / np.sqrt(dh)
-        qr = ad.matmul(h, self.p(f"l{layer}.h{hh}.wq_real"))
-        kr = ad.matmul(h, self.p(f"l{layer}.h{hh}.wk_real"))
-        qf = ad.matmul(h, self.p(f"l{layer}.h{hh}.wq_fake"))
-        kf = ad.matmul(h, self.p(f"l{layer}.h{hh}.wk_fake"))
-        v = ad.matmul(h, self.p(f"l{layer}.h{hh}.wv"))
-        w_real = ad.mul(ad.matmul(qr, ad.transpose(kr)), scale)
-        w_fake = ad.mul(ad.matmul(qf, ad.transpose(kf)), scale)
-        if relaxed:
-            w_real = ad.add(w_real, ad.tlog(a))
-            w_fake = ad.add(w_fake, ad.tlog(ad.sub(1.0, a)))
-        else:
-            real_support = a.data > 0.5
-            w_real = ad.masked_fill(w_real, ~real_support, -np.inf)
-            w_fake = ad.masked_fill(w_fake, real_support, -np.inf)
-        alpha = ad.add(
-            ad.mul(attention_nodeprob_bias(w_real, lp), 1.0 / (1.0 + gamma)),
-            ad.mul(attention_nodeprob_bias(w_fake, lp), gamma / (1.0 + gamma)),
-        )
-        return ad.matmul(alpha, v)
-
     # -- entry point ---------------------------------------------------------------
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None,
                 spectral_ref: SpectralReference | None = None,
@@ -147,10 +130,18 @@ class SAN(GraphModel):
         lp = None
         if node_probs is not None and toggles.node_prob_bias:
             lp = log_prob_row(node_probs)
+        # each head mixes a real-edge and a fake-edge branch
+        if toggles.san_attention:
+            biases = (_log_bias(a), _log_bias(a, complement=True))
+        else:
+            real = a.data > 0.5
+            biases = (ScoreBias.masked(~real), ScoreBias.masked(real))
+        gamma = self.hparams["gamma"]
+        mix = (1.0 / (1.0 + gamma), gamma / (1.0 + gamma))
         for l in range(self.hparams["layers"]):
-            outs = [
-                self._dual_attention(h, a, l, hh, toggles.san_attention, lp)
-                for hh in range(self.hparams["heads"])
-            ]
-            h = self._block(h, ad.matmul(ad.concat(outs, axis=-1), self.p(f"l{l}.wo")), l)
+            heads = [(self.p(f"l{l}.h{hh}.wv"),
+                      [(self.p(f"l{l}.h{hh}.wq_{kind}"), self.p(f"l{l}.h{hh}.wk_{kind}"), bias)
+                       for kind, bias in zip(("real", "fake"), biases)])
+                     for hh in range(self.hparams["heads"])]
+            h = self._block(h, attention(h, heads, self.p(f"l{l}.wo"), lp, mix), l)
         return self._readout(h, node_probs)

@@ -1,12 +1,13 @@
 """Reference implementations that the tests hold recorded ops against.
 
 The composed chains are the primitive compositions that the one-node ops
-``layer_norm``, ``apply_flips``, ``node_probability`` and ``sym_normalize``
-replaced; each records one autodiff node per primitive.  The three
-primitives below them have no caller outside these chains, so they live
-here rather than in the engine.  Central finite differences check every
-gradient, and the per-pair shortest paths with their frozen-path sums are
-the reference for ``paths.rspd_matrix``.
+``layer_norm``, ``apply_flips``, ``node_probability``, ``sym_normalize``,
+``models.common.attention`` and ``models.common.layer_tail`` replaced; each
+records one autodiff node per primitive.  The primitives below them have
+no caller outside these chains, so they live here rather than in the
+engine.  Central finite differences check every gradient, and the per-pair
+shortest paths with their frozen-path sums are the reference for
+``paths.rspd_matrix``.
 """
 
 from dataclasses import dataclass
@@ -15,8 +16,13 @@ from typing import Callable
 import numpy as np
 
 from gtattack import autodiff as ad
-from gtattack._kernels import shortest_paths_kernel
+from gtattack._kernels import bfs_hops, shortest_paths_kernel
 from gtattack.autodiff import Tensor, as_tensor
+from gtattack.graphs import laplacian_sym, laplacian_sym_tensor
+from gtattack.models.common import RelaxToggles, linear, log_prob_row
+from gtattack.models.graphormer import degree_pe
+from gtattack.paths import rspd_matrix
+from gtattack.spectral import eig_sym, perturbed_eigenpairs
 
 # ---------------------------------------------------------------------------
 # primitives only the chains use
@@ -129,6 +135,107 @@ def composed_sym_normalize(a):
     s = rsqrt_safe(ad.tsum(a, axis=-1))
     scale = ad.mul(ad.reshape(s, lead + (n, 1)), ad.reshape(s, lead + (1, n)))
     return ad.mul(a, scale)
+
+
+def attention_nodeprob_bias(w, lp):
+    """softmax(w + log p) == p_j e^{w_ij} / sum_k p_k e^{w_ik}, rowwise, for
+    ``lp = log_prob_row(p)``; plain softmax(w) when ``lp`` is None.
+
+    Nodes with probability 0 are excluded exactly.
+    """
+    return ad.softmax(w if lp is None else ad.add(w, lp))
+
+
+def composed_layer_tail(m, h, update, l):
+    """Layer ``l``'s post-norm tail of model ``m``: h = LN(h + update), then
+    LN(h + FFN(h)), one node per primitive."""
+    h = ad.layer_norm(ad.add(h, update), m.p(f"l{l}.ln1.g"), m.p(f"l{l}.ln1.b"))
+    ffn = linear(ad.relu(linear(h, m.p(f"l{l}.ffn.w1"), m.p(f"l{l}.ffn.b1"))),
+                 m.p(f"l{l}.ffn.w2"), m.p(f"l{l}.ffn.b2"))
+    return ad.layer_norm(ad.add(h, ffn), m.p(f"l{l}.ln2.g"), m.p(f"l{l}.ln2.b"))
+
+
+def _san_dual_attention(m, h, a, l, hh, relaxed, lp):
+    """One SAN head: real- and fake-edge branches mixed 1/(1+gamma) : gamma/(1+gamma)."""
+    gamma = m.hparams["gamma"]
+    scale = 1.0 / np.sqrt(m.hparams["hidden"] // m.hparams["heads"])
+    qr = ad.matmul(h, m.p(f"l{l}.h{hh}.wq_real"))
+    kr = ad.matmul(h, m.p(f"l{l}.h{hh}.wk_real"))
+    qf = ad.matmul(h, m.p(f"l{l}.h{hh}.wq_fake"))
+    kf = ad.matmul(h, m.p(f"l{l}.h{hh}.wk_fake"))
+    v = ad.matmul(h, m.p(f"l{l}.h{hh}.wv"))
+    w_real = ad.mul(ad.matmul(qr, ad.transpose(kr)), scale)
+    w_fake = ad.mul(ad.matmul(qf, ad.transpose(kf)), scale)
+    if relaxed:
+        w_real = ad.add(w_real, ad.tlog(a))
+        w_fake = ad.add(w_fake, ad.tlog(ad.sub(1.0, a)))
+    else:
+        real_support = a.data > 0.5
+        w_real = ad.masked_fill(w_real, ~real_support, -np.inf)
+        w_fake = ad.masked_fill(w_fake, real_support, -np.inf)
+    alpha = ad.add(
+        ad.mul(attention_nodeprob_bias(w_real, lp), 1.0 / (1.0 + gamma)),
+        ad.mul(attention_nodeprob_bias(w_fake, lp), gamma / (1.0 + gamma)),
+    )
+    return ad.matmul(alpha, v)
+
+
+def composed_san_forward(m, atilde, features, toggles=RelaxToggles(), node_probs=None,
+                         spectral_ref=None, decomp=None):
+    """``SAN.forward`` with per-head attention and the layer tail as chains
+    of primitives: the oracle for the two ops in SAN."""
+    a = ad.as_tensor(atilde)
+    if toggles.san_lap_pert and spectral_ref is not None:
+        lam, u = perturbed_eigenpairs(
+            spectral_ref, ad.sub(laplacian_sym_tensor(a), Tensor(spectral_ref.lap)))
+    else:
+        if decomp is None:
+            decomp = eig_sym(laplacian_sym(a.data))
+        lam, u = Tensor(decomp.eigenvalues), Tensor(decomp.eigenvectors)
+    pe = m.lpe(lam, u)
+    h = ad.concat([linear(ad.as_tensor(features), m.p("x.w"), m.p("x.b")), pe], axis=-1)
+    lp = None
+    if node_probs is not None and toggles.node_prob_bias:
+        lp = log_prob_row(node_probs)
+    for l in range(m.hparams["layers"]):
+        outs = [_san_dual_attention(m, h, a, l, hh, toggles.san_attention, lp)
+                for hh in range(m.hparams["heads"])]
+        h = composed_layer_tail(m, h, ad.matmul(ad.concat(outs, axis=-1), m.p(f"l{l}.wo")), l)
+    return m._readout(h, node_probs)
+
+
+def composed_graphormer_forward(m, atilde, features, toggles=RelaxToggles(), node_probs=None):
+    """``Graphormer.forward`` with per-head attention and the layer tail as
+    chains of primitives: the oracle for the two ops in Graphormer."""
+    a = ad.as_tensor(atilde)
+    spd = rspd_matrix(a) if toggles.graphormer_spd else Tensor(bfs_hops(np.rint(a.data)))
+    lead = a.shape[:-2]
+    heads = m.hparams["heads"]
+    deg = ad.tsum(a, axis=-1)
+    h = ad.add(linear(ad.as_tensor(features), m.p("x.w"), m.p("x.b")),
+               degree_pe(deg, m.p("deg_table"), toggles.graphormer_deg))
+    if m.task == "graph":
+        h = ad.concat([h, ad.mul(Tensor(np.ones(lead + (1, 1))), m.p("virtual_emb"))], axis=-2)
+    lp = None
+    if node_probs is not None and toggles.node_prob_bias:
+        p_full = node_probs
+        if m.task == "graph":
+            p_full = ad.concat([node_probs, Tensor(np.ones(1))], axis=0)
+        lp = log_prob_row(p_full)
+    biases = [m._head_bias(spd, hh) for hh in range(heads)]
+    scale = 1.0 / np.sqrt(m.hparams["hidden"] // heads)
+    for l in range(m.hparams["layers"]):
+        outs = []
+        for hh in range(heads):
+            q = ad.matmul(h, m.p(f"l{l}.h{hh}.wq"))
+            k = ad.matmul(h, m.p(f"l{l}.h{hh}.wk"))
+            v = ad.matmul(h, m.p(f"l{l}.h{hh}.wv"))
+            w = ad.add(ad.mul(ad.matmul(q, ad.transpose(k)), scale), biases[hh])
+            outs.append(ad.matmul(attention_nodeprob_bias(w, lp), v))
+        h = composed_layer_tail(m, h, ad.matmul(ad.concat(outs, axis=-1), m.p(f"l{l}.wo")), l)
+    if m.task == "graph":  # the virtual node reads out the graph
+        h = ad.gather_rows(h, np.array([h.shape[-2] - 1]))
+    return linear(h, m.p("out.w"), m.p("out.b"))
 
 
 # ---------------------------------------------------------------------------

@@ -1377,6 +1377,33 @@ def test_adaptive_run_equals_per_step_reference(cluster_setup, tree_setup, arch,
     assert len(set(got.loss_trace)) > 1
 
 
+# nodes one relaxed step records, structure / injection: GCN has neither
+# op; each transformer layer records one attention op (GRIT: pair_activation
+# and pair_attention) and one layer_tail op
+RELAXED_PASS_NODES = {"gcn": (24, 27), "grit": (38, 43), "graphormer": (42, 48),
+                      "san": (64, 69)}
+
+
+@pytest.mark.parametrize("mode", ["structure", "injection"])
+@pytest.mark.parametrize("arch", ["gcn", "grit", "graphormer", "san"])
+def test_relaxed_pass_node_count(cluster_setup, tree_setup, arch, mode):
+    from gtattack.attack.runner import AttackRun
+
+    if mode == "structure":
+        _, g, _ = cluster_setup
+        run = AttackRun(build_model(arch, "node", g.feature_dim, 6, seed=0), g, quick_config())
+    else:
+        _, g, _, cands, _ = tree_setup
+        run = AttackRun(build_model(arch, "graph", g.feature_dim, 1, seed=0), g, tree_config(),
+                        cands)
+    block = init_block(run.n_aug, run.allowed, run.block_size, np.random.default_rng(0),
+                       fresh_value=0.01)
+    with ad.Tape() as tape:
+        backward(run.objective(block)(Tensor(block.values, requires_grad=True)))
+        n_nodes = len(tape.nodes)
+    assert n_nodes == RELAXED_PASS_NODES[arch][mode == "injection"]
+
+
 def relaxed_inputs(run, block, values, monkeypatch):
     """Adjacency, kept nodes and node probabilities that ``run``'s relaxed
     objective for ``block`` hands the model at ``values``.  The run's

@@ -528,6 +528,8 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
      "bad model config: hidden must be divisible by heads"),
     (lambda doc: {**doc, "models": [{"arch": "grit", "hparams": {"walk_length": 1}}]},
      "bad model config: walk_length must be >= 2, got 1"),
+    (lambda doc: {**doc, "models": [{"arch": "san", "hparams": {"gamma": -1.0}}]},
+     "bad model config: gamma must be >= 0, got -1.0"),
     (lambda doc: {**doc, "models": [{"arch": "gcn"}, {"arch": "gcn", "seed": 1}]},
      "each model arch may appear once"),
     (lambda doc: {**doc, "n_workers": "2"}, "n_workers must be int, got '2'"),
@@ -583,7 +585,7 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
         "unknown_dataset_key", "tree_label_key", "tree_too_small", "sbm_p_inter_above_p_intra",
         "tree_cluster_key", "more_clusters_than_features", "unconnectable_clusters",
         "unknown_arch", "unknown_hparam", "hidden_not_divisible_by_heads",
-        "grit_walk_length_1", "duplicate_arch",
+        "grit_walk_length_1", "san_negative_gamma", "duplicate_arch",
         "n_workers_string", "zero_n_workers", "string_epochs", "float_train_subset",
         "string_lr", "float_n_attack_graphs", "bool_n_attack_graphs", "string_seed",
         "negative_seed", "negative_later_seed",

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from gtattack.attack.losses import attack_loss
 from gtattack.models import (
     RelaxToggles,
     SpectralReference,
-    attention_nodeprob_bias,
     build_model,
     degree_pe,
     load_checkpoint,
@@ -19,12 +19,20 @@ from gtattack.models import (
     rrwp,
     save_checkpoint,
 )
-from gtattack.models import grit
-from gtattack.models.common import log_prob_row
+from gtattack.models import grit, san
+from gtattack.models.common import ScoreBias, attention, layer_tail, log_prob_row
 from gtattack.generators import make_cluster_dataset
 from gtattack.paths import reciprocal_weights, rspd_matrix
 from gtattack.train import TrainConfig, train_model
-from oracles import all_pairs_shortest, finite_difference, rsqrt_safe
+from oracles import (
+    all_pairs_shortest,
+    attention_nodeprob_bias,
+    composed_graphormer_forward,
+    composed_layer_tail,
+    composed_san_forward,
+    finite_difference,
+    rsqrt_safe,
+)
 
 ARCHS = ["gcn", "grit", "graphormer", "san"]
 
@@ -277,6 +285,16 @@ def test_rrwp_isolated_node_row_zero():
 def test_rrwp_requires_k_at_least_two():
     with pytest.raises(ValueError):
         rrwp(np.zeros((2, 2)), 1)
+
+
+def test_san_rejects_negative_gamma_at_build_and_load():
+    with pytest.raises(ValueError, match="gamma must be >= 0, got -1.0"):
+        build_model("san", "node", 3, 2, gamma=-1.0)
+    doc = build_model("san", "node", 3, 2).to_doc()
+    doc["hparams"]["gamma"] = -0.5
+    with pytest.raises(ValueError, match="gamma must be >= 0, got -0.5"):
+        model_from_doc(doc)
+    assert build_model("san", "node", 3, 2, gamma=0.0).hparams["gamma"] == 0.0
 
 
 def test_grit_rejects_walk_length_below_two_at_build_and_load():
@@ -597,8 +615,6 @@ def test_relaxed_grit_pass_records_two_attention_nodes_per_layer():
 
 
 def test_grit_pair_aggregation_matches_elementwise_formula(monkeypatch):
-    from gtattack.models.common import attention_nodeprob_bias
-
     def elementwise(h, pair, lp, heads, wo):  # sum_j alpha_ij * pair_ij as mul + sum
         n, de = pair.shape[-2], pair.shape[-1]
         pair2d = ad.reshape(pair, pair.shape[:-3] + (n * n, de))
@@ -681,7 +697,7 @@ def composed_grit_forward(m, atilde, features, toggles=RelaxToggles(), node_prob
         attn = ad.matmul(ad.concat(outs, axis=-1), m.p(f"l{l}.wo"))
         scaled = ad.add(ad.mul(attn, m.p(f"l{l}.theta1")),
                         ad.mul(log_deg, ad.mul(attn, m.p(f"l{l}.theta2"))))
-        h = m._block(h, scaled, l)
+        h = composed_layer_tail(m, h, scaled, l)
         if l < layers - 1:
             e2d = ad.add(e2d, ad.matmul(pair2d, m.p(f"l{l}.eback")))
     return m._readout(h, node_probs)
@@ -714,6 +730,163 @@ def test_grit_forward_equals_composed_oracle(rrwp_grad):
                        + [grads[t].data for t in m.params.values()])
     for new, old in zip(*results):
         np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12 * np.abs(old).max())
+
+
+# ---------------------------------------------------------------------------
+# the attention and layer-tail ops against their composed chains
+
+
+def oracle_forward(m):
+    """``m.forward`` with its recorded ops replaced by the chains of
+    primitives they replaced: SAN's and Graphormer's composed forwards, and
+    GRIT's own forward with the composed layer tail."""
+    if m.arch != "grit":
+        return partial({"san": composed_san_forward,
+                        "graphormer": composed_graphormer_forward}[m.arch], m)
+
+    def forward(*args, **kw):
+        m._block = partial(composed_layer_tail, m)  # shadows the method
+        try:
+            return m.forward(*args, **kw)
+        finally:
+            del m._block
+
+    return forward
+
+
+def relaxed_attack_input(rng, n):
+    """A discrete graph with a third of its entries moved into (0, 1), as
+    an attack step sees it: exact 0s and 1s remain, so log A and log(1 - A)
+    hold -inf."""
+    clean, feats = random_discrete(rng, n, p=0.4)
+    move = np.triu(rng.random((n, n)) < 0.33, k=1)
+    a = np.triu(np.where(move, np.abs(clean - rng.uniform(0.1, 0.9, (n, n))), clean), k=1)
+    return a + a.T, clean, feats
+
+
+def forward_bits(m, forward, adjacency, feats, toggles, probs=None, **kw):
+    """Bytes of the output and of every gradient of a weighted sum of it:
+    the adjacency's, the node probabilities' and each parameter's."""
+    at = Tensor(adjacency, requires_grad=True)
+    pt = None if probs is None else Tensor(probs, requires_grad=True)
+    out = forward(at, feats, toggles, node_probs=pt, **kw)
+    weights = np.linspace(-1.0, 2.0, out.size).reshape(out.shape)
+    grads = backward(ad.tsum(ad.mul(out, Tensor(weights))))
+    tracked = {"adjacency": at, "node_probs": pt, **m.params}
+    return {"out": out.data.tobytes(),
+            **{k: grads[t].data.tobytes() for k, t in tracked.items() if t in grads}}
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+@pytest.mark.parametrize("arch", ["grit", "graphormer", "san"])
+def test_ops_equal_composed_chains_bit_for_bit(arch, task):
+    """A relaxed single graph under every ablation toggle set of the mode
+    the task is attacked in, then a discrete stack: outputs and every
+    gradient (adjacency, node probabilities, each parameter) equal the
+    composed chains bit for bit."""
+    from gtattack.experiment import ablation_grid
+
+    rng = np.random.default_rng(51)
+    n = 9
+    a, clean, feats = relaxed_attack_input(rng, n)
+    m = build_model(arch, task, 5, 3 if task == "node" else 1, seed=2)
+    for t in m.params.values():
+        t.requires_grad = True
+    mode = "structure" if task == "node" else "injection"
+    probs = None if task == "node" else rng.uniform(0.2, 1.0, size=n)
+    kw = {"spectral_ref": SpectralReference.of(clean)} if arch == "san" else {}
+    grid = ablation_grid(arch, mode)
+    for toggles in grid:
+        got = forward_bits(m, m.forward, a, feats, toggles, probs, **kw)
+        want = forward_bits(m, oracle_forward(m), a, feats, toggles, probs, **kw)
+        assert got == want, toggles
+        if toggles == grid[0]:  # every relaxation on: the adjacency has a gradient
+            assert "adjacency" in got and len(got) >= len(m.params)
+    stack, stack_feats = (np.stack(x) for x in zip(*(random_discrete(rng, n) for _ in range(3))))
+    stack[1, 4, :] = stack[1, :, 4] = 0.0  # an isolated node: an all -inf real-branch row
+    assert (forward_bits(m, m.forward, stack, stack_feats, RelaxToggles.none())
+            == forward_bits(m, oracle_forward(m), stack, stack_feats, RelaxToggles.none()))
+
+
+@pytest.mark.parametrize("arch", ["grit", "graphormer", "san"])
+def test_relaxed_pass_records_one_attention_and_one_tail_node_per_layer(arch):
+    rng = np.random.default_rng(52)
+    a, clean, feats = relaxed_attack_input(rng, 8)
+    for layers in (1, 3):
+        m = build_model(arch, "graph", 5, 1, seed=0, layers=layers, **SMALL[arch])
+        kw = {"spectral_ref": SpectralReference.of(clean)} if arch == "san" else {}
+        with Tape() as tape:
+            out = m.forward(Tensor(a, requires_grad=True), feats, RelaxToggles(),
+                            node_probs=Tensor(rng.uniform(0.2, 1.0, 8), requires_grad=True), **kw)
+            backward(ad.tsum(ad.mul(out, out)))
+            ops = Counter(node.op for node in tape.nodes)
+        assert ops["layer_tail"] == layers and ops["layer_norm"] == 0
+        assert ops["attention" if arch != "grit" else "pair_attention"] == layers
+        assert ops["softmax"] == (1 if arch == "san" else 0)  # SAN's eigen-token encoder keeps one
+
+
+def attention_case(kind, lead=()):
+    """Inputs of a two-head attention op on 5 nodes, stacked over ``lead``,
+    and a function of them that calls the op: Graphormer's one branch per
+    head with a tensor bias, SAN's real and fake branches with log A and
+    log(1 - A) biases, or SAN's masked branches.  The log-probability row
+    has one probability near 0."""
+    rng = np.random.default_rng(53)
+    n, d, dh = 5, 4, 2
+    h = rng.standard_normal(lead + (n, d))
+    probs = rng.uniform(0.3, 1.0, size=(1, n))
+    probs[0, 3] = 1e-3
+    lp = np.log(probs)
+    n_br = 1 if kind == "graphormer" else 2
+    params = [rng.standard_normal(s) for _ in range(2)
+              for s in ((d, dh),) * (2 * n_br) + ((d, dh),)] + [rng.standard_normal((d, d))]
+    if kind == "graphormer":
+        source = rng.standard_normal(lead + (n, n))
+    else:  # interior everywhere, so that finite differences stay inside (0, 1)
+        source = rng.uniform(0.1, 0.9, size=lead + (n, n))
+    real = source > 0.5
+
+    def op(h, lp, *rest):
+        if kind == "masked":
+            biases = [ScoreBias.masked(~real), ScoreBias.masked(real)]
+        else:
+            source, *rest = rest
+            source = ad.as_tensor(source)
+            biases = ([ScoreBias.of(source)] if kind == "graphormer"
+                      else [san._log_bias(source), san._log_bias(source, complement=True)])
+        *heads, wo = rest
+        per_head = 2 * n_br + 1
+        return attention(h, [(hp[-1], [(hp[2 * b], hp[2 * b + 1], biases[b]) for b in range(n_br)])
+                             for hp in (heads[i:i + per_head]
+                                        for i in range(0, len(heads), per_head))],
+                         wo, lp, None if kind == "graphormer" else (0.4, 0.6))
+
+    return [h, lp] + ([] if kind == "masked" else [source]) + params, op
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("kind", ["graphormer", "san", "masked"])
+def test_attention_gradients_match_finite_differences(kind, lead):
+    inputs, op = attention_case(kind, lead)
+    out = op(*inputs).data
+    assert out.shape == lead + (5, 4)
+    if kind == "masked":  # the masks switch entries off: both branches' weights are 0 there
+        moved = inputs[0].copy()
+        moved[..., 1, :] += 1.0
+        assert not np.array_equal(op(moved, *inputs[1:]).data, out)
+    check_op_gradients(op, inputs, np.random.default_rng(54).standard_normal(out.shape))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_layer_tail_gradients_match_finite_differences(lead):
+    rng = np.random.default_rng(55)
+    n, d = 5, 4
+    shapes = [(d,), (d,), (d, 2 * d), (2 * d,), (2 * d, d), (d,), (d,), (d,)]
+    inputs = [rng.standard_normal(lead + (n, d)) for _ in range(2)]
+    inputs += [rng.standard_normal(s) for s in shapes]
+    out = layer_tail(*inputs).data
+    assert out.shape == lead + (n, d)
+    check_op_gradients(layer_tail, inputs, rng.standard_normal(out.shape))
 
 
 # ---------------------------------------------------------------------------
