@@ -55,8 +55,12 @@ class AttackRun:
         self.delta = budget_from_fraction(config.budget_fraction, graph.num_edges)
         self.allowed = allowed_pairs(graph, config, n_aug=self.n_aug)
         self.block_size = min(config.block_size, len(self.allowed))
-        if self.delta > self.block_size:
-            raise ValueError(f"budget {self.delta} exceeds block size {self.block_size}")
+        flips = f"the {self.delta} flips of budget {config.budget_fraction:g}"
+        if self.delta > config.block_size:
+            raise ValueError(f"attack.block_size {config.block_size} is below {flips}")
+        if self.delta > len(self.allowed):
+            raise ValueError(f"attack.constraint {config.constraint!r} leaves "
+                             f"{len(self.allowed)} pairs to flip, below {flips}")
         self.labels = graph.node_labels if model.task == "node" else graph.graph_label
         self.lr = config.base_lr * max(self.delta, 1) / max(self.block_size, 1)
         self._ref_adj = self._ref = None

@@ -26,9 +26,8 @@ import numpy as np
 
 from .attack import (
     AttackConfig,
+    AttackRun,
     PerturbationResult,
-    allowed_pairs,
-    budget_from_fraction,
     build_candidate_set,
     run_cell,
     transfer_attack,
@@ -356,7 +355,7 @@ def _run_task(task: tuple) -> tuple[PerturbationResult, ...]:
 
 class _Executor:
     """The dataset, models, targets and candidate sets of one command, loaded
-    once, with the flips of each of its ``budgets`` checked to fit a block.
+    once, and the run of each target at each of ``budgets`` built before any cell.
     ``run`` maps cells over a fork pool when n_workers > 1 (each run owns its
     RNG, so results do not depend on scheduling) and writes their
     perturbation JSONs."""
@@ -376,20 +375,16 @@ class _Executor:
                 self.ds, gid, exclude_roots=True, max_candidates=acfg.max_candidates, seed=gid)
             for gid in self.targets
         }
-        # a cell's block holds at most block_size of the pairs its attack may
-        # flip; check each budget against both before any cell runs
+        # a target that a cell's run rejects fails here, not in its first cell;
+        # every model has the config's task, so the first one stands for all
+        model = next(iter(self.models.values()))
         for gid, graph in zip(self.targets, self.target_graphs):
-            n_aug = graph.n + (0 if self.cands[gid] is None else self.cands[gid].size)
-            allowed = len(allowed_pairs(graph, acfg, n_aug))
             for budget in budgets:
-                flips = budget_from_fraction(budget, graph.num_edges)
-                if flips > acfg.block_size:
-                    raise ConfigError(f"attack.block_size {acfg.block_size} is below the "
-                                      f"{flips} flips of budget {budget:g} on graph {gid}")
-                if flips > allowed:
-                    raise ConfigError(f"attack.constraint {acfg.constraint!r} leaves {allowed} "
-                                      f"pairs to flip on graph {gid}, below the {flips} flips "
-                                      f"of budget {budget:g}")
+                try:
+                    AttackRun(model, graph, _attack_config(cfg, budget, cfg.seeds[0]),
+                              self.cands[gid])
+                except ValueError as exc:
+                    raise ConfigError(f"{exc} on graph {gid}") from exc
         os.makedirs(os.path.join(cfg.out, "perturbations"), exist_ok=True)
 
     def run(self, cells: list[_Cell]) -> list[tuple[_Cell, tuple[PerturbationResult, ...]]]:

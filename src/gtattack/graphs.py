@@ -153,6 +153,11 @@ class Dataset:
         dims = {g.feature_dim for g in self.graphs}
         if len(dims) > 1:
             raise GraphValidationError(f"non-uniform feature dims {sorted(dims)}")
+        key = "node_labels" if self.task == "node-classification" else "graph_label"
+        unlabeled = [i for i, g in enumerate(self.graphs) if getattr(g, key) is None]
+        if unlabeled:
+            raise GraphValidationError(f"graph {unlabeled[0]} has no {key}, which every "
+                                       f"graph of a {self.task} dataset carries")
 
     def part(self, name: str) -> list[Graph]:
         return [self.graphs[i] for i in self.split[name]]

@@ -658,8 +658,8 @@ def test_cli_rejects_budget_above_the_pairs_a_constraint_leaves(tmp_path, capsys
     for command in ("generate", "train"):
         assert cli_main([command, "--config", cfg_path]) == 0
     assert cli_main(["attack", "--config", cfg_path]) == 2
-    assert ("attack.constraint 'protect_labeled' leaves 1 pairs to flip on graph 6, below the "
-            "2 flips of budget 0.5" in capsys.readouterr().err)
+    assert ("attack.constraint 'protect_labeled' leaves 1 pairs to flip, below the 2 flips of "
+            "budget 0.5 on graph 6" in capsys.readouterr().err)
     assert not os.path.exists(tmp_path / "run" / "perturbations")
 
 
@@ -898,6 +898,74 @@ def test_cli_broken_artifact_exits_2_naming_it(cli_swept, tmp_path, capsys, stag
     assert f"error: {path}: {said}" in capsys.readouterr().err
 
 
+def _add_edge(text):
+    """A graph edit adding an edge on the first pair of nodes without one."""
+    doc = json.loads(text)
+    joined = {(i, j) for i, j, _ in doc["edges"]}
+    doc["edges"].append(next([i, j, 1.0] for i in range(doc["n"]) for j in range(i + 1, doc["n"])
+                             if (i, j) not in joined))
+    return json.dumps(doc)
+
+
+def _drop_first_edge(text):
+    doc = json.loads(text)
+    del doc["edges"][0]
+    return json.dumps(doc)
+
+
+# what each stage writes: a stage that rejects its input leaves none of it
+STAGE_OUTPUTS = {"train": ["checkpoints"], "attack": ["perturbations", "results.json"],
+                 "ablate": ["perturbations", "ablation.json"]}
+
+# a target graph that breaks a rule of the cell's run fails before the first
+# cell, and so does a graph without the labels of its dataset's task:
+# (stages, dataset kind, attack settings, split part of the graph, edit, message)
+BROKEN_GRAPHS = {
+    "tree_only_target_with_a_cycle": (
+        ("attack", "ablate"), "tree", {}, "test", _add_edge,
+        "tree_only injection requires a tree as the original graph on graph 6"),
+    "injection_target_disconnected": (
+        ("attack", "ablate"), "tree", {"constraint": "none"}, "test", _drop_first_edge,
+        "injection attacks require a connected original graph on graph 6"),
+    "protect_labeled_target_without_mask": (
+        ("attack", "ablate"), "cluster", {"constraint": "protect_labeled"}, "test",
+        _set(None, "labeled_mask"),
+        "protect_labeled requires a labeled_mask on the graph on graph 6"),
+    "cluster_train_graph_without_node_labels": (
+        ("train",), "cluster", {}, "train", _set(None, "node_labels"),
+        "graph 0 has no node_labels, which every graph of a node-classification dataset "
+        "carries"),
+    "tree_train_graph_without_graph_label": (
+        ("train",), "tree", {}, "train", _set(None, "graph_label"),
+        "graph 0 has no graph_label, which every graph of a binary-graph-classification "
+        "dataset carries"),
+    "tree_target_without_graph_label": (
+        ("attack",), "tree", {}, "test", _set(None, "graph_label"),
+        "graph 6 has no graph_label, which every graph of a binary-graph-classification "
+        "dataset carries"),
+}
+
+
+@pytest.mark.parametrize("case,stage", [(case, stage) for case, (stages, *_) in
+                                        BROKEN_GRAPHS.items() for stage in stages])
+def test_cli_broken_graph_exits_2_naming_it(tmp_path, capsys, case, stage):
+    _, kind, attack, part, edit, said = BROKEN_GRAPHS[case]
+    doc = tiny_config(tmp_path, kind=kind, seeds=[0], budgets=[0.2], n_attack_graphs=1)
+    doc["attack"].update(attack)
+    cfg_path = write_config(tmp_path, doc)
+    for command in ("generate",) if stage == "train" else ("generate", "train"):
+        assert cli_main([command, "--config", cfg_path]) == 0
+    dataset = Path(doc["out"], "dataset")
+    gid = json.loads((dataset / "split.json").read_text())[part][0]
+    path = dataset / f"graph_{gid:05d}.json"
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert cli_main([stage, "--config", cfg_path]) == 2
+    assert said in capsys.readouterr().err
+    for name in STAGE_OUTPUTS[stage]:
+        assert not os.path.exists(os.path.join(doc["out"], name))
+
+
 def test_unstamped_dataset_is_rejected(tmp_path):
     cfg = ExperimentConfig.from_doc(tiny_config(tmp_path))
     cmd_train(cfg)
@@ -950,6 +1018,8 @@ FUZZ_TARGETS = {
     os.path.join("run", "dataset", "split.json"): "train",
     os.path.join("run", "checkpoints", "gcn.json"): "attack",
     os.path.join("run", "results.json"): "report",
+    os.path.join("run", "dataset", "graph_00000.json"): "train",  # a training graph
+    os.path.join("run", "dataset", "graph_00006.json"): "attack",  # the attacked graph
 }
 
 
