@@ -1,8 +1,10 @@
 """Numerical inner loops for the shortest-path machinery, in numpy.
 
 Each Python loop steps one index (the Floyd-Warshall pivot, the next-hop
-target, the tree level of the backward push, the BFS depth) over O(n^2)
-array operations, so temporaries stay O(n^2).
+target of a dense graph, the tree level of the backward push, the BFS
+depth) over O(n^2) array operations, so temporaries stay O(n^2).  A graph
+with at most n^2 / 4 edges (finite weights) takes its next hops in one
+pass over the m edges against all n targets instead, an O(n m) temporary.
 """
 
 from __future__ import annotations
@@ -30,20 +32,27 @@ def shortest_paths_kernel(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.fill_diagonal(dist, 0.0)
     for k in range(n):
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    nxt = np.full((n, n), -1, dtype=np.int64)
-    for j in range(n):
-        col = dist[:, j]
-        on_path = r + col[None, :] <= col[:, None] + _TIE_TOL
-        nxt[:, j] = np.where(np.isfinite(col), np.argmax(on_path, axis=1), -1)
-        nxt[j, j] = j
-    # a row with no neighbor inside _TIE_TOL, where argmax picked node 0, takes the
-    # neighbor of least length instead
-    cols = np.arange(n)
-    hop = np.maximum(nxt, 0)
-    stray = (nxt >= 0) & ~(r[cols[:, None], hop] + dist[hop, cols] <= dist + _TIE_TOL)
-    np.fill_diagonal(stray, False)
-    for u, j in zip(*np.nonzero(stray)):
-        nxt[u, j] = np.argmin(r[u] + dist[:, j])
+    # per pair (u, j), the first neighbor v of u with
+    # r[u, v] + dist[v, j] <= dist[u, j] + _TIE_TOL; n where none is
+    eu, ev = np.nonzero(np.isfinite(r))
+    if 4 * eu.size <= n * n:  # sparse: one pass over the edges, each row a run of them
+        on_path = r[eu, ev][:, None] + dist[ev] <= (dist + _TIE_TOL)[eu]
+        starts = np.flatnonzero(np.diff(eu, prepend=-1))
+        nxt = np.full((n, n), n, dtype=np.int64)
+        if eu.size:
+            nxt[eu[starts]] = np.minimum.reduceat(np.where(on_path, ev[:, None], n), starts, axis=0)
+    else:  # dense: one (n, n) test per target, which beats the edges' (m, n) temporaries
+        nxt = np.empty((n, n), dtype=np.int64)
+        for j in range(n):
+            col = dist[:, j]
+            nxt[:, j] = np.argmax(r + col[None, :] <= col[:, None] + _TIE_TOL, axis=1)
+        cols = np.arange(n)  # argmax took node 0 where no neighbor passes
+        nxt[~(r[cols[:, None], nxt] + dist[nxt, cols] <= dist + _TIE_TOL)] = n
+    nxt[~np.isfinite(dist)] = -1
+    np.fill_diagonal(nxt, np.arange(n))
+    # where rounding leaves no neighbor inside _TIE_TOL, the neighbor of least length
+    us, js = np.nonzero(nxt == n)
+    nxt[us, js] = np.argmin(r[us] + dist[:, js].T, axis=1)
     return dist, nxt
 
 

@@ -62,6 +62,11 @@ class AttackRun:
             raise ValueError(f"attack.constraint {config.constraint!r} leaves "
                              f"{len(self.allowed)} pairs to flip, below {flips}")
         self.labels = graph.node_labels if model.task == "node" else graph.graph_label
+        if model.task == "node" and self.labels is not None:
+            beyond = self.labels[(self.labels < 0) | (self.labels >= model.n_classes)]
+            if beyond.size:
+                raise ValueError(f"node label {beyond[0]} is outside the model's "
+                                 f"{model.n_classes} classes")
         self.lr = config.base_lr * max(self.delta, 1) / max(self.block_size, 1)
         self._ref_adj = self._ref = None
 

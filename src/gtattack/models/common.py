@@ -274,11 +274,6 @@ class ScoreBias(NamedTuple):
     mask: np.ndarray | None = None
 
     @classmethod
-    def of(cls, t: Tensor) -> "ScoreBias":
-        """The bias tensor ``t``, added to the scores."""
-        return cls(t.data, source=t, vjp=lambda g: ad._unbroadcast(g, t.shape))
-
-    @classmethod
     def masked(cls, mask: np.ndarray) -> "ScoreBias":
         """Scores set to -inf where ``mask`` is True, as ``masked_fill``
         does: adding 0 elsewhere changes at most the sign of a zero score,

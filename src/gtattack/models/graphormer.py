@@ -68,18 +68,12 @@ class Graphormer(GraphModel):
         self._param("out.w", (d, self.n_classes), rng)
         self._param("out.b", (self.n_classes,), rng, "zeros")
 
-    def _head_bias(self, spd: Tensor, hh: int) -> Tensor:
-        n = spd.shape[-1]
-        lead = spd.shape[:-2]
-        bias = spd_bias(spd, self.p(f"spd.h{hh}.table"), self.p(f"spd.h{hh}.unreachable"))
-        bias = ad.reshape(bias, spd.shape)
-        if self.task != "graph":
-            return bias
-        # append the virtual node: its incident biases are a learned scalar
-        bv = self.p(f"spd.h{hh}.virtual")
-        col = ad.mul(Tensor(np.ones(lead + (n, 1))), ad.reshape(bv, (1, 1)))
-        row = ad.mul(Tensor(np.ones(lead + (1, n + 1))), ad.reshape(bv, (1, 1)))
-        return ad.concat([ad.concat([bias, col], axis=-1), row], axis=-2)
+    def _head_bias(self, spd: Tensor, hh: int) -> ScoreBias:
+        """Head ``hh``'s distance bias on the attention scores; graph tasks
+        add the virtual node's learned scalar on its row and column."""
+        virtual = self.p(f"spd.h{hh}.virtual") if self.task == "graph" else None
+        bias = spd_bias(spd, self.p(f"spd.h{hh}.table"), self.p(f"spd.h{hh}.unreachable"), virtual)
+        return ScoreBias(bias.data[..., 0], source=bias, vjp=lambda g: g[..., None])
 
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None) -> Tensor:
         a = ad.as_tensor(atilde)
@@ -103,7 +97,7 @@ class Graphormer(GraphModel):
                 p_full = ad.concat([node_probs, Tensor(np.ones(1))], axis=0)
             lp = log_prob_row(p_full)
 
-        biases = [ScoreBias.of(self._head_bias(spd, hh)) for hh in range(heads)]
+        biases = [self._head_bias(spd, hh) for hh in range(heads)]
         for l in range(self.hparams["layers"]):
             heads_l = [(self.p(f"l{l}.h{hh}.wv"),
                         [(self.p(f"l{l}.h{hh}.wq"), self.p(f"l{l}.h{hh}.wk"), biases[hh])])

@@ -17,13 +17,13 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..graphs import laplacian_sym, laplacian_sym_tensor
 from ..spectral import EigenDecomposition, SpectralReference, eig_sym, perturbed_eigenpairs
-from .common import GraphModel, RelaxToggles, ScoreBias, attention, linear, log_prob_row
+from .common import (GraphModel, RelaxToggles, ScoreBias, _once, _right_grad, attention, linear,
+                     log_prob_row)
 
 __all__ = ["SAN"]
 
-
-def _cols(t: Tensor, idx: np.ndarray) -> Tensor:
-    return ad.transpose(ad.gather_rows(ad.transpose(t), idx))
+# the eigen-token encoder's parameters, as ``SAN.lpe`` lists them
+LPE_PARAMS = ("tok.w", "tok.b", "wq", "wk", "wv", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
 def _log_bias(a: Tensor, complement: bool = False) -> ScoreBias:
@@ -80,34 +80,100 @@ class SAN(GraphModel):
 
     # -- positional encodings -------------------------------------------------
     def lpe(self, eigenvalues: Tensor, eigenvectors: Tensor) -> Tensor:
-        """Per-node PE from the k smallest eigenpairs (zero-padded if k > n);
-        eigenvalues (..., n) and eigenvectors (..., n, n) give (..., n, pe_dim)."""
-        n = eigenvectors.shape[-1]
-        lead = eigenvectors.shape[:-2]
+        """Per-node PE from the k smallest eigenpairs (zero-padded if k > n),
+        as one recorded op; eigenvalues (..., n) and eigenvectors (..., n, n)
+        give (..., n, pe_dim).
+
+        Each node has k tokens (lambda_t, U_it), embedded linearly, mixed by
+        one softmax attention over its tokens with a residual, passed
+        through a residual two-layer FFN and averaged.  Values repeat the
+        composed chain; the token embedding's gradient sums its consumers
+        in that chain's order: the value, key and query projections, then
+        the residual.
+        """
+        lam, u = ad.as_tensor(eigenvalues), ad.as_tensor(eigenvectors)
+        params = [self.p(f"lpe.{name}") for name in LPE_PARAMS]
+        tok_w, tok_b, wq, wk, wv, w1, b1, w2, b2 = (t.data for t in params)
+        n = u.shape[-1]
+        lead = u.shape[:-2]
         k = self.hparams["eigenpairs"]
         dp = self.hparams["pe_dim"]
-        keep = min(k, n)
-        lam_k = ad.gather_rows(ad.reshape(eigenvalues, lead + (n, 1)), np.arange(keep))
-        u_k = _cols(eigenvectors, np.arange(keep))
-        if keep < k:
-            lam_k = ad.concat([lam_k, Tensor(np.zeros(lead + (k - keep, 1)))], axis=-2)
-            u_k = ad.concat([u_k, Tensor(np.zeros(lead + (n, k - keep)))], axis=-1)
+        keep = np.arange(min(k, n))
+        pad = k - keep.size
+        lam_col = lam.data.reshape(lead + (n, 1))
+        lam_k = lam_col[..., keep, :]
+        u_t = u.data.swapaxes(-1, -2)
+        u_k = u_t[..., keep, :].swapaxes(-1, -2)
+        if pad:
+            lam_k = np.concatenate([lam_k, np.zeros(lead + (pad, 1))], axis=-2)
+            u_k = np.concatenate([u_k, np.zeros(lead + (n, pad))], axis=-1)
         # tokens: (..., n, k, 2) rows of (lambda_t, U_{i,t})
-        lam_grid = ad.add(Tensor(np.zeros(lead + (n, k))), ad.reshape(lam_k, lead + (1, k)))
-        tokens = ad.concat(
-            [ad.reshape(lam_grid, lead + (n, k, 1)), ad.reshape(u_k, lead + (n, k, 1))], axis=-1
-        )
-        t2d = linear(ad.reshape(tokens, lead + (n * k, 2)), self.p("lpe.tok.w"), self.p("lpe.tok.b"))
-        t3d = ad.reshape(t2d, lead + (n, k, dp))
-        q = ad.reshape(ad.matmul(t2d, self.p("lpe.wq")), lead + (n, k, dp))
-        kk = ad.reshape(ad.matmul(t2d, self.p("lpe.wk")), lead + (n, k, dp))
-        v = ad.reshape(ad.matmul(t2d, self.p("lpe.wv")), lead + (n, k, dp))
-        scores = ad.mul(ad.matmul(q, ad.transpose(kk)), 1.0 / np.sqrt(dp))
-        mixed = ad.add(t3d, ad.matmul(ad.softmax(scores), v))
-        m2d = ad.reshape(mixed, lead + (n * k, dp))
-        ffn = linear(ad.relu(linear(m2d, self.p("lpe.ffn.w1"), self.p("lpe.ffn.b1"))),
-                     self.p("lpe.ffn.w2"), self.p("lpe.ffn.b2"))
-        return ad.tmean(ad.reshape(ad.add(m2d, ffn), lead + (n, k, dp)), axis=-2)
+        lam_grid = np.zeros(lead + (n, k)) + lam_k.reshape(lead + (1, k))
+        tokens = np.concatenate(
+            [lam_grid.reshape(lead + (n, k, 1)), u_k.reshape(lead + (n, k, 1))], axis=-1
+        ).reshape(lead + (n * k, 2))
+        t2d = tokens @ tok_w + tok_b
+        q = (t2d @ wq).reshape(lead + (n, k, dp))
+        kk = (t2d @ wk).reshape(lead + (n, k, dp))
+        v = (t2d @ wv).reshape(lead + (n, k, dp))
+        scale = 1.0 / np.sqrt(dp)
+        att = ad.softmax((q @ kk.swapaxes(-1, -2)) * scale).data  # the primitive's arithmetic
+        m2d = (t2d.reshape(lead + (n, k, dp)) + att @ v).reshape(lead + (n * k, dp))
+        pre = m2d @ w1 + b1
+        act = np.maximum(pre, 0.0)
+        out = ad._wrap((m2d + (act @ w2 + b2)).reshape(lead + (n, k, dp)).mean(axis=-2))
+        if not ad._live(lam, u, *params):
+            return out
+
+        def chain(g):
+            """The gradients of the FFN's output ("res") and pre-activation,
+            of the projections v, k and q, of the token embedding t2d and of
+            the tokens."""
+            g_res = np.empty(lead + (n, k, dp))
+            g_res[...] = g.reshape(lead + (n, 1, dp)) / k
+            g_res = g_res.reshape(lead + (n * k, dp))
+            g_pre = (g_res @ w2.swapaxes(-1, -2)) * (pre > 0.0)
+            g_mixed = (g_res + g_pre @ w1.swapaxes(-1, -2)).reshape(lead + (n, k, dp))
+            g_att = g_mixed @ v.swapaxes(-1, -2)
+            g_v = att.swapaxes(-1, -2) @ g_mixed
+            g_s = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * scale
+            g_q = g_s @ kk
+            g_k = (q.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
+            g_q, g_k, g_v = (x.reshape(lead + (n * k, dp)) for x in (g_q, g_k, g_v))
+            g_t2d = g_v @ wv.swapaxes(-1, -2) + g_k @ wk.swapaxes(-1, -2)
+            g_t2d += g_q @ wq.swapaxes(-1, -2)
+            g_t2d += g_mixed.reshape(lead + (n * k, dp))
+            g_tok = (g_t2d @ tok_w.swapaxes(-1, -2)).reshape(lead + (n, k, 2))
+            return {"res": g_res, "pre": g_pre, "v": g_v, "k": g_k, "q": g_q, "t2d": g_t2d,
+                    "lam": g_tok[..., 0:1].reshape(lead + (n, k)),
+                    "u": g_tok[..., 1:2].reshape(lead + (n, k))}
+
+        chain = _once(chain)
+
+        def lam_vjp(g):
+            g_lam = ad._unbroadcast(chain(g)["lam"], lead + (1, k)).reshape(lead + (k, 1))
+            ga = np.zeros_like(lam_col)
+            np.add.at(ga, (Ellipsis, keep, slice(None)), g_lam[..., :keep.size, :])
+            return ga.reshape(lam.shape)
+
+        def u_vjp(g):
+            ga = np.zeros_like(u_t)
+            g_u = chain(g)["u"][..., :keep.size].swapaxes(-1, -2)
+            np.add.at(ga, (Ellipsis, keep, slice(None)), g_u)
+            return ga.swapaxes(-1, -2)
+
+        return ad._record("lpe", out, (lam, u, *params), (
+            lam_vjp,
+            u_vjp,
+            lambda g: _right_grad(tokens, chain(g)["t2d"], tok_w.shape),
+            lambda g: ad._unbroadcast(chain(g)["t2d"], tok_b.shape),
+            lambda g: _right_grad(t2d, chain(g)["q"], wq.shape),
+            lambda g: _right_grad(t2d, chain(g)["k"], wk.shape),
+            lambda g: _right_grad(t2d, chain(g)["v"], wv.shape),
+            lambda g: _right_grad(m2d, chain(g)["pre"], w1.shape),
+            lambda g: ad._unbroadcast(chain(g)["pre"], b1.shape),
+            lambda g: _right_grad(act, chain(g)["res"], w2.shape),
+            lambda g: ad._unbroadcast(chain(g)["res"], b2.shape)))
 
     # -- entry point ---------------------------------------------------------------
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None,

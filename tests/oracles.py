@@ -2,12 +2,14 @@
 
 The composed chains are the primitive compositions that the one-node ops
 ``layer_norm``, ``apply_flips``, ``node_probability``, ``sym_normalize``,
+``paths.interp_table``, ``paths.spd_bias``, ``SAN.lpe``,
 ``models.common.attention`` and ``models.common.layer_tail`` replaced; each
 records one autodiff node per primitive.  The primitives below them have
 no caller outside these chains, so they live here rather than in the
-engine.  Central finite differences check every gradient, and the per-pair
+engine.  Central finite differences check every gradient, the per-pair
 shortest paths with their frozen-path sums are the reference for
-``paths.rspd_matrix``.
+``paths.rspd_matrix``, and the per-target next-hop loop is the one
+``shortest_paths_kernel`` replaced.
 """
 
 from dataclasses import dataclass
@@ -16,11 +18,10 @@ from typing import Callable
 import numpy as np
 
 from gtattack import autodiff as ad
-from gtattack._kernels import bfs_hops, shortest_paths_kernel
+from gtattack._kernels import _TIE_TOL, bfs_hops, shortest_paths_kernel
 from gtattack.autodiff import Tensor, as_tensor
 from gtattack.graphs import laplacian_sym, laplacian_sym_tensor
 from gtattack.models.common import RelaxToggles, linear, log_prob_row
-from gtattack.models.graphormer import degree_pe
 from gtattack.paths import rspd_matrix
 from gtattack.spectral import eig_sym, perturbed_eigenpairs
 
@@ -180,6 +181,88 @@ def _san_dual_attention(m, h, a, l, hh, relaxed, lp):
     return ad.matmul(alpha, v)
 
 
+def composed_interp_table(table, x):
+    """Linear interpolation of table rows at continuous indices x (1-D or
+    0-d): (x.size, w) rows."""
+    rows = table.shape[0]
+    xd = np.clip(x.data, 0.0, float(rows - 1))
+    lo = np.floor(xd).astype(np.int64)
+    hi = np.minimum(lo + 1, rows - 1)
+    eta = ad.sub(ad.where(x.data >= 0.0, x, Tensor(np.zeros(x.shape))), Tensor(lo.astype(np.float64)))
+    low = ad.gather_rows(table, lo)
+    high = ad.gather_rows(table, hi)
+    return ad.add(low, ad.mul(ad.reshape(eta, (x.size, 1)), ad.sub(high, low)))
+
+
+def composed_spd_bias(rspd, bias_table, unreachable_bias):
+    """The interpolated distance bias, ``unreachable_bias`` at infinite
+    distances: rspd.shape + (w,)."""
+    shape = rspd.shape
+    width = bias_table.shape[1]
+    inf_mask = ~np.isfinite(rspd.data)
+    finite = ad.masked_fill(rspd, inf_mask, 0.0)
+    flat = ad.reshape(finite, (int(np.prod(shape)),)) if shape else finite
+    mixed = composed_interp_table(bias_table, flat)
+    out_shape = tuple(shape) + (width,)
+    mixed = ad.reshape(mixed, out_shape)
+    unreach = ad.reshape(unreachable_bias, (1,) * len(shape) + (width,))
+    return ad.where(np.broadcast_to(inf_mask[..., None], out_shape), unreach, mixed)
+
+
+def composed_head_bias(m, spd, hh):
+    """Graphormer head ``hh``'s (..., n', n') score bias; graph tasks append
+    the virtual node's row and column."""
+    n = spd.shape[-1]
+    lead = spd.shape[:-2]
+    bias = composed_spd_bias(spd, m.p(f"spd.h{hh}.table"), m.p(f"spd.h{hh}.unreachable"))
+    bias = ad.reshape(bias, spd.shape)
+    if m.task != "graph":
+        return bias
+    bv = m.p(f"spd.h{hh}.virtual")
+    col = ad.mul(Tensor(np.ones(lead + (n, 1))), ad.reshape(bv, (1, 1)))
+    row = ad.mul(Tensor(np.ones(lead + (1, n + 1))), ad.reshape(bv, (1, 1)))
+    return ad.concat([ad.concat([bias, col], axis=-1), row], axis=-2)
+
+
+def composed_degree_pe(deg, table, relaxed):
+    """``degree_pe`` with the relaxed interpolation as a chain."""
+    if relaxed:
+        return composed_interp_table(table, deg)
+    idx = np.clip(np.rint(deg.data), 0, table.shape[0] - 1).astype(np.int64)
+    rows = ad.gather_rows(table, idx.reshape(-1))
+    return ad.reshape(rows, idx.shape + (table.shape[1],))
+
+
+def composed_lpe(m, eigenvalues, eigenvectors):
+    """SAN's eigen-token encoder as a chain of primitives."""
+    n = eigenvectors.shape[-1]
+    lead = eigenvectors.shape[:-2]
+    k = m.hparams["eigenpairs"]
+    dp = m.hparams["pe_dim"]
+    keep = min(k, n)
+    lam_k = ad.gather_rows(ad.reshape(eigenvalues, lead + (n, 1)), np.arange(keep))
+    u_k = ad.transpose(ad.gather_rows(ad.transpose(eigenvectors), np.arange(keep)))
+    if keep < k:
+        lam_k = ad.concat([lam_k, Tensor(np.zeros(lead + (k - keep, 1)))], axis=-2)
+        u_k = ad.concat([u_k, Tensor(np.zeros(lead + (n, k - keep)))], axis=-1)
+    # tokens: (..., n, k, 2) rows of (lambda_t, U_{i,t})
+    lam_grid = ad.add(Tensor(np.zeros(lead + (n, k))), ad.reshape(lam_k, lead + (1, k)))
+    tokens = ad.concat(
+        [ad.reshape(lam_grid, lead + (n, k, 1)), ad.reshape(u_k, lead + (n, k, 1))], axis=-1
+    )
+    t2d = linear(ad.reshape(tokens, lead + (n * k, 2)), m.p("lpe.tok.w"), m.p("lpe.tok.b"))
+    t3d = ad.reshape(t2d, lead + (n, k, dp))
+    q = ad.reshape(ad.matmul(t2d, m.p("lpe.wq")), lead + (n, k, dp))
+    kk = ad.reshape(ad.matmul(t2d, m.p("lpe.wk")), lead + (n, k, dp))
+    v = ad.reshape(ad.matmul(t2d, m.p("lpe.wv")), lead + (n, k, dp))
+    scores = ad.mul(ad.matmul(q, ad.transpose(kk)), 1.0 / np.sqrt(dp))
+    mixed = ad.add(t3d, ad.matmul(ad.softmax(scores), v))
+    m2d = ad.reshape(mixed, lead + (n * k, dp))
+    ffn = linear(ad.relu(linear(m2d, m.p("lpe.ffn.w1"), m.p("lpe.ffn.b1"))),
+                 m.p("lpe.ffn.w2"), m.p("lpe.ffn.b2"))
+    return ad.tmean(ad.reshape(ad.add(m2d, ffn), lead + (n, k, dp)), axis=-2)
+
+
 def composed_san_forward(m, atilde, features, toggles=RelaxToggles(), node_probs=None,
                          spectral_ref=None, decomp=None):
     """``SAN.forward`` with per-head attention and the layer tail as chains
@@ -192,7 +275,7 @@ def composed_san_forward(m, atilde, features, toggles=RelaxToggles(), node_probs
         if decomp is None:
             decomp = eig_sym(laplacian_sym(a.data))
         lam, u = Tensor(decomp.eigenvalues), Tensor(decomp.eigenvectors)
-    pe = m.lpe(lam, u)
+    pe = composed_lpe(m, lam, u)
     h = ad.concat([linear(ad.as_tensor(features), m.p("x.w"), m.p("x.b")), pe], axis=-1)
     lp = None
     if node_probs is not None and toggles.node_prob_bias:
@@ -213,7 +296,7 @@ def composed_graphormer_forward(m, atilde, features, toggles=RelaxToggles(), nod
     heads = m.hparams["heads"]
     deg = ad.tsum(a, axis=-1)
     h = ad.add(linear(ad.as_tensor(features), m.p("x.w"), m.p("x.b")),
-               degree_pe(deg, m.p("deg_table"), toggles.graphormer_deg))
+               composed_degree_pe(deg, m.p("deg_table"), toggles.graphormer_deg))
     if m.task == "graph":
         h = ad.concat([h, ad.mul(Tensor(np.ones(lead + (1, 1))), m.p("virtual_emb"))], axis=-2)
     lp = None
@@ -222,7 +305,7 @@ def composed_graphormer_forward(m, atilde, features, toggles=RelaxToggles(), nod
         if m.task == "graph":
             p_full = ad.concat([node_probs, Tensor(np.ones(1))], axis=0)
         lp = log_prob_row(p_full)
-    biases = [m._head_bias(spd, hh) for hh in range(heads)]
+    biases = [composed_head_bias(m, spd, hh) for hh in range(heads)]
     scale = 1.0 / np.sqrt(m.hparams["hidden"] // heads)
     for l in range(m.hparams["layers"]):
         outs = []
@@ -294,6 +377,28 @@ class ShortestPathResult:
             if len(nodes) > guard:
                 raise RuntimeError("path reconstruction did not terminate")
         return nodes
+
+
+def per_target_next_hops(r: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """``shortest_paths_kernel``'s next hops from its distances, one target
+    j at a time: an (n, n) test of every neighbor of every node towards j,
+    then the stray fallback pair by pair."""
+    n = r.shape[0]
+    nxt = np.full((n, n), -1, dtype=np.int64)
+    for j in range(n):
+        col = dist[:, j]
+        on_path = r + col[None, :] <= col[:, None] + _TIE_TOL
+        nxt[:, j] = np.where(np.isfinite(col), np.argmax(on_path, axis=1), -1)
+        nxt[j, j] = j
+    # a row with no neighbor inside _TIE_TOL, where argmax picked node 0, takes the
+    # neighbor of least length instead
+    cols = np.arange(n)
+    hop = np.maximum(nxt, 0)
+    stray = (nxt >= 0) & ~(r[cols[:, None], hop] + dist[hop, cols] <= dist + _TIE_TOL)
+    np.fill_diagonal(stray, False)
+    for u, j in zip(*np.nonzero(stray)):
+        nxt[u, j] = np.argmin(r[u] + dist[:, j])
+    return nxt
 
 
 def all_pairs_shortest(r: np.ndarray) -> ShortestPathResult:

@@ -18,6 +18,7 @@ from gtattack.experiment import (
     ExperimentConfig,
     ResultsTable,
     _attack_config,
+    _make_dataset,
     ablation_grid,
     cmd_ablate,
     cmd_attack,
@@ -27,7 +28,7 @@ from gtattack.experiment import (
     load_report_csv,
     toggles_label,
 )
-from gtattack.graphs import load_dataset, save_dataset
+from gtattack.graphs import _graph_to_doc, load_dataset, save_dataset
 from gtattack.models import RelaxToggles, load_checkpoint, save_checkpoint
 
 
@@ -931,6 +932,9 @@ BROKEN_GRAPHS = {
         ("attack", "ablate"), "cluster", {"constraint": "protect_labeled"}, "test",
         _set(None, "labeled_mask"),
         "protect_labeled requires a labeled_mask on the graph on graph 6"),
+    "cluster_target_label_beyond_the_classes": (
+        ("attack", "ablate"), "cluster", {}, "test", _set(999, "node_labels", 0),
+        "node label 999 is outside the model's 6 classes on graph 6"),
     "cluster_train_graph_without_node_labels": (
         ("train",), "cluster", {}, "train", _set(None, "node_labels"),
         "graph 0 has no node_labels, which every graph of a node-classification dataset "
@@ -1012,28 +1016,46 @@ def test_attack_clips_n_attack_graphs_to_the_test_split(tmp_path, caplog):
 # fuzz: one leaf of a config or artifact mutated, then the stage that reads it
 
 
-# each artifact of a finished run, and the stage that reads it
+# each artifact of a finished tree run but its graph files, and the stage
+# that reads it: a few hundred cases, drawn
 FUZZ_TARGETS = {
     "config.json": "generate",
     os.path.join("run", "dataset", "split.json"): "train",
     os.path.join("run", "checkpoints", "gcn.json"): "attack",
     os.path.join("run", "results.json"): "report",
-    os.path.join("run", "dataset", "graph_00000.json"): "train",  # a training graph
-    os.path.join("run", "dataset", "graph_00006.json"): "attack",  # the attacked graph
 }
+
+# graph files of a finished run of each dataset kind, and the stage that
+# reads each: every case of these is tested
+FUZZ_GRAPHS = {
+    ("tree", "graph_00000.json"): "train",  # a training graph
+    ("tree", "graph_00006.json"): "attack",  # the attacked graph
+    ("cluster", "graph_00006.json"): "attack",
+}
+
+MUTATIONS = ["type", "nan", "inf", "-inf", "negative", "index", "one", "extra", "missing"]
+
+
+def _fuzz_config(tmp_path, kind):
+    doc = tiny_config(tmp_path, kind=kind, seeds=[0], budgets=[0.1], n_attack_graphs=1)
+    doc["attack"].update(steps=2, block_size=40, n_discrete_samples=1)
+    return doc
 
 
 @pytest.fixture(scope="module")
-def fuzz_run(tmp_path_factory):
-    """A finished tiny tree run (generate, train, attack) and its config."""
-    tmp_path = tmp_path_factory.mktemp("fuzz")
-    doc = tiny_config(tmp_path, kind="tree", seeds=[0], budgets=[0.1], n_attack_graphs=1)
-    doc["attack"].update(steps=2, block_size=40, n_discrete_samples=1)
-    cfg_path = write_config(tmp_path, doc)
-    for stage in ("generate", "train", "attack"):
-        assert cli_main([stage, "--config", cfg_path]) == 0
-    shutil.rmtree(os.path.join(doc["out"], "perturbations"))
-    return tmp_path
+def fuzz_runs(tmp_path_factory):
+    """A finished tiny run (generate, train, attack) of each dataset kind,
+    with its config, by kind."""
+    runs = {}
+    for kind in ("tree", "cluster"):
+        tmp_path = tmp_path_factory.mktemp(f"fuzz_{kind}")
+        doc = _fuzz_config(tmp_path, kind)
+        cfg_path = write_config(tmp_path, doc)
+        for stage in ("generate", "train", "attack"):
+            assert cli_main([stage, "--config", cfg_path]) == 0
+        shutil.rmtree(os.path.join(doc["out"], "perturbations"))
+        runs[kind] = tmp_path
+    return runs
 
 
 def _leaves(doc, path=()):
@@ -1045,20 +1067,23 @@ def _leaves(doc, path=()):
     return [path]
 
 
+def _graph_leaves(kind, name):
+    """The leaves of graph file ``name`` of the ``kind`` fuzz run, from the
+    graph its config generates."""
+    graph = _make_dataset(_fuzz_config(Path("run"), kind)["dataset"]).graphs[int(name[6:11])]
+    return _leaves(json.loads(json.dumps(_graph_to_doc(graph))))
+
+
 def _mutate(value, kind):
     return {"type": 1 if isinstance(value, str) else "x", "nan": float("nan"),
             "inf": float("inf"), "-inf": float("-inf"), "index": 999, "one": 1,
             "negative": -abs(value) - 1 if isinstance(value, (int, float)) else -1}[kind]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_cli_stage_never_crashes_on_a_mutated_leaf(fuzz_run, data):
-    name = data.draw(st.sampled_from(sorted(FUZZ_TARGETS)), label="file")
-    doc = json.loads((fuzz_run / name).read_text())
-    path = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
-    kind = data.draw(st.sampled_from(["type", "nan", "inf", "-inf", "negative", "index", "one",
-                                      "extra", "missing"]), label="mutation")
+def _stage_exit_on_mutated_leaf(run, name, stage, path, kind):
+    """Exit code and output of ``stage`` on a copy of ``run`` whose file
+    ``name`` has the leaf at ``path`` mutated by ``kind``."""
+    doc = json.loads((run / name).read_text())
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -1072,10 +1097,36 @@ def test_cli_stage_never_crashes_on_a_mutated_leaf(fuzz_run, data):
     else:
         parent[path[-1]] = _mutate(parent[path[-1]], kind)
     with tempfile.TemporaryDirectory() as tmp:
-        shutil.copytree(fuzz_run, tmp, dirs_exist_ok=True)
+        shutil.copytree(run, tmp, dirs_exist_ok=True)
         Path(tmp, name).write_text(json.dumps(doc))
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = cli_main([FUZZ_TARGETS[name], "--config", os.path.join(tmp, "config.json"),
+            code = cli_main([stage, "--config", os.path.join(tmp, "config.json"),
                              "--out", os.path.join(tmp, "run")])
-    assert code in (0, 2), sink.getvalue()
+    return code, sink.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_stage_never_crashes_on_a_mutated_leaf(fuzz_runs, data):
+    run = fuzz_runs["tree"]
+    name = data.draw(st.sampled_from(sorted(FUZZ_TARGETS)), label="file")
+    doc = json.loads((run / name).read_text())
+    path = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
+    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    code, output = _stage_exit_on_mutated_leaf(run, name, FUZZ_TARGETS[name], path, kind)
+    assert code in (0, 2), output
+
+
+@pytest.mark.parametrize("run_kind,name,path,kind", [
+    pytest.param(run_kind, name, path, kind,
+                 id=f"{run_kind}-{name[:-5]}-{'.'.join(map(str, path))}-{kind}")
+    for run_kind, name in FUZZ_GRAPHS for path in _graph_leaves(run_kind, name)
+    for kind in MUTATIONS])
+def test_cli_stage_never_crashes_on_a_mutated_graph_leaf(fuzz_runs, run_kind, name, path, kind):
+    run = fuzz_runs[run_kind]
+    name_in_run = os.path.join("run", "dataset", name)
+    assert path in _leaves(json.loads((run / name_in_run).read_text()))
+    code, output = _stage_exit_on_mutated_leaf(run, name_in_run, FUZZ_GRAPHS[run_kind, name],
+                                               path, kind)
+    assert code in (0, 2), output

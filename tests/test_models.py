@@ -22,7 +22,7 @@ from gtattack.models import (
 from gtattack.models import grit, san
 from gtattack.models.common import ScoreBias, attention, layer_tail, log_prob_row
 from gtattack.generators import make_cluster_dataset
-from gtattack.paths import reciprocal_weights, rspd_matrix
+from gtattack.paths import interp_table, reciprocal_weights, rspd_matrix, spd_bias
 from gtattack.train import TrainConfig, train_model
 from oracles import (
     all_pairs_shortest,
@@ -783,29 +783,39 @@ def test_ops_equal_composed_chains_bit_for_bit(arch, task):
     """A relaxed single graph under every ablation toggle set of the mode
     the task is attacked in, then a discrete stack: outputs and every
     gradient (adjacency, node probabilities, each parameter) equal the
-    composed chains bit for bit."""
+    composed chains bit for bit.  First on 9 nodes, then on 6 in two
+    components: fewer nodes than SAN's 8 eigenpairs (zero padding),
+    unreachable pairs, and Graphormer distances above its max_spd of 2."""
     from gtattack.experiment import ablation_grid
 
     rng = np.random.default_rng(51)
-    n = 9
-    a, clean, feats = relaxed_attack_input(rng, n)
-    m = build_model(arch, task, 5, 3 if task == "node" else 1, seed=2)
-    for t in m.params.values():
-        t.requires_grad = True
-    mode = "structure" if task == "node" else "injection"
-    probs = None if task == "node" else rng.uniform(0.2, 1.0, size=n)
-    kw = {"spectral_ref": SpectralReference.of(clean)} if arch == "san" else {}
-    grid = ablation_grid(arch, mode)
-    for toggles in grid:
-        got = forward_bits(m, m.forward, a, feats, toggles, probs, **kw)
-        want = forward_bits(m, oracle_forward(m), a, feats, toggles, probs, **kw)
-        assert got == want, toggles
-        if toggles == grid[0]:  # every relaxation on: the adjacency has a gradient
-            assert "adjacency" in got and len(got) >= len(m.params)
-    stack, stack_feats = (np.stack(x) for x in zip(*(random_discrete(rng, n) for _ in range(3))))
-    stack[1, 4, :] = stack[1, :, 4] = 0.0  # an isolated node: an all -inf real-branch row
-    assert (forward_bits(m, m.forward, stack, stack_feats, RelaxToggles.none())
-            == forward_bits(m, oracle_forward(m), stack, stack_feats, RelaxToggles.none()))
+    for n, split in ((9, False), (6, True)):
+        a, clean, feats = relaxed_attack_input(rng, n)
+        if split:
+            for x in (a, clean):
+                x[:3, 3:] = x[3:, :3] = 0.0
+        hparams = {"max_spd": 2} if split and arch == "graphormer" else {}
+        m = build_model(arch, task, 5, 3 if task == "node" else 1, seed=2, **hparams)
+        for t in m.params.values():
+            t.requires_grad = True
+        mode = "structure" if task == "node" else "injection"
+        probs = None if task == "node" else rng.uniform(0.2, 1.0, size=n)
+        kw = {"spectral_ref": SpectralReference.of(clean)} if arch == "san" else {}
+        grid = ablation_grid(arch, mode)
+        for toggles in grid:
+            got = forward_bits(m, m.forward, a, feats, toggles, probs, **kw)
+            want = forward_bits(m, oracle_forward(m), a, feats, toggles, probs, **kw)
+            assert got == want, (n, toggles)
+            if toggles == grid[0]:  # every relaxation on: the adjacency has a gradient
+                assert "adjacency" in got and len(got) >= len(m.params)
+        if split and arch == "graphormer":
+            spd = rspd_matrix(Tensor(a)).data
+            assert np.isinf(spd).any() and (spd[np.isfinite(spd)] > 2).any()
+        stack, stack_feats = (np.stack(x)
+                              for x in zip(*(random_discrete(rng, n) for _ in range(3))))
+        stack[1, 4, :] = stack[1, :, 4] = 0.0  # an isolated node: an all -inf real-branch row
+        assert (forward_bits(m, m.forward, stack, stack_feats, RelaxToggles.none())
+                == forward_bits(m, oracle_forward(m), stack, stack_feats, RelaxToggles.none()))
 
 
 @pytest.mark.parametrize("arch", ["grit", "graphormer", "san"])
@@ -822,7 +832,8 @@ def test_relaxed_pass_records_one_attention_and_one_tail_node_per_layer(arch):
             ops = Counter(node.op for node in tape.nodes)
         assert ops["layer_tail"] == layers and ops["layer_norm"] == 0
         assert ops["attention" if arch != "grit" else "pair_attention"] == layers
-        assert ops["softmax"] == (1 if arch == "san" else 0)  # SAN's eigen-token encoder keeps one
+        assert ops["softmax"] == 0
+        assert ops["lpe"] == (arch == "san") and ops["spd_bias"] == 2 * (arch == "graphormer")
 
 
 def attention_case(kind, lead=()):
@@ -852,7 +863,8 @@ def attention_case(kind, lead=()):
         else:
             source, *rest = rest
             source = ad.as_tensor(source)
-            biases = ([ScoreBias.of(source)] if kind == "graphormer"
+            biases = ([ScoreBias(source.data, source=source, vjp=lambda g: g)]
+                      if kind == "graphormer"
                       else [san._log_bias(source), san._log_bias(source, complement=True)])
         *heads, wo = rest
         per_head = 2 * n_br + 1
@@ -887,6 +899,59 @@ def test_layer_tail_gradients_match_finite_differences(lead):
     out = layer_tail(*inputs).data
     assert out.shape == lead + (n, d)
     check_op_gradients(layer_tail, inputs, rng.standard_normal(out.shape))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_interp_table_gradients_match_finite_differences(lead):
+    """Indices below the table, inside it and above it, none at a kink."""
+    rng = np.random.default_rng(56)
+    table = rng.standard_normal((5, 3))
+    x = rng.integers(-2, 7, size=lead + (6,)) + rng.uniform(0.1, 0.9, size=lead + (6,))
+    out = interp_table(table, x).data
+    assert out.shape == lead + (6, 3)
+    grads = check_op_gradients(lambda t, x: interp_table(t, x), [table, x],
+                               rng.standard_normal(out.shape))
+    assert (grads[1] == 0.0).any() and (grads[1] != 0.0).any()  # clamped and interior
+
+
+@pytest.mark.parametrize("virtual", [False, True])
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_spd_bias_gradients_match_finite_differences(lead, virtual):
+    """A width-2 table of 4 rows; distances inside it, above it and
+    unreachable, none at a kink; with and without the virtual node."""
+    rng = np.random.default_rng(57)
+    n = 4
+    rspd = rng.integers(0, 6, size=lead + (n, n)) + rng.uniform(0.1, 0.9, size=lead + (n, n))
+    rspd[..., 0, 3] = rspd[..., 2, 1] = np.inf
+    inputs = [rspd, rng.standard_normal((4, 2)), rng.standard_normal(2)]
+    if virtual:
+        inputs.append(rng.standard_normal(2))
+    out = spd_bias(*inputs).data
+    assert out.shape == lead + (n + virtual, n + virtual, 2)
+    check_op_gradients(spd_bias, inputs, rng.standard_normal(out.shape))
+
+
+@pytest.mark.parametrize("n,lead", [(5, ()), (3, ()), (3, (2,))])
+def test_lpe_gradients_match_finite_differences(n, lead):
+    """SAN's eigen-token encoder with 4 eigenpairs: every input, with n
+    below 4 (zero padding) and not."""
+    rng = np.random.default_rng(58)
+    m = build_model("san", "node", 5, 3, seed=1, **SMALL["san"])
+    names = [f"lpe.{name}" for name in san.LPE_PARAMS]
+
+    def op(lam, u, *params):
+        saved = {k: m.params[k] for k in names}
+        m.params.update(zip(names, map(ad.as_tensor, params)))
+        try:
+            return m.lpe(lam, u)
+        finally:
+            m.params.update(saved)
+
+    inputs = [rng.uniform(0.0, 2.0, size=lead + (n,)), rng.standard_normal(lead + (n, n))]
+    inputs += [m.p(k).data + rng.standard_normal(m.p(k).shape) for k in names]
+    out = op(*inputs).data
+    assert out.shape == lead + (n, 4)
+    check_op_gradients(op, inputs, rng.standard_normal(out.shape))
 
 
 # ---------------------------------------------------------------------------

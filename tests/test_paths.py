@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gtattack import autodiff as ad
-from gtattack._kernels import bfs_hops
+from gtattack._kernels import _TIE_TOL, bfs_hops, shortest_paths_kernel
 from gtattack.autodiff import Tensor, backward
 from gtattack.paths import (
     interp_table,
@@ -13,7 +13,7 @@ from gtattack.paths import (
     rspd_matrix,
     spd_bias,
 )
-from oracles import all_pairs_shortest, finite_difference, path_sum_proxy
+from oracles import all_pairs_shortest, finite_difference, path_sum_proxy, per_target_next_hops
 
 
 def sym(a):
@@ -309,15 +309,19 @@ def test_rspd_matrix_records_a_node_only_for_a_live_input():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+# lengths near 1/EDGE_EPS: Floyd-Warshall's sum and the next-hop test's sum
+# round one ulp apart, so row 7 has no neighbor inside the tie tolerance
+# towards 8 (the stray fallback)
+FAR_EDGES = [(0, 1, 0.5010316326795472), (0, 3, 0.9410611850727133), (0, 4, 0.7669501458869961),
+             (1, 2, 0.901185997394909), (1, 7, 1e-07), (2, 8, 1e-07), (3, 5, 0.9696144268593088),
+             (4, 6, 1e-07), (4, 7, 1.3607994611415765e-07), (5, 6, 1e-07), (5, 8, 1e-07)]
+
+
 def test_next_hops_are_edges_at_lengths_near_one_over_edge_eps():
-    # paths of length ~1e7: Floyd-Warshall's sum and the next-hop test's sum
-    # round one ulp apart (~3.7e-9, more than the tie tolerance), so row 7
-    # has no neighbor inside it towards 8; its hop must still be an edge
+    # row 7 has no neighbor inside the tie tolerance towards 8 (FAR_EDGES);
+    # its hop must still be an edge
     a = np.zeros((9, 9))
-    for i, j, w in [(0, 1, 0.5010316326795472), (0, 3, 0.9410611850727133),
-                    (0, 4, 0.7669501458869961), (1, 2, 0.901185997394909), (1, 7, 1e-07),
-                    (2, 8, 1e-07), (3, 5, 0.9696144268593088), (4, 6, 1e-07),
-                    (4, 7, 1.3607994611415765e-07), (5, 6, 1e-07), (5, 8, 1e-07)]:
+    for i, j, w in FAR_EDGES:
         a[i, j] = a[j, i] = w
     res = all_pairs_shortest(reciprocal_weights(a))
     for u in range(9):
@@ -331,6 +335,40 @@ def test_next_hops_are_edges_at_lengths_near_one_over_edge_eps():
     with np.errstate(all="raise"):
         g = backward(ad.tsum(rspd_matrix(at)))[at].data
     assert np.all(np.isfinite(g))
+
+
+def test_next_hops_equal_the_per_target_loop():
+    """Random relaxed graphs, sparse (the edge pass) and dense (the
+    per-target tests), with isolated nodes and unreachable pairs; weights 1
+    and 0.5 that tie path lengths exactly; the stray fallback."""
+    rng = np.random.default_rng(14)
+    graphs = []
+    for _ in range(80):
+        n = int(rng.integers(1, 24))
+        a = random_adjacency(rng, n, p=rng.uniform(0.05, 0.9), weighted=True)
+        tied = np.triu(rng.choice([0.5, 1.0], size=(n, n)), k=1)
+        graphs.append(np.where(a > 0.0, tied + tied.T, 0.0) if rng.random() < 0.5 else a)
+    for n in (9, 12):  # the stray graph alone (dense), then with isolated nodes (sparse)
+        far = np.zeros((n, n))
+        for i, j, w in FAR_EDGES:
+            far[i, j] = far[j, i] = w
+        graphs.append(far)
+    seen = {"sparse": 0, "dense": 0, "isolated": 0, "unreachable": 0, "tie": 0, "stray": 0}
+    for a in graphs:
+        r = reciprocal_weights(a)
+        dense = 4 * np.isfinite(r).sum() > r.size
+        seen["dense"] += int(dense)
+        seen["sparse"] += int(not dense)
+        dist, nxt = shortest_paths_kernel(r)
+        np.testing.assert_array_equal(nxt, per_target_next_hops(r, dist))
+        on_path = r[:, :, None] + dist[None, :, :] <= (dist + _TIE_TOL)[:, None, :]
+        hops = on_path.sum(axis=1)  # (u, j): neighbors of u on a shortest path to j
+        finite = np.isfinite(dist) & ~np.eye(len(a), dtype=bool)
+        seen["isolated"] += int((~np.isfinite(r)).all(axis=1).any())
+        seen["unreachable"] += int(np.isinf(dist).any())
+        seen["tie"] += int((hops[finite] > 1).any())
+        seen["stray"] += int((hops[finite] == 0).any())
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
