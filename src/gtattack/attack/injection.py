@@ -116,13 +116,7 @@ def node_probability(atilde) -> Tensor:
                 g = np.bincount(cols, weights=gp * weights, minlength=n)
         return grads
 
-    memo = [None, None]  # the last upstream gradient and its round gradients
-
-    def grads_for(g):
-        if memo[0] is not g:
-            memo[:] = g, round_grads(g)
-        return memo[1]
-
+    grads_for = ad._once(round_grads)
     return ad._record("node_probability", out, (atilde,) * NODE_PROB_ITERATIONS,
                       tuple(lambda g, r=r: grads_for(g)[r] for r in range(NODE_PROB_ITERATIONS)))
 

@@ -253,6 +253,29 @@ def _fit(vjp: Callable, shape: tuple[int, ...], full: tuple[int, ...]) -> Callab
     return vjp if shape == full else lambda g: _unbroadcast(vjp(g), shape)
 
 
+def _once(fn: Callable) -> Callable:
+    """``fn(g)``, computed once per upstream gradient.
+
+    ``backward`` calls a node's input VJPs in turn with one gradient array,
+    so the terms several inputs' gradients share are computed by the first
+    VJP that needs them; the memo holds that array, so the identity check
+    cannot match a recycled one.
+    """
+    memo = [None, None]
+
+    def get(g):
+        if memo[0] is not g:
+            memo[:] = g, fn(g)
+        return memo[1]
+
+    return get
+
+
+def _right_grad(x: np.ndarray, gy: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of w in y = x @ w, summed back to w's ``shape`` as ``matmul`` does."""
+    return _unbroadcast(x.swapaxes(-1, -2) @ gy, shape)
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
@@ -439,7 +462,15 @@ def relu(a) -> Tensor:
 def softmax(a) -> Tensor:
     """Softmax along the last axis; rows of all ``-inf`` give all zeros."""
     a = as_tensor(a)
-    x = a.data
+    y, vjp = softmax_parts(a.data)
+    out = _wrap(y)
+    return _record("softmax", out, (a,), (vjp,)) if _live(a) else out
+
+
+def softmax_parts(x: np.ndarray):
+    """``softmax``'s values on an array, and its VJP; for ops that contain a
+    softmax.  A ``-inf`` entry has weight exactly 0, so its gradient is a
+    signed zero."""
     hi = x.max(axis=-1, keepdims=True)
     finite = np.isfinite(hi)
     if finite.all():
@@ -454,15 +485,12 @@ def softmax(a) -> Tensor:
         # rows whose sum is not positive (all -inf, or NaN) give zeros
         pos = s > 0.0
         y = np.where(pos, e, 0.0) / np.where(pos, s, 1.0)
-    out = _wrap(y)
-    if not _live(a):
-        return out
 
     def vjp(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
         return y * (g - inner)
 
-    return _record("softmax", out, (a,), (vjp,))
+    return y, vjp
 
 
 LN_EPS = 1e-5  # added to layer_norm's variance

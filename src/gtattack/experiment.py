@@ -122,8 +122,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_value(self, ExperimentConfig, "")  # the CLI's overrides included
-        if list(self.budgets) != sorted(self.budgets):
-            raise ConfigError("budgets must be ascending")
+        # a repeated budget or seed would run its cells, and write its rows, twice
+        if any(lo >= hi for lo, hi in zip(self.budgets, self.budgets[1:])):
+            raise ConfigError(f"budgets must be strictly ascending, got {self.budgets}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         # fail before generate, not inside it: make the dataset's first graph
         _make_dataset({**self.dataset, "n_train": 1, "n_val": 0, "n_test": 0})
         archs = [spec.arch for spec in self.models]

@@ -228,29 +228,6 @@ def log_prob_row(node_probs: Tensor) -> Tensor:
     return ad.reshape(ad.tlog(node_probs), (1, n))
 
 
-def _once(fn):
-    """``fn(g)``, computed once per upstream gradient.
-
-    ``backward`` calls a node's input VJPs in turn with one gradient array,
-    so the terms several inputs' gradients share are computed by the first
-    VJP that needs them; the memo holds that array, so the identity check
-    cannot match a recycled one.
-    """
-    memo = [None, None]
-
-    def get(g):
-        if memo[0] is not g:
-            memo[:] = g, fn(g)
-        return memo[1]
-
-    return get
-
-
-def _right_grad(x: np.ndarray, gy: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Gradient of w in y = x @ w, summed back to w's ``shape`` as ``matmul`` does."""
-    return ad._unbroadcast(x.swapaxes(-1, -2) @ gy, shape)
-
-
 # ---------------------------------------------------------------------------
 # recorded ops: attention and the layer tail
 #
@@ -264,24 +241,14 @@ class ScoreBias(NamedTuple):
     """What one attention branch adds to its scaled scores w: ``values``,
     which broadcast to w.  ``vjp`` maps the gradient of the biased scores
     to the gradient of ``source``, the tensor the values come from; a
-    constant bias has neither.  A ``mask`` bias (see ``masked``) has
-    values -inf where the mask is True and 0 elsewhere, and passes no
-    gradient to the scores it switches off."""
+    constant bias, such as the 0 / -inf of a hard branch, has neither."""
 
     values: np.ndarray
     source: Tensor | None = None
     vjp: Callable | None = None
-    mask: np.ndarray | None = None
-
-    @classmethod
-    def masked(cls, mask: np.ndarray) -> "ScoreBias":
-        """Scores set to -inf where ``mask`` is True, as ``masked_fill``
-        does: adding 0 elsewhere changes at most the sign of a zero score,
-        which no softmax output sees."""
-        return cls(np.where(mask, -np.inf, 0.0), mask=mask)
 
 
-def attention(h, heads: Sequence, wo, lp=None, mix: Sequence[float] | None = None) -> Tensor:
+def attention(h, heads: Sequence, wo, lp, mix: Sequence[float]) -> Tensor:
     """Multi-head attention over node states h (..., n, d) as one recorded
     op: concat_h(alpha_h (h W_v,h)) @ W_o.
 
@@ -289,10 +256,9 @@ def attention(h, heads: Sequence, wo, lp=None, mix: Sequence[float] | None = Non
     triple (W_q, W_k, ScoreBias); every head has the same number of
     branches.  Branch b of a head has scores w_b = (h W_q)(h W_k)^T / sqrt(d_head)
     with its bias applied, and weights softmax(w_b + lp) over the last axis,
-    ``lp`` a log-probability row (see ``log_prob_row``) or None.  With one
-    branch and ``mix`` None, alpha_h is that softmax; otherwise alpha_h is
-    sum_b mix_b softmax(w_b + lp).  Heads and branches are batched on a
-    leading axis, with their parameters stacked per call.
+    ``lp`` a log-probability row (see ``log_prob_row``) or None, and
+    alpha_h = sum_b mix_b softmax(w_b + lp).  Heads and branches are
+    batched on a leading axis, with their parameters stacked per call.
 
     Values repeat the composed chain (per head: per branch two matmuls,
     then the value matmul; transpose, matmul, mul, bias, add, softmax, mul
@@ -325,14 +291,11 @@ def attention(h, heads: Sequence, wo, lp=None, mix: Sequence[float] | None = Non
         wb += bias.values
     if lp is not None:
         w += lp.data
-    y = ad.softmax(w).data  # the primitive's arithmetic on an array: no node
-    if mix is None:
-        alpha = y
-    else:
-        yb = y.reshape((n_heads, n_br) + y.shape[1:])
-        alpha = yb[:, 0] * mix[0]
-        for b in range(1, n_br):
-            alpha = alpha + yb[:, b] * mix[b]
+    y, softmax_vjp = ad.softmax_parts(w)
+    yb = y.reshape((n_heads, n_br) + y.shape[1:])
+    alpha = yb[:, 0] * mix[0]
+    for b in range(1, n_br):
+        alpha = alpha + yb[:, b] * mix[b]
     o = alpha @ v
     dh = o.shape[-1]
     cat = np.concatenate(o, axis=-1)  # the heads' outputs side by side
@@ -343,8 +306,6 @@ def attention(h, heads: Sequence, wo, lp=None, mix: Sequence[float] | None = Non
     if not ad._live(h, *sources, *params):
         return out
 
-    masked = [(j, bias.mask) for j, (_, _, bias) in enumerate(branches) if bias.mask is not None]
-
     def chain(g):
         """Per head and branch: the gradients of the biased scores ("w"), of
         the projections q, k and v, and h's gradient through each of them."""
@@ -353,24 +314,15 @@ def attention(h, heads: Sequence, wo, lp=None, mix: Sequence[float] | None = Non
         g_heads = g_cat.transpose((g_cat.ndim - 2,) + tuple(range(g_cat.ndim - 2)) + (g_cat.ndim - 1,))
         g_alpha = g_heads @ v.swapaxes(-1, -2)
         g_v = alpha.swapaxes(-1, -2) @ g_heads
-        if mix is None:
-            g_y = g_alpha
-        else:
-            weights = np.reshape(mix, (1, n_br) + (1,) * (g_alpha.ndim - 1))
-            g_y = (g_alpha[:, None] * weights).reshape(y.shape)
-        g_w = y * (g_y - (g_y * y).sum(axis=-1, keepdims=True))
-        g_s = g_w
-        if masked:  # masked_fill's gradient: 0 where the mask holds
-            g_s = g_w.copy()
-            for j, mask in masked:
-                g_s[j] = np.where(mask, 0.0, g_w[j])
-        g_s = g_s * scale
+        weights = np.reshape(mix, (1, n_br) + (1,) * (g_alpha.ndim - 1))
+        g_w = softmax_vjp((g_alpha[:, None] * weights).reshape(y.shape))
+        g_s = g_w * scale
         g_q = g_s @ k
         g_k = (q.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
         return {"w": g_w, "q": g_q, "k": g_k, "v": g_v, "h_q": g_q @ wq.swapaxes(-1, -2),
                 "h_k": g_k @ wk.swapaxes(-1, -2), "h_v": g_v @ wv.swapaxes(-1, -2)}
 
-    chain = _once(chain)
+    chain = ad._once(chain)
     inputs, vjps = [], []
     for i in reversed(range(n_heads)):
         inputs.append(h)
@@ -387,13 +339,13 @@ def attention(h, heads: Sequence, wo, lp=None, mix: Sequence[float] | None = Non
             vjps.append(lambda g, j=j: ad._unbroadcast(chain(g)["w"][j], lp.shape))
     for j, (wq_j, wk_j, _) in enumerate(branches):
         inputs += [wq_j, wk_j]
-        vjps += [lambda g, j=j, s=wq_j.shape: _right_grad(x, chain(g)["q"][j], s),
-                 lambda g, j=j, s=wk_j.shape: _right_grad(x, chain(g)["k"][j], s)]
+        vjps += [lambda g, j=j, s=wq_j.shape: ad._right_grad(x, chain(g)["q"][j], s),
+                 lambda g, j=j, s=wk_j.shape: ad._right_grad(x, chain(g)["k"][j], s)]
     for i, wv_i in enumerate(wvs):
         inputs.append(wv_i)
-        vjps.append(lambda g, i=i, s=wv_i.shape: _right_grad(x, chain(g)["v"][i], s))
+        vjps.append(lambda g, i=i, s=wv_i.shape: ad._right_grad(x, chain(g)["v"][i], s))
     inputs.append(wo)
-    vjps.append(lambda g: _right_grad(cat, g, wo.shape))
+    vjps.append(lambda g: ad._right_grad(cat, g, wo.shape))
     return ad._record("attention", out, tuple(inputs), tuple(vjps))
 
 
@@ -428,15 +380,15 @@ def layer_tail(h, update, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b) -> Tensor:
         g_x = g_res + g_pre @ w1.data.swapaxes(-1, -2)
         return g_res, g_pre, g_x, ln1_x(g_x)
 
-    chain = _once(chain)
+    chain = ad._once(chain)
     return ad._record("layer_tail", out, ts, (
         lambda g: ad._unbroadcast(chain(g)[3], h.shape),
         lambda g: ad._unbroadcast(chain(g)[3], update.shape),
         lambda g: ln1_g_vjp(chain(g)[2]),
         lambda g: ln1_b_vjp(chain(g)[2]),
-        lambda g: _right_grad(x, chain(g)[1], w1.shape),
+        lambda g: ad._right_grad(x, chain(g)[1], w1.shape),
         lambda g: ad._unbroadcast(chain(g)[1], b1.shape),
-        lambda g: _right_grad(act, chain(g)[0], w2.shape),
+        lambda g: ad._right_grad(act, chain(g)[0], w2.shape),
         lambda g: ad._unbroadcast(chain(g)[0], b2.shape),
         ln2_g_vjp,
         ln2_b_vjp))

@@ -102,7 +102,7 @@ class Graphormer(GraphModel):
             heads_l = [(self.p(f"l{l}.h{hh}.wv"),
                         [(self.p(f"l{l}.h{hh}.wq"), self.p(f"l{l}.h{hh}.wk"), biases[hh])])
                        for hh in range(heads)]
-            h = self._block(h, attention(h, heads_l, self.p(f"l{l}.wo"), lp), l)
+            h = self._block(h, attention(h, heads_l, self.p(f"l{l}.wo"), lp, (1.0,)), l)
 
         if self.task == "graph":  # the virtual node reads out the graph
             h = ad.gather_rows(h, np.array([h.shape[-2] - 1]))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from .common import GraphModel, RelaxToggles, _once, linear, log_prob_row
+from .common import GraphModel, RelaxToggles, linear, log_prob_row
 
 __all__ = ["GRIT", "rrwp", "pair_activation", "pair_attention"]
 
@@ -86,14 +86,14 @@ def pair_activation(h, e2d, wq, wk, ew, eb) -> Tensor:
     if not ad._live(h, e2d, wq, wk, ew, eb):
         return out
     flat = e2d.shape[:-1] + (-1,)
-    gate = _once(lambda g: g * (act > 0.0))  # relu's VJP: act > 0 exactly where its input is
-    grad_ew = _once(lambda g: (gate(g) * qk).reshape(flat))
+    gate = ad._once(lambda g: g * (act > 0.0))  # relu's VJP: act > 0 exactly where its input is
+    grad_ew = ad._once(lambda g: (gate(g) * qk).reshape(flat))
 
     def grad_qk(g):  # gradients of q (a sum over j, as a matmul) and of k
         gqk = gate(g) * ewv
         return np.ones(n) @ gqk, gqk.sum(axis=-3)
 
-    grad_qk = _once(grad_qk)
+    grad_qk = ad._once(grad_qk)
 
     def vjp_h(g):
         gq, gk = grad_qk(g)
@@ -129,15 +129,15 @@ def pair_attention(h, pair, lp, heads, wo) -> Tensor:
     lead = h.shape[:-2]
     n = h.shape[-2]
     pair2d = pair.data.reshape(lead + (n * n, pair.shape[-1]))
-    alphas, values, aggs, outs = [], [], [], []
+    alphas, softmax_vjps, values, aggs, outs = [], [], [], [], []
     for wv, score, ev in heads:
         w = (pair2d @ score.data).reshape(lead + (n, n))
-        # autodiff's softmax of an untracked array: its arithmetic, no node
-        alpha = ad.softmax(w if lp is None else w + lp.data).data
+        alpha, softmax_vjp = ad.softmax_parts(w if lp is None else w + lp.data)
         v = h.data @ wv.data
         agg = (alpha.reshape(lead + (n, 1, n)) @ pair.data).reshape(lead + (n, -1))
         outs.append(alpha @ v + agg @ ev.data)
         alphas.append(alpha)
+        softmax_vjps.append(softmax_vjp)
         values.append(v)
         aggs.append(agg)
     cat = np.concatenate(outs, axis=-1)
@@ -156,15 +156,13 @@ def pair_attention(h, pair, lp, heads, wo) -> Tensor:
         gaggs = [go @ ev.data.T for go, (_, _, ev) in zip(gos, heads)]
         # every head's sum_c pair_ijc gagg_ic as one batched matmul
         through_agg = pair.data @ np.stack(gaggs, axis=-1)
-        gscores = []
-        for i, (go, alpha, v) in enumerate(zip(gos, alphas, values)):
-            galpha = go @ v.swapaxes(-1, -2) + through_agg[..., i]
-            gscores.append(alpha * (galpha - (galpha * alpha).sum(axis=-1, keepdims=True)))
+        gscores = [vjp(go @ v.swapaxes(-1, -2) + through_agg[..., i])
+                   for i, (go, vjp, v) in enumerate(zip(gos, softmax_vjps, values))]
         return gos, gaggs, gscores
 
-    head_grads = _once(head_grads)
-    grad_values = _once(lambda g: [alpha.swapaxes(-1, -2) @ go
-                                   for alpha, go in zip(alphas, head_grads(g)[0])])
+    head_grads = ad._once(head_grads)
+    grad_values = ad._once(lambda g: [alpha.swapaxes(-1, -2) @ go
+                                      for alpha, go in zip(alphas, head_grads(g)[0])])
 
     def vjp_h(g):
         return sum(gv @ wv.data.T for gv, (wv, _, _) in zip(grad_values(g), heads))

@@ -17,8 +17,7 @@ from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..graphs import laplacian_sym, laplacian_sym_tensor
 from ..spectral import EigenDecomposition, SpectralReference, eig_sym, perturbed_eigenpairs
-from .common import (GraphModel, RelaxToggles, ScoreBias, _once, _right_grad, attention, linear,
-                     log_prob_row)
+from .common import GraphModel, RelaxToggles, ScoreBias, attention, linear, log_prob_row
 
 __all__ = ["SAN"]
 
@@ -117,7 +116,7 @@ class SAN(GraphModel):
         kk = (t2d @ wk).reshape(lead + (n, k, dp))
         v = (t2d @ wv).reshape(lead + (n, k, dp))
         scale = 1.0 / np.sqrt(dp)
-        att = ad.softmax((q @ kk.swapaxes(-1, -2)) * scale).data  # the primitive's arithmetic
+        att, att_vjp = ad.softmax_parts((q @ kk.swapaxes(-1, -2)) * scale)
         m2d = (t2d.reshape(lead + (n, k, dp)) + att @ v).reshape(lead + (n * k, dp))
         pre = m2d @ w1 + b1
         act = np.maximum(pre, 0.0)
@@ -136,7 +135,7 @@ class SAN(GraphModel):
             g_mixed = (g_res + g_pre @ w1.swapaxes(-1, -2)).reshape(lead + (n, k, dp))
             g_att = g_mixed @ v.swapaxes(-1, -2)
             g_v = att.swapaxes(-1, -2) @ g_mixed
-            g_s = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * scale
+            g_s = att_vjp(g_att) * scale
             g_q = g_s @ kk
             g_k = (q.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2)
             g_q, g_k, g_v = (x.reshape(lead + (n * k, dp)) for x in (g_q, g_k, g_v))
@@ -148,7 +147,7 @@ class SAN(GraphModel):
                     "lam": g_tok[..., 0:1].reshape(lead + (n, k)),
                     "u": g_tok[..., 1:2].reshape(lead + (n, k))}
 
-        chain = _once(chain)
+        chain = ad._once(chain)
 
         def lam_vjp(g):
             g_lam = ad._unbroadcast(chain(g)["lam"], lead + (1, k)).reshape(lead + (k, 1))
@@ -165,14 +164,14 @@ class SAN(GraphModel):
         return ad._record("lpe", out, (lam, u, *params), (
             lam_vjp,
             u_vjp,
-            lambda g: _right_grad(tokens, chain(g)["t2d"], tok_w.shape),
+            lambda g: ad._right_grad(tokens, chain(g)["t2d"], tok_w.shape),
             lambda g: ad._unbroadcast(chain(g)["t2d"], tok_b.shape),
-            lambda g: _right_grad(t2d, chain(g)["q"], wq.shape),
-            lambda g: _right_grad(t2d, chain(g)["k"], wk.shape),
-            lambda g: _right_grad(t2d, chain(g)["v"], wv.shape),
-            lambda g: _right_grad(m2d, chain(g)["pre"], w1.shape),
+            lambda g: ad._right_grad(t2d, chain(g)["q"], wq.shape),
+            lambda g: ad._right_grad(t2d, chain(g)["k"], wk.shape),
+            lambda g: ad._right_grad(t2d, chain(g)["v"], wv.shape),
+            lambda g: ad._right_grad(m2d, chain(g)["pre"], w1.shape),
             lambda g: ad._unbroadcast(chain(g)["pre"], b1.shape),
-            lambda g: _right_grad(act, chain(g)["res"], w2.shape),
+            lambda g: ad._right_grad(act, chain(g)["res"], w2.shape),
             lambda g: ad._unbroadcast(chain(g)["res"], b2.shape)))
 
     # -- entry point ---------------------------------------------------------------
@@ -196,12 +195,14 @@ class SAN(GraphModel):
         lp = None
         if node_probs is not None and toggles.node_prob_bias:
             lp = log_prob_row(node_probs)
-        # each head mixes a real-edge and a fake-edge branch
+        # each head mixes a real-edge and a fake-edge branch; the hard
+        # branches are constant 0 / -inf biases
         if toggles.san_attention:
             biases = (_log_bias(a), _log_bias(a, complement=True))
         else:
             real = a.data > 0.5
-            biases = (ScoreBias.masked(~real), ScoreBias.masked(real))
+            biases = (ScoreBias(np.where(real, 0.0, -np.inf)),
+                      ScoreBias(np.where(real, -np.inf, 0.0)))
         gamma = self.hparams["gamma"]
         mix = (1.0 / (1.0 + gamma), gamma / (1.0 + gamma))
         for l in range(self.hparams["layers"]):

@@ -92,9 +92,9 @@ def test_shipped_configs_build_every_attack_config(name):
                 assert _attack_config(cfg, budget, seed, toggles).mode == mode
 
 
-@pytest.mark.parametrize("script,config", [("cluster", "cluster"), ("injection", "tree")])
-def test_experiment_scripts_chain_all_five_stages(script, config, monkeypatch):
-    # each script passes its own arguments to every stage, ablate included,
+@pytest.mark.parametrize("config", ["cluster", "tree"])
+def test_experiment_scripts_chain_all_five_stages(config, monkeypatch):
+    # the driver passes its own arguments to every stage, ablate included,
     # so that the config's ablate_budget is read
     import runpy
     import sys
@@ -102,11 +102,11 @@ def test_experiment_scripts_chain_all_five_stages(script, config, monkeypatch):
     from gtattack import cli
 
     calls = []
-    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
-    monkeypatch.setattr(sys, "argv", ["script", "--seed", "0"])
     scripts = Path(__file__).parent.parent / "scripts"
-    runpy.run_path(str(scripts / f"run_{script}_experiment.py"), run_name="__main__")
     config = str(scripts / f"{config}_config.json")
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", ["run_experiment.py", config, "--seed", "0"])
+    runpy.run_path(str(scripts / "run_experiment.py"), run_name="__main__")
     assert calls == [[stage, "--config", config, "--seed", "0"]
                      for stage in ("generate", "train", "attack", "ablate", "report")]
 
@@ -442,7 +442,7 @@ def test_cli_generate_and_report_roundtrip(tmp_path, capsys):
 
 
 def test_cli_stages_chained_with_common_flags(tmp_path, capsys):
-    # as scripts/run_*_experiment.py do: every stage, report included, gets
+    # as scripts/run_experiment.py does: every stage, report included, gets
     # the same flags, and --out moves every output away from the config's out
     doc = tiny_config(tmp_path, kind="tree", budgets=[0.1])
     doc["attack"].update(steps=2, block_size=40)
@@ -582,6 +582,9 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
      "dataset.n_val must be >= 1, got 0"),
     (lambda doc: {**doc, "dataset": {**doc["dataset"], "n_test": 0}},
      "dataset.n_test must be >= 1, got 0"),
+    (lambda doc: {**doc, "seeds": [0, 0, 1]}, "seeds must be distinct, got [0, 0, 1]"),
+    (lambda doc: {**doc, "budgets": [0.05, 0.05]},
+     "budgets must be strictly ascending, got [0.05, 0.05]"),
 ], ids=["unknown_top_level_key", "negative_n_attack_graphs", "zero_n_attack_graphs",
         "unknown_dataset_key", "tree_label_key", "tree_too_small", "sbm_p_inter_above_p_intra",
         "tree_cluster_key", "more_clusters_than_features", "unconnectable_clusters",
@@ -594,7 +597,8 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
         "zero_block_size", "string_block_size", "float_steps", "int_loss_kind",
         "negative_n_discrete_samples", "zero_base_lr", "infinite_base_lr",
         "zero_max_candidates", "float_max_candidates", "nan_budget", "infinite_budget",
-        "nan_lr", "budget_above_1", "negative_n_train", "zero_n_val", "zero_n_test"])
+        "nan_lr", "budget_above_1", "negative_n_train", "zero_n_val", "zero_n_test",
+        "repeated_seed", "repeated_budget"])
 def test_cli_rejects_config_at_load(tmp_path, capsys, change, message):
     cfg_path = write_config(tmp_path, change(tiny_config(tmp_path, kind="tree")))
     assert cli_main(["generate", "--config", cfg_path]) == 2

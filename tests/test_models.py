@@ -840,8 +840,8 @@ def attention_case(kind, lead=()):
     """Inputs of a two-head attention op on 5 nodes, stacked over ``lead``,
     and a function of them that calls the op: Graphormer's one branch per
     head with a tensor bias, SAN's real and fake branches with log A and
-    log(1 - A) biases, or SAN's masked branches.  The log-probability row
-    has one probability near 0."""
+    log(1 - A) biases, or SAN's hard branches as constant 0 / -inf biases.
+    The log-probability row has one probability near 0."""
     rng = np.random.default_rng(53)
     n, d, dh = 5, 4, 2
     h = rng.standard_normal(lead + (n, d))
@@ -859,7 +859,8 @@ def attention_case(kind, lead=()):
 
     def op(h, lp, *rest):
         if kind == "masked":
-            biases = [ScoreBias.masked(~real), ScoreBias.masked(real)]
+            biases = [ScoreBias(np.where(real, 0.0, -np.inf)),
+                      ScoreBias(np.where(real, -np.inf, 0.0))]
         else:
             source, *rest = rest
             source = ad.as_tensor(source)
@@ -871,7 +872,7 @@ def attention_case(kind, lead=()):
         return attention(h, [(hp[-1], [(hp[2 * b], hp[2 * b + 1], biases[b]) for b in range(n_br)])
                              for hp in (heads[i:i + per_head]
                                         for i in range(0, len(heads), per_head))],
-                         wo, lp, None if kind == "graphormer" else (0.4, 0.6))
+                         wo, lp, (1.0,) if kind == "graphormer" else (0.4, 0.6))
 
     return [h, lp] + ([] if kind == "masked" else [source]) + params, op
 
