@@ -16,8 +16,9 @@ from .structure import BlockState, init_block, prbcd_step, resample_block, sampl
 
 __all__ = ["AttackRun", "run_cell", "run_attack", "random_baseline", "transfer_attack"]
 
-# injection-mode floor for block values: it keeps every block edge present,
-# above EDGE_EPS for the shortest-path kernels, so that it carries a gradient
+# injection-mode floor for block values, which _adaptive_draws applies before and
+# after each step (so no step, resample or sample reads less): it keeps every block
+# edge present, above EDGE_EPS for the shortest-path kernels, so it carries a gradient
 BLOCK_KEEP_EPS = 1e-7
 
 
@@ -174,16 +175,18 @@ def _adaptive_draws(run: AttackRun) -> tuple[list, list[float]]:
     each flip weighing its block value, so the sets are final as drawn."""
     config = run.config
     rng = np.random.default_rng(config.seed)
-    fresh = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
-    block = init_block(run.n_aug, run.allowed, run.block_size, rng, fresh_value=fresh)
+    floor = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
+    block = init_block(run.n_aug, run.allowed, run.block_size, rng)
     objective = run.objective(block)
     trace = []
     for step in range(config.steps):
+        if floor:
+            np.maximum(block.values, floor, out=block.values)
         trace.append(prbcd_step(objective, block, run.delta, run.lr))
-        if fresh:
-            np.maximum(block.values, fresh, out=block.values)
+        if floor:
+            np.maximum(block.values, floor, out=block.values)
         if (step + 1) % config.resample_every == 0 and step < config.steps - 1:
-            block = resample_block(block, rng, run.allowed, fresh_value=fresh)
+            block = resample_block(block, rng, run.allowed)
             objective = run.objective(block)
     samples = sample_discrete(block, run.delta, config.n_discrete_samples, rng)
     if config.constraint == "tree_only":

@@ -43,26 +43,20 @@ def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
     return pairs[:, 0] * n + pairs[:, 1]
 
 
-def init_block(n: int, allowed: np.ndarray, block_size: int, rng: np.random.Generator,
-               fresh_value: float = 0.0) -> BlockState:
-    """Uniform sample of candidate pairs from the allowed set.
-
-    ``fresh_value`` is 0 for structure attacks; injection attacks seed a
-    tiny positive value, which keeps every block edge above ``EDGE_EPS``
-    so that it carries a gradient.
-    """
+def init_block(n: int, allowed: np.ndarray, block_size: int,
+               rng: np.random.Generator) -> BlockState:
+    """Uniform sample of candidate pairs from the allowed set, each at value 0."""
     k = min(block_size, len(allowed))
     pick = np.sort(rng.choice(len(allowed), size=k, replace=False))
-    return BlockState(n=n, pairs=allowed[pick], values=np.full(k, fresh_value))
+    return BlockState(n=n, pairs=allowed[pick], values=np.zeros(k))
 
 
-def resample_block(block: BlockState, rng: np.random.Generator, allowed: np.ndarray,
-                   fresh_value: float = 0.0) -> BlockState:
+def resample_block(block: BlockState, rng: np.random.Generator,
+                   allowed: np.ndarray) -> BlockState:
     """Keep the KEEP_FRACTION highest-valued entries, resample the rest uniformly.
 
-    Kept entries retain their values; fresh entries start at ``fresh_value``
-    (0 for structure attacks).  No pair outside the allowed set can ever
-    enter the block.
+    Kept entries retain their values; fresh entries start at 0.  No pair
+    outside the allowed set can ever enter the block.
     """
     size = len(block.pairs)
     n_keep = int(round(KEEP_FRACTION * size))
@@ -79,7 +73,7 @@ def resample_block(block: BlockState, rng: np.random.Generator, allowed: np.ndar
         pick = np.sort(rng.choice(len(pool), size=n_new, replace=False))
         new_pairs = pool[pick]
         pairs = np.vstack([kept_pairs, new_pairs])
-        values = np.concatenate([kept_vals, np.full(n_new, fresh_value)])
+        values = np.concatenate([kept_vals, np.zeros(n_new)])
     else:
         pairs, values = kept_pairs, kept_vals
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
@@ -123,29 +117,18 @@ def sample_discrete(block: BlockState, budget: int, n_samples: int,
     falling back to top-budget rounding.  Taking the pairs (and, for the
     tree projection, the values) of the rows, scoring the sets on the true
     model and keeping the strongest is left to the caller
-    (:func:`~gtattack.attack.runner.run_cell`).
+    (:func:`~gtattack.attack.runner.run_cell`, only at a budget of 1 or more).
     """
     positive = block.values > 0.0
-    none = np.zeros(0, dtype=np.int64)
-
-    def top_budget() -> np.ndarray:
-        if budget <= 0 or not positive.any():
-            return none
-        order = np.argsort(-block.values, kind="stable")
-        return np.sort(order[positive[order]][:budget])
-
-    candidates = [top_budget()]
+    order = np.argsort(-block.values, kind="stable")
+    top = np.sort(order[positive[order]][:budget])
+    candidates = [top]
     for _ in range(n_samples):
-        chosen = None
         for _ in range(MAX_RETRIES):
             draw = rng.random(len(block.values)) < block.values
-            if budget <= 0:
-                chosen = none
-                break
             if draw.sum() <= budget:
-                chosen = np.flatnonzero(draw)
+                candidates.append(np.flatnonzero(draw))
                 break
-        if chosen is None:
-            chosen = top_budget()
-        candidates.append(chosen)
+        else:
+            candidates.append(top)
     return candidates

@@ -105,10 +105,9 @@ class GraphModel:
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None) -> Tensor:
         raise NotImplementedError
 
-    def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray, **kw) -> Tensor:
-        """Unrelaxed logits of (stacked) discrete graphs; see the class
-        docstring.  Keywords go to ``forward``, which names every one it takes."""
-        return self.forward(Tensor(adjacency), features, UNRELAXED, **kw)
+    def forward_discrete(self, adjacency: np.ndarray, features: np.ndarray) -> Tensor:
+        """Unrelaxed logits of (stacked) discrete graphs; see the class docstring."""
+        return self.forward(Tensor(adjacency), features, UNRELAXED)
 
     # -- shared layer tail and readout ----------------------------------------
     def _build_block(self, l: int, d: int, rng) -> None:

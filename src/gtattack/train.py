@@ -11,6 +11,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .graphs import Dataset, Graph, laplacian_sym
 from .models import GraphModel
+from .models.common import UNRELAXED
 from .optim import AdamState, adam_step
 from .spectral import eig_sym
 
@@ -140,7 +141,7 @@ def train_model(model: GraphModel, dataset: Dataset, config: TrainConfig) -> dic
                 g = train_graphs[gi]
                 kw = {"decomp": decomps[gi]} if decomps else {}
                 with Tape():
-                    logits = model.forward_discrete(g.adjacency, g.features, **kw)
+                    logits = model.forward(Tensor(g.adjacency), g.features, UNRELAXED, **kw)
                     if model.task == "node":
                         loss = node_ce_loss(logits, g.node_labels)
                     else:

@@ -191,10 +191,10 @@ def test_resample_keeps_highest_half_and_resets_the_rest():
     block = init_block(8, allowed, 10, rng)
     block.values[:] = np.linspace(0.1, 1.0, 10)
     top = {tuple(p): v for p, v in zip(block.pairs.tolist(), block.values) if v > 0.5}
-    out = resample_block(block, rng, allowed, fresh_value=0.01)
+    out = resample_block(block, rng, allowed)
     assert len(out.pairs) == 10 and len(top) == 5
     for pair, value in zip(out.pairs.tolist(), out.values):
-        assert value == top.get(tuple(pair), 0.01)
+        assert value == top.get(tuple(pair), 0.0)
 
 
 def test_resample_respects_mask_fuzz():
@@ -1341,14 +1341,16 @@ def per_step_adaptive_draws(run):
 
     rng = np.random.default_rng(config.seed)
     fresh = BLOCK_KEEP_EPS if config.mode == "injection" else 0.0
-    block = init_block(run.n_aug, run.allowed, run.block_size, rng, fresh_value=fresh)
+    block = init_block(run.n_aug, run.allowed, run.block_size, rng)
+    block.values = np.maximum(block.values, fresh)
     trace = []
     for k in range(config.steps):
         block, value = step(objective(block), block)
         block.values = np.maximum(block.values, fresh)
         trace.append(value)
         if (k + 1) % config.resample_every == 0 and k < config.steps - 1:
-            block = resample_block(block, rng, run.allowed, fresh_value=fresh)
+            block = resample_block(block, rng, run.allowed)
+            block.values = np.maximum(block.values, fresh)
     samples = sample_discrete(block, run.delta, config.n_discrete_samples, rng)
     return weight_projected(run, [block.pairs[rows] for rows in samples], block), trace
 
@@ -1377,6 +1379,33 @@ def test_adaptive_run_equals_per_step_reference(cluster_setup, tree_setup, arch,
     assert len(set(got.loss_trace)) > 1
 
 
+@pytest.mark.parametrize("mode", ["structure", "injection"])
+def test_block_values_floor_wherever_the_run_reads_them(cluster_setup, tree_setup, mode,
+                                                       monkeypatch):
+    # every step, resample and sample of an adaptive run reads block values at
+    # or above the floor: BLOCK_KEEP_EPS in injection mode, 0 in structure mode
+    from gtattack.attack import runner
+
+    if mode == "structure":
+        _, g, model = cluster_setup
+        gid, cands, cfg, floor = 0, None, quick_config(steps=6, resample_every=2, seed=1), 0.0
+    else:
+        _, g, gid, cands, model = tree_setup
+        cfg = tree_config(steps=6, resample_every=2, block_size=12, seed=1)
+        floor = runner.BLOCK_KEEP_EPS
+    lows = {"prbcd_step": [], "resample_block": [], "sample_discrete": []}
+    for name, seen in lows.items():
+        def spy(*args, _seen=seen, _fn=getattr(runner, name), **kw):
+            _seen.append(next(a for a in args if isinstance(a, BlockState)).values.min())
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(runner, name, spy)
+    run_attack(model, g, cfg, cands, gid)
+    assert {name: len(seen) for name, seen in lows.items()} == {
+        "prbcd_step": 6, "resample_block": 2, "sample_discrete": 1}
+    assert min(min(seen) for seen in lows.values()) >= floor
+
+
 # nodes one relaxed step records, structure / injection: GCN has neither
 # op; each transformer layer records one attention op (GRIT: pair_activation
 # and pair_attention) and one layer_tail op; Graphormer's degree embedding
@@ -1397,8 +1426,8 @@ def test_relaxed_pass_node_count(cluster_setup, tree_setup, arch, mode):
         _, g, _, cands, _ = tree_setup
         run = AttackRun(build_model(arch, "graph", g.feature_dim, 1, seed=0), g, tree_config(),
                         cands)
-    block = init_block(run.n_aug, run.allowed, run.block_size, np.random.default_rng(0),
-                       fresh_value=0.01)
+    block = init_block(run.n_aug, run.allowed, run.block_size, np.random.default_rng(0))
+    block.values[:] = 0.01
     with ad.Tape() as tape:
         backward(run.objective(block)(Tensor(block.values, requires_grad=True)))
         n_nodes = len(tape.nodes)
@@ -1615,8 +1644,8 @@ def test_prbcd_step_ignores_parameter_gradients(tree_setup, arch):
     ds, g, gid, cands, _ = tree_setup
     model = build_model(arch, "graph", g.feature_dim, 1, seed=0)
     run = AttackRun(model, g, tree_config(), cands)
-    block = init_block(run.n_aug, run.allowed, run.block_size, np.random.default_rng(1),
-                       fresh_value=0.3)
+    block = init_block(run.n_aug, run.allowed, run.block_size, np.random.default_rng(1))
+    block.values[:] = 0.3
     steps = []
     for trainable in (False, True):
         for t in model.params.values():

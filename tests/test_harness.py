@@ -585,6 +585,12 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
     (lambda doc: {**doc, "seeds": [0, 0, 1]}, "seeds must be distinct, got [0, 0, 1]"),
     (lambda doc: {**doc, "budgets": [0.05, 0.05]},
      "budgets must be strictly ascending, got [0.05, 0.05]"),
+    (lambda doc: {**doc, "budgets": [0.2000001, 0.2000002]},
+     "budgets must differ in their :g labels, got [0.2000001, 0.2000002] as ['0.2', '0.2']"),
+    (lambda doc: {**doc, "out": __file__},
+     f"out {__file__} cannot be made: {__file__} is not a directory"),
+    (lambda doc: {**doc, "out": os.path.join(__file__, "run")},
+     f"cannot be made: {__file__} is not a directory"),
 ], ids=["unknown_top_level_key", "negative_n_attack_graphs", "zero_n_attack_graphs",
         "unknown_dataset_key", "tree_label_key", "tree_too_small", "sbm_p_inter_above_p_intra",
         "tree_cluster_key", "more_clusters_than_features", "unconnectable_clusters",
@@ -598,7 +604,8 @@ def test_cli_nonpositive_ablate_budget_exits_2(tmp_path, capsys, ablate_budget):
         "negative_n_discrete_samples", "zero_base_lr", "infinite_base_lr",
         "zero_max_candidates", "float_max_candidates", "nan_budget", "infinite_budget",
         "nan_lr", "budget_above_1", "negative_n_train", "zero_n_val", "zero_n_test",
-        "repeated_seed", "repeated_budget"])
+        "repeated_seed", "repeated_budget", "budgets_sharing_a_label", "out_is_a_file",
+        "out_inside_a_file"])
 def test_cli_rejects_config_at_load(tmp_path, capsys, change, message):
     cfg_path = write_config(tmp_path, change(tiny_config(tmp_path, kind="tree")))
     assert cli_main(["generate", "--config", cfg_path]) == 2
