@@ -23,26 +23,26 @@ def project_budget(values: np.ndarray, budget: float) -> np.ndarray:
     S(mu) <= budget.
     """
     values = np.asarray(values, dtype=np.float64)
-    if budget < 0.0 or not np.all(np.isfinite(values)):
+    if budget < 0.0 or not np.isfinite(values).all():
         raise ValueError("project_budget: values must be finite and budget non-negative")
-    clamped = np.clip(values, 0.0, 1.0)
-    if clamped.sum() <= budget:
+    clamped = values.clip(0.0, 1.0)
+    if np.add.reduce(clamped) <= budget:
         return clamped
     points = np.concatenate([values, values - 1.0])
     order = np.argsort(-points)
     points = points[order]
-    slope = np.cumsum(np.repeat([1.0, -1.0], len(values))[order])
+    slope = np.where(order < len(values), 1.0, -1.0).cumsum()
     sums = np.concatenate([[0.0], np.cumsum(slope[:-1] * (points[:-1] - points[1:]))])
     t = np.searchsorted(sums, budget, side="right") - 1
     if slope[t] > 0.0:
-        projected = np.clip(values - (points[t] - (budget - sums[t]) / slope[t]), 0.0, 1.0)
-        if projected.sum() <= budget * (1.0 + SUM_RTOL):
+        projected = (values - (points[t] - (budget - sums[t]) / slope[t])).clip(0.0, 1.0)
+        if np.add.reduce(projected) <= budget * (1.0 + SUM_RTOL):
             return projected
     # S(lo) > budget >= S(hi) = 0; halve until no float lies between them
     lo, hi = values.min() - 1.0, values.max()
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if np.clip(values - mid, 0.0, 1.0).sum() <= budget:
+        if np.add.reduce((values - mid).clip(0.0, 1.0)) <= budget:
             hi = mid
         else:
             lo = mid
-    return np.clip(values - hi, 0.0, 1.0)
+    return (values - hi).clip(0.0, 1.0)

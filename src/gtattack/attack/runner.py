@@ -98,13 +98,14 @@ class AttackRun:
     def objective(self, block: BlockState):
         """Closure mapping the values of ``block`` (leaf tensor) to the attack
         loss, on the clean graph that the block's pairs touch (:meth:`graph`),
-        whatever the values.  Each step flips that graph and, in injection
-        mode, adds node probabilities.  SAN's reference is rebuilt only when
-        that graph differs from the last block's: once per run in structure
-        mode, and in injection mode when the block joins another number of
-        candidates."""
+        whatever the values.  The block's flip op is built here, once; each
+        step flips that graph and, in injection mode, adds node
+        probabilities.  SAN's reference is rebuilt only when that graph
+        differs from the last block's: once per run in structure mode, and in
+        injection mode when the block joins another number of candidates."""
         toggles, injection = self.config.toggles, self.config.mode == "injection"
         base, feats, pairs = self.graph(block.pairs)
+        flip = apply_flips(base, pairs)
         kw = {}
         if self.model.arch == "san" and toggles.san_lap_pert:
             if not np.array_equal(self._ref_adj, base):
@@ -112,7 +113,7 @@ class AttackRun:
             kw["spectral_ref"] = self._ref
 
         def fn(values: Tensor) -> Tensor:
-            atilde = apply_flips(base, pairs, values)
+            atilde = flip(values)
             probs = {"node_probs": node_probability(atilde)} if injection else {}
             logits = self.model.forward(atilde, feats, toggles, **kw, **probs)
             return attack_loss(logits, self.labels, self.config.loss_kind, self.model.task)
@@ -203,8 +204,8 @@ def _random_draws(run: AttackRun) -> tuple[list, list[float]]:
     config = run.config
     rng = np.random.default_rng(config.seed)
     n_evals = config.steps + 1 + config.n_discrete_samples
-    picks = [run.allowed[np.sort(rng.choice(len(run.allowed), size=run.delta, replace=False))]
-             for _ in range(n_evals)]
+    draws = [rng.choice(len(run.allowed), size=run.delta, replace=False) for _ in range(n_evals)]
+    picks = list(run.allowed[np.sort(draws, axis=1)])
     if config.constraint == "tree_only":
         picks = [mst_projection(pick, np.ones(len(pick)), run.n_orig) for pick in picks]
     return picks, []

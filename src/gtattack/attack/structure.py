@@ -32,11 +32,13 @@ class BlockState:
         if len(self.pairs) != len(self.values):
             raise ValueError("pairs/values length mismatch")
         if len(self.pairs):
-            if not np.all(self.pairs[:, 0] < self.pairs[:, 1]):
+            if not (self.pairs[:, 0] < self.pairs[:, 1]).all():
                 raise ValueError("block pairs must satisfy i < j")
-            keys = self.pairs[:, 0] * self.n + self.pairs[:, 1]
-            if len(np.unique(keys)) != len(keys):
-                raise ValueError("block pairs must be unique")
+            keys = _pair_keys(self.pairs, self.n)
+            if not (keys[1:] > keys[:-1]).all():  # only unsorted input is sorted
+                keys = np.sort(keys)
+                if not (keys[1:] > keys[:-1]).all():
+                    raise ValueError("block pairs must be unique")
 
 
 def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -56,27 +58,25 @@ def resample_block(block: BlockState, rng: np.random.Generator,
     """Keep the KEEP_FRACTION highest-valued entries, resample the rest uniformly.
 
     Kept entries retain their values; fresh entries start at 0.  No pair
-    outside the allowed set can ever enter the block.
+    outside the allowed set, whose pairs are unique, can ever enter the
+    block.  The new block is in row-major order.
     """
     size = len(block.pairs)
     n_keep = int(round(KEEP_FRACTION * size))
     order = np.argsort(-block.values, kind="stable")
     kept_idx = np.sort(order[:n_keep])
-    kept_pairs = block.pairs[kept_idx]
-    kept_vals = block.values[kept_idx]
-
-    kept_keys = set(_pair_keys(kept_pairs, block.n).tolist())
-    pool_mask = ~np.isin(_pair_keys(allowed, block.n), list(kept_keys))
-    pool = allowed[pool_mask]
+    pairs, values = block.pairs[kept_idx], block.values[kept_idx]
+    keys = _pair_keys(pairs, block.n)
+    taken = np.isin(_pair_keys(allowed, block.n), keys, assume_unique=True, kind="sort")
+    pool = allowed[~taken]
     n_new = min(size - n_keep, len(pool))
     if n_new > 0:
-        pick = np.sort(rng.choice(len(pool), size=n_new, replace=False))
-        new_pairs = pool[pick]
-        pairs = np.vstack([kept_pairs, new_pairs])
-        values = np.concatenate([kept_vals, np.zeros(n_new)])
-    else:
-        pairs, values = kept_pairs, kept_vals
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        new = pool[np.sort(rng.choice(len(pool), size=n_new, replace=False))]
+        pairs = np.concatenate([pairs, new])
+        keys = np.concatenate([keys, _pair_keys(new, block.n)])
+        values = np.concatenate([values, np.zeros(n_new)])
+    # the keys are unique, so their order is the pairs' row-major order
+    order = np.argsort(keys, kind="stable")
     return BlockState(n=block.n, pairs=pairs[order], values=values[order])
 
 

@@ -216,41 +216,49 @@ def sym_normalize(a) -> Tensor:
     return ad._record("sym_normalize", out, (a, a), (lambda g: g * scale, vjp_degree))
 
 
-def apply_flips(adjacency: np.ndarray, pairs: np.ndarray, values: np.ndarray | Tensor) -> Tensor:
-    """Continuous adjacency from flipping: A + (1 - 2A) * B, symmetric.
+def apply_flips(adjacency: np.ndarray,
+                pairs: np.ndarray) -> Callable[[np.ndarray | Tensor], Tensor]:
+    """The flip op of ``pairs`` on ``adjacency``: a function from values to
+    the continuous adjacency A + (1 - 2A) * B, symmetric.
 
-    B holds ``values`` at the unique index pairs ``pairs`` (k, 2), i < j,
+    B holds the values at the unique index pairs ``pairs`` (k, 2), i < j,
     and at their mirrors.  B entries of 0 leave A untouched; 1 flips the
-    edge; fractional values interpolate.  When ``values`` is a Tensor,
-    gradients flow from the result back to it through one recorded op: each
-    value's gradient gathers the two mirrored entries of its pair.
+    edge; fractional values interpolate.  Indices, entries of A and their
+    coefficients are worked out once per op, so a block builds its op once
+    and each step only writes values.  Gradients reach Tensor values through
+    one recorded op: each gathers the two mirrored entries of its pair.
     """
     a = np.asarray(adjacency, dtype=np.float64)
-    if len(pairs) == 0:
-        return Tensor(a.copy())
-    values = ad.as_tensor(values)
     k = len(pairs)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    base = a[rows, cols]
+    if k == 0:
+        return lambda values: Tensor(a.copy())
+    # flat indices of the pairs, then of their mirrors
+    at = np.concatenate([pairs[:, 0] * a.shape[1] + pairs[:, 1],
+                         pairs[:, 1] * a.shape[1] + pairs[:, 0]])
+    base = a.take(at)
     coef = 1.0 - 2.0 * base
-    flipped = a.copy()
-    flipped[rows, cols] = base + coef * np.concatenate([values.data, values.data])
-    out = ad._wrap(flipped)
-    if not ad._live(values):
-        return out
 
     def vjp(g):
-        gm = g[rows, cols] * coef
+        gm = g.take(at) * coef
         return gm[:k] + gm[k:]
 
-    return ad._record("apply_flips", out, (values,), (vjp,))
+    def flip(values: np.ndarray | Tensor) -> Tensor:
+        values = ad.as_tensor(values)
+        flipped = a.copy()
+        flipped.put(at, base + coef * np.concatenate([values.data, values.data]))
+        out = ad._wrap(flipped)
+        return ad._record("apply_flips", out, (values,), (vjp,)) if ad._live(values) else out
+
+    return flip
 
 
+@functools.lru_cache(maxsize=64)
 def upper_triangle_pairs(n: int) -> np.ndarray:
-    """All index pairs (i, j), i < j < n, row-major."""
-    iu = np.triu_indices(n, k=1)
-    return np.stack(iu, axis=1).astype(np.int64)
+    """All index pairs (i, j), i < j < n, row-major; one read-only array per
+    ``n``, shared by its callers."""
+    pairs = np.stack(np.triu_indices(n, k=1), axis=1).astype(np.int64)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def connected_components(a: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ class RelaxToggles:
         return cls(**{f.name: False for f in fields(cls)})
 
     def to_dict(self) -> dict[str, bool]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "RelaxToggles":

@@ -116,12 +116,15 @@ def train_model(model: GraphModel, dataset: Dataset, config: TrainConfig) -> dic
     """Adam training with the best-validation-accuracy snapshot restored.
 
     Returns a history dict with per-epoch train loss and val accuracy.
-    Raises on NaN loss (divergence).  Parameters require gradients only
-    while this runs.
+    Raises on NaN loss (divergence), and ``ValueError`` when there are
+    epochs to run but no validation graph to select a snapshot by.
+    Parameters require gradients only while this runs.
     """
     rng = np.random.default_rng(config.seed)
     train_graphs = dataset.part("train")
     val_graphs = dataset.part("val")
+    if config.epochs > 0 and not val_graphs:
+        raise ValueError("train_model: the validation split is empty, no epoch to select")
     # SAN's Laplacian eigenpairs of each training graph, reused every epoch
     decomps = ([eig_sym(laplacian_sym(g.adjacency)) for g in train_graphs]
                if model.arch == "san" else None)

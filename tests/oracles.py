@@ -1,15 +1,17 @@
 """Reference implementations that the tests hold recorded ops against.
 
 The composed chains are the primitive compositions that the one-node ops
-``layer_norm``, ``apply_flips``, ``node_probability``, ``sym_normalize``,
-``paths.interp_table``, ``paths.spd_bias``, ``SAN.lpe``,
+``layer_norm``, ``apply_flips``, ``attack_loss``, ``node_probability``,
+``sym_normalize``, ``paths.interp_table``, ``paths.spd_bias``, ``SAN.lpe``,
 ``models.common.attention`` and ``models.common.layer_tail`` replaced; each
 records one autodiff node per primitive.  The primitives below them have
 no caller outside these chains, so they live here rather than in the
 engine.  Central finite differences check every gradient, the per-pair
 shortest paths with their frozen-path sums are the reference for
 ``paths.rspd_matrix``, and the per-target next-hop loop is the one
-``shortest_paths_kernel`` replaced.
+``shortest_paths_kernel`` replaced.  The per-step flip op is the one the
+per-block ``apply_flips`` replaced, and the set-based block resampling the
+one ``resample_block`` replaced.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ import numpy as np
 
 from gtattack import autodiff as ad
 from gtattack._kernels import _TIE_TOL, bfs_hops, shortest_paths_kernel
+from gtattack.attack.structure import KEEP_FRACTION, BlockState
 from gtattack.autodiff import Tensor, as_tensor
 from gtattack.graphs import laplacian_sym, laplacian_sym_tensor
 from gtattack.models.common import RelaxToggles, linear, log_prob_row
@@ -116,6 +119,50 @@ def composed_apply_flips(adjacency, pairs, values):
     dense_b = scatter_pairs(both, (n, n), rows, cols)
     delta = ad.mul(Tensor(1.0 - 2.0 * a), dense_b)
     return ad.add(Tensor(a), delta)
+
+
+def per_step_apply_flips(adjacency, pairs, values):
+    """One flip of ``values`` at ``pairs``, its indices, base entries and
+    coefficients worked out again on every call."""
+    a = np.asarray(adjacency, dtype=np.float64)
+    if len(pairs) == 0:
+        return Tensor(a.copy())
+    values = ad.as_tensor(values)
+    k = len(pairs)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    base = a[rows, cols]
+    coef = 1.0 - 2.0 * base
+    flipped = a.copy()
+    flipped[rows, cols] = base + coef * np.concatenate([values.data, values.data])
+    out = ad._wrap(flipped)
+    if not ad._live(values):
+        return out
+
+    def vjp(g):
+        gm = g[rows, cols] * coef
+        return gm[:k] + gm[k:]
+
+    return ad._record("apply_flips", out, (values,), (vjp,))
+
+
+def composed_attack_loss(logits, labels, kind, task):
+    """``attack_loss`` as a chain: gathered margins through tanh and a mean
+    (tanh_margin), or a sum with its sign (raw_score)."""
+    lead, (n, c) = logits.shape[:-2], logits.shape[-2:]
+    if kind == "tanh_margin":
+        assert task == "node"
+        labels = np.broadcast_to(np.asarray(labels, dtype=np.int64), lead + (n,)).reshape(-1)
+        flat = ad.reshape(logits, (-1, c))
+        rows = np.arange(len(labels))
+        masked = flat.data.copy()
+        masked[rows, labels] = -np.inf
+        margin = ad.sub(ad.take_pairs(flat, rows, labels),
+                        ad.take_pairs(flat, rows, np.argmax(masked, axis=1)))
+        return ad.tmean(ad.ttanh(ad.reshape(margin, lead + (n,))), axis=-1)
+    assert kind == "raw_score" and task == "graph"
+    score = ad.tsum(ad.reshape(logits, lead + (n * c,)), axis=-1)
+    return score if int(labels) == 1 else ad.neg(score)
 
 
 def composed_node_probability(atilde, rounds=3):
@@ -319,6 +366,33 @@ def composed_graphormer_forward(m, atilde, features, toggles=RelaxToggles(), nod
     if m.task == "graph":  # the virtual node reads out the graph
         h = ad.gather_rows(h, np.array([h.shape[-2] - 1]))
     return linear(h, m.p("out.w"), m.p("out.b"))
+
+
+# ---------------------------------------------------------------------------
+# block resampling
+
+
+def set_based_resample_block(block, rng, allowed):
+    """``resample_block`` with the kept pairs as a Python set, membership by
+    ``np.isin`` of a list, and the new block ordered by ``np.lexsort``."""
+    size = len(block.pairs)
+    n_keep = int(round(KEEP_FRACTION * size))
+    order = np.argsort(-block.values, kind="stable")
+    kept_idx = np.sort(order[:n_keep])
+    kept_pairs = block.pairs[kept_idx]
+    kept_vals = block.values[kept_idx]
+    kept_keys = set((kept_pairs[:, 0] * block.n + kept_pairs[:, 1]).tolist())
+    pool_mask = ~np.isin(allowed[:, 0] * block.n + allowed[:, 1], list(kept_keys))
+    pool = allowed[pool_mask]
+    n_new = min(size - n_keep, len(pool))
+    if n_new > 0:
+        pick = np.sort(rng.choice(len(pool), size=n_new, replace=False))
+        pairs = np.vstack([kept_pairs, pool[pick]])
+        values = np.concatenate([kept_vals, np.zeros(n_new)])
+    else:
+        pairs, values = kept_pairs, kept_vals
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return BlockState(n=block.n, pairs=pairs[order], values=values[order])
 
 
 # ---------------------------------------------------------------------------

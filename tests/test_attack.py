@@ -61,6 +61,62 @@ def test_raw_score_sign_for_label_zero():
     assert loss1.item() == pytest.approx(-3.0)
 
 
+def _loss_parts(loss_fn, logits, weights):
+    """Loss values at ``logits``, the logits' gradient of their
+    ``weights``-weighted sum (of the loss itself when it is a scalar and
+    ``weights`` is None) and the nodes the loss recorded."""
+    leaf = Tensor(logits, requires_grad=True)
+    with ad.Tape() as tape:
+        out = loss_fn(leaf)
+        n_nodes = len(tape.nodes)
+        total = out if weights is None else ad.tsum(ad.mul(out, Tensor(weights)))
+        grad = backward(total)[leaf].data
+    return out.data, grad, n_nodes
+
+
+def _loss_case(name):
+    rng = np.random.default_rng(len(name))
+    lead, n, c = {"single_2": ((), 5, 2), "single_6": ((), 7, 6), "stacked_2": ((3,), 5, 2),
+                  "stacked_6": ((4,), 7, 6), "saturated": ((), 4, 3)}[name]
+    logits = rng.normal(size=lead + (n, c))
+    labels = rng.integers(0, c, n)
+    if name == "saturated":  # tanh(40) == 1.0 exactly: the row's gradient is exactly 0
+        logits[1] = -40.0
+        logits[1, labels[1]] = 0.0
+    return logits, labels
+
+
+LOSS_CASES = ["single_2", "single_6", "saturated", "raw_label0", "raw_label1"]
+STACKED_LOSS_CASES = ["stacked_2", "stacked_6", "raw_stacked"]
+
+
+@pytest.mark.parametrize("case,weighted", [(c, False) for c in LOSS_CASES]
+                         + [(c, True) for c in LOSS_CASES + STACKED_LOSS_CASES])
+def test_attack_loss_equals_composed_chain(case, weighted):
+    # one recorded node, whose values and gradients are the chain's bit for bit;
+    # a negative weight makes the saturated row's gradient a signed zero
+    from oracles import composed_attack_loss
+
+    if case.startswith("raw"):
+        kind, task, labels = "raw_score", "graph", int(case == "raw_label1")
+        logits = np.random.default_rng(3).normal(size=(2, 1, 1) if case == "raw_stacked"
+                                                 else (1, 1))
+    else:
+        kind, task = "tanh_margin", "node"
+        logits, labels = _loss_case(case)
+    lead = logits.shape[:-2]
+    weights = np.resize([-0.75, 1.5], lead) if weighted else None
+    got = _loss_parts(lambda x: attack_loss(x, labels, kind, task), logits, weights)
+    want = _loss_parts(lambda x: composed_attack_loss(x, labels, kind, task), logits, weights)
+    assert got[2] == 1 and want[2] > 1
+    assert got[0].shape == want[0].shape == lead
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    if case == "saturated":
+        assert np.tanh(40.0) == 1.0 and not got[1][1].any()
+        assert got[1].any()
+
+
 def test_loss_task_mismatch_rejected():
     with pytest.raises(ValueError):
         attack_loss(Tensor(np.zeros((2, 2))), [0, 1], "tanh_margin", "graph")
@@ -206,6 +262,54 @@ def test_resample_respects_mask_fuzz():
         block.values[:] = rng.random(len(block.values))
         block = resample_block(block, rng, allowed)
         assert not np.any(block.pairs == 0)
+
+
+def _resample_case(kind):
+    """(n, allowed pairs, block) of one kind of block: a structure block on
+    every allowed pair, a partial one, one on a ``protect_labeled`` allowed
+    set and one on an injection allowed set (10 original nodes, 6
+    candidates).  Values repeat, so the kept half has ties."""
+    rng = np.random.default_rng(len(kind))
+    g = make_cluster_dataset(seed=2, n_train=1, n_val=0, n_test=0,
+                             nodes_per_cluster_range=(4, 5)).graphs[0]
+    n, cfg = g.n, AttackConfig()
+    if kind == "protect_labeled":
+        cfg = AttackConfig(constraint="protect_labeled")
+    elif kind == "injection":
+        g, n = make_graph(np.zeros((10, 10))), 16
+        cfg = AttackConfig(mode="injection")
+    allowed = allowed_pairs(g, cfg, n_aug=n)
+    size = len(allowed) if kind == "every_pair" else len(allowed) // 3
+    block = init_block(n, allowed, size, rng)
+    block.values[:] = rng.choice([0.0, 0.25, 0.5, 1.0], size) * rng.random(size).round(1)
+    return n, allowed, block
+
+
+@pytest.mark.parametrize("kind", ["every_pair", "partial", "protect_labeled", "injection"])
+def test_resample_draws_what_the_set_based_rule_drew(kind):
+    # same pairs, same values and the same generator state after each of
+    # several resamples
+    from oracles import set_based_resample_block
+
+    n, allowed, block = _resample_case(kind)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    values = np.random.default_rng(8)
+    for _ in range(5):
+        got = resample_block(block, rng, allowed)
+        want = set_based_resample_block(block, ref_rng, allowed)
+        assert got.pairs.tobytes() == want.pairs.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        block = got
+        block.values[:] = values.random(len(block.values)).round(1)
+
+
+def test_block_state_rejects_duplicate_pairs_out_of_order():
+    pairs = [[2, 3], [0, 4], [1, 2], [0, 4]]
+    with pytest.raises(ValueError, match="unique"):
+        BlockState(5, pairs, np.zeros(4))
+    block = BlockState(5, pairs[:3], np.zeros(3))  # out of order but unique: kept as given
+    assert block.pairs.tolist() == pairs[:3]
 
 
 def test_prbcd_step_zero_gradient_keeps_values():
@@ -1136,7 +1240,7 @@ def test_relaxed_graph_at_ones_equals_scored_graph(cluster_setup, tree_setup, mo
         [flips] = weight_projected(run, [picked], block)
         adj, feats = run._discrete_graph(flips)
         base, base_feats, pairs = run.graph(flips)
-        relaxed = apply_flips(base, pairs, np.ones(len(pairs))).data
+        relaxed = apply_flips(base, pairs)(np.ones(len(pairs))).data
         assert relaxed.shape == adj.shape and np.array_equal(relaxed, adj)
         assert np.array_equal(base_feats, feats)
         sizes.add(len(adj))
@@ -1303,8 +1407,11 @@ def test_run_cell_equals_single_kind_calls(cluster_setup, tree_setup, arch, mode
 def per_step_adaptive_draws(run):
     """Reference PRBCD loop on an augmented copy of the run's graph: a new
     objective closure, a new BlockState and, in injection mode, a component
-    search and a new SAN SpectralReference on every step.  Returns the
-    discrete samples, weight-projected under ``tree_only``, and the trace."""
+    search and a new SAN SpectralReference on every step, and the set-based
+    block resampling.  Returns the discrete samples, weight-projected under
+    ``tree_only``, and the trace."""
+    from oracles import set_based_resample_block
+
     from gtattack.attack.runner import BLOCK_KEEP_EPS
     from gtattack.graphs import apply_flips
     from gtattack.models import SpectralReference
@@ -1316,7 +1423,7 @@ def per_step_adaptive_draws(run):
 
     def objective(block):
         def fn(values):
-            atilde = apply_flips(base, block.pairs, values)
+            atilde = apply_flips(base, block.pairs)(values)
             if config.mode == "structure":
                 kw = {"spectral_ref": structure_ref} if lap_pert else {}
                 logits = model.forward(atilde, run.features, toggles, **kw)
@@ -1349,7 +1456,7 @@ def per_step_adaptive_draws(run):
         block.values = np.maximum(block.values, fresh)
         trace.append(value)
         if (k + 1) % config.resample_every == 0 and k < config.steps - 1:
-            block = resample_block(block, rng, run.allowed)
+            block = set_based_resample_block(block, rng, run.allowed)
             block.values = np.maximum(block.values, fresh)
     samples = sample_discrete(block, run.delta, config.n_discrete_samples, rng)
     return weight_projected(run, [block.pairs[rows] for rows in samples], block), trace
@@ -1409,9 +1516,10 @@ def test_block_values_floor_wherever_the_run_reads_them(cluster_setup, tree_setu
 # nodes one relaxed step records, structure / injection: GCN has neither
 # op; each transformer layer records one attention op (GRIT: pair_activation
 # and pair_attention) and one layer_tail op; Graphormer's degree embedding
-# and each head's distance bias, and SAN's eigen-token encoder, one op each
-RELAXED_PASS_NODES = {"gcn": (24, 27), "grit": (38, 43), "graphormer": (20, 22),
-                      "san": (30, 35)}
+# and each head's distance bias, and SAN's eigen-token encoder, one op each;
+# the attack loss records one op in either mode
+RELAXED_PASS_NODES = {"gcn": (18, 25), "grit": (32, 41), "graphormer": (14, 20),
+                      "san": (24, 33)}
 
 
 @pytest.mark.parametrize("mode", ["structure", "injection"])
@@ -1455,7 +1563,7 @@ def relaxed_inputs(run, block, values, monkeypatch):
 
 
 def pruned_reference(run, block, values):
-    sub, kept = prune_disconnected(apply_flips(augmented(run), block.pairs, values), run.n_orig)
+    sub, kept = prune_disconnected(apply_flips(augmented(run), block.pairs)(values), run.n_orig)
     return sub.data, kept, node_probability(sub).data
 
 
@@ -1483,7 +1591,7 @@ def test_relaxed_kept_set_equals_prune_disconnected(tree_setup, constraint, monk
     sizes, searched, low = set(), 0, 0
     for block in blocks:
         nodes = np.union1d(np.arange(n), block.pairs[:, 1])
-        full = apply_flips(augmented(run), block.pairs, Tensor(block.values))
+        full = apply_flips(augmented(run), block.pairs)(Tensor(block.values))
         sub = full.data[np.ix_(nodes, nodes)]
         got = relaxed_inputs(run, block, block.values, monkeypatch)
         for x, y in zip(got, (sub, nodes, node_probability(Tensor(sub)).data), strict=True):

@@ -39,6 +39,7 @@ from oracles import (
     composed_node_probability,
     composed_sym_normalize,
     finite_difference,
+    per_step_apply_flips,
 )
 
 
@@ -87,7 +88,7 @@ def test_laplacian_eigenvalues_in_0_2():
 
 def flip(a, pairs, values):
     a = np.asarray(a, dtype=float)
-    return apply_flips(a, np.array(pairs), np.array(values))
+    return apply_flips(a, np.array(pairs))(np.array(values))
 
 
 def test_flip_removes_edge():
@@ -107,7 +108,7 @@ def test_flip_partial_remove():
 
 def test_flip_gradient_reaches_values():
     vals = Tensor(np.array([0.3, 0.2]), requires_grad=True)
-    out = apply_flips(TRIANGLE, np.array([[0, 1], [1, 2]]), vals)
+    out = apply_flips(TRIANGLE, np.array([[0, 1], [1, 2]]))(vals)
     grads = backward(ad.tsum(out))
     # each pair appears at (i, j) and (j, i); flipping an existing edge has slope -1
     np.testing.assert_allclose(grads[vals].data, [-2.0, -2.0])
@@ -121,8 +122,8 @@ def test_flip_involution_on_discrete(n, seed):
     a = a + a.T
     pairs = upper_triangle_pairs(n)
     vals = (rng.random(len(pairs)) < 0.3).astype(float)
-    once = apply_flips(a, pairs, vals).data
-    twice = apply_flips(once, pairs, vals).data
+    once = apply_flips(a, pairs)(vals).data
+    twice = apply_flips(once, pairs)(vals).data
     np.testing.assert_array_equal(twice, a)
 
 
@@ -134,7 +135,7 @@ def test_flip_output_in_unit_interval(n, seed):
     a = a + a.T
     pairs = upper_triangle_pairs(n)
     vals = rng.random(len(pairs))
-    out = apply_flips(a, pairs, vals).data
+    out = apply_flips(a, pairs)(vals).data
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -226,9 +227,31 @@ def flip_cases(draw):
 def test_apply_flips_equals_composed_chain(case):
     a, pairs, values = case
     assume(len(pairs))
-    grad = check_against_chain(lambda v: apply_flips(a, pairs, v),
+    grad = check_against_chain(apply_flips(a, pairs),
                                lambda v: composed_apply_flips(a, pairs, v), values)
-    check_finite_differences(lambda v: apply_flips(a, pairs, v), values, grad)
+    check_finite_differences(apply_flips(a, pairs), values, grad)
+
+
+@FRONT_END
+@given(flip_cases(), st.integers(0, 2**32 - 1))
+def test_apply_flips_built_once_equals_per_step_flip(case, seed):
+    # a block builds its flip op once and each step only writes values: every
+    # step's values and value gradients equal a flip that works out its
+    # indices again, and a later step leaves an earlier step's result alone
+    a, pairs, values = case
+    assume(len(pairs))
+    op, rng = apply_flips(a, pairs), np.random.default_rng(seed)
+    first = None
+    for _ in range(4):
+        got, grad, _ = _forward_backward(op, values)
+        want, want_grad, _ = _forward_backward(
+            lambda v: per_step_apply_flips(a, pairs, v), values)
+        assert _bits(got) == _bits(want)
+        assert _bits(grad) == _bits(want_grad)
+        if first is None:
+            first, kept = got, got.copy()
+        values = rng.random(len(values)).round(1)
+    assert _bits(first) == _bits(kept)
 
 
 @FRONT_END

@@ -1014,6 +1014,20 @@ def _trainable(m):
     return [name for name, t in m.params.items() if t.requires_grad]
 
 
+def test_train_model_rejects_an_empty_validation_split():
+    # with no validation graph every epoch scored 0.0 and tied, so training
+    # handed back the epoch-0 weights; now it refuses before any epoch
+    ds = make_cluster_dataset(1, n_train=6, n_val=0, n_test=2, n_clusters=3,
+                              nodes_per_cluster_range=(7, 7))
+    m = build_model("gcn", "node", ds.graphs[0].feature_dim, 3, seed=0)
+    before = {k: t.data.copy() for k, t in m.params.items()}
+    with pytest.raises(ValueError, match="validation split is empty"):
+        train_model(m, ds, TrainConfig(epochs=5, lr=1e-2))
+    assert all(np.array_equal(before[k], t.data) for k, t in m.params.items())
+    assert _trainable(m) == []
+    assert train_model(m, ds, TrainConfig(epochs=0))["best_val_acc"] is None
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_parameters_require_grad_only_inside_training(arch, tmp_path):
     ds = make_cluster_dataset(3, n_train=2, n_val=1, n_test=0, nodes_per_cluster_range=(3, 4))
