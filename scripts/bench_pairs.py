@@ -10,9 +10,12 @@ the parent's median with its quartiles, the change's median, the pairs the
 change won (ties count for neither) and whether the claim rule holds: at
 least ``MIN_PAIRS`` pairs, the change winning at least nine tenths of them,
 and a gap between the medians, in the change's favour, wider than the
-parent's interquartile range.  It also prints whether every run was
-``correct`` with 0 failed cells and whether every run's ``# digest`` line
-is the same.  It only reads what perfbench prints.
+parent's interquartile range.  The per-architecture cell times that
+perfbench prints as ``# cell_s.<arch>`` lines but ``BENCHMARK.json`` does
+not list (``cell_s.graphormer``, ``cell_s.san``) get the same line, marked
+informational and without the claim rule.  It also prints whether every run
+was ``correct`` with 0 failed cells and whether every run's ``# digest``
+line is the same.  It only reads what perfbench prints.
 """
 
 from __future__ import annotations
@@ -39,13 +42,18 @@ class Run(NamedTuple):
 
 
 def parse_run(text: str) -> Run:
-    """A run from perfbench's output: the ``# digest`` line and the JSON
-    result on the last line."""
+    """A run from perfbench's output: the ``# digest`` line, the JSON result
+    on the last line, and the ``# cell_s.<arch>`` lines of the cell times
+    that result does not carry."""
     lines = text.strip().splitlines()
     result = json.loads(lines[-1])
     digest = next((line.split()[2] for line in lines if line.startswith("# digest ")), None)
-    return Run({name: m["value"] for name, m in result["metrics"].items()},
-               result["correct"] is True, result["failed"], digest)
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    for line in lines:
+        if line.startswith("# cell_s."):
+            name, value = line.split()[1:3]
+            metrics.setdefault(name, float(value))
+    return Run(metrics, result["correct"] is True, result["failed"], digest)
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -56,23 +64,33 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def compare(name: str, direction: str, parent: list[Run], change: list[Run]) -> tuple[str, bool]:
+    """``name``'s parent median with its quartiles, the change's median and
+    the pairs the change won; and whether the claim rule holds."""
+    n = len(parent)
+    sign = 1.0 if direction == "lower" else -1.0
+    p = [r.metrics[name] for r in parent]
+    c = [r.metrics[name] for r in change]
+    won = sum(sign * (b - a) < 0.0 for a, b in zip(p, c))
+    q1, median, q3 = quartiles(p)
+    cm = statistics.median(c)
+    holds = n >= MIN_PAIRS and 10 * won >= 9 * n and sign * (median - cm) > q3 - q1
+    return (f"{name}: parent {median:.6g} [{q1:.6g}, {q3:.6g}] -> change {cm:.6g} "
+            f"({100.0 * (cm - median) / median:+.1f}%), won {won}/{n}"), holds
+
+
 def summarize(parent: list[Run], change: list[Run], better: dict[str, str]) -> list[str]:
     """Report lines of paired runs, ``parent[i]`` against ``change[i]``,
-    for the metrics of ``better`` (name -> "lower" or "higher")."""
-    n = len(parent)
+    for the metrics of ``better`` (name -> "lower" or "higher"), then for
+    the cell times every run printed that ``better`` does not name."""
     lines = []
     for name, direction in better.items():
-        sign = 1.0 if direction == "lower" else -1.0
-        p = [r.metrics[name] for r in parent]
-        c = [r.metrics[name] for r in change]
-        won = sum(sign * (b - a) < 0.0 for a, b in zip(p, c))
-        q1, median, q3 = quartiles(p)
-        cm = statistics.median(c)
-        holds = n >= MIN_PAIRS and 10 * won >= 9 * n and sign * (median - cm) > q3 - q1
-        lines.append(f"{name}: parent {median:.6g} [{q1:.6g}, {q3:.6g}] -> change {cm:.6g} "
-                     f"({100.0 * (cm - median) / median:+.1f}%), won {won}/{n}, "
-                     f"claim rule {'holds' if holds else 'fails'}")
+        line, holds = compare(name, direction, parent, change)
+        lines.append(f"{line}, claim rule {'holds' if holds else 'fails'}")
     runs = parent + change
+    cells = set.intersection(*(set(r.metrics) for r in runs)) - set(better)
+    for name in sorted(m for m in cells if m.startswith("cell_s.")):
+        lines.append(f"{compare(name, 'lower', parent, change)[0]} (informational)")
     correct = all(r.correct and r.failed == 0 for r in runs)
     lines.append(f"every run correct with 0 failed: {'yes' if correct else 'no'}")
     digests = sorted({str(r.digest) for r in runs})

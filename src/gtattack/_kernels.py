@@ -1,11 +1,9 @@
 """Numerical inner loops for the shortest-path machinery, in numpy.
 
-Each Python loop steps one index (the Floyd-Warshall pivot, the next-hop
-target of a dense graph, the tree level of the backward push, the BFS
-depth) over O(n^2) array operations, so temporaries stay O(n^2).  A graph
-with at most n^2 / 4 edges (finite weights) takes its next hops in one
-pass over the m edges against all n targets instead, an O(n m) temporary.
-"""
+Each Python loop steps one index (the Floyd-Warshall pivot, the tree
+level of the backward push, the BFS depth) over O(n^2) array operations;
+the next hops take one pass over the m edges (finite weights) against all
+n targets, an O(n m) temporary."""
 
 from __future__ import annotations
 
@@ -20,39 +18,31 @@ def shortest_paths_kernel(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs distances and next hops on a non-negative weight matrix.
 
     ``r[u, v] = inf`` means no edge.  Distances come from Floyd-Warshall.
-    ``nxt[u, j]`` is the smallest-index neighbor v of u with
-    r[u, v] + dist[v, j] <= dist[u, j] + _TIE_TOL, or, where rounding leaves
-    no neighbor inside it (path lengths near 1/EDGE_EPS), the neighbor of
-    least r[u, v] + dist[v, j]; -1 if unreachable, u itself when u == j.
-    Greedily following nxt yields the lexicographically smallest shortest
-    path.
+    ``nxt[u, j]`` is the smallest-index neighbor v of u with r[u, v] +
+    dist[v, j] <= dist[u, j] + _TIE_TOL, or, where rounding leaves no
+    neighbor inside it (path lengths near 1/EDGE_EPS), the neighbor of least
+    r[u, v] + dist[v, j]; -1 if unreachable, u itself when u == j.  Greedily
+    following nxt yields the lexicographically smallest shortest path.
     """
     n = r.shape[0]
     dist = r.copy()
     np.fill_diagonal(dist, 0.0)
     for k in range(n):
         np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
-    # per pair (u, j), the first neighbor v of u with
-    # r[u, v] + dist[v, j] <= dist[u, j] + _TIE_TOL; n where none is
+    # per pair (u, j), the first neighbor v of u with r[u, v] + dist[v, j] <=
+    # dist[u, j] + _TIE_TOL (n where none is), over the edges in row runs
     eu, ev = np.nonzero(np.isfinite(r))
-    if 4 * eu.size <= n * n:  # sparse: one pass over the edges, each row a run of them
-        on_path = r[eu, ev][:, None] + dist[ev] <= (dist + _TIE_TOL)[eu]
-        starts = np.flatnonzero(np.diff(eu, prepend=-1))
-        nxt = np.full((n, n), n, dtype=np.int64)
-        if eu.size:
-            nxt[eu[starts]] = np.minimum.reduceat(np.where(on_path, ev[:, None], n), starts, axis=0)
-    else:  # dense: one (n, n) test per target, which beats the edges' (m, n) temporaries
-        nxt = np.empty((n, n), dtype=np.int64)
-        for j in range(n):
-            col = dist[:, j]
-            nxt[:, j] = np.argmax(r + col[None, :] <= col[:, None] + _TIE_TOL, axis=1)
-        cols = np.arange(n)  # argmax took node 0 where no neighbor passes
-        nxt[~(r[cols[:, None], nxt] + dist[nxt, cols] <= dist + _TIE_TOL)] = n
+    on_path = r[eu, ev][:, None] + dist[ev] <= (dist + _TIE_TOL)[eu]
+    starts = np.flatnonzero(np.diff(eu, prepend=-1))
+    nxt = np.full((n, n), n, dtype=np.int64)
+    if eu.size:
+        nxt[eu[starts]] = np.minimum.reduceat(np.where(on_path, ev[:, None], n), starts, axis=0)
     nxt[~np.isfinite(dist)] = -1
     np.fill_diagonal(nxt, np.arange(n))
     # where rounding leaves no neighbor inside _TIE_TOL, the neighbor of least length
     us, js = np.nonzero(nxt == n)
-    nxt[us, js] = np.argmin(r[us] + dist[:, js].T, axis=1)
+    if us.size:  # argmin cannot reduce the empty rows of a graph without nodes
+        nxt[us, js] = np.argmin(r[us] + dist[:, js].T, axis=1)
     return dist, nxt
 
 
@@ -71,10 +61,7 @@ def rspd_grad_kernel(g: np.ndarray, nxt: np.ndarray, atilde: np.ndarray) -> np.n
     depth = np.where(nxt >= 0, -1, 0)
     np.fill_diagonal(depth, 0)
     level = 0
-    while True:
-        new = (depth < 0) & (depth[hop, cols] == level)
-        if not new.any():
-            break
+    while (new := (depth < 0) & (depth[hop, cols] == level)).any():
         level += 1
         depth[new] = level
     mass = np.array(g, dtype=np.float64)

@@ -70,7 +70,8 @@ class GraphModel:
     same leading axes, and returns logits ``(..., n, c)`` (node task) or
     ``(..., 1, c)`` (graph task); a single graph is the same call without
     leading axes.  Each slice of a stacked result equals the single-graph
-    result bit for bit.
+    result bit for bit; only Graphormer's relaxed shortest paths
+    (``graphormer_spd``) take one graph, and raise ``ShapeError`` on a stack.
 
     Parameters are constants (``requires_grad`` off), so attack gradients
     skip them; ``train_model`` switches them on while it trains.

@@ -77,10 +77,8 @@ class Graphormer(GraphModel):
 
     def forward(self, atilde, features, toggles=RelaxToggles(), node_probs=None) -> Tensor:
         a = ad.as_tensor(atilde)
-        if toggles.graphormer_spd:
-            spd = rspd_matrix(a)
-        else:
-            spd = Tensor(bfs_hops(np.rint(a.data)))
+        spd = (rspd_matrix(a, self.hparams["max_spd"]) if toggles.graphormer_spd
+               else Tensor(bfs_hops(np.rint(a.data))))
         lead = a.shape[:-2]
         heads = self.hparams["heads"]
         deg = ad.tsum(a, axis=-1)

@@ -13,17 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from ._kernels import rspd_grad_kernel, shortest_paths_kernel
+from ._kernels import _TIE_TOL, rspd_grad_kernel, shortest_paths_kernel
 from .autodiff import Tensor
-from .graphs import EDGE_EPS
+from .graphs import EDGE_EPS, connected_components
 
-__all__ = [
-    "EDGE_EPS",
-    "reciprocal_weights",
-    "rspd_matrix",
-    "interp_table",
-    "spd_bias",
-]
+__all__ = ["EDGE_EPS", "reciprocal_weights", "rspd_matrix", "interp_table", "spd_bias"]
 
 
 def reciprocal_weights(atilde: Tensor | np.ndarray) -> np.ndarray:
@@ -36,23 +30,43 @@ def reciprocal_weights(atilde: Tensor | np.ndarray) -> np.ndarray:
     return r
 
 
-def rspd_matrix(atilde: Tensor) -> Tensor:
-    """All-pairs relaxed shortest-path distances as one differentiable op.
+def rspd_matrix(atilde: Tensor, cap: float = np.inf) -> Tensor:
+    """All-pairs relaxed shortest-path distances of one (n, n) adjacency, as
+    one op exact up to ``cap``: Floyd-Warshall on r = 1/a; the backward pushes
+    the upstream gradient along each pair's frozen path, level by level.
 
-    Forward runs Floyd-Warshall on the reciprocal weights; backward pushes
-    the upstream gradient onto the adjacency along each pair's frozen path
-    (level by level through the next-hop trees of all targets at once), the
-    path whose sum of reciprocal entries equals the distance.
+    Pairs with r > cap + _TIE_TOL leave the weights, and both kernels run
+    over the nodes that keep an edge, in index order: no path of length
+    <= cap uses a dropped pair, so those distances keep their bits and next
+    hops.  A pair that only dropped pairs join gets cap + _TIE_TOL from one
+    component search, so the same pairs stay finite.  ``spd_bias`` reads
+    every distance >= max_spd off its top row with slope 0, so at cap =
+    max_spd bias values and adjacency gradients keep their bits (not the
+    table's top-row gradient, which attack steps never take).  A graph of
+    m0 edges whose block values, each kept one about 1/cap or more, sum to
+    at most delta keeps about 2 (m0 + cap delta) finite weights or fewer.
     """
-    r = reciprocal_weights(atilde.data)
-    dist, nxt = shortest_paths_kernel(r)
+    a = atilde.data
+    if a.ndim != 2:
+        raise ad.ShapeError(f"rspd_matrix takes one graph's (n, n) adjacency, got shape {a.shape}")
+    r = reciprocal_weights(a)
+    far = np.isfinite(r) & (r > cap + _TIE_TOL)
+    r[far] = np.inf
+    kept = np.ix_(*2 * [np.flatnonzero(np.isfinite(r).any(axis=1))])  # the nodes with an edge
+    kept_dist, nxt = shortest_paths_kernel(r[kept])
+    dist = np.where(np.eye(len(a), dtype=bool), 0.0, np.inf)
+    dist[kept] = kept_dist
+    if np.isinf(dist[far]).any():  # a dropped pair joins two parts of the kept graph
+        comp = connected_components(a)
+        dist[np.isinf(dist) & (comp[:, None] == comp[None, :])] = cap + _TIE_TOL
     out = Tensor(dist)
     if not ad._live(atilde):
         return out
-    a_data = atilde.data
 
     def vjp(g):
-        return rspd_grad_kernel(g, nxt, a_data)
+        grad = np.zeros_like(a)
+        grad[kept] = rspd_grad_kernel(g[kept], nxt, a[kept])
+        return grad
 
     return ad._record("rspd_matrix", out, (atilde,), (vjp,))
 

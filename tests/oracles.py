@@ -338,7 +338,8 @@ def composed_graphormer_forward(m, atilde, features, toggles=RelaxToggles(), nod
     """``Graphormer.forward`` with per-head attention and the layer tail as
     chains of primitives: the oracle for the two ops in Graphormer."""
     a = ad.as_tensor(atilde)
-    spd = rspd_matrix(a) if toggles.graphormer_spd else Tensor(bfs_hops(np.rint(a.data)))
+    spd = (rspd_matrix(a, m.hparams["max_spd"]) if toggles.graphormer_spd
+           else Tensor(bfs_hops(np.rint(a.data))))
     lead = a.shape[:-2]
     heads = m.hparams["heads"]
     deg = ad.tsum(a, axis=-1)

@@ -1634,12 +1634,50 @@ def test_relaxed_nodes_do_not_depend_on_block_values(tree_setup, monkeypatch):
     assert seen == [(want.tolist(), (len(want), len(want)))] * 4
 
 
+@pytest.mark.parametrize("mode", ["injection", "structure"])
+def test_graphormer_cut_paths_keep_the_attack_loss_and_gradient(mode, tree_setup, cluster_setup,
+                                                                monkeypatch):
+    # Graphormer's relaxed shortest paths drop the pairs longer than
+    # max_spd; the attack loss and the block values' gradient equal those of
+    # a run whose paths keep every pair, bit for bit
+    from gtattack.attack.runner import AttackRun
+    from gtattack.models import graphormer
+
+    if mode == "injection":
+        _, g, _, cands, model = tree_setup
+        run = AttackRun(model, g, tree_config(constraint="none"), cands)
+    else:
+        _, g, _ = cluster_setup
+        model = build_model("graphormer", "node", g.feature_dim, 6, seed=0, hidden=8, max_spd=3)
+        run = AttackRun(model, g, quick_config())
+    cap = model.hparams["max_spd"]
+    rng = np.random.default_rng(6)
+    pairs = run.allowed[np.sort(rng.choice(len(run.allowed), size=60, replace=False))]
+    # values on both sides of 1 / max_spd, down to the injection floor
+    values = rng.choice([1e-7, 0.5 / cap, 1.0 / cap, 2.0 / cap, 0.7, 1.0], size=len(pairs))
+    block = BlockState(run.n_aug, pairs, values)
+
+    def loss_and_grad():
+        leaf = Tensor(values.copy(), requires_grad=True)
+        loss = run.objective(block)(leaf)
+        return loss.data.tobytes(), backward(loss)[leaf].data.tobytes()
+
+    cut = loss_and_grad()
+    rspd_matrix = graphormer.rspd_matrix
+    capped = []
+    monkeypatch.setattr(graphormer, "rspd_matrix",
+                        lambda a, cap: capped.append(cap) or rspd_matrix(a))
+    assert loss_and_grad() == cut
+    assert capped == [cap]
+
+
 @pytest.mark.parametrize("arch", ["gcn", "grit", "graphormer", "san"])
 @pytest.mark.parametrize("constraint", ["tree_only", "none"])
 def test_injection_cell_searches_no_components(tree_setup, constraint, arch, monkeypatch):
     # set-up checks once that the original graph is connected (under
-    # tree_only, through is_tree); no relaxed step and no scored flip set
-    # searches components
+    # tree_only, through is_tree); no scored flip set searches components,
+    # and of the relaxed steps only Graphormer's do, once each: its
+    # shortest paths drop the candidate pairs held below 1 / max_spd
     import sys
 
     from gtattack import graphs
@@ -1658,7 +1696,7 @@ def test_injection_cell_searches_no_components(tree_setup, constraint, arch, mon
     model = build_model(arch, "graph", g.feature_dim, 1, seed=0)
     cfg = tree_config(steps=4, resample_every=2, block_size=20, constraint=constraint, seed=2)
     results = run_cell(model, g, cfg, cands, gid)
-    assert calls == [1]
+    assert len(calls) == 1 + (cfg.steps if arch == "graphormer" else 0)
     assert [r.attack_kind for r in results] == ["adaptive", "random"]
     assert all(r.flips for r in results)
 

@@ -67,3 +67,25 @@ def test_summary_reports_failed_runs_and_digest_mismatch(bench_pairs):
                         "won 0/2, claim rule fails")
     assert lines[1:] == ["every run correct with 0 failed: no",
                          "digests match: no (deadbeef, ea4519c3)"]
+
+
+def test_summary_adds_cell_lines_that_benchmark_does_not_list(bench_pairs):
+    # perfbench prints a cell line per architecture; the JSON result's value
+    # wins where it has one.  Graphormer's line is informational: it names
+    # no claim rule, though the change is 5 ms faster in every pair
+    def traced(graphormer, gcn):
+        cells = [f"# cell_s.gcn {gcn:.6g} s (median of 9 cells; wall median {gcn:.6g} s)",
+                 f"# cell_s.graphormer {graphormer:.6g} s (median of 9 cells; wall median "
+                 f"{graphormer:.6g} s)"]
+        return bench_pairs.parse_run("\n".join(cells) + "\n" + output(gcn, 50.0))
+
+    run = traced(0.0123456789, 0.0035123456)
+    assert run.metrics == {"cell_s.gcn": 0.0035123456, "acc": 50.0, "cell_s.graphormer": 0.0123457}
+    parent = [traced((10.0 + i) * 1e-3, 3e-3) for i in range(10)]
+    change = [traced((5.0 + i) * 1e-3, 3e-3) for i in range(10)]
+    assert bench_pairs.summarize(parent, change, {"cell_s.gcn": "lower"})[:2] == [
+        "cell_s.gcn: parent 0.003 [0.003, 0.003] -> change 0.003 (+0.0%), won 0/10, "
+        "claim rule fails",
+        "cell_s.graphormer: parent 0.0145 [0.01225, 0.01675] -> change 0.0095 (-34.5%), "
+        "won 10/10 (informational)",
+    ]

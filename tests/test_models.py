@@ -147,6 +147,17 @@ def test_stacked_discrete_forward_equals_per_graph(arch, task):
             assert np.array_equal(stacked[i], singles[i]), (arch, task, n, i)
 
 
+@pytest.mark.parametrize("b", [2, 4])
+def test_graphormer_relaxed_paths_reject_a_stack_by_name(b):
+    # the relaxed shortest paths take one graph; a stack of b = n or b != n
+    # graphs failed inside numpy, in an unpacking or in fill_diagonal
+    rng = np.random.default_rng(12)
+    m = build_model("graphormer", "node", 5, 3, seed=0, **SMALL["graphormer"])
+    adjs, feats = (np.stack(x) for x in zip(*(random_discrete(rng, 4) for _ in range(b))))
+    with pytest.raises(ad.ShapeError, match=r"rspd_matrix takes one graph's \(n, n\) adjacency"):
+        m.forward(Tensor(adjs), feats, RelaxToggles())
+
+
 # ---------------------------------------------------------------------------
 # permutation equivariance
 
@@ -213,7 +224,7 @@ def test_model_gradients_match_finite_differences(arch, monkeypatch):
     # gradient does: each distance is re-summed along the clean shortest path
     frozen = all_pairs_shortest(reciprocal_weights(a))
 
-    def frozen_spd(at):
+    def frozen_spd(at, cap):
         arr = at.data
         d = np.zeros((n, n))
         for i in range(n):

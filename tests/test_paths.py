@@ -338,9 +338,10 @@ def test_next_hops_are_edges_at_lengths_near_one_over_edge_eps():
 
 
 def test_next_hops_equal_the_per_target_loop():
-    """Random relaxed graphs, sparse (the edge pass) and dense (the
-    per-target tests), with isolated nodes and unreachable pairs; weights 1
-    and 0.5 that tie path lengths exactly; the stray fallback."""
+    """Random relaxed graphs, sparse and dense (more than n^2 / 4 finite
+    weights: the edge pass's largest temporaries), with isolated nodes and
+    unreachable pairs; weights 1 and 0.5 that tie path lengths exactly; the
+    stray fallback."""
     rng = np.random.default_rng(14)
     graphs = []
     for _ in range(80):
@@ -369,6 +370,77 @@ def test_next_hops_equal_the_per_target_loop():
         seen["tie"] += int((hops[finite] > 1).any())
         seen["stray"] += int((hops[finite] == 0).any())
     assert all(seen.values()), seen
+
+
+def cut_cases(rng, cap):
+    """Random relaxed graphs for a cap: unit and half weights (exact ties),
+    uniform weights on both sides of 1/cap, the 1e-7 injection floor, and
+    lengths just inside and just outside cap + _TIE_TOL; then a unit chain
+    whose pairs reach lengths cap - 1 to cap + 2 with a floor-weight
+    shortcut between its ends and an isolated node; and, where two edges of
+    length >= 1 fit below cap, a pair at length just below cap that an edge
+    just above cap ties, which only a cut above cap + _TIE_TOL keeps."""
+    pool = np.array([1.0, 0.5, 1e-7, 1.0 / (cap + _TIE_TOL / 2), 1.0 / (cap + 2 * _TIE_TOL)])
+    graphs = []
+    for _ in range(40):
+        n = int(rng.integers(1, 24))
+        w = np.where(rng.random((n, n)) < 0.5, rng.choice(pool, size=(n, n)),
+                     rng.uniform(0.5 / cap, 1.0, size=(n, n)))
+        graphs.append(random_adjacency(rng, n, p=rng.uniform(0.05, 0.5)) * sym(np.triu(w, 1)))
+    chain = np.zeros((cap + 4, cap + 4))
+    for i in range(cap + 2):
+        chain[i, i + 1] = chain[i + 1, i] = 1.0
+    chain[0, cap + 2] = chain[cap + 2, 0] = 1e-7
+    graphs.append(chain)
+    if cap >= 3:  # 1 goes to 0 straight, not through 2
+        tie = sym([[0.0, 0.0, 0.0], [1.0 / (cap + _TIE_TOL / 5), 0.0, 0.0],
+                   [1.0 / (cap - 1 - _TIE_TOL / 2), 1.0, 0.0]])
+        graphs.append(tie)
+    return graphs
+
+
+@pytest.mark.parametrize("cap", [2, 20])
+def test_cut_keeps_bias_values_and_adjacency_gradients(cap):
+    """The bias of the distances cut at ``cap``, and the adjacency gradient
+    through it, equal those of the uncapped distances bit for bit on
+    ``cut_cases``, a table of cap + 1 rows clamping both."""
+    rng = np.random.default_rng(16 + cap)
+    kinds = ["kept and dropped", "near cap", "through dropped", "unreachable", "isolated", "tie"]
+    seen = dict.fromkeys(kinds, 0)
+    limit = cap + _TIE_TOL
+    for a in cut_cases(rng, cap):
+        n = len(a)
+        r = reciprocal_weights(a)
+        full, _ = shortest_paths_kernel(r)
+        cut, _ = shortest_paths_kernel(np.where(r > limit, np.inf, r))
+        finite = np.isfinite(r)
+        on_path = r[:, :, None] + full[None, :, :] <= (full + _TIE_TOL)[:, None, :]
+        short = (full <= cap) & ~np.eye(n, dtype=bool)
+        kept = finite & (r <= limit)
+        seen["kept and dropped"] += int(kept.any() and (finite & ~kept).any())
+        seen["near cap"] += int((np.abs(full - cap) <= _TIE_TOL).any())
+        seen["through dropped"] += int((np.isinf(cut) & np.isfinite(full)).any())
+        seen["unreachable"] += int(np.isinf(full).any())
+        seen["isolated"] += int((~finite).all(axis=1).any())
+        seen["tie"] += int((on_path.sum(axis=1)[short] > 1).any())
+
+        table = Tensor(rng.standard_normal((cap + 1, 2)))
+        unreachable = Tensor(rng.standard_normal(2))
+        weights = Tensor(rng.standard_normal((n, n, 2)))
+        bits = []
+        for c in (cap, np.inf):
+            at = Tensor(a.copy(), requires_grad=True)
+            bias = spd_bias(rspd_matrix(at, c), table, unreachable)
+            grad = backward(ad.tsum(ad.mul(bias, weights)))[at].data
+            bits.append((bias.data.tobytes(), grad.tobytes()))
+        assert bits[0] == bits[1], n
+    assert all(seen.values()), seen
+
+
+def test_rspd_matrix_rejects_a_stack_by_name():
+    with pytest.raises(ad.ShapeError, match=r"rspd_matrix takes one graph's \(n, n\) adjacency, "
+                                            r"got shape \(2, 3, 3\)"):
+        rspd_matrix(Tensor(np.stack([PATH3, PATH3])))
 
 
 # ---------------------------------------------------------------------------
